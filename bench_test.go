@@ -17,12 +17,15 @@ import (
 	"energysched/internal/experiments"
 )
 
+// rep runs every benchmark's experiment under the default RunConfig.
+var rep energysched.Reproducer
+
 // BenchmarkTable1SuccessiveTimeslices regenerates Table 1: the maximum
 // and average change in power between successive timeslices. Reported
 // metric: bzip2's values (the paper's most variable program).
 func BenchmarkTable1SuccessiveTimeslices(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := energysched.ReproduceTable1(2006, 800)
+		rows := rep.Table1(2006, 800)
 		for _, r := range rows {
 			if r.Program == "bzip2" {
 				b.ReportMetric(r.MaxPct, "bzip2-max-%")
@@ -37,7 +40,7 @@ func BenchmarkTable1SuccessiveTimeslices(b *testing.B) {
 // metric: bitcnts power (paper: 61 W).
 func BenchmarkTable2ProgramPowers(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := energysched.ReproduceTable2(2006, 60_000)
+		rows, err := rep.Table2(2006, 60_000)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -56,7 +59,7 @@ func BenchmarkTable3ThrottlePercent(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := experiments.DefaultTable3Config()
 		cfg.WarmupMS, cfg.MeasureMS = 60_000, 240_000
-		res, err := experiments.Table3(cfg)
+		res, err := rep.RC.Table3(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -70,7 +73,7 @@ func BenchmarkTable3ThrottlePercent(b *testing.B) {
 // temperature, power, and thermal power for a power step.
 func BenchmarkFigure3ThermalPower(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := energysched.ReproduceFigure3()
+		res := rep.Figure3()
 		b.ReportMetric(res.ThermalPower.Max(), "peak-thermal-W")
 	}
 }
@@ -82,7 +85,7 @@ func BenchmarkFigure6BalancingDisabled(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := experiments.DefaultThermalTraceConfig(false)
 		cfg.DurationMS = 400_000
-		res := experiments.ThermalTrace(cfg)
+		res := rep.RC.ThermalTrace(cfg)
 		b.ReportMetric(res.SpreadW, "band-spread-W")
 		b.ReportMetric(res.MaxW, "peak-W")
 	}
@@ -94,7 +97,7 @@ func BenchmarkFigure7BalancingEnabled(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := experiments.DefaultThermalTraceConfig(true)
 		cfg.DurationMS = 400_000
-		res := experiments.ThermalTrace(cfg)
+		res := rep.RC.ThermalTrace(cfg)
 		b.ReportMetric(res.SpreadW, "band-spread-W")
 		b.ReportMetric(res.MaxW, "peak-W")
 		b.ReportMetric(float64(res.Migrations), "migrations")
@@ -106,7 +109,7 @@ func BenchmarkFigure7BalancingEnabled(b *testing.B) {
 // 9.8 → 87 SMT on).
 func BenchmarkMigrationCounts(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		mc, err := energysched.ReproduceMigrationCounts(61, 300_000)
+		mc, err := rep.MigrationCounts(61, 300_000)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -122,7 +125,7 @@ func BenchmarkFigure8WorkloadMix(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := experiments.DefaultFigure8Config()
 		cfg.WarmupMS, cfg.MeasureMS = 40_000, 160_000
-		points, err := experiments.Figure8(cfg)
+		points, err := rep.RC.Figure8(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -142,7 +145,7 @@ func BenchmarkFigure8WorkloadMix(b *testing.B) {
 // sibling, never across the node boundary.
 func BenchmarkFigure9HotTaskTrace(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := energysched.ReproduceFigure9(7, 200_000)
+		res := rep.Figure9(7, 200_000)
 		b.ReportMetric(float64(len(res.Migrations)), "migrations")
 		b.ReportMetric(float64(res.CrossNode), "cross-node")
 		b.ReportMetric(res.ThrottledFrac*100, "throttled-%")
@@ -155,7 +158,7 @@ func BenchmarkFigure10MultiTask(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := experiments.DefaultFigure10Config()
 		cfg.WarmupMS, cfg.MeasureMS = 40_000, 160_000
-		points, err := experiments.Figure10(cfg)
+		points, err := rep.RC.Figure10(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -169,8 +172,8 @@ func BenchmarkFigure10MultiTask(b *testing.B) {
 // at 40 W and 50 W package budgets (paper: −43 % and −21 %).
 func BenchmarkHotTaskSpeedup(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r40 := energysched.ReproduceHotTaskSpeedup(1, 40)
-		r50 := energysched.ReproduceHotTaskSpeedup(1, 50)
+		r40 := rep.HotTaskSpeedup(1, 40)
+		r50 := rep.HotTaskSpeedup(1, 50)
 		b.ReportMetric(r40.TimeReductionPct, "40W-time-reduction-%")
 		b.ReportMetric(r50.TimeReductionPct, "50W-time-reduction-%")
 	}
@@ -181,7 +184,7 @@ func BenchmarkHotTaskSpeedup(b *testing.B) {
 // (ping-pong) vs thermal-power-only (over-balancing).
 func BenchmarkAblationBalancerMetrics(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := experiments.AblationBalancerMetrics(61, 300_000)
+		rows := rep.Ablations(61, 300_000)
 		b.ReportMetric(float64(rows[0].Migrations), "both")
 		b.ReportMetric(float64(rows[1].Migrations), "power-only")
 		b.ReportMetric(float64(rows[2].Migrations), "thermal-only")
@@ -192,7 +195,7 @@ func BenchmarkAblationBalancerMetrics(b *testing.B) {
 // contribution on the short-task workload.
 func BenchmarkAblationPlacement(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		p := experiments.AblationPlacement(2006, 180_000)
+		p := rep.RC.AblationPlacement(2006, 180_000)
 		b.ReportMetric(p.GainFullPolicy*100, "full-%")
 		b.ReportMetric(p.GainPlacementOnly*100, "placement-only-%")
 		b.ReportMetric(p.GainBalancingOnly*100, "balancing-only-%")
@@ -203,7 +206,7 @@ func BenchmarkAblationPlacement(b *testing.B) {
 // experiment: hot task rotation across the cores of dual-core chips.
 func BenchmarkCMPHotTask(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := energysched.ReproduceCMP(7, 180_000)
+		r := rep.CMP(7, 180_000)
 		b.ReportMetric(r.GainPct, "gain-%")
 		b.ReportMetric(float64(r.IntraChipHops), "intra-chip-hops")
 		b.ReportMetric(r.CoupledTempC-r.IsolatedTempC, "stress-delta-C")
@@ -239,7 +242,7 @@ func BenchmarkSimulatorTickRate(b *testing.B) {
 // hot tasks' share of it.
 func BenchmarkPolicyComparison(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.PolicyComparison(2006, 240_000)
+		r := rep.PolicyComparison(2006, 240_000)
 		b.ReportMetric(r.GainTaskPct(), "task-throttle-gain-%")
 		b.ReportMetric(r.GainAwarePct(), "energy-aware-gain-%")
 		b.ReportMetric(r.HotShareTask*100, "hot-share-taskthrottle-%")
@@ -251,7 +254,7 @@ func BenchmarkPolicyComparison(b *testing.B) {
 // unit-aware balancing of equal-power integer/FP tasks.
 func BenchmarkUnitAware(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := energysched.ReproduceUnitAware(7, 180_000)
+		r := rep.UnitAware(7, 180_000)
 		b.ReportMetric(r.MaxUnitTempBlind-r.MaxUnitTempAware, "hotspot-delta-C")
 		b.ReportMetric(r.GainPct, "gain-%")
 	}
@@ -261,11 +264,11 @@ func BenchmarkUnitAware(b *testing.B) {
 // DefaultConfig tuning constants.
 func BenchmarkSweeps(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		hys, err := experiments.SweepHysteresis(61, 200_000)
+		hys, err := rep.RC.SweepHysteresis(61, 200_000)
 		if err != nil {
 			b.Fatal(err)
 		}
-		tau, err := experiments.SweepTimeConstant(7, 200_000)
+		tau, err := rep.RC.SweepTimeConstant(7, 200_000)
 		if err != nil {
 			b.Fatal(err)
 		}

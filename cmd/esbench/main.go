@@ -12,7 +12,7 @@
 //
 // Usage:
 //
-//	esbench [-quick] [-time 1s] [-out FILE] [-engines lockstep,batched,async,parallel]
+//	esbench [-quick] [-time 1s] [-out FILE] [-engines lockstep,async,parallel]
 //	        [-compare BASELINE.json] [-threshold 15] [-trend DIR]
 //
 // -quick runs every benchmark for a single iteration (the CI smoke
@@ -153,7 +153,8 @@ func measure(sc benchscen.Scenario, e machine.Engine, minTime time.Duration) Res
 // warm-branch pays warmup once plus seeds×measure. The row's ns/op is
 // the warm sweep's wall time per seed; SpeedupVsRebuild records the
 // amortization the farm's image cache banks on. Sequential (Jobs=1) so
-// the two plans compare simulation work, not pool scheduling.
+// the two plans compare simulation work, not pool scheduling; the
+// default engine, like a farm request that names none.
 func measureWarmBranch(minTime time.Duration) Result {
 	const (
 		warmupMS  = 5_000
@@ -161,7 +162,7 @@ func measureWarmBranch(minTime time.Duration) Result {
 		nSeeds    = 8
 	)
 	spec := scenario.MustNamed("engines/steady-state")
-	rc := experiments.RunConfig{Jobs: 1, Engine: machine.EngineBatched}
+	rc := experiments.RunConfig{Jobs: 1}
 	seeds := make([]uint64, nSeeds)
 	for i := range seeds {
 		seeds[i] = uint64(i + 1)

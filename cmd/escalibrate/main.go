@@ -13,7 +13,7 @@
 //     and fit the RC exponential. The tool reports the recovered R and
 //     τ per package against ground truth.
 //
-// Usage: escalibrate [-seed N] [-noise F] [-engine lockstep|batched|async]
+// Usage: escalibrate [-seed N] [-noise F] [-engine async|lockstep|parallel]
 package main
 
 import (
@@ -21,9 +21,9 @@ import (
 	"fmt"
 	"math"
 
+	"energysched/internal/cliflags"
 	"energysched/internal/counters"
 	"energysched/internal/energy"
-	"energysched/internal/experiments"
 	"energysched/internal/machine"
 	"energysched/internal/rng"
 	"energysched/internal/sched"
@@ -35,7 +35,7 @@ import (
 func main() {
 	seed := flag.Uint64("seed", 2006, "random seed")
 	noise := flag.Float64("noise", 0.02, "multimeter 1-sigma relative noise")
-	enginePtr := experiments.EngineFlag(nil)
+	enginePtr := cliflags.Engine(nil)
 	flag.Parse()
 	engine := *enginePtr
 

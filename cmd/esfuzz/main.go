@@ -1,7 +1,7 @@
 // esfuzz is the differential scenario fuzzer CLI. It generates seeded
-// random scenarios and runs each through the lockstep, batched, async,
-// and parallel engines, byte-diffing their traces and checking
-// conservation and parking invariants (the four-engine oracle). Failing scenarios
+// random scenarios and runs each through the lockstep, async, and
+// parallel engines, byte-diffing their traces and checking conservation
+// and parking invariants (the three-engine oracle). Failing scenarios
 // are greedily minimized and written as corpus JSON files that
 // internal/fuzz replays as ordinary go tests.
 //
@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"energysched/internal/fuzz"
+	"energysched/internal/scenario"
 )
 
 func main() {
@@ -58,7 +59,7 @@ func main() {
 		if !*shrink {
 			continue
 		}
-		min, calls := fuzz.Shrink(f.Spec, func(c fuzz.Spec) bool { return fuzz.Check(c) != nil })
+		min, calls := fuzz.Shrink(f.Spec, func(c scenario.Spec) bool { return fuzz.Check(c) != nil })
 		mf := fuzz.Check(min)
 		if mf == nil {
 			// Shrinking must preserve failure; if the budget ran dry at a

@@ -35,8 +35,8 @@
 //	-seed N      random seed (default 2006)
 //	-quick       shortened runs (~4× faster, noisier)
 //	-csv         emit raw series as CSV instead of ASCII charts
-//	-engine E    simulation engine: lockstep, batched (default),
-//	             async, or parallel — the engines produce identical
+//	-engine E    simulation engine: async (default), lockstep, or
+//	             parallel — the engines produce identical
 //	             results, so any experiment can run on any of them
 //	-governor G  DVFS governor highlighted by the dvfs experiment:
 //	             performance, ondemand (default), or thermal
@@ -87,7 +87,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: espower [-seed N] [-quick] [-csv] [-engine lockstep|batched|async|parallel] [-governor G] [-j N] <experiment>")
+	fmt.Fprintln(os.Stderr, "usage: espower [-seed N] [-quick] [-csv] [-engine async|lockstep|parallel] [-governor G] [-j N] <experiment>")
 	fmt.Fprintln(os.Stderr, "experiments: table1 table2 table3 fig3 fig6 fig7 fig8 fig9 fig10 hotspeed migrations ablation cmp policies units dvfs misestimate sweeps all")
 }
 

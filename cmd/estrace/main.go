@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	estrace [-scenario hottask|mixed|cmp|dvfs|faults] [-engine lockstep|batched|async|parallel]
+//	estrace [-scenario hottask|mixed|cmp|dvfs|faults] [-engine async|lockstep|parallel]
 //	        [-governor performance|ondemand|thermal]
 //	        [-duration 60s] [-seed N] [-format csv|jsonl]
 //

@@ -26,7 +26,7 @@
 //	fmt.Println(task.Profile.Watts()) // ≈ 61 W
 //
 // The reproduction experiments (every table and figure of the paper's
-// evaluation) live behind the Reproduce* functions and the espower CLI.
+// evaluation) live behind the Reproducer methods and the espower CLI.
 package energysched
 
 import (
@@ -114,21 +114,18 @@ const (
 // Engine re-exports the simulation-core selector.
 type Engine = machine.Engine
 
-// Simulation engines (see machine.Engine). EngineBatched — the default
-// — advances the machine in event-horizon quanta, integrating work,
-// energy, and temperature analytically between events; EngineAsync
-// adds per-CPU clocks on top, letting idle CPUs sleep past busy ones
-// and settling their state lazily (the fastest choice for mostly-idle
-// machines); EngineParallel shards the async step along NUMA-node
-// boundaries onto a goroutine pool (see Options.Shards — fastest on
-// wide, busy machines when cores are available); EngineLockstep is the
-// classic 1 ms loop. All four produce equivalent results for the same
-// seed, and EngineParallel is bit-identical to EngineAsync at every
-// shard count.
+// Simulation engines (see machine.Engine). EngineAsync — the default —
+// advances the machine in event-horizon quanta, integrating work,
+// energy, and temperature analytically between events, with a clock
+// per CPU so idle CPUs sleep past busy ones and settle their state
+// lazily; EngineParallel shards the async step along NUMA-node
+// boundaries onto a goroutine pool (see Options.Shards); EngineLockstep
+// is the classic 1 ms loop and the reference. All three produce
+// equivalent results for the same seed, and EngineParallel is
+// bit-identical to EngineAsync at every shard count.
 const (
-	EngineBatched  = machine.EngineBatched
-	EngineLockstep = machine.EngineLockstep
 	EngineAsync    = machine.EngineAsync
+	EngineLockstep = machine.EngineLockstep
 	EngineParallel = machine.EngineParallel
 )
 
@@ -145,17 +142,16 @@ func XSeries445NoSMT() Layout { return topology.XSeries445NoSMT() }
 type Options struct {
 	// Layout is the machine shape; zero means XSeries445NoSMT.
 	Layout Layout
-	// Engine selects the simulation core; the zero value is the batched
-	// event-horizon engine. EngineAsync batches idle CPUs past busy
-	// ones; EngineParallel additionally shards the step across
+	// Engine selects the simulation core; the zero value is the async
+	// engine. EngineParallel additionally shards its step across
 	// goroutines; EngineLockstep restores the 1 ms loop.
 	Engine Engine
 	// Shards is EngineParallel's shard count: 0 means one per NUMA
 	// node, larger values clamp to the node count. Results are
 	// bit-identical at every count. The other engines ignore it.
 	Shards int
-	// MaxQuantumMS caps the batched engine's quantum; 0 selects the
-	// machine default. Ignored by the lockstep engine.
+	// MaxQuantumMS caps the planned quantum; 0 selects the machine
+	// default. Ignored by the lockstep engine.
 	MaxQuantumMS int
 	// Policy selects the scheduling preset. Sched overrides it when
 	// non-nil.

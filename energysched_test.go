@@ -176,53 +176,54 @@ func TestFacadeTracing(t *testing.T) {
 	}
 }
 
-// Smoke-test the Reproduce* facade: each wrapper runs a shortened
+// Smoke-test the Reproducer facade: each method runs a shortened
 // version of its experiment and returns a plausibly shaped result.
 // (The benchmarks exercise the full-length versions.)
 func TestReproduceFacade(t *testing.T) {
-	if rows := energysched.ReproduceTable1(2006, 120); len(rows) != 5 {
+	var rep energysched.Reproducer
+	if rows := rep.Table1(2006, 120); len(rows) != 5 {
 		t.Errorf("Table1 rows = %d", len(rows))
 	}
-	if rows, err := energysched.ReproduceTable2(2006, 5000); err != nil || len(rows) != 6 {
+	if rows, err := rep.Table2(2006, 5000); err != nil || len(rows) != 6 {
 		t.Errorf("Table2 rows = %d, err = %v", len(rows), err)
 	}
-	if r := energysched.ReproduceFigure3(); r.ThermalPower.Len() == 0 {
+	if r := rep.Figure3(); r.ThermalPower.Len() == 0 {
 		t.Error("Figure3 empty")
 	}
-	if r := energysched.ReproduceFigure9(7, 30_000); len(r.Migrations) == 0 {
+	if r := rep.Figure9(7, 30_000); len(r.Migrations) == 0 {
 		t.Error("Figure9 recorded no migrations")
 	}
-	if r := energysched.ReproduceCMP(7, 40_000); r.GainPct <= 0 {
+	if r := rep.CMP(7, 40_000); r.GainPct <= 0 {
 		t.Errorf("CMP gain = %v", r.GainPct)
 	}
-	if rows := energysched.ReproduceAblations(61, 60_000); len(rows) != 3 {
+	if rows := rep.Ablations(61, 60_000); len(rows) != 3 {
 		t.Errorf("ablation rows = %d", len(rows))
 	}
-	if r := energysched.ReproduceUnitAware(7, 40_000); r.MaxUnitTempBlind <= 25 {
+	if r := rep.UnitAware(7, 40_000); r.MaxUnitTempBlind <= 25 {
 		t.Errorf("unit temp = %v", r.MaxUnitTempBlind)
 	}
-	if r := energysched.ReproducePolicyComparison(2006, 40_000); r.WorkRateEnergyAware <= 0 {
+	if r := rep.PolicyComparison(2006, 40_000); r.WorkRateEnergyAware <= 0 {
 		t.Errorf("policy comparison work rate = %v", r.WorkRateEnergyAware)
 	}
-	if r := energysched.ReproduceHotTaskSpeedup(1, 40); r.TimeReductionPct <= 0 {
+	if r := rep.HotTaskSpeedup(1, 40); r.TimeReductionPct <= 0 {
 		t.Errorf("speedup = %v", r.TimeReductionPct)
 	}
-	if mc, err := energysched.ReproduceMigrationCounts(61, 30_000); err != nil || mc.SMTOffEnabled == 0 {
+	if mc, err := rep.MigrationCounts(61, 30_000); err != nil || mc.SMTOffEnabled == 0 {
 		t.Errorf("SMT-off enabled run: %d migrations, err %v", mc.SMTOffEnabled, err)
 	}
-	if pts, err := energysched.ReproduceFigure8(63); err != nil || len(pts) != 10 {
+	if pts, err := rep.Figure8(63); err != nil || len(pts) != 10 {
 		t.Errorf("Figure8 points = %d, err %v", len(pts), err)
 	}
-	if pts, err := energysched.ReproduceFigure10(64); err != nil || len(pts) != 8 {
+	if pts, err := rep.Figure10(64); err != nil || len(pts) != 8 {
 		t.Errorf("Figure10 points = %d, err %v", len(pts), err)
 	}
-	if r := energysched.ReproduceFigure6(61); len(r.Series) != 8 {
+	if r := rep.Figure6(61); len(r.Series) != 8 {
 		t.Errorf("Figure6 series = %d", len(r.Series))
 	}
-	if r := energysched.ReproduceFigure7(61); r.SpreadW <= 0 {
+	if r := rep.Figure7(61); r.SpreadW <= 0 {
 		t.Errorf("Figure7 spread = %v", r.SpreadW)
 	}
-	res, err := energysched.ReproduceTable3(2006)
+	res, err := rep.Table3(2006)
 	if err != nil {
 		t.Fatalf("Table3: %v", err)
 	}
@@ -259,9 +260,9 @@ func TestFacadeAccessors(t *testing.T) {
 	}
 }
 
-// The facade exposes engine selection: both engines reproduce the same
-// run for the same seed, and the lockstep engine remains available as
-// the reference.
+// The facade exposes engine selection: the default async engine
+// reproduces the same run as the lockstep engine for the same seed, and
+// lockstep remains available as the reference.
 func TestEngineSelection(t *testing.T) {
 	run := func(e energysched.Engine) (int64, int64, float64) {
 		sys, err := energysched.New(energysched.Options{
@@ -280,15 +281,15 @@ func TestEngineSelection(t *testing.T) {
 		sys.Run(30 * time.Second)
 		return sys.Completions(), sys.MigrationCount(), sys.PackageTemp(0)
 	}
-	cB, mB, tB := run(energysched.EngineBatched)
+	cA, mA, tA := run(energysched.EngineAsync)
 	cL, mL, tL := run(energysched.EngineLockstep)
-	if cB != cL || mB != mL {
-		t.Fatalf("engines disagree: completions %d/%d migrations %d/%d", cB, cL, mB, mL)
+	if cA != cL || mA != mL {
+		t.Fatalf("engines disagree: completions %d/%d migrations %d/%d", cA, cL, mA, mL)
 	}
-	if d := math.Abs(tB-tL) / tL; d > 1e-6 {
-		t.Fatalf("package temps diverge: %.8f vs %.8f", tB, tL)
+	if d := math.Abs(tA-tL) / tL; d > 1e-6 {
+		t.Fatalf("package temps diverge: %.8f vs %.8f", tA, tL)
 	}
-	if cB == 0 {
+	if cA == 0 {
 		t.Fatal("no completions")
 	}
 	// MaxQuantumMS is honored as a tuning knob.

@@ -1,5 +1,5 @@
 // Package cliflags is the shared CLI flag plumbing of the tools
-// (cmd/espower, cmd/esbench, cmd/estrace, cmd/esfuzz, cmd/esfarmd):
+// (cmd/espower, cmd/esbench, cmd/estrace, cmd/escalibrate, cmd/esfarmd):
 // every tool that selects a simulation engine, a DVFS governor, or a
 // worker count registers the flag here, so the accepted values, the
 // help text, and the validation live in exactly one place. Invalid
@@ -21,7 +21,7 @@ type engineFlag struct{ e *machine.Engine }
 func (f engineFlag) String() string {
 	if f.e == nil {
 		// Zero value: empty, so flag.PrintDefaults still shows the
-		// registered default ("batched") in -h output.
+		// registered default ("async") in -h output.
 		return ""
 	}
 	return f.e.String()
@@ -37,15 +37,14 @@ func (f engineFlag) Set(s string) error {
 }
 
 // Engine registers the standard -engine flag on fs (nil selects
-// flag.CommandLine) and returns the destination, defaulting to the
-// batched engine.
+// flag.CommandLine) and returns the destination, defaulting to the zero
+// value: the async engine.
 func Engine(fs *flag.FlagSet) *machine.Engine {
 	if fs == nil {
 		fs = flag.CommandLine
 	}
 	e := new(machine.Engine)
-	*e = machine.EngineBatched
-	fs.Var(engineFlag{e}, "engine", "simulation engine: lockstep, batched, async, or parallel")
+	fs.Var(engineFlag{e}, "engine", "simulation engine: async, lockstep, or parallel")
 	return e
 }
 
@@ -83,13 +82,13 @@ func (f enginesFlag) Set(s string) error {
 }
 
 // Engines registers the -engines flag (comma-separated engine list) on
-// fs (nil selects flag.CommandLine), defaulting to all four engines.
+// fs (nil selects flag.CommandLine), defaulting to all three engines.
 func Engines(fs *flag.FlagSet) *[]machine.Engine {
 	if fs == nil {
 		fs = flag.CommandLine
 	}
-	es := &[]machine.Engine{machine.EngineLockstep, machine.EngineBatched, machine.EngineAsync, machine.EngineParallel}
-	fs.Var(enginesFlag{es}, "engines", "comma-separated engines to run (lockstep,batched,async,parallel)")
+	es := &[]machine.Engine{machine.EngineLockstep, machine.EngineAsync, machine.EngineParallel}
+	fs.Var(enginesFlag{es}, "engines", "comma-separated engines to run (lockstep,async,parallel)")
 	return es
 }
 

@@ -19,7 +19,7 @@
 // takes TransitionLatencyMS to take effect (PLL relock, voltage ramp).
 // The simulation engines treat pending transitions and governor
 // evaluation deadlines as event horizons, so all three engines
-// (lockstep, batched, async) make bit-identical DVFS decisions — see
+// (lockstep, async, parallel) make bit-identical DVFS decisions — see
 // machine.TestEngineEquivalence.
 package dvfs
 

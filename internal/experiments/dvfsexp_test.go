@@ -13,7 +13,7 @@ import (
 func TestDVFSvsThrottleShape(t *testing.T) {
 	cfg := DefaultDVFSComparisonConfig()
 	cfg.WorkMS = 20_000 // shortened for the test suite
-	res := DVFSvsThrottle(cfg)
+	res := RunConfig{}.DVFSvsThrottle(cfg)
 	if len(res.Rows) != 3 {
 		t.Fatalf("rows = %d, want 3", len(res.Rows))
 	}

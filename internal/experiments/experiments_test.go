@@ -88,7 +88,7 @@ func shortTable3() Table3Config {
 // percentage and raises throughput; the well-cooled packages never
 // throttle.
 func TestTable3Shape(t *testing.T) {
-	res, err := Table3(shortTable3())
+	res, err := RunConfig{}.Table3(shortTable3())
 	if err != nil {
 		t.Fatalf("Table3: %v", err)
 	}
@@ -160,8 +160,8 @@ func shortTrace(enabled bool) ThermalTraceConfig {
 // above a 50 W limit line); with balancing the band is narrow and stays
 // below the line.
 func TestFigures6And7(t *testing.T) {
-	f6 := ThermalTrace(shortTrace(false))
-	f7 := ThermalTrace(shortTrace(true))
+	f6 := RunConfig{}.ThermalTrace(shortTrace(false))
+	f7 := RunConfig{}.ThermalTrace(shortTrace(true))
 	if len(f6.Series) != 8 || len(f7.Series) != 8 {
 		t.Fatal("expected 8 CPU series")
 	}
@@ -185,7 +185,7 @@ func TestFigures6And7(t *testing.T) {
 }
 
 func TestMigrationCountsShape(t *testing.T) {
-	mc, err := MigrationCounts(61, 120_000)
+	mc, err := RunConfig{}.MigrationCounts(61, 120_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestMigrationCountsShape(t *testing.T) {
 func TestFigure8Shape(t *testing.T) {
 	cfg := DefaultFigure8Config()
 	cfg.WarmupMS, cfg.MeasureMS = 30_000, 90_000
-	points, err := Figure8(cfg)
+	points, err := RunConfig{}.Figure8(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestFigure8Shape(t *testing.T) {
 }
 
 func TestFigure9Shape(t *testing.T) {
-	r := Figure9(7, 120_000)
+	r := RunConfig{}.Figure9(7, 120_000)
 	if r.CrossNode != 0 {
 		t.Errorf("cross-node migrations = %d, want 0", r.CrossNode)
 	}
@@ -273,7 +273,7 @@ func TestFigure9Shape(t *testing.T) {
 func TestFigure10Shape(t *testing.T) {
 	cfg := DefaultFigure10Config()
 	cfg.WarmupMS, cfg.MeasureMS = 30_000, 120_000
-	points, err := Figure10(cfg)
+	points, err := RunConfig{}.Figure10(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,11 +301,11 @@ func TestFigure10Shape(t *testing.T) {
 // §6.4 headline numbers: 43 % execution-time reduction at 40 W, 21 % at
 // 50 W.
 func TestHotTaskSpeedup(t *testing.T) {
-	r40 := HotTaskSpeedup(1, 40, 60_000)
+	r40 := RunConfig{}.HotTaskSpeedup(1, 40, 60_000)
 	if r40.TimeReductionPct < 30 || r40.TimeReductionPct > 60 {
 		t.Errorf("40 W time reduction = %.0f%%, want ~43%%", r40.TimeReductionPct)
 	}
-	r50 := HotTaskSpeedup(1, 50, 60_000)
+	r50 := RunConfig{}.HotTaskSpeedup(1, 50, 60_000)
 	if r50.TimeReductionPct < 10 || r50.TimeReductionPct > 40 {
 		t.Errorf("50 W time reduction = %.0f%%, want ~21%%", r50.TimeReductionPct)
 	}
@@ -355,7 +355,7 @@ func TestReferencePropsShape(t *testing.T) {
 // ping-pong migrations; only the slow metric (thermal power) causes
 // over-balancing churn. The combined policy migrates least.
 func TestAblationBalancerMetrics(t *testing.T) {
-	rows := AblationBalancerMetrics(61, 180_000)
+	rows := RunConfig{}.AblationBalancerMetrics(61, 180_000)
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -378,7 +378,7 @@ func TestAblationBalancerMetrics(t *testing.T) {
 }
 
 func TestAblationPlacement(t *testing.T) {
-	p := AblationPlacement(2006, 90_000)
+	p := RunConfig{}.AblationPlacement(2006, 90_000)
 	if p.GainFullPolicy <= 0 {
 		t.Errorf("full policy gain = %+.1f%%, want positive", p.GainFullPolicy*100)
 	}
@@ -396,7 +396,7 @@ func TestAblationPlacement(t *testing.T) {
 // throttling, uses intra-chip hops, and the coupling physics shows the
 // "greater thermal stress" of co-located hot tasks.
 func TestCMPHotTask(t *testing.T) {
-	r := CMPHotTask(7, 120_000)
+	r := RunConfig{}.CMPHotTask(7, 120_000)
 	if r.ThrottledAware > 0.03 {
 		t.Errorf("energy-aware throttled %.1f%%, want ~0", r.ThrottledAware*100)
 	}
@@ -422,7 +422,7 @@ func TestCMPHotTask(t *testing.T) {
 // must match or beat both throttling policies on throughput while
 // keeping the hot tasks at their fair share of the machine.
 func TestPolicyComparison(t *testing.T) {
-	r := PolicyComparison(2006, 120_000)
+	r := RunConfig{}.PolicyComparison(2006, 120_000)
 	if r.WorkRateTaskThrottle <= r.WorkRateCPUThrottle {
 		t.Errorf("hot-task throttling (%v) should beat CPU throttling (%v)",
 			r.WorkRateTaskThrottle, r.WorkRateCPUThrottle)
@@ -452,7 +452,7 @@ func TestPolicyComparison(t *testing.T) {
 // §7 multiple-temperature extension: equal-power tasks with different
 // functional-unit footprints benefit from unit-aware balancing.
 func TestUnitAware(t *testing.T) {
-	r := UnitAware(7, 120_000)
+	r := RunConfig{}.UnitAware(7, 120_000)
 	if r.MaxUnitTempAware >= r.MaxUnitTempBlind-1 {
 		t.Errorf("unit awareness did not flatten hotspots: %.1f° vs %.1f°",
 			r.MaxUnitTempAware, r.MaxUnitTempBlind)
@@ -475,7 +475,7 @@ func TestUnitAware(t *testing.T) {
 // Sensitivity sweeps: verify the qualitative trade-off curves that back
 // the DefaultConfig tuning values.
 func TestSweepHysteresis(t *testing.T) {
-	pts, err := SweepHysteresis(61, 150_000)
+	pts, err := RunConfig{}.SweepHysteresis(61, 150_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -501,7 +501,7 @@ func TestSweepHysteresis(t *testing.T) {
 }
 
 func TestSweepTimeConstant(t *testing.T) {
-	pts, err := SweepTimeConstant(7, 150_000)
+	pts, err := RunConfig{}.SweepTimeConstant(7, 150_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -522,7 +522,7 @@ func TestSweepTimeConstant(t *testing.T) {
 }
 
 func TestSweepDestGap(t *testing.T) {
-	pts, err := SweepDestGap(7, 150_000)
+	pts, err := RunConfig{}.SweepDestGap(7, 150_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -552,7 +552,7 @@ func TestTablesSurfaceCalibrationFailure(t *testing.T) {
 	if rows, err := Table2(2006, 5000); !errors.Is(err, calibErr) {
 		t.Errorf("Table2 error = %v (rows %v), want wrapped calibration error", err, rows)
 	}
-	if _, err := Table3(shortTable3()); !errors.Is(err, calibErr) {
+	if _, err := (RunConfig{}).Table3(shortTable3()); !errors.Is(err, calibErr) {
 		t.Errorf("Table3 error = %v, want wrapped calibration error", err)
 	}
 }

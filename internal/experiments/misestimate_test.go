@@ -15,7 +15,7 @@ func TestMisestimateShape(t *testing.T) {
 	cfg := DefaultMisestimateConfig()
 	cfg.WorkMS = 20_000 // shortened for the test suite
 	cfg.Scales = []float64{1.0, 0.6}
-	res := Misestimate(cfg)
+	res := RunConfig{}.Misestimate(cfg)
 	if len(res.Rows) != 5 {
 		t.Fatalf("rows = %d, want 5 (1 calibrated + 4 variants)", len(res.Rows))
 	}

@@ -61,38 +61,32 @@ func TestForEachPanicSurfacesAsError(t *testing.T) {
 // machine seed from the sweep index and writes into its own result
 // slot, so only scheduling order differs — never data.
 func TestParallelSweepByteStable(t *testing.T) {
-	defer func() { Jobs = 0 }()
-
-	sweep := func(t *testing.T) string {
+	sweep := func(t *testing.T, rc RunConfig) string {
 		t.Helper()
-		pts, err := SweepDestGap(7, 60_000)
+		pts, err := rc.SweepDestGap(7, 60_000)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return FormatDestGap(pts)
 	}
-	Jobs = 1
-	seq := sweep(t)
-	Jobs = 8
-	par := sweep(t)
+	seq := sweep(t, RunConfig{Jobs: 1})
+	par := sweep(t, RunConfig{Jobs: 8})
 	if seq != par {
 		t.Errorf("SweepDestGap output differs between -j 1 and -j 8:\n-- sequential --\n%s\n-- parallel --\n%s", seq, par)
 	}
 
 	cfg := DefaultFigure8Config()
 	cfg.WarmupMS, cfg.MeasureMS = 15_000, 45_000
-	fig8 := func(t *testing.T) string {
+	fig8 := func(t *testing.T, rc RunConfig) string {
 		t.Helper()
-		pts, err := Figure8(cfg)
+		pts, err := rc.Figure8(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return FormatFigure8(pts)
 	}
-	Jobs = 1
-	seq = fig8(t)
-	Jobs = 8
-	par = fig8(t)
+	seq = fig8(t, RunConfig{Jobs: 1})
+	par = fig8(t, RunConfig{Jobs: 8})
 	if seq != par {
 		t.Errorf("Figure8 output differs between -j 1 and -j 8:\n-- sequential --\n%s\n-- parallel --\n%s", seq, par)
 	}

@@ -8,7 +8,7 @@ import (
 // result must not depend on: which simulation core to run machines on,
 // how many worker goroutines to use for independent runs, and the
 // shard count of the parallel engine. Every experiment entry point is
-// a method on RunConfig; the zero value (batched engine, GOMAXPROCS
+// a method on RunConfig; the zero value (async engine, GOMAXPROCS
 // workers, auto shards) reproduces every table and figure, and the
 // cross-engine equivalence tests guarantee no number depends on the
 // choice.
@@ -19,7 +19,7 @@ type RunConfig struct {
 	// goroutines. Output is byte-identical for every value.
 	Jobs int
 	// Engine selects the simulation core every experiment machine runs
-	// on. The zero value is the (default) batched engine.
+	// on. The zero value is the (default) async engine.
 	Engine machine.Engine
 	// Shards is the fork-join shard count for the parallel engine
 	// (0 = auto); ignored by the other engines.
@@ -34,21 +34,3 @@ func (rc RunConfig) newMachine(cfg machine.Config) *machine.Machine {
 	}
 	return machine.MustNew(cfg)
 }
-
-// Jobs and Engine are the retired package-global knobs. They feed
-// LegacyRunConfig, which the deprecated package-level experiment
-// wrappers read — nothing else in the package consults them.
-//
-// Deprecated: pass a RunConfig explicitly instead of mutating package
-// state.
-var (
-	Jobs   int
-	Engine machine.Engine
-)
-
-// LegacyRunConfig snapshots the deprecated Jobs/Engine globals into an
-// explicit RunConfig. It exists for the deprecated package-level
-// experiment wrappers; new code should construct a RunConfig directly.
-//
-// Deprecated: construct a RunConfig instead.
-func LegacyRunConfig() RunConfig { return RunConfig{Jobs: Jobs, Engine: Engine} }

@@ -17,7 +17,7 @@ func TestSeedSweepPlansAgree(t *testing.T) {
 	seeds := []uint64{1, 2, 3, 5, 8, 13}
 	const warmup, measure = 2000, 3000
 
-	for _, e := range []machine.Engine{machine.EngineBatched, machine.EngineAsync} {
+	for _, e := range []machine.Engine{machine.EngineAsync, machine.EngineParallel} {
 		rc := RunConfig{Engine: e}
 		cold, err := rc.SeedSweepRebuild(spec, warmup, measure, seeds)
 		if err != nil {

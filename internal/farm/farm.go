@@ -38,8 +38,8 @@ type SweepRequest struct {
 	Name string `json:"name,omitempty"`
 	// Scenario is an inline scenario spec.
 	Scenario *scenario.Spec `json:"scenario,omitempty"`
-	// Engine is the simulation engine ("lockstep", "batched", "async",
-	// "parallel"); empty means batched.
+	// Engine is the simulation engine ("lockstep", "async",
+	// "parallel"); empty means the default, async.
 	Engine string `json:"engine,omitempty"`
 	// WarmupMS is simulated once and shared by every seed.
 	WarmupMS int64 `json:"warmup_ms"`
@@ -95,7 +95,7 @@ func (r *SweepRequest) resolve() (scenario.Spec, machine.Engine, error) {
 	if err := spec.Validate(); err != nil {
 		return spec, 0, err
 	}
-	engine := machine.EngineBatched
+	var engine machine.Engine
 	if r.Engine != "" {
 		e, err := machine.ParseEngine(r.Engine)
 		if err != nil {

@@ -3,6 +3,7 @@ package farm
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -16,7 +17,6 @@ func testRequest() SweepRequest {
 	return SweepRequest{
 		Version:   RequestVersion,
 		Name:      "engines/steady-state",
-		Engine:    "batched",
 		WarmupMS:  2000,
 		MeasureMS: 2000,
 		Seeds:     []uint64{3, 1, 4, 1, 5},
@@ -73,11 +73,15 @@ func TestDaemonMatchesDirect(t *testing.T) {
 	if len(lines) != 1+len(testRequest().Seeds) {
 		t.Fatalf("stream has %d lines, want %d", len(lines), 1+len(testRequest().Seeds))
 	}
+	// The request names no engine, so the sweep runs on the default.
+	if !strings.Contains(lines[0], `"engine":"async"`) {
+		t.Errorf("header %s does not name the default async engine", lines[0])
+	}
 	var hdr Header
 	if err := json.Unmarshal([]byte(lines[0]), &hdr); err != nil {
 		t.Fatal(err)
 	}
-	if hdr.Version != RequestVersion || hdr.Engine != "batched" || hdr.Seeds != 5 {
+	if hdr.Version != RequestVersion || hdr.Engine != "async" || hdr.Seeds != 5 {
 		t.Errorf("bad header: %+v", hdr)
 	}
 	for i, line := range lines[1:] {
@@ -151,6 +155,29 @@ func TestRequestValidation(t *testing.T) {
 	}
 	if code := post(`{"name":"engines/steady-state","seeds":[1],"warmup_ms":100,"measure_ms":100}`); code != http.StatusOK {
 		t.Errorf("valid request -> %d, want 200", code)
+	}
+
+	// The retired batched engine is rejected up front: a 4xx with a
+	// plain-text error naming the accepted engines, never an NDJSON
+	// stream.
+	resp, err := ts.Client().Post(ts.URL+"/v1/sweep", "application/json",
+		strings.NewReader(`{"name":"mixed","seeds":[1],"measure_ms":1,"engine":"batched"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode/100 != 4 {
+		t.Errorf("batched request -> %d, want 4xx", resp.StatusCode)
+	}
+	if ct := resp.Header.Get("Content-Type"); strings.Contains(ct, "ndjson") {
+		t.Errorf("batched request answered with Content-Type %q", ct)
+	}
+	if !strings.Contains(string(body), "want lockstep, async, or parallel") || strings.Contains(string(body), "{") {
+		t.Errorf("batched request body %q, want the plain ParseEngine error", body)
 	}
 }
 

@@ -20,8 +20,8 @@ const maxRequestBytes = 16 << 20
 // in-process (Direct). Both paths share the image cache and produce
 // byte-identical NDJSON.
 type Server struct {
-	// RC supplies the worker pool (and the engine default when a
-	// request does not name one — RC.Engine is overridden per request).
+	// RC supplies the worker pool; RC.Engine is overridden per request
+	// (a request that names no engine runs on the zero value, async).
 	RC experiments.RunConfig
 
 	cache *imageCache

@@ -3,10 +3,12 @@ package fuzz
 import (
 	"path/filepath"
 	"testing"
+
+	"energysched/internal/scenario"
 )
 
 // TestCorpus replays every minimized regression scenario in corpus/
-// through the full four-engine oracle. The corpus is the fuzzer's
+// through the full three-engine oracle. The corpus is the fuzzer's
 // institutional memory: each file is a once-failing scenario, shrunk,
 // with its root cause in the "note" field. A failure here is a tier-1
 // failure — a fixed bug has come back.
@@ -20,7 +22,7 @@ func TestCorpus(t *testing.T) {
 	}
 	for _, path := range files {
 		t.Run(filepath.Base(path), func(t *testing.T) {
-			s, err := LoadSpec(path)
+			s, err := scenario.LoadFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}

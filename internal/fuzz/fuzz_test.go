@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"energysched/internal/scenario"
 )
 
 // TestGenerateValid pins the generator contract: every seed yields a
@@ -92,14 +94,14 @@ func TestCheckSmoke(t *testing.T) {
 // else while keeping the failure.
 func TestShrink(t *testing.T) {
 	spec := Generate(42)
-	spec.Workload = append(spec.Workload, TaskGroup{Program: "httpd", Count: 4})
-	spec.Topology = TopoSpec{Nodes: 4, PackagesPerNode: 2, CoresPerPackage: 2, ThreadsPerCore: 2}
+	spec.Workload = append(spec.Workload, scenario.TaskGroup{Program: "httpd", Count: 4})
+	spec.Topology = scenario.TopoSpec{Nodes: 4, PackagesPerNode: 2, CoresPerPackage: 2, ThreadsPerCore: 2}
 	resizePackages(&spec)
 	spec.RunMS = 8000
 	if err := spec.Validate(); err != nil {
 		t.Fatalf("setup: %v", err)
 	}
-	hasHTTPD := func(s Spec) bool {
+	hasHTTPD := func(s scenario.Spec) bool {
 		for _, g := range s.Workload {
 			if g.Program == "httpd" {
 				return true
@@ -142,7 +144,7 @@ func TestSpecRoundTrip(t *testing.T) {
 	if err := s.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadSpec(path)
+	got, err := scenario.LoadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +153,7 @@ func TestSpecRoundTrip(t *testing.T) {
 	}
 }
 
-func mustJSON(t *testing.T, s Spec) string {
+func mustJSON(t *testing.T, s scenario.Spec) string {
 	t.Helper()
 	b, err := json.Marshal(s)
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"energysched/internal/counters"
 	"energysched/internal/faults"
 	"energysched/internal/rng"
+	"energysched/internal/scenario"
 )
 
 // The scenario generator. Every decision flows from one rng.Source
@@ -31,16 +32,16 @@ var (
 
 // Generate builds the scenario for one seed. The result always passes
 // Validate (TestGenerateValid pins this across many seeds).
-func Generate(seed uint64) Spec {
+func Generate(seed uint64) scenario.Spec {
 	r := rng.New(seed)
-	s := Spec{
+	s := scenario.Spec{
 		Name: fmt.Sprintf("gen-%d", seed),
 		Seed: r.Uint64(),
 	}
 
 	// Topology: 1–8 nodes × 1–2 packages × 1–4 cores × 1–2 SMT
 	// threads, capped so the lockstep reference stays affordable.
-	s.Topology = TopoSpec{
+	s.Topology = scenario.TopoSpec{
 		Nodes:           1 + r.Intn(4),
 		PackagesPerNode: 1 + r.Intn(2),
 		CoresPerPackage: []int{1, 1, 2, 2, 4}[r.Intn(5)],
@@ -71,17 +72,17 @@ func Generate(seed uint64) Spec {
 	switch r.Intn(3) {
 	case 1:
 		tau := 8 + 14*r.Float64() // seconds, shared
-		s.Packages = make([]PackageSpec, nPkg)
+		s.Packages = make([]scenario.PackageSpec, nPkg)
 		for i := range s.Packages {
 			R := 0.15 + 0.2*r.Float64()
-			s.Packages[i] = PackageSpec{R: round3(R), C: round3(tau / R), AmbientC: 25}
+			s.Packages[i] = scenario.PackageSpec{R: round3(R), C: round3(tau / R), AmbientC: 25}
 		}
 	case 2:
-		s.Packages = make([]PackageSpec, nPkg)
+		s.Packages = make([]scenario.PackageSpec, nPkg)
 		for i := range s.Packages {
 			R := 0.15 + 0.2*r.Float64()
 			tau := 5 + 20*r.Float64()
-			s.Packages[i] = PackageSpec{R: round3(R), C: round3(tau / R), AmbientC: 25}
+			s.Packages[i] = scenario.PackageSpec{R: round3(R), C: round3(tau / R), AmbientC: 25}
 		}
 	}
 
@@ -138,7 +139,7 @@ func Generate(seed uint64) Spec {
 	// DVFS: governor, evaluation period, transition latency, and —
 	// sometimes — a random ladder (strictly ascending in both axes).
 	if r.Bool(0.4) {
-		d := &DVFSSpec{
+		d := &scenario.DVFSSpec{
 			Governor: []string{"performance", "ondemand", "ondemand", "thermal", "thermal"}[r.Intn(5)],
 		}
 		if r.Bool(0.5) {
@@ -187,7 +188,7 @@ func Generate(seed uint64) Spec {
 		}
 		count := 1 + r.Intn(min(6, budgetLeft))
 		budgetLeft -= count
-		tg := TaskGroup{Program: prog, Count: count}
+		tg := scenario.TaskGroup{Program: prog, Count: count}
 		if r.Bool(0.4) {
 			tg.WorkMS = float64(400 + r.Intn(3600))
 		}
@@ -291,14 +292,14 @@ func genFaults(r *rng.Source) *faults.Spec {
 // fault-smoke mode, esfuzz -faults): scenarios that already drew one
 // keep it; the rest get a deterministic schedule derived from the
 // spec's seed, so the run stays reproducible.
-func EnsureFaults(s *Spec) {
+func EnsureFaults(s *scenario.Spec) {
 	if s.Faults != nil {
 		return
 	}
 	s.Faults = genFaults(rng.New(s.Seed ^ 0xfa170))
 }
 
-func hasFiniteWork(s Spec) bool {
+func hasFiniteWork(s scenario.Spec) bool {
 	for _, g := range s.Workload {
 		if g.WorkMS > 0 {
 			return true

@@ -5,12 +5,13 @@ import (
 	"strings"
 
 	"energysched/internal/machine"
+	"energysched/internal/scenario"
 	"energysched/internal/trace"
 )
 
-// The oracle harness: one scenario through all four engines. The
-// lockstep engine is the reference; the batched, async, and parallel
-// engines must reproduce its event trace byte-for-byte and its
+// The oracle harness: one scenario through all three engines. The
+// lockstep engine is the reference; the async and parallel engines
+// must reproduce its event trace byte-for-byte and its
 // observable state within floating-point rounding. The parallel engine
 // runs at the spec's shard count and is held to a stricter bar: its
 // snapshot must match the async engine's bit-for-bit (tolerance zero),
@@ -25,7 +26,7 @@ const tol = 1e-6
 
 // Failure describes why a scenario tripped the oracle.
 type Failure struct {
-	Spec   Spec
+	Spec   scenario.Spec
 	Engine machine.Engine // the machine the problem was observed on
 	// Kind is "build", "invariant", "trace", or "state".
 	Kind string
@@ -44,9 +45,9 @@ func (f *Failure) Error() string {
 	return fmt.Sprintf("%s [%s/%s]:\n  %s", f.Spec.Name, f.Engine, f.Kind, strings.Join(lines, "\n  "))
 }
 
-// Check runs the scenario through all four engines and returns nil
+// Check runs the scenario through all three engines and returns nil
 // when every oracle condition holds.
-func Check(s Spec) *Failure {
+func Check(s scenario.Spec) *Failure {
 	// Lockstep reference: one uninterrupted run.
 	lockRec := trace.New(0)
 	lock, err := s.Build(machine.EngineLockstep, lockRec)
@@ -67,7 +68,7 @@ func Check(s Spec) *Failure {
 	ref := lock.Snapshot()
 
 	var asyncSnap *machine.Snapshot
-	for _, engine := range []machine.Engine{machine.EngineBatched, machine.EngineAsync, machine.EngineParallel} {
+	for _, engine := range []machine.Engine{machine.EngineAsync, machine.EngineParallel} {
 		rec := trace.New(0)
 		m, err := s.Build(engine, rec)
 		if err != nil {

@@ -1,6 +1,10 @@
 package fuzz
 
-import "fmt"
+import (
+	"fmt"
+
+	"energysched/internal/scenario"
+)
 
 // The greedy shrinker: given a failing spec and a predicate that
 // reports whether a candidate still fails, repeatedly try the cheapest
@@ -18,9 +22,9 @@ const ShrinkBudget = 250
 // failing spec found and the number of predicate calls spent. The
 // predicate is never called on the input spec itself — the caller has
 // already established it fails.
-func Shrink(spec Spec, stillFails func(Spec) bool) (Spec, int) {
+func Shrink(spec scenario.Spec, stillFails func(scenario.Spec) bool) (scenario.Spec, int) {
 	calls := 0
-	try := func(cand Spec) bool {
+	try := func(cand scenario.Spec) bool {
 		if calls >= ShrinkBudget {
 			return false
 		}
@@ -45,14 +49,14 @@ func Shrink(spec Spec, stillFails func(Spec) bool) (Spec, int) {
 
 // candidates returns the one-step simplifications of a spec, cheapest
 // (biggest expected cost reduction) first.
-func candidates(s Spec) []Spec {
-	var out []Spec
-	add := func(c Spec) { out = append(out, c) }
+func candidates(s scenario.Spec) []scenario.Spec {
+	var out []scenario.Spec
+	add := func(c scenario.Spec) { out = append(out, c) }
 
 	// 1. Drop whole task groups, then halve group counts.
 	for i := range s.Workload {
 		c := clone(s)
-		c.Workload = append(append([]TaskGroup(nil), s.Workload[:i]...), s.Workload[i+1:]...)
+		c.Workload = append(append([]scenario.TaskGroup(nil), s.Workload[:i]...), s.Workload[i+1:]...)
 		add(c)
 	}
 	for i, g := range s.Workload {
@@ -172,7 +176,7 @@ func candidates(s Spec) []Spec {
 }
 
 // resizePackages truncates per-package slices after a topology shrink.
-func resizePackages(s *Spec) {
+func resizePackages(s *scenario.Spec) {
 	nPkg := s.Topology.Layout().NumPackages()
 	if len(s.Packages) > nPkg {
 		s.Packages = s.Packages[:nPkg]
@@ -183,10 +187,10 @@ func resizePackages(s *Spec) {
 }
 
 // clone deep-copies a spec so candidate mutations never alias.
-func clone(s Spec) Spec {
+func clone(s scenario.Spec) scenario.Spec {
 	c := s
-	c.Workload = append([]TaskGroup(nil), s.Workload...)
-	c.Packages = append([]PackageSpec(nil), s.Packages...)
+	c.Workload = append([]scenario.TaskGroup(nil), s.Workload...)
+	c.Packages = append([]scenario.PackageSpec(nil), s.Packages...)
 	c.BudgetW = append([]float64(nil), s.BudgetW...)
 	if s.DVFS != nil {
 		d := *s.DVFS
@@ -197,7 +201,7 @@ func clone(s Spec) Spec {
 }
 
 // describe summarizes a spec for progress logs.
-func describe(s Spec) string {
+func describe(s scenario.Spec) string {
 	return fmt.Sprintf("%s: %dx%dx%dx%d cpus=%d tasks=%d run=%dms throttle=%v dvfs=%v unit=%v",
 		s.Name, s.Topology.Nodes, s.Topology.PackagesPerNode, s.Topology.CoresPerPackage,
 		s.Topology.ThreadsPerCore, s.Topology.Layout().NumLogical(), s.TotalTasks(),

@@ -2,36 +2,18 @@
 // of random machine scenarios (topologies, thermal calibrations, DVFS
 // ladders, governor/throttle configs, workload mixes, run lengths,
 // deadline periods) plus an oracle harness that runs every scenario
-// through all four engines — lockstep, batched, async, parallel (at a
-// generated shard count) — byte-diffs
-// their event traces, compares their observable state, and checks each
-// machine's conservation and parking invariants
-// (machine.CheckInvariants), so the lockstep reference is cross-checked
-// too, not just mimicked.
+// through all three engines — lockstep, async, and parallel (at a
+// generated shard count) — byte-diffs their event traces, compares
+// their observable state, and checks each machine's conservation and
+// parking invariants (machine.CheckInvariants), so the lockstep
+// reference is cross-checked too, not just mimicked.
 //
 // Failing scenarios are minimized by a greedy shrinker and committed to
 // the corpus/ directory, which corpus_test.go replays as ordinary go
 // tests: a corpus failure is a tier-1 failure.
 //
-// The scenario schema itself lives in internal/scenario — the fuzzer,
-// the benchmark scenarios, estrace, and the esfarmd sweep daemon all
-// share one versioned Spec, so a fuzz-shrunk failure replays verbatim
-// against any of them. The aliases below keep the fuzzer's historical
-// names (and the corpus JSON format, which is unchanged) working.
+// Scenarios are scenario.Spec values: the fuzzer, the benchmark
+// scenarios, estrace, and the esfarmd sweep daemon all share that one
+// versioned schema, so a fuzz-shrunk failure replays verbatim against
+// any of them, and corpus files load with scenario.LoadFile.
 package fuzz
-
-import "energysched/internal/scenario"
-
-// Spec and its component types are aliases of the shared scenario
-// schema; see internal/scenario for the definitions.
-type (
-	Spec        = scenario.Spec
-	TopoSpec    = scenario.TopoSpec
-	PackageSpec = scenario.PackageSpec
-	SchedSpec   = scenario.SchedSpec
-	DVFSSpec    = scenario.DVFSSpec
-	TaskGroup   = scenario.TaskGroup
-)
-
-// LoadSpec reads a corpus JSON file.
-func LoadSpec(path string) (Spec, error) { return scenario.LoadFile(path) }

@@ -10,7 +10,7 @@ import (
 // Steady-state quanta must not allocate: once the machine reaches a
 // stable regime (no migrations, no blocks, no respawns in the window),
 // every step reuses the scratch buffers allocated at construction.
-// This pins the hot path for the planning engines — a regression here
+// This pins the hot path for the async engines — a regression here
 // multiplies straight into large-topology sweep times via GC pressure.
 // The parallel engine runs twice: once as built for this host, and once
 // with a forced multi-worker pool, because its fork/join (a buffered
@@ -42,7 +42,7 @@ func TestSteadyStateQuantumAllocs(t *testing.T) {
 			PackageMaxPowerW: []float64{60},
 		}
 	}
-	for _, e := range []Engine{EngineBatched, EngineAsync, EngineParallel} {
+	for _, e := range []Engine{EngineAsync, EngineParallel} {
 		t.Run(e.String(), func(t *testing.T) {
 			measure(t, func() *Machine { return MustNew(cfg(e)) })
 		})

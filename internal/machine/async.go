@@ -9,12 +9,12 @@ import (
 
 // The async discrete-event engine.
 //
-// The batched engine (batched.go) removed the per-millisecond loop, but
-// it still advances every CPU in lockstep at the *global* quantum — the
-// minimum over all CPUs' event horizons — so one busy CPU drags every
-// idle CPU through its small steps, each paying a metric update and a
-// thermal step (an exp/pow each) per quantum. The async engine gives
-// each CPU its own clock: an idle CPU is *parked* and simply stops
+// The quantum planner (batched.go) removes the per-millisecond loop, but
+// a planned quantum is *global* — the minimum over all CPUs' event
+// horizons — so without parking one busy CPU would drag every idle CPU
+// through its small steps, each paying a metric update and a thermal
+// step (an exp/pow each) per quantum. The async engine gives each CPU
+// its own clock: an idle CPU is *parked* and simply stops
 // participating in the per-step work. Its state is brought forward
 // lazily — in one closed-form "settling" over the whole elapsed gap —
 // at the first instant something observes it:
@@ -31,8 +31,7 @@ import (
 // average composes one gap-length update identically to per-step
 // updates; the RC thermal step is closed-form over constant power; the
 // throttle tick accounting is integer addition. The engine therefore
-// reproduces the batched (and hence lockstep) engine's scheduling
-// decisions bit-for-bit, with temperatures and energies equal up to
+// reproduces the lockstep engine's scheduling decisions bit-for-bit, with temperatures and energies equal up to
 // floating-point rounding — enforced by TestEngineEquivalence.
 //
 // Three nested layers of parking exist, each with its own settle clock:
@@ -66,9 +65,9 @@ import (
 // yet elapsed) is kept in the per-step path until the transition
 // lands, so the switch happens at exactly the lockstep instant.
 
-// runAsync drives the shared step like runBatched and settles all
-// parked state before returning, so callers observe a fully
-// materialized machine.
+// runAsync drives the shared step in planned quanta of at most
+// maxQuantum milliseconds and settles all parked state before
+// returning, so callers observe a fully materialized machine.
 func (m *Machine) runAsync(durationMS int64) {
 	end := m.nowMS + durationMS
 	for m.nowMS < end {
@@ -81,14 +80,13 @@ func (m *Machine) runAsync(durationMS int64) {
 	m.settleAll()
 }
 
-// initAsync allocates the parking state. Called from New for
-// EngineAsync and EngineParallel (which is the async engine plus the
-// fork-join machinery); the other engines leave m.async false and the
-// step guards compile to nil-checks that never fire.
+// initAsync allocates the parking state. Called from New for every
+// engine but lockstep (EngineParallel is the async engine plus the
+// fork-join machinery); lockstep leaves m.async false and the step
+// guards never fire.
 func (m *Machine) initAsync() {
 	nCPU := m.Cfg.Layout.NumLogical()
 	nPkg := m.Cfg.Layout.NumPackages()
-	m.async = true
 	m.parked = make([]bool, nCPU)
 	m.cpuSettledMS = make([]int64, nCPU)
 	m.pkgParked = make([]bool, nPkg)
@@ -178,11 +176,11 @@ func (m *Machine) setPkgCores(p int, on bool) {
 }
 
 // cpuParked reports whether the async engine has parked a CPU; always
-// false for the other engines.
+// false on lockstep.
 func (m *Machine) cpuParked(c int) bool { return m.async && m.parked[c] }
 
 // stepCPUs returns the CPUs the per-step phases must visit, ascending:
-// every CPU on the lockstep and batched engines; on the async engine
+// every CPU on the lockstep engine; on the async engine
 // the un-parked CPUs plus the parked members of live (non-dormant)
 // throttle groups, whose metrics update per step. Materialized lazily
 // from the membership bitmap in O(set bits + nCPU/64), so park/unpark
@@ -263,7 +261,7 @@ func (m *Machine) earliestWake() int64 {
 // execution phase itself (spawn placements from finishTask) the loop
 // has folded the quantum into CPUs below phase6CPU but not yet into the
 // ones above — the settle target honors that split so placement reads
-// exactly what the batched engine would have.
+// exactly what an unparked CPU's tracker would hold.
 func (m *Machine) metricSettleTo(d int) int64 {
 	if m.metricsDone || d < m.phase6CPU {
 		return m.nowMS + 1
@@ -576,9 +574,9 @@ pkgs:
 // a balance, hot-check, or placement pass actually reads it.
 func (m *Machine) syncBeforeDeadlines() {
 	if m.nParked == 0 {
-		// Nothing parked: the deadline phase runs exactly as in the
-		// batched engine. The queued count is only consulted for
-		// parked CPUs, so skip even the counter read.
+		// Nothing parked: the deadline phase visits every due CPU.
+		// The queued count is only consulted for parked CPUs, so skip
+		// even the counter read.
 		m.asyncQueued = 1
 		return
 	}

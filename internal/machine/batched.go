@@ -8,12 +8,12 @@ import (
 	"energysched/internal/thermal"
 )
 
-// The batched event-horizon engine.
+// The async engine's quantum planner.
 //
-// Instead of simulating every millisecond, the engine computes — before
-// each shared step — the largest quantum dt over which the machine state
-// is provably constant, and lets the step integrate the whole quantum at
-// once. A quantum may not span:
+// Instead of simulating every millisecond, the async engine computes —
+// inside each shared step — the largest quantum dt over which the
+// machine state is provably constant, and lets the step integrate the
+// whole quantum at once. A quantum may not span:
 //
 //   - a sleeper's wake-up (tasks join runqueues at wake instants),
 //   - a running task's timeslice expiry, block point, or completion
@@ -36,20 +36,10 @@ import (
 // workload's counts are linear in executed time (and its stochastic
 // processes are indexed by progress, not ticks), the RC thermal step is
 // closed-form, and the variable-period exponential average composes one
-// dt-update identically to dt unit updates. Batching is therefore exact
-// up to floating-point rounding, not an approximation — the
-// cross-engine tests assert identical completions, migrations, and
-// throttle decisions against the lockstep engine.
-func (m *Machine) runBatched(durationMS int64) {
-	end := m.nowMS + durationMS
-	for m.nowMS < end {
-		limit := end - m.nowMS
-		if limit > m.maxQuantum {
-			limit = m.maxQuantum
-		}
-		m.step(limit)
-	}
-}
+// dt-update identically to dt unit updates. Batching milliseconds into
+// a quantum is therefore exact up to floating-point rounding, not an
+// approximation — the cross-engine tests assert identical completions,
+// migrations, and throttle decisions against the lockstep engine.
 
 // planQuantum returns the largest safe quantum dt in [1, limit] for the
 // current machine state. It runs after dispatch, throttle engagement,
@@ -96,9 +86,8 @@ func (m *Machine) planQuantum(limit int64) int64 {
 	}
 
 	// Earliest sleeper wake-up (a start-of-tick event: the quantum must
-	// end before it). Both planning engines keep wake events on a
-	// binary heap, so the horizon is a peek instead of a scan over the
-	// sleeper list.
+	// end before it). Wake events live on a binary heap, so the horizon
+	// is a peek instead of a scan over the sleeper list.
 	if w := m.earliestWake(); w != sched.NoDeadline {
 		clamp(w - now)
 	}
@@ -271,7 +260,7 @@ func (m *Machine) clampThrottleCrossings(dt int64) int64 {
 		if th.LimitW <= 0 {
 			continue
 		}
-		if m.async && m.thrDormant[i] {
+		if m.thrDormant[i] {
 			continue // dormant groups provably cannot cross
 		}
 		members := m.throttleMembers[i]
@@ -353,7 +342,7 @@ func (m *Machine) clampUnitCrossings(dt int64) int64 {
 		if th.LimitW <= 0 {
 			continue
 		}
-		if m.async && m.pkgParked[core/cores] {
+		if m.pkgParked[core/cores] {
 			continue // dormant: unit temperatures falling below limit
 		}
 		eff := m.coupledEffPower(raw, core)

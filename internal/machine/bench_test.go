@@ -9,14 +9,14 @@ import (
 	"energysched/internal/machine/benchscen"
 )
 
-// Engine benchmarks: the lockstep 1 ms loop versus the batched
-// event-horizon engine versus the async discrete-event engine versus
-// the NUMA-sharded parallel engine (large layouts only). The scenario
+// Engine benchmarks: the lockstep 1 ms loop versus the async
+// discrete-event engine versus the NUMA-sharded parallel engine (large
+// layouts only). The scenario
 // definitions live in benchscen, shared with cmd/esbench so the
 // committed BENCH_<date>.json trajectory measures exactly these cases.
 // Each benchmark reports simulated CPU-milliseconds per wall second.
 
-var engineSet = []machine.Engine{machine.EngineLockstep, machine.EngineBatched, machine.EngineAsync, machine.EngineParallel}
+var engineSet = []machine.Engine{machine.EngineLockstep, machine.EngineAsync, machine.EngineParallel}
 
 func runScenario(b *testing.B, sc benchscen.Scenario, e machine.Engine) {
 	m := sc.New(e)
@@ -34,9 +34,8 @@ func runScenario(b *testing.B, sc benchscen.Scenario, e machine.Engine) {
 //
 //	go test ./internal/machine -bench BenchmarkEngines -benchtime 2s
 //
-// The acceptance targets: batched ≥3× lockstep on steady-state; async
-// ≥2× batched on idle-heavy and within 1.1× of batched on
-// steady-state.
+// The acceptance target: async ≥3× lockstep on steady-state, and far
+// more on idle-heavy, where parked CPUs cost nothing per step.
 func BenchmarkEngines(b *testing.B) {
 	for _, sc := range benchscen.Engines() {
 		for _, e := range engineSet {

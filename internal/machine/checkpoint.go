@@ -44,8 +44,11 @@ import (
 
 // CheckpointVersion is the current byte-format version. Restore rejects
 // images with any other version; the format is not forward- or
-// backward-compatible across versions.
-const CheckpointVersion = 1
+// backward-compatible across versions. Version 2 renumbered
+// Config.Engine (async became the zero value when the batched engine
+// was retired), so a version-1 image would restore onto the wrong
+// engine.
+const CheckpointVersion = 2
 
 // taskSnapshot is one task's complete state: the scheduler's view
 // (timeslice, CPU, warmup, profile) and the workload's (phase machine,
@@ -560,7 +563,7 @@ func applyState(st *machineState, rec *trace.Recorder) (*Machine, error) {
 	// runqueues, exactly as the original machine's wheel would present
 	// them at this instant (stale armed entries are discarded lazily by
 	// design, so heap-content differences are unobservable).
-	if m.eventDriven {
+	if m.async {
 		m.wheel.SetNow(st.NowMS)
 		m.Sched.AttachDeadlines(m.wheel)
 	}
@@ -575,7 +578,7 @@ func applyState(st *machineState, rec *trace.Recorder) (*Machine, error) {
 			return nil, err
 		}
 		m.sleepers = append(m.sleepers, ts)
-		if m.eventDriven {
+		if m.async {
 			m.wakePQ.Push(ts.wakeAtMS, id)
 		}
 	}

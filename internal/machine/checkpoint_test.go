@@ -2,6 +2,8 @@ package machine
 
 import (
 	"bytes"
+	"encoding/gob"
+	"strings"
 	"testing"
 
 	"energysched/internal/rng"
@@ -9,13 +11,13 @@ import (
 )
 
 // TestCheckpointRoundTrip checkpoints every equivalence scenario at a
-// pseudo-random mid-run instant on all four engines, restores, and
+// pseudo-random mid-run instant on all three engines, restores, and
 // asserts the restored machine is indistinguishable from the original
 // continuing uninterrupted: byte-identical event traces over the
 // remainder, a tol-0 snapshot diff at the end, and byte-identical
 // final checkpoints.
 func TestCheckpointRoundTrip(t *testing.T) {
-	engines := []Engine{EngineBatched, EngineLockstep, EngineAsync, EngineParallel}
+	engines := []Engine{EngineLockstep, EngineAsync, EngineParallel}
 	for si, sc := range engineScenarios() {
 		for _, e := range engines {
 			sc, si, e := sc, si, e
@@ -77,6 +79,28 @@ func TestCheckpointRoundTrip(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestRestoreRejectsOldVersion pins the version gate: an image written
+// under the version-1 engine numbering (where Engine 0 was the retired
+// batched engine) must fail to restore instead of coming back on a
+// different engine.
+func TestRestoreRejectsOldVersion(t *testing.T) {
+	m := engineScenarios()[1].build(EngineAsync)
+	m.Run(1000)
+	st := m.captureState()
+	st.Version = 1
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Restore(buf.Bytes(), nil)
+	if err == nil {
+		t.Fatalf("restored a version-1 image onto engine %v", got.Cfg.Engine)
+	}
+	if !strings.Contains(err.Error(), "checkpoint version 1") {
+		t.Errorf("error %q does not name the image version", err)
 	}
 }
 

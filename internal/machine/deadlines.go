@@ -16,7 +16,7 @@ const (
 
 // DeadlineFires returns how many deadline-phase visits each class fired
 // (balance, idle-pull, hot-check, governor) since the last ResetStats —
-// on the event-driven engines, exactly the work the due lists walked
+// on the async engines, exactly the work the due lists walked
 // instead of an O(nCPU) scan per step. Always zero on the lockstep
 // engine, which fires from the historical modulo scan.
 func (m *Machine) DeadlineFires() (balance, idlePull, hot, gov int64) {
@@ -28,7 +28,7 @@ func (m *Machine) DeadlineFires() (balance, idlePull, hot, gov int64) {
 // (arming, lazy re-arms, stale drops of the hot/governor heaps).
 func (m *Machine) DeadlineStats() sched.DeadlineStats { return m.wheel.Stats }
 
-// fireDueDeadlines is the event-driven engines' phase 8: run the
+// fireDueDeadlines is the async engines' phase 8: run the
 // periodic balance, idle-pull, and hot-check work due exactly at endMS.
 // The due-CPU lists come from the deadline scheduler's static stagger
 // grid, so the visited (CPU, class) set — and, walking the merged lists
@@ -83,7 +83,7 @@ func (m *Machine) fireDueDeadlines(endMS int64) {
 		}
 		if hotDue {
 			m.deadlineFires[fireHot]++
-			if m.Sched.HotCheck(cpu) && m.async {
+			if m.Sched.HotCheck(cpu) {
 				// The hot migration (or exchange) re-enqueued a running
 				// task, so a parked CPU's balance pass later this tick
 				// is no longer a provable no-op: refresh the queued

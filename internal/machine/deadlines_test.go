@@ -35,7 +35,7 @@ func TestDeadlineTieBreakEquivalence(t *testing.T) {
 	lock.Cfg.Trace = trace.New(0)
 	lock.Run(20_000)
 	lockCSV := traceCSV(t, lock.Cfg.Trace)
-	for _, engine := range []Engine{EngineBatched, EngineAsync} {
+	for _, engine := range []Engine{EngineAsync, EngineParallel} {
 		got := build(engine)
 		got.Cfg.Trace = trace.New(0)
 		got.Run(20_000)

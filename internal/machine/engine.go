@@ -16,9 +16,9 @@ import (
 // machine state is constant — same dispatch assignments, same halt
 // decisions, same execution speeds, same workload event rates. The
 // lockstep engine (lockstep.go) calls step with dt capped at 1; the
-// batched engine (batched.go) first plans the largest safe dt from the
-// event horizons and then calls the very same step, so a 1 ms quantum is
-// bit-for-bit the lockstep millisecond.
+// async engine (async.go) lets step plan the largest safe dt from the
+// event horizons (batched.go) and then runs the very same phases, so a
+// 1 ms quantum is bit-for-bit the lockstep millisecond.
 //
 // The quantum convention: a step covers the ticks [nowMS, nowMS+dt).
 // Start-of-tick actions (wake-ups, dispatching idle CPUs, throttle
@@ -30,15 +30,12 @@ import (
 // Run advances the simulation by durationMS milliseconds using the
 // configured engine.
 func (m *Machine) Run(durationMS int64) {
-	switch m.Cfg.Engine {
-	case EngineLockstep:
-		m.runLockstep(durationMS)
-	case EngineAsync, EngineParallel:
+	if m.async {
 		// The parallel engine shares the async driver: the fork-join
 		// sharding lives entirely inside step (see parallel.go).
 		m.runAsync(durationMS)
-	default:
-		m.runBatched(durationMS)
+	} else {
+		m.runLockstep(durationMS)
 	}
 }
 
@@ -55,8 +52,6 @@ func (m *Machine) step(limitMS int64) int64 {
 		m.metricsDone = false
 		m.thermalDone = false
 		m.accountDone = false
-	}
-	if m.eventDriven {
 		// Deadlines armed by this step's start-of-tick occupancy
 		// changes (wakes, dispatches) are computed from the quantum's
 		// first tick.
@@ -203,7 +198,7 @@ func (m *Machine) step(limitMS int64) int64 {
 	// before returning.
 	m.nowMS += dt - 1
 	endMS := m.nowMS
-	if m.eventDriven {
+	if m.async {
 		// End-of-tick occupancy changes (blocks, finishes, respawns,
 		// migrations) arm deadlines from the quantum's last tick.
 		m.wheel.SetNow(endMS)
@@ -323,14 +318,13 @@ func (m *Machine) step(limitMS int64) int64 {
 	}
 
 	// 8. Periodic balancing and hot-task checks, staggered per CPU on
-	// the deadline scheduler. The batched planner guarantees no
-	// relevant deadline falls strictly inside the quantum, so firing at
-	// the end tick alone visits exactly the instants the lockstep loop
-	// visits. These passes read thermal power across the machine, so
+	// the deadline scheduler. The planner guarantees no relevant
+	// deadline falls strictly inside the quantum, so firing at the end
+	// tick alone visits exactly the instants the lockstep loop visits. These passes read thermal power across the machine, so
 	// the async engine settles its deferred metrics first when any pass
 	// will evaluate; with nothing queued a parked CPU's pass is a
-	// provable no-op and is skipped outright. The event-driven engines
-	// walk the precomputed due-CPU lists of the end tick; the lockstep
+	// provable no-op and is skipped outright. The async engine walks
+	// the precomputed due-CPU lists of the end tick; the lockstep
 	// engine keeps the historical per-CPU modulo scan, the reference
 	// the due lists are asserted byte-identical against.
 	if m.async {
@@ -338,13 +332,10 @@ func (m *Machine) step(limitMS int64) int64 {
 		m.syncBeforeDeadlines()
 	}
 	m.Sched.BeginDeadlineEpoch()
-	if m.eventDriven {
+	if m.async {
 		m.fireDueDeadlines(endMS)
 	} else {
 		for c := 0; c < nCPU; c++ {
-			if m.cpuParked(c) && m.asyncQueued == 0 {
-				continue
-			}
 			cpu := topology.CPUID(c)
 			if m.wheel.BalanceDue(endMS, c) {
 				m.Sched.Balance(cpu)
@@ -368,7 +359,7 @@ func (m *Machine) step(limitMS int64) int64 {
 	// (which is what lets the async engine park idle CPUs without
 	// deferring any governor work).
 	if m.dvfsOn && m.govPeriod > 0 {
-		if m.eventDriven {
+		if m.async {
 			for _, c32 := range m.wheel.GovDueCPUs(endMS) {
 				c := int(c32)
 				if m.cpuParked(c) {
@@ -379,7 +370,7 @@ func (m *Machine) step(limitMS int64) int64 {
 			}
 		} else {
 			for c := 0; c < nCPU; c++ {
-				if m.cpuParked(c) || !m.wheel.GovDue(endMS, c) {
+				if !m.wheel.GovDue(endMS, c) {
 					continue
 				}
 				m.governorEval(c, endMS)
@@ -388,9 +379,9 @@ func (m *Machine) step(limitMS int64) int64 {
 	}
 
 	// 8c. Residual window of the fault-injection loop — an end-of-tick
-	// event on the same footing as a monitor sample: the batched
-	// planner aligns quantum ends to the window boundary, and the async
-	// engine settles parked state to the window instant first.
+	// event on the same footing as a monitor sample: the planner aligns
+	// quantum ends to the window boundary, and the async engine settles
+	// parked state to the window instant first.
 	if p := m.recalPeriod; p > 0 && endMS%p == 0 {
 		m.recalWindow(endMS)
 	}
@@ -421,7 +412,7 @@ func (m *Machine) step(limitMS int64) int64 {
 
 // coupledEffPower returns the effective power heating core's thermal
 // node: its own raw power plus the CoreCoupling share of its chip
-// neighbours'. Shared between the thermal phase of step and the batched
+// neighbours'. Shared between the thermal phase of step and the
 // planner's unit-temperature horizon so both provably use the same
 // coupling model.
 func (m *Machine) coupledEffPower(raw []float64, core int) float64 {
@@ -442,7 +433,7 @@ func (m *Machine) coupledEffPower(raw []float64, core int) float64 {
 // throttledCPUs runs the throttle engagement for this step and returns,
 // per logical CPU, whether it must halt. Each throttle decides on the
 // summed thermal power of its precomputed member group — the same
-// groups the batched planner's crossing prediction iterates. The
+// groups the planner's crossing prediction iterates. The
 // returned slice is a scratch buffer reused across steps.
 func (m *Machine) throttledCPUs() []bool {
 	nCPU := m.Cfg.Layout.NumLogical()
@@ -518,9 +509,9 @@ func (m *Machine) haltDecideOn(cpus []int32, throttledStep []bool) {
 // so cool queue-mates are not starved behind it; the CPU halts this
 // tick only if the queue's head is still hot. The rotation mutates
 // runqueues and interleaves its trace events with the halt edges, so
-// this path runs serially on every engine — the batched planner
-// degrades to 1 ms quanta while any throttle is engaged under this
-// policy, so the per-tick rotation runs exactly as in lockstep.
+// this path runs serially on every engine — the planner degrades to
+// 1 ms quanta while any throttle is engaged under this policy, so the
+// per-tick rotation runs exactly as in lockstep.
 func (m *Machine) resolveHaltsTaskThrottling(throttledStep []bool) {
 	for _, c32 := range m.stepCPUs() {
 		c := int(c32)
@@ -851,7 +842,7 @@ func (m *Machine) thermalOn(cores []int32, dt int64, fdt float64) float64 {
 				}
 				continue
 			}
-			// Batched path: the closed form of dt per-ms StepOver
+			// Planned quantum: the closed form of dt per-ms StepOver
 			// calls against the core's geometric relaxation.
 			steady := m.nodes[core].Props.SteadyTemp(m.coreEff[core])
 			decay := m.nodes[core].Props.DecayPerMS()
@@ -945,7 +936,7 @@ func (m *Machine) blockTask(cpu topology.CPUID, ts *taskState, blockMS float64, 
 	ts.sleeping = true
 	ts.wakeAtMS = atMS + int64(blockMS)
 	m.sleepers = append(m.sleepers, ts)
-	if m.eventDriven {
+	if m.async {
 		m.wakePQ.Push(ts.wakeAtMS, ts.st.ID)
 	}
 	if t := rq.PickNext(); t != nil {

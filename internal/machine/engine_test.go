@@ -14,8 +14,8 @@ import (
 	"energysched/internal/workload"
 )
 
-// Cross-engine equivalence: the batched event-horizon engine must
-// reproduce the lockstep engine's results for the same seed — identical
+// Cross-engine equivalence: the async engine (and its sharded parallel
+// variant) must reproduce the lockstep engine's results for the same seed — identical
 // discrete outcomes (completions, migrations with their timestamps,
 // throttle engagement time) and float outcomes (temperatures, thermal
 // powers, energy-derived profiles) within 1e-6 relative tolerance.
@@ -32,7 +32,7 @@ func engineScenarios() []engineScenario {
 	return []engineScenario{
 		{
 			// Mostly-blocked interactive tasks: long idle stretches
-			// between wake-ups, the batched engine's best case.
+			// between wake-ups, the quantum planner's best case.
 			name: "idle-heavy",
 			build: func(e Engine) *Machine {
 				m := MustNew(Config{
@@ -431,7 +431,7 @@ func relDiff(a, b float64) float64 {
 	return math.Abs(a-b) / den
 }
 
-// TestEngineEquivalence runs every scenario through all four engines
+// TestEngineEquivalence runs every scenario through all three engines
 // and asserts the acceptance contract against the lockstep reference:
 // exactly equal discrete outcomes (completions, migrations with their
 // timestamps and reasons, throttle decisions, idle/halted ticks),
@@ -454,7 +454,6 @@ func TestEngineEquivalence(t *testing.T) {
 			shards int // EngineParallel repartition (0 keeps the default)
 			name   string
 		}{
-			{EngineBatched, 0, "batched"},
 			{EngineAsync, 0, "async"},
 			{EngineParallel, 0, "parallel"},
 			{EngineParallel, 1, "parallel-1shard"},
@@ -609,7 +608,7 @@ func assertEquivalent(t *testing.T, lock, bat *Machine) {
 	}
 	// The deadline scheduler's incrementally maintained gate counters
 	// must agree with full scans on the event-driven engines.
-	if bat.eventDriven {
+	if bat.async {
 		if got, want := bat.wheel.QueuedCount(), bat.Sched.TotalQueued(); got != want {
 			t.Errorf("queued counter drifted: %d vs TotalQueued %d", got, want)
 		}
@@ -644,10 +643,10 @@ func assertEquivalent(t *testing.T, lock, bat *Machine) {
 	}
 }
 
-// TestBatchedEngineMakesProgressInLargeQuanta sanity-checks that the
+// TestPlannerQuantaAreLarge sanity-checks that the default engine's
 // planner actually produces multi-millisecond quanta on an idle machine
-// (the whole point of the engine) by counting steps via the monitor.
-func TestBatchedEngineQuantaAreLarge(t *testing.T) {
+// (the whole point of planning) by counting steps.
+func TestPlannerQuantaAreLarge(t *testing.T) {
 	m := MustNew(Config{
 		Layout: topology.XSeries445NoSMT(),
 		Sched:  sched.DefaultConfig(),
@@ -665,20 +664,26 @@ func TestBatchedEngineQuantaAreLarge(t *testing.T) {
 	}
 }
 
-// TestEngineString covers the Engine stringer.
+// TestEngineString covers the Engine stringer and parser, and pins the
+// zero value to the async engine.
 func TestEngineString(t *testing.T) {
-	if EngineBatched.String() != "batched" || EngineLockstep.String() != "lockstep" ||
+	if Engine(0) != EngineAsync {
+		t.Errorf("zero Engine is %v, want async", Engine(0))
+	}
+	if EngineLockstep.String() != "lockstep" ||
 		EngineAsync.String() != "async" || EngineParallel.String() != "parallel" {
 		t.Error("engine names wrong")
 	}
-	for _, name := range []string{"batched", "lockstep", "async", "parallel"} {
+	for _, name := range []string{"lockstep", "async", "parallel"} {
 		e, err := ParseEngine(name)
 		if err != nil || e.String() != name {
 			t.Errorf("ParseEngine(%q) = %v, %v", name, e, err)
 		}
 	}
-	if _, err := ParseEngine("turbo"); err == nil {
-		t.Error("ParseEngine accepted an unknown engine")
+	for _, name := range []string{"turbo", "batched"} {
+		if _, err := ParseEngine(name); err == nil {
+			t.Errorf("ParseEngine accepted %q", name)
+		}
 	}
 	if s := Engine(9).String(); s != fmt.Sprintf("engine(%d)", 9) {
 		t.Errorf("unknown engine name %q", s)

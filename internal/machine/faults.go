@@ -16,8 +16,8 @@ import (
 // engine-identical: the counter banks accumulate integer counts only on
 // busy CPUs (so their sums carry no settle-order float error), idle and
 // halted tick counters are exact integers, and the sensed temperatures
-// pass through the diode's quantizer, which absorbs the batched/async
-// engines' ulp-level temperature differences except exactly at a
+// pass through the diode's quantizer, which absorbs the async engines'
+// ulp-level temperature differences except exactly at a
 // quantization boundary — the same knife-edge class the throttle
 // thresholds already accept.
 

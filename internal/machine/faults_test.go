@@ -26,7 +26,7 @@ func TestFaultLoopActivity(t *testing.T) {
 	}
 
 	t.Run("recalibration-recovers", func(t *testing.T) {
-		m := build(EngineBatched, &faults.Spec{
+		m := build(EngineAsync, &faults.Spec{
 			WeightScale:   []float64{0.5},
 			RecalPeriodMS: 250,
 			RecalRate:     0.3,
@@ -79,7 +79,7 @@ func TestFaultLoopActivity(t *testing.T) {
 
 	t.Run("faults-off-zero-metrics", func(t *testing.T) {
 		m := MustNew(Config{
-			Engine: EngineBatched, Layout: topology.XSeries445NoSMT(),
+			Engine: EngineParallel, Layout: topology.XSeries445NoSMT(),
 			Sched: sched.BaselineConfig(), Seed: 3,
 			PackageMaxPowerW: []float64{50},
 		})

@@ -2,9 +2,9 @@ package machine
 
 // runLockstep is the classic simulation loop: one shared-engine step of
 // exactly one millisecond per iteration. It is the reference behavior
-// the batched engine must reproduce — a 1 ms quantum runs the identical
-// code path, so the engines can only diverge if a batched quantum spans
-// a state change its planner failed to foresee (which the cross-engine
+// the async engine must reproduce — a 1 ms quantum runs the identical
+// code path, so the engines can only diverge if a planned quantum spans
+// a state change the planner failed to foresee (which the cross-engine
 // equivalence tests guard against).
 func (m *Machine) runLockstep(durationMS int64) {
 	end := m.nowMS + durationMS

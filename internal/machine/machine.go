@@ -18,16 +18,16 @@
 //  6. handles timeslice expiry, blocking, and completion,
 //  7. runs due balancer and hot-task-migration deadlines.
 //
-// Three engines drive that step (see Engine): the lockstep engine
-// fixes the quantum at 1 ms — the classic tick loop; the default
-// batched engine plans, per step, the largest quantum over which the
-// machine state is provably constant (see batched.go) and integrates
-// it in one pass; and the async engine adds per-CPU clocks on top of
-// the batched planner (see async.go), parking idle CPUs entirely and
-// settling their state lazily when observed. The engines produce
-// equivalent results for the same seed; batched is several times
-// faster than lockstep, and async several times faster again on
-// machines that are mostly idle.
+// Three engines drive that step (see Engine). The default async engine
+// plans, per step, the largest quantum over which the machine state is
+// provably constant (see batched.go), integrates it in one pass, and
+// keeps a clock per CPU (see async.go): idle CPUs park entirely and
+// their state settles lazily when observed. The lockstep engine fixes
+// the quantum at 1 ms — the classic tick loop and the reference the
+// async engine is asserted equivalent to. The parallel engine is the
+// async engine with its data-parallel phases sharded across goroutines
+// (see parallel.go). All engines produce equivalent results for the
+// same seed.
 package machine
 
 import (
@@ -73,32 +73,28 @@ const (
 type Engine int
 
 const (
-	// EngineBatched is the event-horizon engine (the default): it
-	// computes, per step, the largest quantum dt ≥ 1 ms over which the
-	// machine state is provably constant — bounded by running tasks'
+	// EngineAsync is the default discrete-event engine. Before each step
+	// it computes the largest quantum dt ≥ 1 ms over which the machine
+	// state is provably constant — bounded by running tasks'
 	// timeslice/phase/noise/block horizons, the earliest sleeper
 	// wake-up, the next balance/hot-check/monitor deadline, predicted
-	// throttle-metric crossings, and MaxQuantumMS — and integrates
-	// work, energy, and temperature analytically over the whole
-	// quantum. Because the workload and thermal substrates are exactly
-	// integrable over constant-rate intervals, the batched engine
-	// reproduces the lockstep engine's results (identical completions,
-	// migrations, and throttle decisions; energies and temperatures
-	// equal up to floating-point rounding) while skipping the
-	// per-millisecond bookkeeping.
-	EngineBatched Engine = iota
+	// throttle-metric crossings, and MaxQuantumMS (batched.go) — and
+	// integrates work, energy, and temperature analytically over the
+	// whole quantum. On top of that planner every CPU keeps its own
+	// clock (async.go): idle CPUs are parked — excluded from per-step
+	// work entirely — and their metric, throttle, and thermal state
+	// settles lazily in closed form whenever another CPU observes them,
+	// so a step pays only for the CPUs that are actually busy. Because
+	// the workload and thermal substrates are exactly integrable over
+	// constant-rate intervals, it reproduces the lockstep engine's
+	// results (identical completions, migrations, and throttle
+	// decisions; energies and temperatures equal up to floating-point
+	// rounding — see TestEngineEquivalence).
+	EngineAsync Engine = iota
 	// EngineLockstep is the classic 1 ms loop: every millisecond of
 	// every logical CPU is simulated individually. It serves as the
 	// reference for cross-engine equivalence tests and as a fallback.
 	EngineLockstep
-	// EngineAsync is the discrete-event core (async.go): per-CPU
-	// clocks over the batched planner. Idle CPUs are parked — excluded
-	// from per-step work entirely — and their metric, throttle, and
-	// thermal state settles lazily in closed form whenever another CPU
-	// observes them, so idle-heavy and mixed workloads pay only for
-	// the CPUs that are actually busy. Produces the same scheduling
-	// decisions as the other engines (see TestEngineEquivalence).
-	EngineAsync
 	// EngineParallel is the async engine with its data-parallel step
 	// phases sharded along topology.Node boundaries and executed on
 	// real goroutines (parallel.go): halt/SMT/DVFS speed resolution,
@@ -116,8 +112,6 @@ const (
 // tools' -engine flags.
 func ParseEngine(s string) (Engine, error) {
 	switch s {
-	case "batched":
-		return EngineBatched, nil
 	case "lockstep":
 		return EngineLockstep, nil
 	case "async":
@@ -125,14 +119,12 @@ func ParseEngine(s string) (Engine, error) {
 	case "parallel":
 		return EngineParallel, nil
 	}
-	return 0, fmt.Errorf("unknown engine %q (want lockstep, batched, async, or parallel)", s)
+	return 0, fmt.Errorf("unknown engine %q (want lockstep, async, or parallel)", s)
 }
 
 // String names the engine.
 func (e Engine) String() string {
 	switch e {
-	case EngineBatched:
-		return "batched"
 	case EngineLockstep:
 		return "lockstep"
 	case EngineAsync:
@@ -143,8 +135,8 @@ func (e Engine) String() string {
 	return fmt.Sprintf("engine(%d)", int(e))
 }
 
-// DefaultMaxQuantumMS bounds the batched engine's quantum when no other
-// event horizon is nearer. It caps how long the engine may go without
+// DefaultMaxQuantumMS bounds the planned quantum when no other event
+// horizon is nearer. It caps how long the engine may go without
 // re-evaluating throttle inputs against their closed-form predictions,
 // and bounds the drift window of the conservative unit-temperature
 // horizon. On machines with no throttle configured there is nothing to
@@ -165,11 +157,10 @@ type Config struct {
 	// Layout is the CPU topology.
 	Layout topology.Layout
 
-	// Engine selects the simulation core; the zero value is the
-	// batched event-horizon engine. EngineLockstep restores the
-	// per-millisecond loop.
+	// Engine selects the simulation core; the zero value is the async
+	// engine. EngineLockstep restores the per-millisecond loop.
 	Engine Engine
-	// MaxQuantumMS caps the batched engine's quantum; 0 selects
+	// MaxQuantumMS caps the planned quantum; 0 selects
 	// DefaultMaxQuantumMS. Ignored by the lockstep engine.
 	MaxQuantumMS int
 	// Shards is the number of node shards EngineParallel partitions the
@@ -344,16 +335,10 @@ type Machine struct {
 	nextID      int
 	rng         *rng.Source
 
-	// Batched-engine state.
+	// Planner state.
 	wheel      *sched.Wheel // deadline scheduler for staggered periodic work
 	maxQuantum int64        // resolved MaxQuantumMS (lifted when no throttle)
 	hotArmed   bool         // hot-check deadlines can ever act
-	// eventDriven marks the planning engines (batched, async): the
-	// deadline scheduler is attached, wake-ups live on the event heap,
-	// and the periodic-deadline phases fire from due lists instead of
-	// the per-CPU modulo scan (which the lockstep engine keeps as the
-	// reference behavior).
-	eventDriven bool
 	// deadlineFires counts fired deadline-phase visits per class
 	// (balance, idle-pull, hot, governor) on the event-driven engines —
 	// diagnostics for the deadline scheduler, not simulation state.
@@ -363,9 +348,9 @@ type Machine struct {
 	// shared step — dispatch, throttle decisions, execution-speed
 	// resolution, the execution/energy sweep, thermal integration, and
 	// counter accounting — walks these instead of ranging 0..n and
-	// skipping: for the lockstep and batched engines they are the
-	// identity lists (built once), preserving the historical full scan;
-	// the async engine maintains stepList as the CPUs in the per-step
+	// skipping: for the lockstep engine they are the identity lists
+	// (built once), preserving the historical full scan; the async
+	// engine maintains stepList as the CPUs in the per-step
 	// path (un-parked, plus parked members of live throttle groups,
 	// ascending) and stepCores as the cores of un-parked packages. Both
 	// are backed by membership bitmaps (liveCPUBits, liveCoreBits)
@@ -395,7 +380,12 @@ type Machine struct {
 	// parallel.go).
 	par *parEngine
 
-	// Async-engine state (see async.go; nil/zero for other engines).
+	// Async-engine state (see async.go; nil/zero on lockstep). async
+	// marks every engine but lockstep: quanta are planned, CPUs park,
+	// the deadline scheduler is attached, wake-ups live on the event
+	// heap, and the periodic-deadline phases fire from due lists instead
+	// of the per-CPU modulo scan (which the lockstep engine keeps as the
+	// reference behavior).
 	async        bool
 	nParked      int               // count of parked CPUs
 	parked       []bool            // per logical CPU: out of the per-step path
@@ -456,7 +446,7 @@ type Machine struct {
 	throttles  []*thermal.Throttle // per logical, core, or package (see Scope)
 	// throttleMembers[i] holds the logical CPUs whose summed thermal
 	// power drives throttles[i]. Precomputed per Scope so the engine's
-	// Engage pass and the batched planner's crossing prediction iterate
+	// Engage pass and the planner's crossing prediction iterate
 	// provably identical groups (and allocate nothing per step).
 	throttleMembers [][]topology.CPUID
 	pkgBudget       []float64 // per package
@@ -635,7 +625,7 @@ func New(cfg Config) (*Machine, error) {
 	}
 
 	switch cfg.Engine {
-	case EngineBatched, EngineLockstep, EngineAsync, EngineParallel:
+	case EngineLockstep, EngineAsync, EngineParallel:
 	default:
 		return nil, fmt.Errorf("machine: unknown engine %d", int(cfg.Engine))
 	}
@@ -686,9 +676,9 @@ func New(cfg Config) (*Machine, error) {
 		prevHalt:          make([]bool, nCPU),
 		wheel:             sched.NewWheel(cfg.Sched),
 		maxQuantum:        int64(cfg.MaxQuantumMS),
+		async:             cfg.Engine != EngineLockstep,
 	}
 	m.hotArmed = cfg.Sched.HotTaskMigration && int64(cfg.Sched.HotCheckPeriodMS) > 0
-	m.eventDriven = cfg.Engine != EngineLockstep
 	m.allCPUs = make([]int32, nCPU)
 	for c := range m.allCPUs {
 		m.allCPUs[c] = int32(c)
@@ -715,7 +705,7 @@ func New(cfg Config) (*Machine, error) {
 		// horizons alone (the lockstep engine steps 1 ms regardless).
 		m.maxQuantum = unboundedQuantumMS
 	}
-	if m.eventDriven {
+	if m.async {
 		// Pending wake-ups on a lazy-deletion min-heap: the planner
 		// peeks the earliest wake instead of scanning the sleeper list.
 		m.wakePQ = sched.NewEventQueue(64)
@@ -850,7 +840,7 @@ func New(cfg Config) (*Machine, error) {
 	// engine stays unattached — its periodic work keeps firing from the
 	// per-tick modulo checks, the reference the event-driven engines
 	// are asserted byte-identical against.
-	if m.eventDriven {
+	if m.async {
 		m.Sched.AttachDeadlines(m.wheel)
 	}
 
@@ -936,7 +926,7 @@ func New(cfg Config) (*Machine, error) {
 	// Async parking state depends on the throttle groups built above.
 	// The parallel engine is the async engine plus sharded step phases,
 	// so it shares the whole parking/settling substrate.
-	if cfg.Engine == EngineAsync || cfg.Engine == EngineParallel {
+	if m.async {
 		m.initAsync()
 	}
 	if cfg.Engine == EngineParallel {
@@ -972,7 +962,7 @@ func (m *Machine) Spawn(prog *workload.Program) *sched.Task {
 		prog: prog,
 	}
 	m.tasks[id] = ts
-	if m.eventDriven {
+	if m.async {
 		m.wheel.SetNow(m.nowMS)
 	}
 	// Placement reads runqueue ratios and thermal powers across the

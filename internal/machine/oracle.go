@@ -319,26 +319,23 @@ func (m *Machine) CheckInvariants() error {
 		return fmt.Errorf("runnable tasks: %d live-awake vs %d on runqueues", runnable, m.Sched.TotalTasks())
 	}
 
+	if !m.async {
+		return nil
+	}
 	// Event-driven gate counters vs full scans.
-	if m.eventDriven {
-		if got, want := m.wheel.QueuedCount(), m.Sched.TotalQueued(); got != want {
-			return fmt.Errorf("queued counter drifted: %d vs TotalQueued %d", got, want)
-		}
-		idle := 0
-		for _, rq := range m.Sched.RQs {
-			if rq.Idle() {
-				idle++
-			}
-		}
-		if got := m.wheel.IdleCPUCount(); got != idle {
-			return fmt.Errorf("idle counter drifted: %d vs scan %d", got, idle)
+	if got, want := m.wheel.QueuedCount(), m.Sched.TotalQueued(); got != want {
+		return fmt.Errorf("queued counter drifted: %d vs TotalQueued %d", got, want)
+	}
+	idle := 0
+	for _, rq := range m.Sched.RQs {
+		if rq.Idle() {
+			idle++
 		}
 	}
-
-	if m.async {
-		return m.checkParkInvariants()
+	if got := m.wheel.IdleCPUCount(); got != idle {
+		return fmt.Errorf("idle counter drifted: %d vs scan %d", got, idle)
 	}
-	return nil
+	return m.checkParkInvariants()
 }
 
 // checkParkInvariants validates the async engine's parking and settle

@@ -221,7 +221,7 @@ func (c *CPUPower) AddEnergyWeighted(energyJ, periodMS, w float64) {
 //
 //	v_n = x + (v_0 − x)·RetentionPerMS()^n.
 //
-// The batched engine uses this geometric form to predict, in closed
+// The quantum planner uses this geometric form to predict, in closed
 // form, the millisecond at which the metric will cross a throttle
 // threshold.
 func (c *CPUPower) RetentionPerMS() float64 { return 1 - c.thermal.WeightFor(1) }

@@ -307,8 +307,8 @@ func TestExpAvgPhaseShiftingInput(t *testing.T) {
 // driving one average at dt=1 ms through a phase-shifting signal and
 // another with a single arbitrary-length update per constant segment
 // (via UpdateWeighted, the engines' settle path) yields bit-close
-// values. This is the property that lets the batched and async engines
-// fold idle gaps — and the fault injector's recalibration windows —
+// values. This is the property that lets the async engines fold idle
+// gaps — and the fault injector's recalibration windows —
 // into one closed-form update.
 func TestExpAvgSegmentedEqualsUnitStepping(t *testing.T) {
 	segs := []struct {

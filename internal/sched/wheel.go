@@ -6,7 +6,7 @@ import "math"
 // CPU index. The original lockstep loop spread the per-CPU balancer and
 // hot-check invocations with these offsets via modulo checks on every
 // tick; the deadline wheel computes the same instants directly so the
-// batched engine can jump straight to the next one.
+// async engine can jump straight to the next one.
 const (
 	// BalanceStaggerMS staggers the periodic balancer across CPUs.
 	BalanceStaggerMS = 7
@@ -162,7 +162,7 @@ func (w *Wheel) NextGov(now int64, cpu int) int64 {
 // TotalQueued returns the number of waiting (non-running) tasks across
 // all runqueues. When zero, every balancing pass — periodic, idle pull,
 // and unit exchange alike — is provably a no-op (there is nothing to
-// pull or swap), so the batched engine's planner skips balance deadlines
+// pull or swap), so the async engine's planner skips balance deadlines
 // entirely and lets quanta run to the next real event.
 func (s *Scheduler) TotalQueued() int {
 	n := 0

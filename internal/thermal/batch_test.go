@@ -7,7 +7,7 @@ import (
 
 // StepExact's contract: one closed-form step over n milliseconds equals
 // n consecutive 1 ms steps at the same power, up to floating-point
-// rounding — the exactness guarantee the batched engine builds on.
+// rounding — the exactness guarantee the async engine's quanta build on.
 func TestStepExactComposesLikeUnitSteps(t *testing.T) {
 	p := Properties{R: 0.2, C: 75, AmbientC: 25}
 	for _, n := range []int{2, 7, 64, 1000} {

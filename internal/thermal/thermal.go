@@ -107,7 +107,7 @@ func (n *Node) decayFor(dtMS float64) float64 {
 
 // StepExact advances the model by dtMS milliseconds at constant power.
 // It is identical to Step and exists to make the contract explicit for
-// the batched simulation engine: because Step integrates the RC network
+// the async engine's planned quanta: because Step integrates the RC network
 // in closed form, one StepExact over dt milliseconds equals dt
 // consecutive 1 ms steps at the same power (up to floating-point
 // rounding in the exponential). Batching over constant-power quanta is
@@ -116,7 +116,7 @@ func (n *Node) StepExact(power, dtMS float64) { n.Step(power, dtMS) }
 
 // DecayPerMS returns the node's per-millisecond temperature retention
 // factor e^(−1ms/RC) — the geometric ratio of its discrete 1 ms
-// relaxation sequence, used by the batched engine's closed forms.
+// relaxation sequence, used by the async engine's closed forms.
 func (p Properties) DecayPerMS() float64 {
 	return math.Exp(-0.001 / p.TimeConstant())
 }
@@ -190,7 +190,7 @@ func (t *Throttle) Decide(thermalPowerW float64) bool {
 
 // Engage updates the engaged state from the current metric value and
 // returns whether the CPU must halt, without advancing the tick
-// accounting. The batched engine makes one Engage decision per quantum
+// accounting. The async engine makes one Engage decision per quantum
 // (the quantum planner guarantees the decision cannot flip inside the
 // quantum) and accounts the quantum's ticks separately with Account.
 func (t *Throttle) Engage(thermalPowerW float64) bool {
@@ -334,7 +334,7 @@ func (n *Node) StepOver(power, dtMS, referenceC float64) {
 //
 //	ref_k = refSteadyC + (refStartC − refSteadyC)·refDecayPerMS^k.
 //
-// This is exactly the batched equivalent of the lockstep engine's
+// This is exactly the one-quantum equivalent of the lockstep engine's
 // "step the core node, then step its unit hotspots against the new core
 // temperature" sequence: summing the geometric series
 //

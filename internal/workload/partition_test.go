@@ -8,7 +8,7 @@ import (
 	"energysched/internal/rng"
 )
 
-// The batched engine's correctness hinges on Tick being
+// The async engine's correctness hinges on Tick being
 // partition-invariant: simulating an interval in one call must produce
 // the same cumulative counts, the same task state, and the same
 // random-number consumption as simulating it in any sequence of smaller
@@ -19,7 +19,7 @@ import (
 // results plus the per-call statuses. Like the simulation engines, it
 // honors the Tick contract: an interval never extends past the wall
 // millisecond in which the stop horizon (block point) is reached, so a
-// block ends its chunk exactly as it ends a lockstep tick or a batched
+// block ends its chunk exactly as it ends a lockstep tick or a planned
 // quantum.
 func runPartitioned(t *Task, speed, totalMS float64, pattern []float64) (counters.Counts, counters.Frac, []Status) {
 	var cnt counters.Counts

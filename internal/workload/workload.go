@@ -20,7 +20,7 @@
 // This makes Tick partition-invariant: executing a task for dt
 // milliseconds in one call produces exactly the same state, random-number
 // consumption, and cumulative event counts as executing it in any
-// sequence of calls summing to dt. The batched simulation engine depends
+// sequence of calls summing to dt. The async simulation engine depends
 // on this property for its cross-engine equivalence with the 1 ms
 // lockstep engine.
 package workload
@@ -65,7 +65,7 @@ type Phase struct {
 // NoiseEpochMS is the executed-work interval between noise redraws
 // within a phase. Successive standard timeslices then average a handful
 // of noise epochs, keeping the Table 1 successive-timeslice variability
-// in the published ballpark while letting the batched engine advance in
+// in the published ballpark while letting the async engine advance in
 // multi-millisecond quanta between rate changes.
 const NoiseEpochMS = 250.0
 
@@ -237,7 +237,7 @@ func (t *Task) Remaining() float64 {
 // systematic divergence. Offsetting the threshold by an amount far
 // above the drift (~1e-12 ms) and far below a millisecond moves the
 // knife edge off the aligned boundary; both the finish check and
-// StopHorizonMS use the offset threshold so the batched planner stops
+// StopHorizonMS use the offset threshold so the quantum planner stops
 // quanta at the same crossing the per-ms engine observes.
 const workFinishSlackMS = 1e-7
 
@@ -247,7 +247,7 @@ func (t *Task) workTargetMS() float64 { return t.Prog.WorkMS - workFinishSlackMS
 // RateHorizonMS returns the executed milliseconds until the task's
 // event rates next change (phase transition or noise redraw), possibly
 // +Inf. Within this horizon the task's power is exactly constant, which
-// the batched engine exploits to integrate whole quanta analytically.
+// the async engine exploits to integrate whole quanta analytically.
 func (t *Task) RateHorizonMS() float64 {
 	return math.Min(t.phaseLeft, t.noiseLeft)
 }

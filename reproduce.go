@@ -47,8 +47,8 @@ type (
 )
 
 // A Reproducer regenerates the paper's tables and figures under an
-// explicit RunConfig. The zero value (batched engine, GOMAXPROCS
-// workers) is ready to use:
+// explicit RunConfig. The zero value (async engine, GOMAXPROCS workers)
+// is ready to use:
 //
 //	var r energysched.Reproducer
 //	rows := r.Table1(7, 300)
@@ -165,121 +165,4 @@ func (r Reproducer) DVFSComparison(seed uint64) DVFSComparisonResult {
 	cfg := experiments.DefaultDVFSComparisonConfig()
 	cfg.Seed = seed
 	return r.RC.DVFSvsThrottle(cfg)
-}
-
-// legacyReproducer snapshots the deprecated SetParallelism state for
-// the package-level Reproduce* wrappers.
-func legacyReproducer() Reproducer { return Reproducer{RC: experiments.LegacyRunConfig()} }
-
-// SetParallelism bounds the worker pool the package-level Reproduce*
-// sweeps use for their independent runs: 0 restores the default
-// (GOMAXPROCS), 1 forces sequential execution. Results are
-// byte-identical for every worker count.
-//
-// Deprecated: set RunConfig.Jobs on a Reproducer instead of mutating
-// package state.
-func SetParallelism(jobs int) { experiments.Jobs = jobs }
-
-// ReproduceTable1 regenerates Table 1 (per-timeslice power change).
-//
-// Deprecated: use Reproducer.Table1.
-func ReproduceTable1(seed uint64, slices int) []Table1Row {
-	return legacyReproducer().Table1(seed, slices)
-}
-
-// ReproduceTable2 regenerates Table 2 (program powers).
-//
-// Deprecated: use Reproducer.Table2.
-func ReproduceTable2(seed uint64, runMS int) ([]Table2Row, error) {
-	return legacyReproducer().Table2(seed, runMS)
-}
-
-// ReproduceTable3 regenerates Table 3.
-//
-// Deprecated: use Reproducer.Table3.
-func ReproduceTable3(seed uint64) (Table3Result, error) {
-	return legacyReproducer().Table3(seed)
-}
-
-// ReproduceFigure3 regenerates Fig. 3.
-//
-// Deprecated: use Reproducer.Figure3.
-func ReproduceFigure3() Figure3Result { return legacyReproducer().Figure3() }
-
-// ReproduceFigure6 regenerates Fig. 6.
-//
-// Deprecated: use Reproducer.Figure6.
-func ReproduceFigure6(seed uint64) ThermalTraceResult { return legacyReproducer().Figure6(seed) }
-
-// ReproduceFigure7 regenerates Fig. 7.
-//
-// Deprecated: use Reproducer.Figure7.
-func ReproduceFigure7(seed uint64) ThermalTraceResult { return legacyReproducer().Figure7(seed) }
-
-// ReproduceFigure8 regenerates the Fig. 8 sweep.
-//
-// Deprecated: use Reproducer.Figure8.
-func ReproduceFigure8(seed uint64) ([]Figure8Point, error) { return legacyReproducer().Figure8(seed) }
-
-// ReproduceFigure9 regenerates the Fig. 9 trace.
-//
-// Deprecated: use Reproducer.Figure9.
-func ReproduceFigure9(seed uint64, durationMS int64) Figure9Result {
-	return legacyReproducer().Figure9(seed, durationMS)
-}
-
-// ReproduceFigure10 regenerates the Fig. 10 sweep.
-//
-// Deprecated: use Reproducer.Figure10.
-func ReproduceFigure10(seed uint64) ([]Figure10Point, error) {
-	return legacyReproducer().Figure10(seed)
-}
-
-// ReproduceHotTaskSpeedup regenerates the §6.4 execution-time numbers.
-//
-// Deprecated: use Reproducer.HotTaskSpeedup.
-func ReproduceHotTaskSpeedup(seed uint64, budgetW float64) HotTaskSpeedupResult {
-	return legacyReproducer().HotTaskSpeedup(seed, budgetW)
-}
-
-// ReproduceMigrationCounts regenerates the §6.1 migration counts.
-//
-// Deprecated: use Reproducer.MigrationCounts.
-func ReproduceMigrationCounts(seed uint64, durationMS int64) (MigrationCountsResult, error) {
-	return legacyReproducer().MigrationCounts(seed, durationMS)
-}
-
-// ReproduceCMP runs the §7 chip-multiprocessor extension.
-//
-// Deprecated: use Reproducer.CMP.
-func ReproduceCMP(seed uint64, durationMS int64) CMPResult {
-	return legacyReproducer().CMP(seed, durationMS)
-}
-
-// ReproduceAblations runs the §4.3 balancer-metric ablation.
-//
-// Deprecated: use Reproducer.Ablations.
-func ReproduceAblations(seed uint64, durationMS int64) []AblationResult {
-	return legacyReproducer().Ablations(seed, durationMS)
-}
-
-// ReproducePolicyComparison quantifies §2.3.
-//
-// Deprecated: use Reproducer.PolicyComparison.
-func ReproducePolicyComparison(seed uint64, measureMS int64) PolicyComparisonResult {
-	return legacyReproducer().PolicyComparison(seed, measureMS)
-}
-
-// ReproduceUnitAware runs the §7 functional-unit extension experiment.
-//
-// Deprecated: use Reproducer.UnitAware.
-func ReproduceUnitAware(seed uint64, measureMS int64) UnitAwareResult {
-	return legacyReproducer().UnitAware(seed, measureMS)
-}
-
-// ReproduceDVFSComparison runs the DVFS-vs-throttling comparison.
-//
-// Deprecated: use Reproducer.DVFSComparison.
-func ReproduceDVFSComparison(seed uint64) DVFSComparisonResult {
-	return legacyReproducer().DVFSComparison(seed)
 }
