@@ -1,5 +1,5 @@
 // Package cliflags is the shared CLI flag plumbing of the tools
-// (cmd/espower, cmd/esbench, cmd/estrace, cmd/escalibrate, cmd/esfarmd):
+// (cmd/espower, cmd/estrace, cmd/escalibrate, cmd/esfarmd):
 // every tool that selects a simulation engine, a DVFS governor, or a
 // worker count registers the flag here, so the accepted values, the
 // help text, and the validation live in exactly one place. Invalid
@@ -9,7 +9,6 @@ package cliflags
 
 import (
 	"flag"
-	"fmt"
 	"strings"
 
 	"energysched/internal/dvfs"
@@ -46,50 +45,6 @@ func Engine(fs *flag.FlagSet) *machine.Engine {
 	e := new(machine.Engine)
 	fs.Var(engineFlag{e}, "engine", "simulation engine: async, lockstep, or parallel")
 	return e
-}
-
-type enginesFlag struct{ es *[]machine.Engine }
-
-func (f enginesFlag) String() string {
-	if f.es == nil {
-		return ""
-	}
-	names := make([]string, len(*f.es))
-	for i, e := range *f.es {
-		names[i] = e.String()
-	}
-	return strings.Join(names, ",")
-}
-
-func (f enginesFlag) Set(s string) error {
-	var out []machine.Engine
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		e, err := machine.ParseEngine(part)
-		if err != nil {
-			return err
-		}
-		out = append(out, e)
-	}
-	if len(out) == 0 {
-		return fmt.Errorf("no engines in %q", s)
-	}
-	*f.es = out
-	return nil
-}
-
-// Engines registers the -engines flag (comma-separated engine list) on
-// fs (nil selects flag.CommandLine), defaulting to all three engines.
-func Engines(fs *flag.FlagSet) *[]machine.Engine {
-	if fs == nil {
-		fs = flag.CommandLine
-	}
-	es := &[]machine.Engine{machine.EngineLockstep, machine.EngineAsync, machine.EngineParallel}
-	fs.Var(enginesFlag{es}, "engines", "comma-separated engines to run (lockstep,async,parallel)")
-	return es
 }
 
 type governorFlag struct{ g *string }

@@ -64,3 +64,41 @@ func TestSeedSweepSeedsDiverge(t *testing.T) {
 		t.Errorf("seeds 1 and 2 produced identical rows: %+v", rows[0])
 	}
 }
+
+// BenchmarkSeedSweep times the warm-branch seed sweep against the
+// rebuild-per-seed plan it replaces: rebuild pays seeds×(warmup+measure)
+// of simulation, warm-branch pays the warm-up once plus seeds×measure.
+// One op is one whole 8-seed sweep. Sequential (Jobs=1) so the plans
+// compare simulation work, not pool scheduling; the default engine, like
+// a farm request that names none. The warm sub-benchmark reports the
+// amortization the farm's image cache banks on as rebuild/warm (when the
+// rebuild sub-benchmark ran first), e.g.
+//
+//	go test ./internal/experiments -run '^$' -bench SeedSweep
+func BenchmarkSeedSweep(b *testing.B) {
+	const warmupMS, measureMS = 5_000, 2_000
+	spec := scenario.MustNamed("engines/steady-state")
+	rc := RunConfig{Jobs: 1}
+	seeds := []uint64{1, 2, 3, 4, 5, 6, 7, 8}
+
+	var rebuildNs float64
+	b.Run("rebuild", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := rc.SeedSweepRebuild(spec, warmupMS, measureMS, seeds); err != nil {
+				b.Fatal(err)
+			}
+		}
+		rebuildNs = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+	})
+	b.Run("warm", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := rc.SeedSweep(spec, warmupMS, measureMS, seeds); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if rebuildNs > 0 {
+			warmNs := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+			b.ReportMetric(rebuildNs/warmNs, "rebuild/warm")
+		}
+	})
+}

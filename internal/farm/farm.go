@@ -142,11 +142,14 @@ func ParseSeeds(s string) ([]uint64, error) {
 			if err1 != nil || err2 != nil || a > b {
 				return nil, fmt.Errorf("farm: bad seed range %q", part)
 			}
-			if b-a >= maxSeeds {
+			if b-a >= maxSeeds || len(out)+int(b-a) >= maxSeeds {
 				return nil, fmt.Errorf("farm: seed range %q exceeds the %d-seed limit", part, maxSeeds)
 			}
-			for v := a; v <= b; v++ {
+			for v := a; ; v++ {
 				out = append(out, v)
+				if v == b {
+					break // not v <= b: at b = MaxUint64, v would wrap
+				}
 			}
 		} else {
 			v, err := strconv.ParseUint(part, 10, 64)

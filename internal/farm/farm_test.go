@@ -147,6 +147,7 @@ func TestRequestValidation(t *testing.T) {
 		`{"name":"mixed","seeds":[1],"measure_ms":0}`,                    // no window
 		`{"name":"mixed","seeds":[1],"measure_ms":1,"engine":"warp"}`,    // bad engine
 		`{"name":"mixed","seeds":[1],"measure_ms":1,"bogus_field":true}`, // unknown field
+		`{"name":"mixed","seeds":[1],"measure_ms":1} {"junk":true}`,      // trailing data
 	}
 	for _, body := range bad {
 		if code := post(body); code != http.StatusBadRequest {
@@ -190,9 +191,39 @@ func TestParseSeeds(t *testing.T) {
 	if want := []uint64{1, 5, 10, 11, 12, 13}; !reflect.DeepEqual(got, want) {
 		t.Errorf("ParseSeeds = %v, want %v", got, want)
 	}
-	for _, bad := range []string{"", "x", "5-1", "1-"} {
+	// A range ending at MaxUint64 terminates instead of wrapping around.
+	got, err = ParseSeeds("18446744073709551613-18446744073709551615")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []uint64{1<<64 - 3, 1<<64 - 2, 1<<64 - 1}; !reflect.DeepEqual(got, want) {
+		t.Errorf("ParseSeeds at MaxUint64 = %v, want %v", got, want)
+	}
+	for _, bad := range []string{"", "x", "5-1", "1-",
+		"0-1048576",         // one range over the limit
+		"0-600000,0-600000", // ranges that only together exceed it
+	} {
 		if _, err := ParseSeeds(bad); err == nil {
 			t.Errorf("ParseSeeds(%q) should fail", bad)
+		}
+	}
+}
+
+// TestParseRequestTrailingData pins that a request body is exactly one
+// JSON value: a valid request followed by anything else is rejected.
+func TestParseRequestTrailingData(t *testing.T) {
+	valid := `{"name":"mixed","seeds":[1],"measure_ms":1}`
+	if _, err := ParseRequest([]byte(valid + "\n")); err != nil {
+		t.Fatalf("valid request with trailing newline: %v", err)
+	}
+	for _, body := range []string{
+		valid + ` {"junk":true}`,
+		valid + valid,
+		valid + ` x`,
+		valid + `]`,
+	} {
+		if _, err := ParseRequest([]byte(body)); err == nil {
+			t.Errorf("ParseRequest(%q) accepted trailing data", body)
 		}
 	}
 }

@@ -117,13 +117,16 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 }
 
 // ParseRequest decodes a sweep request, rejecting unknown fields so
-// schema typos fail loudly.
+// schema typos fail loudly, and anything after the request object.
 func ParseRequest(data []byte) (SweepRequest, error) {
 	var req SweepRequest
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		return req, fmt.Errorf("farm: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return req, fmt.Errorf("farm: trailing data after the request object")
 	}
 	return req, nil
 }

@@ -452,6 +452,9 @@ func applyState(st *machineState, rec *trace.Recorder) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := st.checkShape(m); err != nil {
+		return nil, err
+	}
 	m.maxQuantum = st.MaxQuantum
 	// Under fault injection New mis-calibrated a private copy of the
 	// estimator — but the serialized weights already carry every
@@ -481,10 +484,14 @@ func applyState(st *machineState, rec *trace.Recorder) (*Machine, error) {
 		}
 	}
 
+	nCPU := len(m.Sched.RQs)
 	for i := range st.Tasks {
 		snap := &st.Tasks[i]
 		if snap.ProgIdx < 0 || snap.ProgIdx >= len(progs) {
 			return nil, fmt.Errorf("machine: task %d references program %d of %d", snap.Work.ID, snap.ProgIdx, len(progs))
+		}
+		if snap.CPU < 0 || snap.CPU >= nCPU {
+			return nil, fmt.Errorf("machine: task %d on CPU %d of %d", snap.Work.ID, snap.CPU, nCPU)
 		}
 		task := &sched.Task{
 			ID:             snap.Work.ID,
@@ -520,28 +527,37 @@ func applyState(st *machineState, rec *trace.Recorder) (*Machine, error) {
 		}
 		return ts, nil
 	}
+	// onRQ looks up a task queued on runqueue c, which must be the CPU
+	// the task itself records.
+	onRQ := func(id, c int) (*sched.Task, error) {
+		ts, err := lookup(id)
+		if err != nil {
+			return nil, err
+		}
+		if int(ts.st.CPU) != c {
+			return nil, fmt.Errorf("machine: task %d on runqueue %d records CPU %d", id, c, ts.st.CPU)
+		}
+		return ts.st, nil
+	}
 
 	// Runqueue occupancy, then the derived load counters.
-	if len(st.RQs) != len(m.Sched.RQs) {
-		return nil, fmt.Errorf("machine: checkpoint has %d runqueues, machine %d", len(st.RQs), len(m.Sched.RQs))
-	}
 	for c := range st.RQs {
 		rs := &st.RQs[c]
 		var cur *sched.Task
 		if rs.CurrentID >= 0 {
-			ts, err := lookup(rs.CurrentID)
+			t, err := onRQ(rs.CurrentID, c)
 			if err != nil {
 				return nil, err
 			}
-			cur = ts.st
+			cur = t
 		}
 		queued := make([]*sched.Task, len(rs.QueuedIDs))
 		for i, id := range rs.QueuedIDs {
-			ts, err := lookup(id)
+			t, err := onRQ(id, c)
 			if err != nil {
 				return nil, err
 			}
-			queued[i] = ts.st
+			queued[i] = t
 		}
 		m.Sched.RQs[c].SetTasks(cur, queued)
 	}
@@ -609,6 +625,10 @@ func applyState(st *machineState, rec *trace.Recorder) (*Machine, error) {
 		m.nodes[i].TempC = st.NodeTempC[i]
 	}
 	for c := range st.UnitTempC {
+		if len(st.UnitTempC[c]) != len(m.unitNodes[c]) {
+			return nil, fmt.Errorf("machine: checkpoint has %d unit temperatures on core %d, machine %d",
+				len(st.UnitTempC[c]), c, len(m.unitNodes[c]))
+		}
 		for u := range st.UnitTempC[c] {
 			m.unitNodes[c][u].TempC = st.UnitTempC[c][u]
 		}
@@ -619,7 +639,7 @@ func applyState(st *machineState, rec *trace.Recorder) (*Machine, error) {
 	restoreThrottles(m.throttles, st.Throttles)
 	restoreThrottles(m.unitThrottles, st.UnitThrottles)
 
-	if st.DVFS != nil && m.dvfsOn {
+	if st.DVFS != nil {
 		copy(m.freqIdx, st.DVFS.FreqIdx)
 		copy(m.speedScale, st.DVFS.SpeedScale)
 		copy(m.powScale, st.DVFS.PowScale)
@@ -629,7 +649,7 @@ func applyState(st *machineState, rec *trace.Recorder) (*Machine, error) {
 		copy(m.downTicks, st.DVFS.DownTicks)
 	}
 
-	if st.Async != nil && m.async {
+	if st.Async != nil {
 		copy(m.parked, st.Async.Parked)
 		copy(m.cpuSettledMS, st.Async.CPUSettledMS)
 		copy(m.pkgParked, st.Async.PkgParked)
@@ -688,7 +708,7 @@ func applyState(st *machineState, rec *trace.Recorder) (*Machine, error) {
 		m.tempSeries[i].Values = append([]float64(nil), st.TempSeries[i]...)
 	}
 
-	if st.Faults != nil && m.faults != nil {
+	if st.Faults != nil {
 		m.faults.SetState(st.Faults.Injector)
 		m.recalPrev = st.Faults.RecalPrev
 		m.recalIdlePrev = st.Faults.RecalIdlePrev
@@ -700,6 +720,69 @@ func applyState(st *machineState, rec *trace.Recorder) (*Machine, error) {
 	m.FallbackTicks = st.FallbackTicks
 
 	return m, nil
+}
+
+// checkShape rejects an image whose per-CPU, per-core, per-package and
+// per-throttle state does not fit the machine New built from the
+// image's Config, so a malformed image fails Restore instead of
+// panicking. Only lengths are compared: it runs on every Branch.
+func (st *machineState) checkShape(m *Machine) error {
+	if (st.DVFS != nil) != m.dvfsOn || (st.Async != nil) != m.async || (st.Faults != nil) != (m.faults != nil) {
+		return fmt.Errorf("machine: checkpoint DVFS/async/faults state does not match its config")
+	}
+	type dims struct {
+		what      string
+		got, want int
+	}
+	check := func(ds ...dims) error {
+		for _, d := range ds {
+			if d.got != d.want {
+				return fmt.Errorf("machine: checkpoint has %d %s, machine %d", d.got, d.what, d.want)
+			}
+		}
+		return nil
+	}
+	err := check(
+		dims{"runqueues", len(st.RQs), len(m.Sched.RQs)},
+		dims{"dispatches", len(st.Dispatches), len(m.dispatches)},
+		dims{"counter banks", len(st.Banks), len(m.banks)},
+		dims{"power trackers", len(st.Power), len(m.Sched.Power)},
+		dims{"utilization trackers", len(st.Util), len(m.Sched.Util)},
+		dims{"thermal nodes", len(st.NodeTempC), len(m.nodes)},
+		dims{"unit-thermal cores", len(st.UnitTempC), len(m.unitNodes)},
+		dims{"throttles", len(st.Throttles), len(m.throttles)},
+		dims{"unit throttles", len(st.UnitThrottles), len(m.unitThrottles)},
+		dims{"halt flags", len(st.PrevHalt), len(m.prevHalt)},
+		dims{"execution speeds", len(st.ExecSpeed), len(m.execSpeed)},
+		dims{"true powers", len(st.TruePower), len(m.truePower)},
+		dims{"idle tick counts", len(st.IdleTicks), len(m.idleTicks)},
+		dims{"halted tick counts", len(st.HaltedTicks), len(m.haltedTicks)},
+		dims{"thermal-power series", len(st.TPSeries), len(m.tpSeries)},
+		dims{"temperature series", len(st.TempSeries), len(m.tempSeries)},
+	)
+	if err == nil && st.DVFS != nil {
+		d := st.DVFS
+		err = check(
+			dims{"P-states", len(d.FreqIdx), len(m.freqIdx)},
+			dims{"speed scales", len(d.SpeedScale), len(m.speedScale)},
+			dims{"power scales", len(d.PowScale), len(m.powScale)},
+			dims{"pending P-states", len(d.PendingIdx), len(m.pendingIdx)},
+			dims{"pending transition times", len(d.PendingAt), len(m.pendingAt)},
+			dims{"down-clocked tick counts", len(d.DownTicks), len(m.downTicks)},
+		)
+	}
+	if err == nil && st.Async != nil {
+		a := st.Async
+		err = check(
+			dims{"parked flags", len(a.Parked), len(m.parked)},
+			dims{"CPU settle times", len(a.CPUSettledMS), len(m.cpuSettledMS)},
+			dims{"package parked flags", len(a.PkgParked), len(m.pkgParked)},
+			dims{"package settle times", len(a.PkgSettledMS), len(m.pkgSettledMS)},
+			dims{"dormant-throttle flags", len(a.ThrDormant), len(m.thrDormant)},
+			dims{"throttle settle times", len(a.ThrSettledMS), len(m.thrSettledMS)},
+		)
+	}
+	return err
 }
 
 func restoreThrottles(ths []*thermal.Throttle, snaps []throttleSnapshot) {

@@ -160,3 +160,116 @@ func TestBranchDivergence(t *testing.T) {
 		t.Error("parent diverged from its own un-reseeded branch")
 	}
 }
+
+// TestRestoreRejectsMalformedImages pins that Restore answers a
+// structurally inconsistent image with an error instead of a panic:
+// every per-CPU, per-core and per-throttle slice must fit the machine
+// the image's own Config builds, every task must sit on a real CPU, and
+// every runqueue may only hold tasks that record that CPU.
+func TestRestoreRejectsMalformedImages(t *testing.T) {
+	byName := map[string]engineScenario{}
+	for _, sc := range engineScenarios() {
+		byName[sc.name] = sc
+	}
+	cases := []struct {
+		name     string
+		scenario string // steady-state: no throttle, no unit thermal, no DVFS
+		mutate   func(st *machineState)
+	}{
+		{"unit temperatures without unit thermal", "steady-state", func(st *machineState) {
+			st.UnitTempC = [][]float64{{50}}
+		}},
+		{"throttle on an unthrottled machine", "steady-state", func(st *machineState) {
+			st.Throttles = []throttleSnapshot{{LimitW: 10}}
+		}},
+		{"extra power tracker", "steady-state", func(st *machineState) {
+			st.Power = append(st.Power, st.Power[0])
+		}},
+		{"missing counter bank", "steady-state", func(st *machineState) {
+			st.Banks = st.Banks[:len(st.Banks)-1]
+		}},
+		{"missing thermal node", "steady-state", func(st *machineState) {
+			st.NodeTempC = st.NodeTempC[1:]
+		}},
+		{"extra dispatch", "steady-state", func(st *machineState) {
+			st.Dispatches = append(st.Dispatches, dispatchSnapshot{TaskID: -1})
+		}},
+		{"extra monitor series", "steady-state", func(st *machineState) {
+			st.TPSeries = append(st.TPSeries, nil)
+		}},
+		{"short idle ticks", "steady-state", func(st *machineState) {
+			st.IdleTicks = nil
+		}},
+		{"DVFS state on a fixed-frequency machine", "steady-state", func(st *machineState) {
+			st.DVFS = &dvfsSnapshot{}
+		}},
+		{"no async state on an async machine", "steady-state", func(st *machineState) {
+			st.Async = nil
+		}},
+		{"short parked flags", "steady-state", func(st *machineState) {
+			st.Async.Parked = st.Async.Parked[:1]
+		}},
+		{"task on a CPU past the layout", "steady-state", func(st *machineState) {
+			st.Tasks[0].CPU = len(st.RQs)
+		}},
+		{"task on a negative CPU", "steady-state", func(st *machineState) {
+			st.Tasks[0].CPU = -1
+		}},
+		{"runqueue holding another CPU's task", "steady-state", func(st *machineState) {
+			for c := range st.RQs {
+				if st.RQs[c].CurrentID >= 0 {
+					st.RQs[(c+1)%len(st.RQs)].QueuedIDs = append(st.RQs[(c+1)%len(st.RQs)].QueuedIDs, st.RQs[c].CurrentID)
+					return
+				}
+			}
+			panic("no running task")
+		}},
+		{"runqueue holding an unknown task", "steady-state", func(st *machineState) {
+			st.RQs[0].QueuedIDs = append(st.RQs[0].QueuedIDs, 1<<30)
+		}},
+		{"short unit temperatures on one core", "dvfs-unit-thermal", func(st *machineState) {
+			st.UnitTempC[0] = st.UnitTempC[0][1:]
+		}},
+		{"extra unit throttle", "dvfs-unit-thermal", func(st *machineState) {
+			st.UnitThrottles = append(st.UnitThrottles, st.UnitThrottles[0])
+		}},
+		{"short P-state vector", "dvfs-unit-thermal", func(st *machineState) {
+			st.DVFS.FreqIdx = st.DVFS.FreqIdx[:1]
+		}},
+		{"extra dormant-throttle flag", "dvfs-unit-thermal", func(st *machineState) {
+			st.Async.ThrDormant = append(st.Async.ThrDormant, false)
+		}},
+		{"extra package settle time", "dvfs-unit-thermal", func(st *machineState) {
+			st.Async.PkgSettledMS = append(st.Async.PkgSettledMS, 0)
+		}},
+		{"faults state on a fault-free machine", "dvfs-unit-thermal", func(st *machineState) {
+			st.Faults = &faultsSnapshot{}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m := byName[tc.scenario].build(EngineAsync)
+			m.Run(2000)
+			// Round-trip through the bytes first so the mutation works on
+			// a decoded image, as Restore sees it.
+			data, err := m.Checkpoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var st machineState
+			if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
+				t.Fatal(err)
+			}
+			tc.mutate(&st)
+			var buf bytes.Buffer
+			if err := gob.NewEncoder(&buf).Encode(&st); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Restore(buf.Bytes(), nil); err == nil {
+				t.Fatal("malformed image restored without an error")
+			} else {
+				t.Log(err)
+			}
+		})
+	}
+}

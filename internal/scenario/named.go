@@ -122,8 +122,8 @@ func named() map[string]Spec {
 			RunMS: 60_000,
 		},
 
-		// The benchmark engine regimes (see benchscen, which carries the
-		// timing envelopes): idle-heavy, saturated steady-state,
+		// The benchmark engine regimes (internal/machine's bench_test.go
+		// carries the timing envelopes): idle-heavy, saturated steady-state,
 		// churn-heavy, and the thermal-governed DVFS mix.
 		"engines/idle-heavy": {
 			Seed:     1,
@@ -236,7 +236,7 @@ func Named(name string) (Spec, error) {
 }
 
 // MustNamed is Named but panics on unknown names — for static catalog
-// references (benchscen) where a miss is a programming error.
+// references (benchmarks, tests) where a miss is a programming error.
 func MustNamed(name string) Spec {
 	s, err := Named(name)
 	if err != nil {

@@ -1,10 +1,12 @@
 // Package scenario defines the one versioned, serializable scenario
 // schema every consumer of "a machine plus its workload" shares: the
-// differential fuzzer's generator and corpus, the benchmark scenarios
-// (internal/machine/benchscen), estrace's named scenarios, and the
-// esfarmd sweep service. A fuzz-shrunk failure therefore replays
-// verbatim against the daemon, and a bench scenario is a daemon request
-// away from a parameter sweep — one schema, no lossy conversions.
+// differential fuzzer's generator and corpus, the engine benchmarks
+// (internal/machine's BenchmarkEngines and BenchmarkLargeTopology),
+// estrace's named scenarios, the esfarmd sweep service, and the
+// repository benchmark in bench/. A fuzz-shrunk failure therefore
+// replays verbatim against the daemon, and a benchmark scenario is a
+// daemon request away from a parameter sweep — one schema, no lossy
+// conversions.
 //
 // The JSON form is the wire and corpus format. It is versioned: Version
 // 0 (absent) is read as the current version; Restore-style consumers
@@ -17,6 +19,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 
 	"energysched/internal/dvfs"
@@ -354,13 +357,20 @@ func LoadFile(path string) (Spec, error) {
 
 // Parse decodes a spec from JSON bytes (e.g. an esfarmd request body),
 // rejecting unknown fields so schema typos fail loudly instead of
-// silently building a different machine.
+// silently building a different machine, a version it does not know,
+// and anything after the spec object.
 func Parse(data []byte) (Spec, error) {
 	var s Spec
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&s); err != nil {
 		return s, fmt.Errorf("scenario: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return s, fmt.Errorf("scenario: trailing data after the spec object")
+	}
+	if s.Version != 0 && s.Version != SpecVersion {
+		return s, fmt.Errorf("scenario: spec version %d, want %d", s.Version, SpecVersion)
 	}
 	return s, nil
 }

@@ -1,0 +1,120 @@
+package scenario
+
+import (
+	"encoding/json"
+	"strings"
+	"testing"
+
+	"energysched/internal/machine"
+)
+
+// TestCatalogBuildsOnEveryEngine checks every named scenario validates
+// and builds on all three engines.
+func TestCatalogBuildsOnEveryEngine(t *testing.T) {
+	for _, name := range Names() {
+		s := MustNamed(name)
+		if s.Name != name {
+			t.Errorf("%s: Name = %q", name, s.Name)
+		}
+		if err := s.Validate(); err != nil {
+			t.Errorf("%s: Validate: %v", name, err)
+			continue
+		}
+		for _, e := range []machine.Engine{machine.EngineAsync, machine.EngineLockstep, machine.EngineParallel} {
+			m, err := s.Build(e, nil)
+			if err != nil {
+				t.Errorf("%s on %v: %v", name, e, err)
+				continue
+			}
+			if got, want := m.Cfg.Layout.NumLogical(), s.Topology.Layout().NumLogical(); got != want {
+				t.Errorf("%s on %v: %d logical CPUs, want %d", name, e, got, want)
+			}
+		}
+	}
+	if _, err := Named("no-such"); err == nil {
+		t.Error("Named accepted an unknown scenario")
+	}
+}
+
+// TestParse pins the wire format's strictness: unknown fields, a newer
+// version and trailing data are errors, and a catalog spec's JSON round
+// trip keeps its content hash.
+func TestParse(t *testing.T) {
+	for _, name := range Names() {
+		s := MustNamed(name)
+		data, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Parse(data)
+		if err != nil {
+			t.Errorf("%s: Parse of its own JSON: %v", name, err)
+			continue
+		}
+		if got.Hash() != s.Hash() {
+			t.Errorf("%s: JSON round trip changed the hash", name)
+		}
+	}
+
+	valid := `{"seed":1,"topology":{"nodes":1,"packages_per_node":2,"cores_per_package":1,"threads_per_core":1},` +
+		`"sched":{"policy":"default"},"workload":[{"program":"bitcnts","count":1}],"run_ms":100}`
+	if _, err := Parse([]byte(valid + "\n")); err != nil {
+		t.Fatalf("valid spec: %v", err)
+	}
+	for _, c := range []struct{ why, body string }{
+		{"unknown field", strings.Replace(valid, `"seed":1`, `"seed":1,"bogus":true`, 1)},
+		{"newer version", strings.Replace(valid, `"seed":1`, `"version":2,"seed":1`, 1)},
+		{"trailing value", valid + ` {"junk":true}`},
+		{"trailing garbage", valid + ` x`},
+		{"malformed", valid[:len(valid)-1]},
+	} {
+		if _, err := Parse([]byte(c.body)); err == nil {
+			t.Errorf("Parse accepted a spec with %s", c.why)
+		}
+	}
+}
+
+// TestHash checks the content hash ignores the metadata fields and
+// covers the machine-shaping ones.
+func TestHash(t *testing.T) {
+	s := MustNamed("mixed")
+	h := s.Hash()
+	meta := s
+	meta.Name, meta.Note, meta.Version = "renamed", "a note", SpecVersion
+	if meta.Hash() != h {
+		t.Error("Hash changed with Name, Note or an explicit current Version")
+	}
+	seeded := s
+	seeded.Seed++
+	if seeded.Hash() == h {
+		t.Error("Hash ignored Seed")
+	}
+	if MustNamed("dvfs").Hash() == h {
+		t.Error("two different catalog scenarios share a hash")
+	}
+}
+
+// TestValidateRejects covers the checks Validate makes before building.
+func TestValidateRejects(t *testing.T) {
+	base := MustNamed("mixed") // 8 packages
+	for _, c := range []struct {
+		why    string
+		mutate func(s *Spec)
+	}{
+		{"RunMS 0", func(s *Spec) { s.RunMS = 0 }},
+		{"negative RunMS", func(s *Spec) { s.RunMS = -5 }},
+		{"task count 0", func(s *Spec) { s.Workload = []TaskGroup{{Program: "bitcnts", Count: 0}} }},
+		{"package specs for fewer packages", func(s *Spec) { s.Packages = s.Packages[:3] }},
+		{"budgets for fewer packages", func(s *Spec) { s.BudgetW = []float64{40, 40} }},
+		{"newer version", func(s *Spec) { s.Version = SpecVersion + 1 }},
+		{"invalid topology", func(s *Spec) { s.Topology.Nodes = 0 }},
+		{"unknown program", func(s *Spec) { s.Workload = []TaskGroup{{Program: "no-such", Count: 1}} }},
+		{"unknown scope", func(s *Spec) { s.Throttle, s.Scope = true, "socket" }},
+	} {
+		s := base
+		c.mutate(&s)
+		if err := s.Validate(); err == nil {
+			t.Errorf("Validate accepted a spec with %s", c.why)
+		}
+	}
+}
