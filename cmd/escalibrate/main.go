@@ -24,6 +24,7 @@ import (
 	"energysched/internal/cliflags"
 	"energysched/internal/counters"
 	"energysched/internal/energy"
+	"energysched/internal/experiments"
 	"energysched/internal/machine"
 	"energysched/internal/rng"
 	"energysched/internal/sched"
@@ -101,10 +102,8 @@ func main() {
 	fmt.Printf("heating each package from idle with bitcnts (61 W) on the %s engine,\n", engine)
 	fmt.Println("fitting the diode trace:")
 	fmt.Printf("\n%-8s %12s %12s %10s %10s\n", "package", "true R", "fitted R", "true tau", "fitted tau")
-	rs := []float64{0.30, 0.22, 0.17, 0.28, 0.27, 0.21, 0.16, 0.15}
 	diode := thermal.DefaultDiode()
-	for p, rTrue := range rs {
-		props := thermal.Properties{R: rTrue, C: 15 / rTrue, AmbientC: 25}
+	for p, props := range experiments.ReferenceProps() {
 		// The §4.2 procedure as the kernel would run it: a single-CPU
 		// machine of this package heated by the maximum-power task,
 		// its diode sampled once per simulated second. Running it
@@ -130,7 +129,7 @@ func main() {
 			continue
 		}
 		fmt.Printf("%-8d %9.3f K/W %9.3f K/W %8.1f s %8.1f s\n",
-			p, rTrue, fit.R, props.TimeConstant(), fit.TimeConstant)
+			p, props.R, fit.R, props.TimeConstant(), fit.TimeConstant)
 	}
 	fmt.Println("\nthe fitted values are what the scheduler's thermal-power weights and")
 	fmt.Println("per-package max powers are derived from (§4.2–§4.3).")

@@ -32,12 +32,11 @@ package energysched
 import (
 	"time"
 
-	"energysched/internal/counters"
 	"energysched/internal/dvfs"
 	"energysched/internal/energy"
+	"energysched/internal/experiments"
 	"energysched/internal/faults"
 	"energysched/internal/machine"
-	"energysched/internal/rng"
 	"energysched/internal/sched"
 	"energysched/internal/stats"
 	"energysched/internal/thermal"
@@ -119,10 +118,10 @@ type Engine = machine.Engine
 // energy, and temperature analytically between events, with a clock
 // per CPU so idle CPUs sleep past busy ones and settle their state
 // lazily; EngineParallel shards the async step along NUMA-node
-// boundaries onto a goroutine pool (see Options.Shards); EngineLockstep
+// boundaries (one shard per node) onto a goroutine pool; EngineLockstep
 // is the classic 1 ms loop and the reference. All three produce
 // equivalent results for the same seed, and EngineParallel is
-// bit-identical to EngineAsync at every shard count.
+// bit-identical to EngineAsync.
 const (
 	EngineAsync    = machine.EngineAsync
 	EngineLockstep = machine.EngineLockstep
@@ -144,15 +143,9 @@ type Options struct {
 	Layout Layout
 	// Engine selects the simulation core; the zero value is the async
 	// engine. EngineParallel additionally shards its step across
-	// goroutines; EngineLockstep restores the 1 ms loop.
+	// goroutines, one shard per NUMA node; EngineLockstep restores the
+	// 1 ms loop.
 	Engine Engine
-	// Shards is EngineParallel's shard count: 0 means one per NUMA
-	// node, larger values clamp to the node count. Results are
-	// bit-identical at every count. The other engines ignore it.
-	Shards int
-	// MaxQuantumMS caps the planned quantum; 0 selects the machine
-	// default. Ignored by the lockstep engine.
-	MaxQuantumMS int
 	// Policy selects the scheduling preset. Sched overrides it when
 	// non-nil.
 	Policy Policy
@@ -230,27 +223,14 @@ func New(opt Options) (*System, error) {
 	}
 	var est *energy.Estimator
 	if opt.CalibratedEstimation {
-		model := energy.DefaultTrueModel()
-		cat := workload.NewCatalog(model)
-		var apps []counters.Rates
-		for _, prog := range cat.Table2Set() {
-			for _, ph := range prog.Phases {
-				apps = append(apps, ph.Rates)
-			}
-		}
-		r := rng.New(opt.Seed)
-		meter := energy.NewMultimeter(0.02, r.Split())
 		var err error
-		est, err = energy.Calibrate(model, meter, apps, energy.DefaultCalibrationConfig(), r.Split())
-		if err != nil {
+		if est, err = experiments.CalibratedEstimator(opt.Seed); err != nil {
 			return nil, err
 		}
 	}
 	m, err := machine.New(machine.Config{
 		Layout:           layout,
 		Engine:           opt.Engine,
-		Shards:           opt.Shards,
-		MaxQuantumMS:     opt.MaxQuantumMS,
 		Sched:            pol,
 		Seed:             opt.Seed,
 		PackageProps:     opt.PackageProps,

@@ -6,12 +6,11 @@ import (
 
 // RunConfig carries the execution knobs an experiment run needs but a
 // result must not depend on: which simulation core to run machines on,
-// how many worker goroutines to use for independent runs, and the
-// shard count of the parallel engine. Every experiment entry point is
-// a method on RunConfig; the zero value (async engine, GOMAXPROCS
-// workers, auto shards) reproduces every table and figure, and the
-// cross-engine equivalence tests guarantee no number depends on the
-// choice.
+// and how many worker goroutines to use for independent runs. Every
+// experiment entry point is a method on RunConfig; the zero value
+// (async engine, GOMAXPROCS workers) reproduces every table and figure,
+// and the cross-engine equivalence tests guarantee no number depends
+// on the choice.
 type RunConfig struct {
 	// Jobs bounds the worker pool ForEach uses for independent
 	// experiment runs: 0 means GOMAXPROCS, 1 forces sequential
@@ -21,16 +20,10 @@ type RunConfig struct {
 	// Engine selects the simulation core every experiment machine runs
 	// on. The zero value is the (default) async engine.
 	Engine machine.Engine
-	// Shards is the fork-join shard count for the parallel engine
-	// (0 = auto); ignored by the other engines.
-	Shards int
 }
 
 // newMachine builds an experiment machine on the configured engine.
 func (rc RunConfig) newMachine(cfg machine.Config) *machine.Machine {
 	cfg.Engine = rc.Engine
-	if cfg.Shards == 0 {
-		cfg.Shards = rc.Shards
-	}
 	return machine.MustNew(cfg)
 }

@@ -9,7 +9,7 @@ import (
 
 // The async discrete-event engine.
 //
-// The quantum planner (batched.go) removes the per-millisecond loop, but
+// The quantum planner (planner.go) removes the per-millisecond loop, but
 // a planned quantum is *global* — the minimum over all CPUs' event
 // horizons — so without parking one busy CPU would drag every idle CPU
 // through its small steps, each paying a metric update and a thermal
@@ -48,7 +48,7 @@ import (
 //   - per package: when every logical CPU of a package is parked, the
 //     package's thermal state — core nodes, unit hotspots, unit
 //     throttle accounting — freezes (pkgSettledMS) and settles in one
-//     StepExact / StepOverBatched per core over the gap. Packages with
+//     Step / StepOverBatched per core over the gap. Packages with
 //     any active CPU keep stepping every quantum, because chip coupling
 //     makes their idle cores' effective power time-varying.
 //
@@ -78,6 +78,18 @@ func (m *Machine) runAsync(durationMS int64) {
 		m.step(limit)
 	}
 	m.settleAll()
+	// A Spawn before the next Run must settle parked state to the clock,
+	// not one tick past it as the finished step's markers would.
+	m.resetPhaseMarkers()
+}
+
+// resetPhaseMarkers points the settle targets at the current tick, as
+// at the start of a step: nothing of the quantum at nowMS is folded in
+// yet. Between Run calls the markers always hold these values.
+func (m *Machine) resetPhaseMarkers() {
+	m.qStartMS = m.nowMS
+	m.phase6CPU = -1
+	m.metricsDone, m.thermalDone, m.accountDone = false, false, false
 }
 
 // initAsync allocates the parking state. Called from New for every
@@ -109,8 +121,8 @@ func (m *Machine) initAsync() {
 	// neighbours. Constant, so parked packages settle in closed form.
 	cores := m.Cfg.Layout.Cores()
 	idleRaw := m.idleShareW * float64(m.Cfg.Layout.ThreadsPerPackage)
-	m.idleEffW = idleRaw * (1 + m.Cfg.CoreCoupling*float64(cores-1))
-	m.phase6CPU = -1
+	m.idleEffW = idleRaw * (1 + coreCoupling*float64(cores-1))
+	m.resetPhaseMarkers()
 	m.stepList = make([]int32, 0, nCPU)
 	m.stepCores = make([]int32, 0, len(m.nodes))
 	m.pendingActs = make([]topology.CPUID, 0, nCPU)
@@ -332,12 +344,12 @@ func (m *Machine) settlePackageThermal(p int, to int64) {
 			start := node.TempC
 			steady := node.Props.SteadyTemp(m.idleEffW)
 			decay := node.Props.DecayPerMS()
-			node.StepExact(m.idleEffW, fg)
+			node.Step(m.idleEffW, fg)
 			for _, n := range m.unitNodes[core] {
 				n.StepOverBatched(0, gap, start, steady, decay)
 			}
 		} else {
-			node.StepExact(m.idleEffW, fg)
+			node.Step(m.idleEffW, fg)
 		}
 		// Constant power over the gap makes the RC response monotone,
 		// so the endpoint captures the gap's extremum (the start was

@@ -171,10 +171,9 @@ func BenchmarkParallelShards(b *testing.B) {
 	sat := fromCatalog("large/1024cpu/saturated", 5_000, 3_000, true, false)
 	for _, shards := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("1024cpu/saturated/s%d", shards), func(b *testing.B) {
-			m := sat.New(machine.EngineParallel)
-			if err := m.SetShards(shards); err != nil {
-				b.Fatal(err)
-			}
+			sc := sat
+			sc.Spec.Shards = shards
+			m := sc.New(machine.EngineParallel)
 			m.Run(sat.WarmupMS)
 			nCPU := float64(m.Cfg.Layout.NumLogical())
 			b.ResetTimer()

@@ -47,8 +47,10 @@ import (
 // backward-compatible across versions. Version 2 renumbered
 // Config.Engine (async became the zero value when the batched engine
 // was retired), so a version-1 image would restore onto the wrong
-// engine.
-const CheckpointVersion = 2
+// engine. Version 3 dropped the per-step phase markers (always at their
+// reset values between Run calls) and the Config fields that became
+// constants.
+const CheckpointVersion = 3
 
 // taskSnapshot is one task's complete state: the scheduler's view
 // (timeslice, CPU, warmup, profile) and the workload's (phase machine,
@@ -162,11 +164,6 @@ type machineState struct {
 	NextID        int
 	Rng           uint64
 	DeadlineFires [4]int64
-	QStartMS      int64
-	Phase6CPU     int
-	MetricsDone   bool
-	ThermalDone   bool
-	AccountDone   bool
 
 	// Progs holds the distinct programs of the live tasks, by value —
 	// programs are immutable, so a decoded copy behaves identically.
@@ -235,11 +232,6 @@ func (m *Machine) captureState() *machineState {
 		NextID:        m.nextID,
 		Rng:           m.rng.State(),
 		DeadlineFires: m.deadlineFires,
-		QStartMS:      m.qStartMS,
-		Phase6CPU:     m.phase6CPU,
-		MetricsDone:   m.metricsDone,
-		ThermalDone:   m.thermalDone,
-		AccountDone:   m.accountDone,
 
 		MigrationCount:     m.Sched.MigrationCount,
 		MigrationsByReason: m.Sched.MigrationsByReason,
@@ -468,11 +460,7 @@ func applyState(st *machineState, rec *trace.Recorder) (*Machine, error) {
 	m.nextID = st.NextID
 	m.rng.SetState(st.Rng)
 	m.deadlineFires = st.DeadlineFires
-	m.qStartMS = st.QStartMS
-	m.phase6CPU = st.Phase6CPU
-	m.metricsDone = st.MetricsDone
-	m.thermalDone = st.ThermalDone
-	m.accountDone = st.AccountDone
+	m.resetPhaseMarkers()
 
 	// Programs: the in-process path shares the originals (immutable);
 	// the byte path materializes pointers into the decoded values.
@@ -807,7 +795,10 @@ func (m *Machine) Checkpoint() ([]byte, error) {
 	if err := gob.NewEncoder(&buf).Encode(m.captureState()); err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	// Images are long-lived (the farm caches them), so return an exact
+	// copy instead of the buffer, whose doubling growth can leave up to
+	// half its capacity unused.
+	return bytes.Clone(buf.Bytes()), nil
 }
 
 // Restore rebuilds a machine from a Checkpoint image. rec becomes the

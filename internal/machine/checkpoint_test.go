@@ -3,6 +3,7 @@ package machine
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -28,7 +29,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 				k := 1 + int64(r.Uint64()%uint64(sc.runMS-1))
 				rest := sc.runMS - k
 
-				m := sc.build(e)
+				m := sc.build(e, 0)
 				m.Run(k)
 				data, err := m.Checkpoint()
 				if err != nil {
@@ -83,24 +84,27 @@ func TestCheckpointRoundTrip(t *testing.T) {
 }
 
 // TestRestoreRejectsOldVersion pins the version gate: an image written
-// under the version-1 engine numbering (where Engine 0 was the retired
-// batched engine) must fail to restore instead of coming back on a
-// different engine.
+// under an older layout must fail to restore instead of coming back
+// wrong — version 1 on a different engine (Engine 0 was the retired
+// batched engine), version 2 with per-step phase markers and Config
+// fields the current format no longer carries.
 func TestRestoreRejectsOldVersion(t *testing.T) {
-	m := engineScenarios()[1].build(EngineAsync)
+	m := engineScenarios()[1].build(EngineAsync, 0)
 	m.Run(1000)
-	st := m.captureState()
-	st.Version = 1
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Restore(buf.Bytes(), nil)
-	if err == nil {
-		t.Fatalf("restored a version-1 image onto engine %v", got.Cfg.Engine)
-	}
-	if !strings.Contains(err.Error(), "checkpoint version 1") {
-		t.Errorf("error %q does not name the image version", err)
+	for _, v := range []int{1, 2} {
+		st := m.captureState()
+		st.Version = v
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(st); err != nil {
+			t.Fatal(err)
+		}
+		got, err := Restore(buf.Bytes(), nil)
+		if err == nil {
+			t.Fatalf("restored a version-%d image onto engine %v", v, got.Cfg.Engine)
+		}
+		if want := fmt.Sprintf("checkpoint version %d", v); !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name the image version %d", err, v)
+		}
 	}
 }
 
@@ -110,7 +114,7 @@ func TestRestoreRejectsOldVersion(t *testing.T) {
 func TestBranchDivergence(t *testing.T) {
 	scs := engineScenarios()
 	sc := scs[1] // steady-state: always-busy stochastic workload
-	m := sc.build(EngineAsync)
+	m := sc.build(EngineAsync, 0)
 	m.Run(5000)
 
 	runAndSnap := func(b *Machine) []byte {
@@ -248,7 +252,7 @@ func TestRestoreRejectsMalformedImages(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			m := byName[tc.scenario].build(EngineAsync)
+			m := byName[tc.scenario].build(EngineAsync, 0)
 			m.Run(2000)
 			// Round-trip through the bytes first so the mutation works on
 			// a decoded image, as Restore sees it.

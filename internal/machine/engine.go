@@ -17,7 +17,7 @@ import (
 // decisions, same execution speeds, same workload event rates. The
 // lockstep engine (lockstep.go) calls step with dt capped at 1; the
 // async engine (async.go) lets step plan the largest safe dt from the
-// event horizons (batched.go) and then runs the very same phases, so a
+// event horizons (planner.go) and then runs the very same phases, so a
 // 1 ms quantum is bit-for-bit the lockstep millisecond.
 //
 // The quantum convention: a step covers the ticks [nowMS, nowMS+dt).
@@ -47,11 +47,7 @@ func (m *Machine) step(limitMS int64) int64 {
 	nCPU := layout.NumLogical()
 	threads := layout.ThreadsPerPackage
 	if m.async {
-		m.qStartMS = m.nowMS
-		m.phase6CPU = -1
-		m.metricsDone = false
-		m.thermalDone = false
-		m.accountDone = false
+		m.resetPhaseMarkers()
 		// Deadlines armed by this step's start-of-tick occupancy
 		// changes (wakes, dispatches) are computed from the quantum's
 		// first tick.
@@ -411,7 +407,7 @@ func (m *Machine) step(limitMS int64) int64 {
 }
 
 // coupledEffPower returns the effective power heating core's thermal
-// node: its own raw power plus the CoreCoupling share of its chip
+// node: its own raw power plus the coreCoupling share of its chip
 // neighbours'. Shared between the thermal phase of step and the
 // planner's unit-temperature horizon so both provably use the same
 // coupling model.
@@ -419,11 +415,10 @@ func (m *Machine) coupledEffPower(raw []float64, core int) float64 {
 	cores := m.Cfg.Layout.Cores()
 	eff := raw[core]
 	if cores > 1 {
-		k := m.Cfg.CoreCoupling
 		pkg := core / cores
 		for cc := pkg * cores; cc < (pkg+1)*cores; cc++ {
 			if cc != core {
-				eff += k * raw[cc]
+				eff += coreCoupling * raw[cc]
 			}
 		}
 	}
@@ -572,7 +567,7 @@ func (m *Machine) smtScaleOn(cpus []int32) {
 			base := int(m.coreOfCPU[c]) * threads
 			for t := 0; t < threads; t++ {
 				if sib := int(m.coreCPUs[base+t]); sib != c && m.execSpeed[sib] > 0 {
-					m.execSpeed[c] = m.Cfg.SMTSlowdown
+					m.execSpeed[c] = smtSlowdown
 					break
 				}
 			}
@@ -584,11 +579,7 @@ func (m *Machine) smtScaleOn(cpus []int32) {
 			continue
 		}
 		if t := m.Sched.RQ(topology.CPUID(c)).Current; t.WarmupLeft > 0 {
-			speed := m.execSpeed[c] * m.Cfg.Sched.WarmupSpeed
-			if speed <= 0 || speed > 1 {
-				speed = m.Cfg.Sched.WarmupSpeed
-			}
-			m.execSpeed[c] = speed
+			m.execSpeed[c] *= sched.WarmupSpeed
 		}
 	}
 	if m.dvfsOn {
@@ -822,7 +813,7 @@ func (m *Machine) thermalOn(cores []int32, dt int64, fdt float64) float64 {
 		core := int(core32)
 		eff := m.coupledEffPower(m.corePower, core)
 		m.coreEff[core] = eff
-		m.nodes[core].StepExact(eff, fdt)
+		m.nodes[core].Step(eff, fdt)
 		// Within a constant-power quantum the RC response is monotone,
 		// so checking the endpoint captures the quantum's extremum.
 		if m.nodes[core].TempC > peak {

@@ -22,8 +22,10 @@ import (
 
 // engineScenario describes one equivalence scenario.
 type engineScenario struct {
-	name  string
-	build func(e Engine) *Machine
+	name string
+	// build constructs the machine on engine e; shards is the
+	// EngineParallel shard count (0: one per node).
+	build func(e Engine, shards int) *Machine
 	runMS int64
 }
 
@@ -34,9 +36,9 @@ func engineScenarios() []engineScenario {
 			// Mostly-blocked interactive tasks: long idle stretches
 			// between wake-ups, the quantum planner's best case.
 			name: "idle-heavy",
-			build: func(e Engine) *Machine {
+			build: func(e Engine, shards int) *Machine {
 				m := MustNew(Config{
-					Engine: e, Layout: topology.XSeries445NoSMT(),
+					Engine: e, Shards: shards, Layout: topology.XSeries445NoSMT(),
 					Sched: sched.DefaultConfig(), Seed: 11,
 					PackageMaxPowerW: []float64{60}, MonitorPeriodMS: 500,
 				})
@@ -50,9 +52,9 @@ func engineScenarios() []engineScenario {
 		{
 			// Saturated CPU-bound mix with energy balancing active.
 			name: "steady-state",
-			build: func(e Engine) *Machine {
+			build: func(e Engine, shards int) *Machine {
 				m := MustNew(Config{
-					Engine: e, Layout: topology.XSeries445NoSMT(),
+					Engine: e, Shards: shards, Layout: topology.XSeries445NoSMT(),
 					Sched: sched.DefaultConfig(), Seed: 3,
 					PackageMaxPowerW: []float64{60}, MonitorPeriodMS: 1000,
 				})
@@ -67,9 +69,9 @@ func engineScenarios() []engineScenario {
 			// Throttling engaged and oscillating, finite tasks churning
 			// through respawn, per-logical scope.
 			name: "throttled-churn",
-			build: func(e Engine) *Machine {
+			build: func(e Engine, shards int) *Machine {
 				m := MustNew(Config{
-					Engine: e, Layout: topology.XSeries445NoSMT(),
+					Engine: e, Shards: shards, Layout: topology.XSeries445NoSMT(),
 					Sched: sched.DefaultConfig(), Seed: 42,
 					PackageMaxPowerW: []float64{50},
 					ThrottleEnabled:  true, Scope: ThrottlePerLogical,
@@ -85,9 +87,9 @@ func engineScenarios() []engineScenario {
 			// The Fig. 9 setup: SMT machine, one hot task hopping
 			// between packages under per-package throttling.
 			name: "smt-hot-migration",
-			build: func(e Engine) *Machine {
+			build: func(e Engine, shards int) *Machine {
 				m := MustNew(Config{
-					Engine: e, Layout: topology.XSeries445(),
+					Engine: e, Shards: shards, Layout: topology.XSeries445(),
 					Sched: sched.DefaultConfig(), Seed: 7,
 					PackageMaxPowerW: []float64{40},
 					ThrottleEnabled:  true, Scope: ThrottlePerPackage,
@@ -102,9 +104,9 @@ func engineScenarios() []engineScenario {
 			// §7 CMP: per-core throttling, core coupling, dual-core
 			// chips, hot rotation across the mc level.
 			name: "cmp-per-core",
-			build: func(e Engine) *Machine {
+			build: func(e Engine, shards int) *Machine {
 				m := MustNew(Config{
-					Engine: e, Layout: topology.CMP2x2(),
+					Engine: e, Shards: shards, Layout: topology.CMP2x2(),
 					Sched: sched.DefaultConfig(), Seed: 3,
 					PackageProps:     []energyProps{props01(), props01()},
 					PackageMaxPowerW: []float64{100},
@@ -120,11 +122,11 @@ func engineScenarios() []engineScenario {
 			// §7 unit extension: unit hotspots, unit throttling, and
 			// unit-aware balancing of equal-power int/FP tasks.
 			name: "unit-thermal",
-			build: func(e Engine) *Machine {
+			build: func(e Engine, shards int) *Machine {
 				pol := sched.DefaultConfig()
 				pol.UnitAwareBalancing = true
 				m := MustNew(Config{
-					Engine: e, Layout: topology.CMP2x2(),
+					Engine: e, Shards: shards, Layout: topology.CMP2x2(),
 					Sched: pol, Seed: 9,
 					PackageProps:     []energyProps{props01(), props01()},
 					PackageMaxPowerW: []float64{100},
@@ -144,9 +146,9 @@ func engineScenarios() []engineScenario {
 			// parked CPUs mid-execution-phase (the async engine's
 			// settle-split path) and re-activates them.
 			name: "sparse-respawn",
-			build: func(e Engine) *Machine {
+			build: func(e Engine, shards int) *Machine {
 				m := MustNew(Config{
-					Engine: e, Layout: topology.XSeries445NoSMT(),
+					Engine: e, Shards: shards, Layout: topology.XSeries445NoSMT(),
 					Sched: sched.DefaultConfig(), Seed: 13,
 					PackageMaxPowerW: []float64{60},
 					RespawnFinished:  true,
@@ -163,11 +165,11 @@ func engineScenarios() []engineScenario {
 			// their unit hotspots (StepOverBatched over the gap) and
 			// their unit-throttle accounting lazily.
 			name: "unit-sparse",
-			build: func(e Engine) *Machine {
+			build: func(e Engine, shards int) *Machine {
 				pol := sched.DefaultConfig()
 				pol.UnitAwareBalancing = true
 				m := MustNew(Config{
-					Engine: e, Layout: topology.CMP2x2(),
+					Engine: e, Shards: shards, Layout: topology.CMP2x2(),
 					Sched: pol, Seed: 17,
 					PackageProps:     []energyProps{props01(), props01()},
 					PackageMaxPowerW: []float64{100},
@@ -186,9 +188,9 @@ func engineScenarios() []engineScenario {
 			// packages) while two CPU-bound tasks stay hot, with
 			// periodic monitoring forcing settle points.
 			name: "wide-idle",
-			build: func(e Engine) *Machine {
+			build: func(e Engine, shards int) *Machine {
 				m := MustNew(Config{
-					Engine: e, Layout: topology.Server64(),
+					Engine: e, Shards: shards, Layout: topology.Server64(),
 					Sched: sched.DefaultConfig(), Seed: 21,
 					PackageMaxPowerW: []float64{120}, MonitorPeriodMS: 1000,
 				})
@@ -206,9 +208,9 @@ func engineScenarios() []engineScenario {
 			// chips; kept short because the lockstep reference steps
 			// every CPU every millisecond.
 			name: "server1024",
-			build: func(e Engine) *Machine {
+			build: func(e Engine, shards int) *Machine {
 				m := MustNew(Config{
-					Engine: e, Layout: topology.Server1024(),
+					Engine: e, Shards: shards, Layout: topology.Server1024(),
 					Sched: sched.DefaultConfig(), Seed: 29,
 					PackageMaxPowerW: []float64{360}, MonitorPeriodMS: 1000,
 				})
@@ -227,9 +229,9 @@ func engineScenarios() []engineScenario {
 			// transitions, governor deadlines, and parked CPUs keeping
 			// their last P-state all interleave.
 			name: "dvfs-ondemand",
-			build: func(e Engine) *Machine {
+			build: func(e Engine, shards int) *Machine {
 				m := MustNew(Config{
-					Engine: e, Layout: topology.XSeries445NoSMT(),
+					Engine: e, Shards: shards, Layout: topology.XSeries445NoSMT(),
 					Sched: sched.DefaultConfig(), Seed: 23,
 					PackageMaxPowerW: []float64{60}, MonitorPeriodMS: 500,
 					DVFS:            &dvfs.Config{Governor: "ondemand"},
@@ -249,9 +251,9 @@ func engineScenarios() []engineScenario {
 			// throttle while hot task migration hops the task between
 			// cores running at unequal frequencies.
 			name: "dvfs-thermal",
-			build: func(e Engine) *Machine {
+			build: func(e Engine, shards int) *Machine {
 				m := MustNew(Config{
-					Engine: e, Layout: topology.XSeries445(),
+					Engine: e, Shards: shards, Layout: topology.XSeries445(),
 					Sched: sched.DefaultConfig(), Seed: 31,
 					PackageMaxPowerW: []float64{40},
 					ThrottleEnabled:  true, Scope: ThrottlePerPackage,
@@ -270,11 +272,11 @@ func engineScenarios() []engineScenario {
 			// voltage-scaled per-unit energy profiles (dispatch
 			// estUnitsJ) drive cross-engine-identical exchanges.
 			name: "dvfs-unit-thermal",
-			build: func(e Engine) *Machine {
+			build: func(e Engine, shards int) *Machine {
 				pol := sched.DefaultConfig()
 				pol.UnitAwareBalancing = true
 				m := MustNew(Config{
-					Engine: e, Layout: topology.CMP2x2(),
+					Engine: e, Shards: shards, Layout: topology.CMP2x2(),
 					Sched: pol, Seed: 41,
 					PackageProps:     []energyProps{props01(), props01()},
 					PackageMaxPowerW: []float64{100},
@@ -295,9 +297,9 @@ func engineScenarios() []engineScenario {
 			// temperature entirely inside the async engine's closed-form
 			// package settling — pins PeakTempC tracking on that path.
 			name: "all-idle",
-			build: func(e Engine) *Machine {
+			build: func(e Engine, shards int) *Machine {
 				return MustNew(Config{
-					Engine: e, Layout: topology.XSeries445NoSMT(),
+					Engine: e, Shards: shards, Layout: topology.XSeries445NoSMT(),
 					Sched: sched.DefaultConfig(), Seed: 1,
 					PackageMaxPowerW: []float64{40},
 					MonitorPeriodMS:  5000,
@@ -309,9 +311,9 @@ func engineScenarios() []engineScenario {
 			// §2.3 task-throttling policy: per-tick head rotation while
 			// engaged (the planner's forced-lockstep path).
 			name: "task-throttling",
-			build: func(e Engine) *Machine {
+			build: func(e Engine, shards int) *Machine {
 				m := MustNew(Config{
-					Engine: e, Layout: topology.XSeries445NoSMT(),
+					Engine: e, Shards: shards, Layout: topology.XSeries445NoSMT(),
 					Sched: sched.BaselineConfig(), Seed: 5,
 					PackageMaxPowerW: []float64{45},
 					ThrottleEnabled:  true, Scope: ThrottlePerLogical,
@@ -332,9 +334,9 @@ func engineScenarios() []engineScenario {
 			// multi-ms quanta. Throttling keeps the weights observable
 			// through trigger timing, not just through temperatures.
 			name: "hetero-thermal",
-			build: func(e Engine) *Machine {
+			build: func(e Engine, shards int) *Machine {
 				m := MustNew(Config{
-					Engine: e, Layout: topology.CMP2x2(),
+					Engine: e, Shards: shards, Layout: topology.CMP2x2(),
 					Sched: sched.DefaultConfig(), Seed: 11,
 					PackageProps: []energyProps{
 						props01(),                      // τ = 15s
@@ -357,9 +359,9 @@ func engineScenarios() []engineScenario {
 			// Exercises the drift and residual-window planner horizons
 			// and the recal path's cross-engine determinism.
 			name: "faults-drift-recal",
-			build: func(e Engine) *Machine {
+			build: func(e Engine, shards int) *Machine {
 				m := MustNew(Config{
-					Engine: e, Layout: topology.XSeries445NoSMT(),
+					Engine: e, Shards: shards, Layout: topology.XSeries445NoSMT(),
 					Sched: sched.DefaultConfig(), Seed: 7,
 					PackageMaxPowerW: []float64{50},
 					ThrottleEnabled:  true, Scope: ThrottlePerPackage,
@@ -391,9 +393,9 @@ func engineScenarios() []engineScenario {
 			// limits identically across engines — including the async
 			// engine's dormant-group wake on the limit change.
 			name: "faults-fallback-stuck",
-			build: func(e Engine) *Machine {
+			build: func(e Engine, shards int) *Machine {
 				m := MustNew(Config{
-					Engine: e, Layout: topology.CMP2x2(),
+					Engine: e, Shards: shards, Layout: topology.CMP2x2(),
 					Sched: sched.DefaultConfig(), Seed: 13,
 					PackageProps:     []energyProps{props01(), props01()},
 					PackageMaxPowerW: []float64{90, 90},
@@ -437,7 +439,7 @@ func relDiff(a, b float64) float64 {
 // timestamps and reasons, throttle decisions, idle/halted ticks),
 // ≤1e-6 relative difference on temperatures and energies. The parallel
 // engine runs twice — at the default one-shard-per-node partition and
-// repartitioned to a single shard — pinning the determinism contract
+// built with a single shard — pinning the determinism contract
 // that the shard count is unobservable.
 func TestEngineEquivalence(t *testing.T) {
 	for _, sc := range engineScenarios() {
@@ -445,13 +447,13 @@ func TestEngineEquivalence(t *testing.T) {
 		// fast engine is asserted against the same machine. Every
 		// machine records a full event trace, asserted byte-identical
 		// across engines.
-		lock := sc.build(EngineLockstep)
+		lock := sc.build(EngineLockstep, 0)
 		lock.Cfg.Trace = trace.New(0)
 		lock.Run(sc.runMS)
 		lockCSV := traceCSV(t, lock.Cfg.Trace)
 		for _, v := range []struct {
 			engine Engine
-			shards int // EngineParallel repartition (0 keeps the default)
+			shards int // EngineParallel shard count (0: one per node)
 			name   string
 		}{
 			{EngineAsync, 0, "async"},
@@ -459,12 +461,7 @@ func TestEngineEquivalence(t *testing.T) {
 			{EngineParallel, 1, "parallel-1shard"},
 		} {
 			t.Run(sc.name+"/"+v.name, func(t *testing.T) {
-				got := sc.build(v.engine)
-				if v.shards != 0 {
-					if err := got.SetShards(v.shards); err != nil {
-						t.Fatal(err)
-					}
-				}
+				got := sc.build(v.engine, v.shards)
 				got.Cfg.Trace = trace.New(0)
 				// Advance in chunks to also exercise Run-boundary
 				// clamping (and, for async, the end-of-Run settling).
@@ -481,6 +478,43 @@ func TestEngineEquivalence(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestSpawnBetweenRunsEquivalence spawns work between Run calls, while
+// CPUs sit parked from the previous Run. The placement reads parked
+// CPUs' settled state, so every engine must leave its per-step phase
+// markers at their between-steps values when Run returns: a spawn that
+// settled parked metrics or packages one tick past the clock would
+// shift idle ticks, temperatures and energy off the lockstep reference.
+func TestSpawnBetweenRunsEquivalence(t *testing.T) {
+	cat := catalog()
+	run := func(e Engine) *Machine {
+		m := MustNew(Config{
+			Engine: e, Layout: topology.XSeries445NoSMT(),
+			Sched: sched.DefaultConfig(), Seed: 5,
+			PackageMaxPowerW: []float64{40}, ThrottleEnabled: true,
+			Scope: ThrottlePerPackage, Trace: trace.New(0),
+		})
+		m.Spawn(cat.Bitcnts())
+		m.Run(3000)
+		m.Spawn(cat.Bitcnts())
+		m.Spawn(cat.Memrw())
+		m.Run(3000)
+		m.Spawn(cat.Bzip2())
+		m.Run(3000)
+		return m
+	}
+	lock := run(EngineLockstep)
+	lockCSV := traceCSV(t, lock.Cfg.Trace)
+	for _, e := range []Engine{EngineAsync, EngineParallel} {
+		t.Run(e.String(), func(t *testing.T) {
+			got := run(e)
+			assertEquivalent(t, lock, got)
+			if gotCSV := traceCSV(t, got.Cfg.Trace); gotCSV != lockCSV {
+				t.Errorf("event trace differs from lockstep: %s", firstTraceDiff(lockCSV, gotCSV))
+			}
+		})
 	}
 }
 

@@ -20,7 +20,7 @@
 //
 // Three engines drive that step (see Engine). The default async engine
 // plans, per step, the largest quantum over which the machine state is
-// provably constant (see batched.go), integrates it in one pass, and
+// provably constant (see planner.go), integrates it in one pass, and
 // keeps a clock per CPU (see async.go): idle CPUs park entirely and
 // their state settles lazily when observed. The lockstep engine fixes
 // the quantum at 1 ms — the classic tick loop and the reference the
@@ -78,7 +78,7 @@ const (
 	// state is provably constant — bounded by running tasks'
 	// timeslice/phase/noise/block horizons, the earliest sleeper
 	// wake-up, the next balance/hot-check/monitor deadline, predicted
-	// throttle-metric crossings, and MaxQuantumMS (batched.go) — and
+	// throttle-metric crossings, and MaxQuantumMS (planner.go) — and
 	// integrates work, energy, and temperature analytically over the
 	// whole quantum. On top of that planner every CPU keeps its own
 	// clock (async.go): idle CPUs are parked — excluded from per-step
@@ -147,6 +147,25 @@ func (e Engine) String() string {
 // real event.
 const DefaultMaxQuantumMS = 64
 
+// smtSlowdown is the speed factor of a logical CPU whose sibling is
+// executing in the same tick (both threads share one core's functional
+// units), giving an SMT speedup of 1.24 for two threads.
+const smtSlowdown = 0.62
+
+// coreCoupling is the fraction of a neighbouring core's power that leaks
+// into a core's local thermal node on a multi-core package (§7: "having
+// multiple cores on the same chip leads to greater thermal stress, since
+// the heat is dissipated within a smaller area"). Irrelevant for
+// single-core packages.
+const coreCoupling = 0.35
+
+// unitR and unitTauS are the §7 functional-unit hotspot nodes' thermal
+// resistance (K/W above the core) and time constant (s).
+const (
+	unitR    = 0.3
+	unitTauS = 2
+)
+
 // unboundedQuantumMS is the effective cap of a lifted-quantum machine —
 // far beyond any Run duration, so quanta are bounded by real horizons
 // alone.
@@ -210,20 +229,6 @@ type Config struct {
 	// ground-truth weights (perfect estimation).
 	Estimator *energy.Estimator
 
-	// SMTSlowdown is the speed factor of a logical CPU whose sibling
-	// is executing in the same tick (both threads share one core's
-	// functional units). 0 selects the default 0.62, giving an SMT
-	// speedup of 1.24 for two threads.
-	SMTSlowdown float64
-
-	// CoreCoupling is the fraction of a neighbouring core's power that
-	// leaks into a core's local thermal node on a multi-core package
-	// (§7: "having multiple cores on the same chip leads to greater
-	// thermal stress, since the heat is dissipated within a smaller
-	// area"). 0 selects the default 0.35. Irrelevant for single-core
-	// packages.
-	CoreCoupling float64
-
 	// UnitThermal enables the §7 multiple-temperature extension:
 	// per-functional-unit hotspot nodes on every core, per-task unit
 	// profiles, and — when ThrottleEnabled — throttling on unit
@@ -232,11 +237,6 @@ type Config struct {
 	UnitThermal bool
 	// UnitLimitC is the functional-unit temperature limit.
 	UnitLimitC float64
-	// UnitR and UnitTauS are the hotspot thermal resistance (K/W above
-	// the core) and time constant; 0 selects the defaults 0.3 K/W and
-	// 2 s.
-	UnitR    float64
-	UnitTauS float64
 
 	// DVFS enables per-CPU dynamic voltage and frequency scaling: every
 	// logical CPU carries a P-state from the configured ladder, a
@@ -560,28 +560,12 @@ func New(cfg Config) (*Machine, error) {
 			return nil, fmt.Errorf("machine: package %d: %w", i, err)
 		}
 	}
-	if cfg.SMTSlowdown == 0 {
-		cfg.SMTSlowdown = 0.62
-	}
-	if cfg.SMTSlowdown < 0 || cfg.SMTSlowdown > 1 {
-		return nil, fmt.Errorf("machine: SMTSlowdown %v out of range", cfg.SMTSlowdown)
-	}
-	if cfg.CoreCoupling == 0 {
-		cfg.CoreCoupling = 0.35
-	}
-	if cfg.CoreCoupling < 0 || cfg.CoreCoupling > 1 {
-		return nil, fmt.Errorf("machine: CoreCoupling %v out of range", cfg.CoreCoupling)
-	}
-	if cfg.UnitThermal {
-		if cfg.UnitR == 0 {
-			cfg.UnitR = 0.3
-		}
-		if cfg.UnitTauS == 0 {
-			cfg.UnitTauS = 2
-		}
-		if cfg.UnitR < 0 || cfg.UnitTauS <= 0 {
-			return nil, fmt.Errorf("machine: invalid unit thermal parameters R=%v tau=%v", cfg.UnitR, cfg.UnitTauS)
-		}
+
+	// The deadline scheduler tabulates every periodic class per
+	// millisecond of its period; a period ≤ 0 disables the class.
+	if cfg.Sched.BalancePeriodMS > sched.MaxPeriodMS || cfg.Sched.HotCheckPeriodMS > sched.MaxPeriodMS {
+		return nil, fmt.Errorf("machine: balance period %v ms or hot-check period %v ms above %d ms",
+			cfg.Sched.BalancePeriodMS, cfg.Sched.HotCheckPeriodMS, sched.MaxPeriodMS)
 	}
 
 	model := energy.DefaultTrueModel()
@@ -719,6 +703,9 @@ func New(cfg Config) (*Machine, error) {
 		if err != nil {
 			return nil, fmt.Errorf("machine: %w", err)
 		}
+		if resolved.EvalPeriodMS > sched.MaxPeriodMS {
+			return nil, fmt.Errorf("machine: DVFS evaluation period %d ms above %d ms", resolved.EvalPeriodMS, sched.MaxPeriodMS)
+		}
 		gov, err := dvfs.NewGovernor(resolved)
 		if err != nil {
 			return nil, fmt.Errorf("machine: %w", err)
@@ -760,13 +747,13 @@ func New(cfg Config) (*Machine, error) {
 
 	// Per-core thermal nodes. A core owns 1/cores of the package heat
 	// sink (R scaled up, C scaled down, time constant preserved) and,
-	// through CoreCoupling, feels a fraction of its chip neighbours'
+	// through coreCoupling, feels a fraction of its chip neighbours'
 	// power. For single-core packages this is exactly the paper's
 	// per-package model.
 	threads := cfg.Layout.ThreadsPerPackage
 	logicalPerPkg := cores * threads
 	idleShare := model.HaltPower / float64(logicalPerPkg)
-	coupling := 1 + cfg.CoreCoupling*float64(cores-1)
+	coupling := 1 + coreCoupling*float64(cores-1)
 	m.idleShareW = idleShare
 	m.estIdleJ = est.HaltPower / float64(logicalPerPkg) / 1000 // per ms
 	m.estIdleW = est.HaltPower / float64(logicalPerPkg)
@@ -862,7 +849,7 @@ func New(cfg Config) (*Machine, error) {
 	if cfg.UnitThermal {
 		m.unitNodes = make([][]*thermal.Node, nCore)
 		m.unitPower = make([][]float64, nCore)
-		uprops := thermal.Properties{R: cfg.UnitR, C: cfg.UnitTauS / cfg.UnitR}
+		uprops := thermal.Properties{R: unitR, C: unitTauS / unitR}
 		for c := 0; c < nCore; c++ {
 			m.unitNodes[c] = make([]*thermal.Node, units.NumUnits)
 			m.unitPower[c] = make([]float64, units.NumUnits)

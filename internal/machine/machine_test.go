@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"energysched/internal/dvfs"
 	"energysched/internal/energy"
 	"energysched/internal/sched"
 	"energysched/internal/thermal"
@@ -299,10 +300,29 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(bad2); err == nil {
 		t.Error("wrong budget count accepted")
 	}
-	bad3 := base()
-	bad3.SMTSlowdown = 2
-	if _, err := New(bad3); err == nil {
-		t.Error("bad SMT slowdown accepted")
+	// Periods beyond the deadline tables' bound are rejected; ≤ 0
+	// still disables the class.
+	for _, c := range []struct {
+		why    string
+		mutate func(cfg *Config)
+	}{
+		{"balance period", func(cfg *Config) { cfg.Sched.BalancePeriodMS = sched.MaxPeriodMS + 1 }},
+		{"hot-check period", func(cfg *Config) { cfg.Sched.HotCheckPeriodMS = sched.MaxPeriodMS + 0.5 }},
+		{"DVFS evaluation period", func(cfg *Config) {
+			cfg.DVFS = &dvfs.Config{Governor: "ondemand", EvalPeriodMS: sched.MaxPeriodMS + 1}
+		}},
+	} {
+		cfg := base()
+		c.mutate(&cfg)
+		if _, err := New(cfg); err == nil {
+			t.Errorf("%s above %d ms accepted", c.why, sched.MaxPeriodMS)
+		}
+	}
+	ok := base()
+	ok.Sched.BalancePeriodMS, ok.Sched.HotCheckPeriodMS = sched.MaxPeriodMS, 0
+	ok.DVFS = &dvfs.Config{Governor: "ondemand", EvalPeriodMS: sched.MaxPeriodMS}
+	if _, err := New(ok); err != nil {
+		t.Errorf("periods at the bound (or disabled) rejected: %v", err)
 	}
 }
 

@@ -1,7 +1,6 @@
 package machine
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 
@@ -124,32 +123,6 @@ func (m *Machine) initParallel() {
 	p.peaks = make([]float64, p.shards)
 	p.tick = make([]workload.TickResult, p.shards)
 	m.par = p
-}
-
-// SetShards repartitions the parallel engine into n shards (0 selects
-// one per NUMA node; values above the node count clamp). Legal between
-// Run calls — the partition only chooses how the forked phases split,
-// so results stay bit-identical — and an error on every other engine.
-func (m *Machine) SetShards(n int) error {
-	if m.Cfg.Engine != EngineParallel {
-		return fmt.Errorf("machine: SetShards on %v engine", m.Cfg.Engine)
-	}
-	if n < 0 {
-		return fmt.Errorf("machine: Shards %d out of range", n)
-	}
-	if n == 0 || n > m.Cfg.Layout.Nodes {
-		n = m.Cfg.Layout.Nodes
-	}
-	started, workers, jobs := m.par.started, m.par.workers, m.par.jobs
-	m.Cfg.Shards = n
-	m.initParallel()
-	if started {
-		// Keep the already-running pool: the workers read the current
-		// m.par on every job, and runShard's stride covers any shard
-		// count with a fixed worker set.
-		m.par.started, m.par.workers, m.par.jobs = true, workers, jobs
-	}
-	return nil
 }
 
 // fork runs one sharded section and waits for every shard to finish.

@@ -35,10 +35,10 @@ func TestParallelPoolEquivalence(t *testing.T) {
 	withWorkers(t, 4, func() {
 		for _, sc := range engineScenarios() {
 			t.Run(sc.name, func(t *testing.T) {
-				ref := sc.build(EngineAsync)
+				ref := sc.build(EngineAsync, 0)
 				ref.Cfg.Trace = trace.New(0)
 				ref.Run(sc.runMS)
-				got := sc.build(EngineParallel)
+				got := sc.build(EngineParallel, 0)
 				if got.par.workers < 2 && got.par.shards > 1 {
 					t.Fatalf("pool not multi-worker: %d workers", got.par.workers)
 				}
@@ -58,8 +58,7 @@ func TestParallelPoolEquivalence(t *testing.T) {
 
 // TestParallelShardCounts pins partition invariance at every shard
 // count of a four-node machine — including 3, which does not divide the
-// node count, so shards own unequal node groups — and repartitions
-// mid-run via SetShards, which must be equally unobservable.
+// node count, so shards own unequal node groups.
 func TestParallelShardCounts(t *testing.T) {
 	cat := catalog()
 	build := func(e Engine, shards int) *Machine {
@@ -95,38 +94,10 @@ func TestParallelShardCounts(t *testing.T) {
 				t.Errorf("shards=%d trace differs: %s", shards, firstTraceDiff(refCSV, gotCSV))
 			}
 		}
-		// Repartition between Run calls: 4 → 1 → 3 shards mid-run. The
-		// reference must take the same Run boundaries — splitting a Run
-		// splits the thermal integration interval, which perturbs the
-		// last few ULPs on any engine — so the comparison isolates the
-		// repartition itself.
-		chunks := []int64{runMS / 4, runMS / 4, runMS - 2*(runMS/4)}
-		cref := build(EngineAsync, 0)
-		cref.Cfg.Trace = trace.New(0)
-		for _, ms := range chunks {
-			cref.Run(ms)
-		}
-		got := build(EngineParallel, 4)
-		got.Cfg.Trace = trace.New(0)
-		for i, ms := range chunks {
-			if s := []int{4, 1, 3}[i]; s != got.par.shards {
-				if err := got.SetShards(s); err != nil {
-					t.Fatal(err)
-				}
-			}
-			got.Run(ms)
-		}
-		if diffs := DiffSnapshots(cref.Snapshot(), got.Snapshot(), 0); len(diffs) > 0 {
-			t.Errorf("mid-run repartition diverged: %v", diffs)
-		}
-		if gotCSV := traceCSV(t, got.Cfg.Trace); gotCSV != traceCSV(t, cref.Cfg.Trace) {
-			t.Errorf("mid-run repartition trace differs from chunk-matched async")
-		}
 	})
 }
 
-// TestParallelShardsConfig covers Shards resolution and SetShards
-// errors.
+// TestParallelShardsConfig covers Shards resolution.
 func TestParallelShardsConfig(t *testing.T) {
 	base := Config{
 		Engine: EngineParallel, Layout: topology.Server64(),
@@ -144,19 +115,6 @@ func TestParallelShardsConfig(t *testing.T) {
 	neg.Shards = -1
 	if _, err := New(neg); err == nil {
 		t.Error("negative Shards accepted")
-	}
-	serial := base
-	serial.Engine = EngineAsync
-	m := MustNew(serial)
-	if err := m.SetShards(2); err == nil {
-		t.Error("SetShards accepted on the async engine")
-	}
-	pm := MustNew(base)
-	if err := pm.SetShards(-3); err == nil {
-		t.Error("SetShards accepted a negative count")
-	}
-	if err := pm.SetShards(0); err != nil || pm.par.shards != 2 {
-		t.Errorf("SetShards(0) = %v, shards %d; want default 2", err, pm.par.shards)
 	}
 }
 

@@ -373,7 +373,7 @@ func (m *Machine) clampUnitCrossings(dt int64) int64 {
 				if margin < 0 {
 					margin = 0
 				}
-				clamp(margin, refHi+m.Cfg.UnitR*raw[core]-n.TempC, onePerMS)
+				clamp(margin, refHi+unitR*raw[core]-n.TempC, onePerMS)
 			}
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"energysched/internal/machine"
+	"energysched/internal/sched"
 )
 
 // TestCatalogBuildsOnEveryEngine checks every named scenario validates
@@ -110,6 +111,11 @@ func TestValidateRejects(t *testing.T) {
 		{"invalid topology", func(s *Spec) { s.Topology.Nodes = 0 }},
 		{"unknown program", func(s *Spec) { s.Workload = []TaskGroup{{Program: "no-such", Count: 1}} }},
 		{"unknown scope", func(s *Spec) { s.Throttle, s.Scope = true, "socket" }},
+		{"balance period above the deadline-table bound", func(s *Spec) { s.Sched.BalancePeriodMS = sched.MaxPeriodMS + 1 }},
+		{"hot-check period above the deadline-table bound", func(s *Spec) { s.Sched.HotCheckPeriodMS = 1e9 }},
+		{"DVFS period above the deadline-table bound", func(s *Spec) {
+			s.DVFS = &DVFSSpec{Governor: "ondemand", EvalPeriodMS: sched.MaxPeriodMS + 1}
+		}},
 	} {
 		s := base
 		c.mutate(&s)

@@ -142,7 +142,7 @@ func (s *Scheduler) energyBalanceStep(cpu topology.CPUID, dom *topology.Domain) 
 	// about.
 	local := s.RQ(cpu)
 	pulled := 0
-	for pulled < s.Cfg.MaxPullPerBalance {
+	for pulled < maxPullPerBalance {
 		t := s.RQ(remote).HottestQueued()
 		if t == nil {
 			break

@@ -46,11 +46,10 @@ package sched
 // the event-driven queries are used; the modulo Due/Next methods keep
 // working unattached and remain the lockstep engine's reference path.
 
-// maxResidueTableMS bounds the period for which per-residue tables are
-// precomputed. Classes with longer periods (far beyond any sane policy
-// config) fall back to O(nCPU) scans, which at such periods are
-// amortized over enormous quanta anyway.
-const maxResidueTableMS = 1 << 16
+// MaxPeriodMS bounds the period of every deadline class: the residue
+// tables hold one entry per millisecond of the period, and the machine
+// rejects longer balance, hot-check, and governor periods.
+const MaxPeriodMS = 1 << 16
 
 // DeadlineStats counts the deadline scheduler's event traffic — a
 // diagnostic for the planner's cost, not part of the simulation state
@@ -87,9 +86,9 @@ func dueResidue(period, stagger int64, c int) int64 {
 }
 
 // newDueTable builds the residue tables, or returns nil when the class
-// is disabled or the period exceeds the table bound.
+// is disabled (period ≤ 0). The period must not exceed MaxPeriodMS.
 func newDueTable(period, stagger int64, n int) *dueTable {
-	if period <= 0 || period > maxResidueTableMS {
+	if period <= 0 {
 		return nil
 	}
 	t := &dueTable{period: period}
@@ -111,7 +110,7 @@ func newDueTable(period, stagger int64, n int) *dueTable {
 	// next deltas: one descending pass over two unrolled periods so the
 	// wrap-around distance is known when the first period is filled.
 	t.next = make([]int32, period)
-	dist := int32(2 * maxResidueTableMS) // n == 0: nothing ever due
+	dist := int32(2 * MaxPeriodMS) // n == 0: nothing ever due
 	for i := 2*period - 1; i >= 0; i-- {
 		r := i % period
 		if counts[r] > 0 {
@@ -126,11 +125,21 @@ func newDueTable(period, stagger int64, n int) *dueTable {
 	return t
 }
 
-// nextFrom returns the first instant ≥ now at which any CPU is due.
-func (t *dueTable) nextFrom(now int64) int64 { return now + int64(t.next[now%t.period]) }
+// nextFrom returns the first instant ≥ now at which any CPU is due, or
+// NoDeadline for a disabled (nil) class.
+func (t *dueTable) nextFrom(now int64) int64 {
+	if t == nil {
+		return NoDeadline
+	}
+	return now + int64(t.next[now%t.period])
+}
 
-// due returns the ascending CPUs due exactly at now.
+// due returns the ascending CPUs due exactly at now (none for a
+// disabled class).
 func (t *dueTable) due(now int64) []int32 {
+	if t == nil {
+		return nil
+	}
 	r := now % t.period
 	return t.cpus[t.idx[r]:t.idx[r+1]]
 }
@@ -247,12 +256,7 @@ func (w *Wheel) IdleCPUCount() int { return w.idleCPUs }
 // NextBalanceDeadline returns the earliest time ≥ now at which any
 // CPU's periodic balance is due, or NoDeadline when balancing is
 // disabled. The caller applies the machine-wide queued-task gate.
-func (w *Wheel) NextBalanceDeadline(now int64) int64 {
-	if w.balTab != nil {
-		return w.balTab.nextFrom(now)
-	}
-	return w.nextAnyScan(now, w.balP, BalanceStaggerMS)
-}
+func (w *Wheel) NextBalanceDeadline(now int64) int64 { return w.balTab.nextFrom(now) }
 
 // NextIdlePullDeadline returns the earliest time ≥ now at which any
 // CPU's idle pull is due. The caller gates on queued tasks and idle
@@ -308,12 +312,7 @@ func (w *Wheel) nextArmed(now int64, q *EventQueue, armedAt []int64, period, sta
 
 // BalanceDueCPUs returns, ascending, the CPUs whose periodic balance is
 // due exactly at now (empty when balancing is disabled).
-func (w *Wheel) BalanceDueCPUs(now int64) []int32 {
-	if w.balTab != nil {
-		return w.balTab.due(now)
-	}
-	return w.scanDue(now, w.balP, BalanceStaggerMS)
-}
+func (w *Wheel) BalanceDueCPUs(now int64) []int32 { return w.balTab.due(now) }
 
 // IdlePullDueCPUs returns, ascending, the CPUs whose idle pull is due
 // exactly at now (idleness itself is re-checked by the caller at fire
@@ -322,50 +321,8 @@ func (w *Wheel) IdlePullDueCPUs(now int64) []int32 { return w.idleTab.due(now) }
 
 // HotDueCPUs returns, ascending, the CPUs whose hot check is due
 // exactly at now.
-func (w *Wheel) HotDueCPUs(now int64) []int32 {
-	if w.hotTab != nil {
-		return w.hotTab.due(now)
-	}
-	return w.scanDue(now, w.hotP, HotStaggerMS)
-}
+func (w *Wheel) HotDueCPUs(now int64) []int32 { return w.hotTab.due(now) }
 
 // GovDueCPUs returns, ascending, the CPUs whose governor evaluation is
 // due exactly at now.
-func (w *Wheel) GovDueCPUs(now int64) []int32 {
-	if w.govTab != nil {
-		return w.govTab.due(now)
-	}
-	return w.scanDue(now, w.govP, GovStaggerMS)
-}
-
-// nextAnyScan is the fallback machine-wide next-deadline for periods
-// beyond the residue-table bound: the min over all CPUs.
-func (w *Wheel) nextAnyScan(now, period, stagger int64) int64 {
-	if period <= 0 {
-		return NoDeadline
-	}
-	min := NoDeadline
-	for c := 0; c < w.nCPU; c++ {
-		if d := nextAt(now, period, int64(c)*stagger); d < min {
-			min = d
-		}
-	}
-	return min
-}
-
-// scanDue is the fallback due-CPU list for periods beyond the
-// residue-table bound. It allocates a fresh slice: callers hold the due
-// lists of several classes simultaneously across the firing merge, so
-// a shared scratch buffer would alias them.
-func (w *Wheel) scanDue(now, period, stagger int64) []int32 {
-	if period <= 0 {
-		return nil
-	}
-	var due []int32
-	for c := 0; c < w.nCPU; c++ {
-		if (now+int64(c)*stagger)%period == 0 {
-			due = append(due, int32(c))
-		}
-	}
-	return due
-}
+func (w *Wheel) GovDueCPUs(now int64) []int32 { return w.govTab.due(now) }

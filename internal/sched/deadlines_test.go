@@ -234,32 +234,6 @@ func TestDeadlineSameInstantTie(t *testing.T) {
 	}
 }
 
-// Scan fallbacks (periods beyond the residue-table bound) must agree
-// with the tables' semantics.
-func TestDeadlineScanFallback(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.BalancePeriodMS = float64(maxResidueTableMS + 7) // too large to tabulate
-	s, w := attachedSched(cfg)
-	_ = s
-	if w.balTab != nil {
-		t.Fatal("oversized period built a residue table")
-	}
-	now := int64(123_456)
-	want := NoDeadline
-	for c := 0; c < 4; c++ {
-		if d := w.NextBalance(now, c); d < want {
-			want = d
-		}
-	}
-	if got := w.NextBalanceDeadline(now); got != want {
-		t.Fatalf("fallback NextBalanceDeadline = %d, want %d", got, want)
-	}
-	due := w.BalanceDueCPUs(want)
-	if len(due) == 0 || !w.BalanceDue(want, int(due[0])) {
-		t.Fatalf("fallback due list %v disagrees with the grid", due)
-	}
-}
-
 // Unattached wheels (the lockstep reference path) must keep serving the
 // modulo grid without any deadline-scheduler state.
 func TestWheelUnattachedStillServesGrid(t *testing.T) {

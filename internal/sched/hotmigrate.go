@@ -24,7 +24,7 @@ func (s *Scheduler) HotTrigger(cpu topology.CPUID) bool {
 	if maxP >= 1e18 {
 		return false // no power budget installed
 	}
-	return s.CoreThermalSum(cpu) >= maxP-s.Cfg.HotTriggerMarginW
+	return s.CoreThermalSum(cpu) >= maxP-hotTriggerMarginW
 }
 
 // HotCheck runs the §4.5 hot task migration algorithm (Fig. 5) for cpu.
@@ -84,7 +84,7 @@ func (s *Scheduler) HotCheck(cpu topology.CPUID) bool {
 			}
 			// "CPU running cool task?" → candidate for an exchange.
 			if dstRQ.Len() == 1 && dstRQ.Current != nil && exch < 0 &&
-				dstRQ.Current.ProfiledWatts() < task.ProfiledWatts()-s.Cfg.ExchangeGapW {
+				dstRQ.Current.ProfiledWatts() < task.ProfiledWatts()-exchangeGapW {
 				exch = c
 			}
 		}

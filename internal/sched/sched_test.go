@@ -142,7 +142,7 @@ func TestMigrateBookkeeping(t *testing.T) {
 	if task.CPU != 2 || task.Migrations != 1 || task.NodeMigrations != 0 {
 		t.Fatalf("task state after intra-node move: %+v", task)
 	}
-	if task.WarmupLeft != s.Cfg.CacheWarmupMS {
+	if task.WarmupLeft != cacheWarmupMS {
 		t.Fatalf("warmup = %v", task.WarmupLeft)
 	}
 	if beforeFrom != 0 || beforeTo != 2 || afterReason != MigrateEnergy {
@@ -150,7 +150,7 @@ func TestMigrateBookkeeping(t *testing.T) {
 	}
 	// Cross-node migration (CPU 4 is on node 1).
 	s.Migrate(task, 4, MigrateHot)
-	if task.NodeMigrations != 1 || task.WarmupLeft != s.Cfg.NodeWarmupMS {
+	if task.NodeMigrations != 1 || task.WarmupLeft != nodeWarmupMS {
 		t.Fatalf("cross-node bookkeeping: %+v", task)
 	}
 	if s.MigrationCount != 2 || s.MigrationsByReason[MigrateEnergy] != 1 || s.MigrationsByReason[MigrateHot] != 1 {

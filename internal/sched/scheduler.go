@@ -49,19 +49,11 @@ type Config struct {
 	// migration checks.
 	HotCheckPeriodMS float64
 
-	// HotTriggerMarginW arms hot task migration when a package's
-	// thermal power is within this margin of its maximum power (§4.5:
-	// "comes closer to the CPU's maximum power than a predefined
-	// threshold").
-	HotTriggerMarginW float64
 	// HotDestGapW is the minimum thermal-power gap between source and
 	// destination (§4.5: "the destination CPU must be considerably
 	// cooler than the source CPU to limit the frequency at which hot
 	// tasks are migrated").
 	HotDestGapW float64
-	// ExchangeGapW is the minimum profile gap for swapping a hot task
-	// with a cool one during hot task migration.
-	ExchangeGapW float64
 
 	// ThermalRatioMargin and RQRatioMargin are the hysteresis margins
 	// of the §4.4 pull conditions: a remote queue is only considered
@@ -69,29 +61,42 @@ type Config struct {
 	// ratio exceed the local ones by these margins.
 	ThermalRatioMargin float64
 	RQRatioMargin      float64
-	// MaxPullPerBalance caps the tasks moved by one energy-balance
-	// step.
-	MaxPullPerBalance int
 
 	// UnitAwareBalancing enables the §7 unit-balancing exchanges for
 	// tasks with equal total power but different functional-unit
 	// footprints.
 	UnitAwareBalancing bool
-	// UnitSwapPowerMarginW is the maximum scalar-power difference
-	// between two tasks a unit exchange may trade (the swap must not
-	// disturb the §4.4 energy balance).
-	UnitSwapPowerMarginW float64
-	// UnitGainMinW is the minimum reduction of the per-unit peak that
-	// justifies an exchange.
-	UnitGainMinW float64
-
-	// CacheWarmupMS and NodeWarmupMS are the cache-refill penalties a
-	// migrated task pays, within a node and across nodes (§4.1).
-	CacheWarmupMS float64
-	NodeWarmupMS  float64
-	// WarmupSpeed is the speed factor while warming up.
-	WarmupSpeed float64
 }
+
+// The policy's fixed constants.
+const (
+	// hotTriggerMarginW arms hot task migration when a package's
+	// thermal power is within this margin of its maximum power (§4.5:
+	// "comes closer to the CPU's maximum power than a predefined
+	// threshold").
+	hotTriggerMarginW = 1.0
+	// exchangeGapW is the minimum profile gap for swapping a hot task
+	// with a cool one during hot task migration (§4.5).
+	exchangeGapW = 5
+	// maxPullPerBalance caps the tasks moved by one energy-balance step
+	// (§4.4).
+	maxPullPerBalance = 1
+	// unitSwapPowerMarginW is the maximum scalar-power difference
+	// between two tasks a §7 unit exchange may trade (the swap must not
+	// disturb the §4.4 energy balance).
+	unitSwapPowerMarginW = 6
+	// unitGainMinW is the minimum reduction of the per-unit peak that
+	// justifies a §7 unit exchange.
+	unitGainMinW = 3.0
+	// cacheWarmupMS and nodeWarmupMS are the cache-refill penalties a
+	// migrated task pays, within a node and across nodes (§4.1).
+	cacheWarmupMS = 2
+	nodeWarmupMS  = 8
+)
+
+// WarmupSpeed is the speed factor of a task paying its §4.1 cache-refill
+// penalty after a migration.
+const WarmupSpeed = 0.5
 
 // DefaultConfig returns the paper policy with all three energy-aware
 // mechanisms enabled.
@@ -102,17 +107,9 @@ func DefaultConfig() Config {
 		EnergyAwarePlacement: true,
 		BalancePeriodMS:      250,
 		HotCheckPeriodMS:     100,
-		HotTriggerMarginW:    1.0,
 		HotDestGapW:          12,
-		ExchangeGapW:         5,
 		ThermalRatioMargin:   0.06,
 		RQRatioMargin:        0.06,
-		MaxPullPerBalance:    1,
-		UnitSwapPowerMarginW: 6,
-		UnitGainMinW:         3,
-		CacheWarmupMS:        2,
-		NodeWarmupMS:         8,
-		WarmupSpeed:          0.5,
 	}
 }
 
@@ -443,10 +440,10 @@ func (s *Scheduler) Migrate(t *Task, to topology.CPUID, reason MigrationReason) 
 	}
 	t.Migrations++
 	if s.Topo.Layout.SameNode(from, to) {
-		t.WarmupLeft = s.Cfg.CacheWarmupMS
+		t.WarmupLeft = cacheWarmupMS
 	} else {
 		t.NodeMigrations++
-		t.WarmupLeft = s.Cfg.NodeWarmupMS
+		t.WarmupLeft = nodeWarmupMS
 	}
 	s.RQ(to).Enqueue(t)
 	s.MigrationCount++

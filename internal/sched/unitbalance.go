@@ -79,7 +79,7 @@ func (s *Scheduler) UnitBalance(cpu topology.CPUID) bool {
 
 func (s *Scheduler) unitBalanceInDomain(cpu topology.CPUID, dom *topology.Domain) bool {
 	local := s.RQ(cpu)
-	bestGain := s.Cfg.UnitGainMinW
+	bestGain := unitGainMinW
 	var bestA, bestB *Task
 	var bestRemote topology.CPUID = -1
 
@@ -103,7 +103,7 @@ func (s *Scheduler) unitBalanceInDomain(cpu topology.CPUID, dom *topology.Domain
 				// The swap must not disturb the scalar energy
 				// balance: only (nearly) equal-power tasks trade
 				// places.
-				if absf(a.ProfiledWatts()-b.ProfiledWatts()) > s.Cfg.UnitSwapPowerMarginW {
+				if absf(a.ProfiledWatts()-b.ProfiledWatts()) > unitSwapPowerMarginW {
 					continue
 				}
 				after := maxf(peakAfterSwap(local, a, b), peakAfterSwap(remote, b, a))

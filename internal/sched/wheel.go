@@ -50,7 +50,7 @@ type Wheel struct {
 	nCPU     int
 	nowMS    int64
 	// Static residue tables of the machine-wide classes (nil when the
-	// class is disabled or its period exceeds the table bound).
+	// class is disabled).
 	balTab, hotTab, idleTab, govTab *dueTable
 	// Per-CPU armed deadlines of the occupancy-gated classes, on
 	// lazy-deletion min-heaps; hotAt/govAt hold each CPU's armed

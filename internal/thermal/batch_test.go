@@ -5,10 +5,10 @@ import (
 	"testing"
 )
 
-// StepExact's contract: one closed-form step over n milliseconds equals
+// Step's contract: one closed-form step over n milliseconds equals
 // n consecutive 1 ms steps at the same power, up to floating-point
 // rounding — the exactness guarantee the async engine's quanta build on.
-func TestStepExactComposesLikeUnitSteps(t *testing.T) {
+func TestStepComposesLikeUnitSteps(t *testing.T) {
 	p := Properties{R: 0.2, C: 75, AmbientC: 25}
 	for _, n := range []int{2, 7, 64, 1000} {
 		a := NewNode(p)
@@ -17,7 +17,7 @@ func TestStepExactComposesLikeUnitSteps(t *testing.T) {
 		for i := 0; i < n; i++ {
 			a.Step(48, 1)
 		}
-		b.StepExact(48, float64(n))
+		b.Step(48, float64(n))
 		if d := math.Abs(a.TempC - b.TempC); d > 1e-9 {
 			t.Errorf("n=%d: iterated %.12f vs exact %.12f (|Δ|=%.2e)", n, a.TempC, b.TempC, d)
 		}

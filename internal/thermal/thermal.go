@@ -91,6 +91,12 @@ func NewNode(p Properties) *Node {
 // and unconditionally stable):
 //
 //	T(t+dt) = T_steady + (T(t) − T_steady)·e^(−dt/RC)
+//
+// Because the update is closed-form, one Step over dt milliseconds
+// equals dt consecutive 1 ms steps at the same power (up to
+// floating-point rounding in the exponential): the async engine's
+// planned quanta integrate constant-power intervals exactly, not
+// approximately.
 func (n *Node) Step(power, dtMS float64) {
 	steady := n.Props.SteadyTemp(power)
 	n.TempC = steady + (n.TempC-steady)*n.decayFor(dtMS)
@@ -104,15 +110,6 @@ func (n *Node) decayFor(dtMS float64) float64 {
 	}
 	return n.lastDecay
 }
-
-// StepExact advances the model by dtMS milliseconds at constant power.
-// It is identical to Step and exists to make the contract explicit for
-// the async engine's planned quanta: because Step integrates the RC network
-// in closed form, one StepExact over dt milliseconds equals dt
-// consecutive 1 ms steps at the same power (up to floating-point
-// rounding in the exponential). Batching over constant-power quanta is
-// therefore exact, not an approximation.
-func (n *Node) StepExact(power, dtMS float64) { n.Step(power, dtMS) }
 
 // DecayPerMS returns the node's per-millisecond temperature retention
 // factor e^(−1ms/RC) — the geometric ratio of its discrete 1 ms
