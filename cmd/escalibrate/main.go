@@ -13,7 +13,7 @@
 //     and fit the RC exponential. The tool reports the recovered R and
 //     τ per package against ground truth.
 //
-// Usage: escalibrate [-seed N] [-noise F] [-engine async|lockstep|parallel]
+// Usage: escalibrate [-seed N] [-noise F]
 package main
 
 import (
@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"math"
 
-	"energysched/internal/cliflags"
 	"energysched/internal/counters"
 	"energysched/internal/energy"
 	"energysched/internal/experiments"
@@ -36,9 +35,7 @@ import (
 func main() {
 	seed := flag.Uint64("seed", 2006, "random seed")
 	noise := flag.Float64("noise", 0.02, "multimeter 1-sigma relative noise")
-	enginePtr := cliflags.Engine(nil)
 	flag.Parse()
-	engine := *enginePtr
 
 	model := energy.DefaultTrueModel()
 	r := rng.New(*seed)
@@ -99,7 +96,7 @@ func main() {
 		trials, sumErr/trials*100, maxErr*100)
 
 	fmt.Println("== Thermal-model calibration (§4.2) ==")
-	fmt.Printf("heating each package from idle with bitcnts (61 W) on the %s engine,\n", engine)
+	fmt.Println("heating each package from idle with bitcnts (61 W) on the async engine,")
 	fmt.Println("fitting the diode trace:")
 	fmt.Printf("\n%-8s %12s %12s %10s %10s\n", "package", "true R", "fitted R", "true tau", "fitted tau")
 	diode := thermal.DefaultDiode()
@@ -108,10 +105,8 @@ func main() {
 		// machine of this package heated by the maximum-power task,
 		// its diode sampled once per simulated second. Running it
 		// through the machine (rather than stepping the RC node
-		// directly) exercises the full engine path, so the calibration
-		// is reproducible on every simulation core.
+		// directly) exercises the full engine path.
 		m := machine.MustNew(machine.Config{
-			Engine:       engine,
 			Layout:       topology.Layout{Nodes: 1, PackagesPerNode: 1, ThreadsPerPackage: 1},
 			Sched:        sched.BaselineConfig(),
 			Seed:         *seed + uint64(p),

@@ -4,15 +4,16 @@
 //
 //	esfarmd serve  -addr :7433 [-j N] [-cache-mb 256]
 //	esfarmd submit -addr http://host:7433 (-scenario NAME | -spec FILE) \
-//	               [-engine E] [-warmup MS] [-measure MS] -seeds 1-100
-//	esfarmd direct (-scenario NAME | -spec FILE) [-engine E] [-j N] \
+//	               [-warmup MS] [-measure MS] -seeds 1-100
+//	esfarmd direct (-scenario NAME | -spec FILE) [-j N] \
 //	               [-warmup MS] [-measure MS] -seeds 1-100
 //	esfarmd scenarios [-addr URL]
 //
 // submit and direct write the same NDJSON stream to stdout: a header
 // object, one row per seed in seed order, and an error object only on
-// failure. The daemon caches warm images by (scenario, engine,
-// warm-up) content, so repeated sweeps skip the warm-up entirely.
+// failure. Every sweep runs on the default async engine. The daemon
+// caches warm images by (scenario, warm-up) content, so repeated sweeps
+// skip the warm-up entirely.
 package main
 
 import (
@@ -22,7 +23,6 @@ import (
 	"net/http"
 	"os"
 
-	"energysched/internal/cliflags"
 	"energysched/internal/experiments"
 	"energysched/internal/farm"
 	"energysched/internal/scenario"
@@ -60,8 +60,8 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   esfarmd serve  -addr :7433 [-j N] [-cache-mb MB]
-  esfarmd submit -addr URL (-scenario NAME | -spec FILE) [-engine E] [-warmup MS] [-measure MS] -seeds LIST
-  esfarmd direct (-scenario NAME | -spec FILE) [-engine E] [-j N] [-warmup MS] [-measure MS] -seeds LIST
+  esfarmd submit -addr URL (-scenario NAME | -spec FILE) [-warmup MS] [-measure MS] -seeds LIST
+  esfarmd direct (-scenario NAME | -spec FILE) [-j N] [-warmup MS] [-measure MS] -seeds LIST
   esfarmd scenarios [-addr URL]
 seed LIST is comma-separated values and inclusive ranges, e.g. 1,5,10-20`)
 }
@@ -69,7 +69,7 @@ seed LIST is comma-separated values and inclusive ranges, e.g. 1,5,10-20`)
 func serve(args []string) error {
 	fs := flag.NewFlagSet("esfarmd serve", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:7433", "listen address")
-	jobs := cliflags.Jobs(fs)
+	jobs := fs.Int("j", 0, "worker goroutines for independent runs (0 = GOMAXPROCS, 1 = sequential)")
 	cacheMB := fs.Int64("cache-mb", 256, "warm-image cache budget in MiB")
 	fs.Parse(args)
 
@@ -84,7 +84,6 @@ func serve(args []string) error {
 func sweepFlags(fs *flag.FlagSet) func() (farm.SweepRequest, error) {
 	name := fs.String("scenario", "", "catalog scenario name (see esfarmd scenarios)")
 	specFile := fs.String("spec", "", "inline scenario spec JSON file")
-	engine := cliflags.Engine(fs)
 	warmup := fs.Int64("warmup", 10_000, "warm-up simulated once and shared by every seed (ms)")
 	measure := fs.Int64("measure", 10_000, "per-seed measurement window (ms)")
 	seeds := fs.String("seeds", "", "seed list, e.g. 1,5,10-20")
@@ -92,7 +91,6 @@ func sweepFlags(fs *flag.FlagSet) func() (farm.SweepRequest, error) {
 		req := farm.SweepRequest{
 			Version:   farm.RequestVersion,
 			Name:      *name,
-			Engine:    engine.String(),
 			WarmupMS:  *warmup,
 			MeasureMS: *measure,
 		}
@@ -124,7 +122,7 @@ func submit(args []string) error {
 
 func direct(args []string) error {
 	fs := flag.NewFlagSet("esfarmd direct", flag.ExitOnError)
-	jobs := cliflags.Jobs(fs)
+	jobs := fs.Int("j", 0, "worker goroutines for independent runs (0 = GOMAXPROCS, 1 = sequential)")
 	build := sweepFlags(fs)
 	fs.Parse(args)
 	req, err := build()

@@ -35,9 +35,6 @@
 //	-seed N      random seed (default 2006)
 //	-quick       shortened runs (~4× faster, noisier)
 //	-csv         emit raw series as CSV instead of ASCII charts
-//	-engine E    simulation engine: async (default), lockstep, or
-//	             parallel — the engines produce identical
-//	             results, so any experiment can run on any of them
 //	-governor G  DVFS governor highlighted by the dvfs experiment:
 //	             performance, ondemand (default), or thermal
 //	-j N         worker goroutines for independent experiment runs
@@ -52,7 +49,7 @@ import (
 	"os"
 	"strings"
 
-	"energysched/internal/cliflags"
+	"energysched/internal/dvfs"
 	"energysched/internal/experiments"
 	"energysched/internal/stats"
 	"energysched/internal/textplot"
@@ -62,9 +59,13 @@ func main() {
 	seed := flag.Uint64("seed", 2006, "random seed")
 	quick := flag.Bool("quick", false, "shortened runs")
 	csv := flag.Bool("csv", false, "emit raw CSV series")
-	engine := cliflags.Engine(nil)
-	governor := cliflags.Governor(nil)
-	jobs := cliflags.Jobs(nil)
+	governor := "ondemand"
+	flag.Func("governor", "DVFS governor for the dvfs experiment: "+strings.Join(dvfs.GovernorNames(), ", ")+" (default ondemand)",
+		func(s string) (err error) {
+			governor, err = dvfs.ParseGovernor(s)
+			return err
+		})
+	jobs := flag.Int("j", 0, "worker goroutines for independent runs (0 = GOMAXPROCS, 1 = sequential)")
 	flag.Usage = usage
 	flag.Parse()
 	if flag.NArg() != 1 {
@@ -73,11 +74,11 @@ func main() {
 	}
 	cmd := flag.Arg(0)
 	r := runner{
-		rc:       experiments.RunConfig{Jobs: *jobs, Engine: *engine},
+		rc:       experiments.RunConfig{Jobs: *jobs},
 		seed:     *seed,
 		quick:    *quick,
 		csv:      *csv,
-		governor: *governor,
+		governor: governor,
 	}
 	if !r.run(cmd) {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n\n", cmd)
@@ -87,7 +88,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: espower [-seed N] [-quick] [-csv] [-engine async|lockstep|parallel] [-governor G] [-j N] <experiment>")
+	fmt.Fprintln(os.Stderr, "usage: espower [-seed N] [-quick] [-csv] [-governor G] [-j N] <experiment>")
 	fmt.Fprintln(os.Stderr, "experiments: table1 table2 table3 fig3 fig6 fig7 fig8 fig9 fig10 hotspeed migrations ablation cmp policies units dvfs misestimate sweeps all")
 }
 

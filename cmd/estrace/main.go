@@ -20,9 +20,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
-	"energysched/internal/cliflags"
+	"energysched/internal/dvfs"
 	"energysched/internal/machine"
 	"energysched/internal/scenario"
 	"energysched/internal/trace"
@@ -34,12 +35,21 @@ func main() {
 	seed := flag.Uint64("seed", 7, "random seed")
 	format := flag.String("format", "csv", "output format: csv or jsonl")
 	limit := flag.Int("limit", 0, "retain at most N events (0 = all)")
-	engine := cliflags.Engine(nil)
-	governor := cliflags.Governor(nil)
+	engine := machine.EngineAsync
+	flag.Func("engine", "simulation engine: async (default), lockstep, or parallel", func(s string) (err error) {
+		engine, err = machine.ParseEngine(s)
+		return err
+	})
+	governor := "ondemand"
+	flag.Func("governor", "DVFS governor for the dvfs scenario: "+strings.Join(dvfs.GovernorNames(), ", ")+" (default ondemand)",
+		func(s string) (err error) {
+			governor, err = dvfs.ParseGovernor(s)
+			return err
+		})
 	flag.Parse()
 
 	rec := trace.New(*limit)
-	m, err := build(*name, *seed, rec, *engine, *governor)
+	m, err := build(*name, *seed, rec, engine, governor)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)

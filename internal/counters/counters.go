@@ -188,25 +188,3 @@ func (b *Bank) Read() Counts {
 func (b *Bank) Reset() {
 	b.counts = Counts{}
 }
-
-// Snapshot captures the bank's current counts for later delta
-// computation, mirroring the paper's "read the event counters at the
-// beginning and at the end of the timeslice" (§3.2).
-type Snapshot struct {
-	at Counts
-}
-
-// Take records the bank's current state.
-func (s *Snapshot) Take(b *Bank) {
-	s.at = b.Read()
-}
-
-// Delta returns the events accumulated since Take, and re-arms the
-// snapshot at the current state so consecutive calls return consecutive
-// interval deltas.
-func (s *Snapshot) Delta(b *Bank) Counts {
-	now := b.Read()
-	d := now.Sub(s.at)
-	s.at = now
-	return d
-}

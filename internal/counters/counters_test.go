@@ -91,43 +91,25 @@ func TestBankAccumulateReadReset(t *testing.T) {
 	}
 }
 
-func TestSnapshotDeltas(t *testing.T) {
-	var b Bank
-	var s Snapshot
-	s.Take(&b)
-	b.Accumulate(Counts{5, 0, 0, 0, 0, 0})
-	d1 := s.Delta(&b)
-	if d1[0] != 5 {
-		t.Fatalf("first delta = %v", d1)
-	}
-	b.Accumulate(Counts{3, 1, 0, 0, 0, 0})
-	d2 := s.Delta(&b)
-	if d2[0] != 3 || d2[1] != 1 {
-		t.Fatalf("second delta = %v", d2)
-	}
-	// No accumulation: delta must be zero.
-	if d3 := s.Delta(&b); !d3.IsZero() {
-		t.Fatalf("idle delta = %v", d3)
-	}
-}
-
-// Property: for any sequence of accumulations, the sum of snapshot deltas
-// equals the bank total (conservation of events).
+// Property: for any sequence of accumulations, the sum of the interval
+// deltas between successive reads equals the bank total (conservation
+// of events) — the §3.2 "read the event counters at the beginning and
+// at the end of the timeslice" accounting.
 func TestQuickDeltaConservation(t *testing.T) {
 	f := func(increments []uint32) bool {
 		var b Bank
-		var s Snapshot
-		s.Take(&b)
-		var total Counts
+		var at, total Counts
 		for i, inc := range increments {
 			var c Counts
 			c[i%int(NumEvents)] = uint64(inc % 10000)
 			b.Accumulate(c)
 			if i%3 == 0 {
-				total = total.Add(s.Delta(&b))
+				now := b.Read()
+				total = total.Add(now.Sub(at))
+				at = now
 			}
 		}
-		total = total.Add(s.Delta(&b))
+		total = total.Add(b.Read().Sub(at))
 		return total == b.Read()
 	}
 	if err := quick.Check(f, nil); err != nil {

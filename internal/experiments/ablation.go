@@ -40,7 +40,7 @@ func (rc RunConfig) AblationBalancerMetrics(seed uint64, durationMS int64) []Abl
 		pol := sched.DefaultConfig()
 		pol.Metric = mode.metric
 		layout := xseriesNoSMT()
-		m := rc.newMachine(machine.Config{
+		m := machine.MustNew(machine.Config{
 			Layout:           layout,
 			Sched:            pol,
 			Seed:             seed,
@@ -113,7 +113,7 @@ func (rc RunConfig) AblationPlacement(seed uint64, measureMS int64) AblationPlac
 		if err != nil {
 			panic(err)
 		}
-		m := rc.newMachine(machine.Config{
+		m := machine.MustNew(machine.Config{
 			Layout:          xseriesSMT(),
 			Sched:           pol,
 			Seed:            seed,

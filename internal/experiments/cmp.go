@@ -47,7 +47,7 @@ func cmpLayout() topology.Layout { return topology.CMP2x2() }
 func (rc RunConfig) CMPHotTask(seed uint64, durationMS int64) CMPResult {
 	layout := cmpLayout()
 	mk := func(pol sched.Config) *machine.Machine {
-		return rc.newMachine(machine.Config{
+		return machine.MustNew(machine.Config{
 			Layout:           layout,
 			Sched:            pol,
 			Seed:             seed,
@@ -91,8 +91,8 @@ func (rc RunConfig) CMPHotTask(seed uint64, durationMS int64) CMPResult {
 
 	// Thermal-stress demonstration: two hot tasks sharing a chip run
 	// hotter than two on separate chips at identical total power.
-	res.CoupledTempC = rc.cmpPairTemp(seed, true)
-	res.IsolatedTempC = rc.cmpPairTemp(seed, false)
+	res.CoupledTempC = cmpPairTemp(seed, true)
+	res.IsolatedTempC = cmpPairTemp(seed, false)
 	return res
 }
 
@@ -100,12 +100,12 @@ func (rc RunConfig) CMPHotTask(seed uint64, durationMS int64) CMPResult {
 // the same chip when shared is true, on different chips otherwise — and
 // returns the hottest core temperature after thermal settling. No
 // throttling, no migration: this isolates the coupling physics.
-func (rc RunConfig) cmpPairTemp(seed uint64, shared bool) float64 {
+func cmpPairTemp(seed uint64, shared bool) float64 {
 	layout := cmpLayout()
 	pol := sched.BaselineConfig()
 	pol.HotCheckPeriodMS = 0
 	pol.BalancePeriodMS = 0
-	m := rc.newMachine(machine.Config{
+	m := machine.MustNew(machine.Config{
 		Layout:       layout,
 		Sched:        pol,
 		Seed:         seed,

@@ -97,7 +97,7 @@ type DVFSComparisonResult struct {
 // energy/makespan/temperature triangle plus that mechanism split.
 func (rc RunConfig) DVFSvsThrottle(cfg DVFSComparisonConfig) DVFSComparisonResult {
 	run := func(policy string, d *dvfs.Config) DVFSRow {
-		m := rc.newMachine(machine.Config{
+		m := machine.MustNew(machine.Config{
 			Layout:           xseriesNoSMT(),
 			Sched:            sched.BaselineConfig(),
 			Seed:             cfg.Seed,

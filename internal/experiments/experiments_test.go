@@ -237,9 +237,6 @@ func TestFigure8Shape(t *testing.T) {
 	if hetero <= homo {
 		t.Errorf("heterogeneous %.1f%% should exceed homogeneous %.1f%%", hetero, homo)
 	}
-	if !strings.Contains(FormatFigure8(points), "9/ 0/ 9") {
-		t.Error("FormatFigure8 output malformed")
-	}
 }
 
 func TestFigure9Shape(t *testing.T) {
@@ -292,9 +289,6 @@ func TestFigure10Shape(t *testing.T) {
 	late := (points[5].GainPct + points[6].GainPct + points[7].GainPct) / 3
 	if early <= late {
 		t.Errorf("gain should fall with task count: early %.1f%% vs late %.1f%%", early, late)
-	}
-	if !strings.Contains(FormatFigure10(points), "8 tasks") {
-		t.Error("FormatFigure10 output malformed")
 	}
 }
 

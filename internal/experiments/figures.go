@@ -1,9 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"strings"
-
 	"energysched/internal/machine"
 	"energysched/internal/profile"
 	"energysched/internal/sched"
@@ -98,7 +95,7 @@ func (rc RunConfig) ThermalTrace(cfg ThermalTraceConfig) ThermalTraceResult {
 	if cfg.EnergyBalancing {
 		pol = sched.DefaultConfig()
 	}
-	m := rc.newMachine(machine.Config{
+	m := machine.MustNew(machine.Config{
 		Layout:           layout,
 		Sched:            pol,
 		Seed:             cfg.Seed,
@@ -217,7 +214,7 @@ func (rc RunConfig) Figure8(cfg Figure8Config) ([]Figure8Point, error) {
 			if err != nil {
 				panic(err)
 			}
-			m := rc.newMachine(machine.Config{
+			m := machine.MustNew(machine.Config{
 				Layout:          xseriesNoSMT(),
 				Sched:           pol,
 				Seed:            cfg.Seed + uint64(i),
@@ -245,14 +242,4 @@ func (rc RunConfig) Figure8(cfg Figure8Config) ([]Figure8Point, error) {
 		return nil, err
 	}
 	return points, nil
-}
-
-// FormatFigure8 renders the sweep as the paper's bar labels.
-func FormatFigure8(points []Figure8Point) string {
-	var b strings.Builder
-	b.WriteString("Figure 8: Dependence of throughput on the workload\n")
-	for _, p := range points {
-		fmt.Fprintf(&b, "%2d/%2d/%2d: %+6.1f%%\n", p.Memrw, p.Pushpop, p.Bitcnts, p.GainPct)
-	}
-	return b.String()
 }

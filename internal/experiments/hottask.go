@@ -35,7 +35,7 @@ type Figure9Result struct {
 // other node.
 func (rc RunConfig) Figure9(seed uint64, durationMS int64) Figure9Result {
 	layout := xseriesSMT()
-	m := rc.newMachine(machine.Config{
+	m := machine.MustNew(machine.Config{
 		Layout:           layout,
 		Sched:            sched.DefaultConfig(),
 		Seed:             seed,
@@ -114,7 +114,7 @@ func (rc RunConfig) Figure10(cfg Figure10Config) ([]Figure10Point, error) {
 	err := rc.ForEach(cfg.MaxTasks, func(i int) {
 		n := i + 1
 		run := func(pol sched.Config) *machine.Machine {
-			m := rc.newMachine(machine.Config{
+			m := machine.MustNew(machine.Config{
 				Layout:           xseriesSMT(),
 				Sched:            pol,
 				Seed:             cfg.Seed + uint64(n),
@@ -142,16 +142,6 @@ func (rc RunConfig) Figure10(cfg Figure10Config) ([]Figure10Point, error) {
 	return out, nil
 }
 
-// FormatFigure10 renders the sweep.
-func FormatFigure10(points []Figure10Point) string {
-	var b strings.Builder
-	b.WriteString("Figure 10: Hot task migration — throughput with multiple tasks\n")
-	for _, p := range points {
-		fmt.Fprintf(&b, "%d tasks: %+6.1f%%\n", p.Tasks, p.GainPct)
-	}
-	return b.String()
-}
-
 // HotTaskSpeedupResult reproduces the §6.4 headline numbers: the
 // reduction in execution time of a single bitcnts task from hot task
 // migration, at 40 W and 50 W package budgets (paper: 43 % and 21 %).
@@ -168,7 +158,7 @@ type HotTaskSpeedupResult struct {
 // without hot task migration, under the given package budget.
 func (rc RunConfig) HotTaskSpeedup(seed uint64, budgetW, workMS float64) HotTaskSpeedupResult {
 	exec := func(pol sched.Config) int64 {
-		m := rc.newMachine(machine.Config{
+		m := machine.MustNew(machine.Config{
 			Layout:           xseriesSMT(),
 			Sched:            pol,
 			Seed:             seed,

@@ -137,7 +137,7 @@ func misestimateVariants(scale float64) []struct {
 // limits, and both combined.
 func (rc RunConfig) Misestimate(cfg MisestimateConfig) MisestimateResult {
 	run := func(scale float64, variant string, spec faults.Spec) MisestimateRow {
-		m := rc.newMachine(machine.Config{
+		m := machine.MustNew(machine.Config{
 			Layout:           xseriesNoSMT(),
 			Sched:            sched.DefaultConfig(),
 			Seed:             cfg.Seed,

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -56,8 +57,8 @@ func TestForEachPanicSurfacesAsError(t *testing.T) {
 }
 
 // TestParallelSweepByteStable asserts the -j acceptance contract: a
-// sweep's formatted report is byte-identical whether its runs execute
-// sequentially or on a saturated worker pool. Each run derives its
+// sweep's results are identical whether its runs execute sequentially
+// or on a saturated worker pool. Each run derives its
 // machine seed from the sweep index and writes into its own result
 // slot, so only scheduling order differs — never data.
 func TestParallelSweepByteStable(t *testing.T) {
@@ -77,17 +78,17 @@ func TestParallelSweepByteStable(t *testing.T) {
 
 	cfg := DefaultFigure8Config()
 	cfg.WarmupMS, cfg.MeasureMS = 15_000, 45_000
-	fig8 := func(t *testing.T, rc RunConfig) string {
+	fig8 := func(t *testing.T, rc RunConfig) []Figure8Point {
 		t.Helper()
 		pts, err := rc.Figure8(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return FormatFigure8(pts)
+		return pts
 	}
-	seq = fig8(t, RunConfig{Jobs: 1})
-	par = fig8(t, RunConfig{Jobs: 8})
-	if seq != par {
-		t.Errorf("Figure8 output differs between -j 1 and -j 8:\n-- sequential --\n%s\n-- parallel --\n%s", seq, par)
+	seqPts := fig8(t, RunConfig{Jobs: 1})
+	parPts := fig8(t, RunConfig{Jobs: 8})
+	if !reflect.DeepEqual(seqPts, parPts) {
+		t.Errorf("Figure8 points differ between -j 1 and -j 8:\n-- sequential --\n%+v\n-- parallel --\n%+v", seqPts, parPts)
 	}
 }

@@ -75,7 +75,7 @@ func (rc RunConfig) PolicyComparison(seed uint64, measureMS int64) PolicyCompari
 		{R: 0.15, C: 100, AmbientC: 25},
 	}
 	run := func(pol sched.Config, taskThrottling bool) (*machine.Machine, float64) {
-		m := rc.newMachine(machine.Config{
+		m := machine.MustNew(machine.Config{
 			Layout:          layout,
 			Sched:           pol,
 			Seed:            seed,

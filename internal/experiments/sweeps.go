@@ -38,7 +38,7 @@ func (rc RunConfig) SweepHysteresis(seed uint64, durationMS int64) ([]Hysteresis
 		pol.ThermalRatioMargin = margins[i]
 		pol.RQRatioMargin = margins[i]
 		layout := xseriesNoSMT()
-		m := rc.newMachine(machine.Config{
+		m := machine.MustNew(machine.Config{
 			Layout:           layout,
 			Sched:            pol,
 			Seed:             seed,
@@ -101,7 +101,7 @@ func (rc RunConfig) SweepTimeConstant(seed uint64, durationMS int64) ([]TimeCons
 		for p := range props {
 			props[p] = thermal.Properties{R: 0.2, C: tau / 0.2, AmbientC: 25}
 		}
-		m := rc.newMachine(machine.Config{
+		m := machine.MustNew(machine.Config{
 			Layout:           xseriesSMT(),
 			Sched:            sched.DefaultConfig(),
 			Seed:             seed,
@@ -159,7 +159,7 @@ func (rc RunConfig) SweepDestGap(seed uint64, durationMS int64) ([]DestGapPoint,
 	err := rc.ForEach(len(gaps), func(i int) {
 		pol := sched.DefaultConfig()
 		pol.HotDestGapW = gaps[i]
-		m := rc.newMachine(machine.Config{
+		m := machine.MustNew(machine.Config{
 			Layout:           xseriesSMT(),
 			Sched:            pol,
 			Seed:             seed,

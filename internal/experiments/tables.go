@@ -174,7 +174,7 @@ func (rc RunConfig) Table3(cfg Table3Config) (Table3Result, error) {
 		return Table3Result{}, fmt.Errorf("experiments: table 3 calibration: %w", err)
 	}
 	run := func(pol sched.Config) *machine.Machine {
-		m := rc.newMachine(machine.Config{
+		m := machine.MustNew(machine.Config{
 			Layout:          xseriesSMT(),
 			Sched:           pol,
 			Seed:            cfg.Seed,

@@ -48,7 +48,7 @@ func (rc RunConfig) UnitAware(seed uint64, measureMS int64) UnitAwareResult {
 			UnitThermal:      true,
 			UnitLimitC:       44,
 		}
-		m := rc.newMachine(cfg)
+		m := machine.MustNew(cfg)
 		cat := Catalog()
 		// Spawn order int, fp, int, fp: the load-spreading placement
 		// puts both integer tasks on CPU 0 and both FP tasks on CPU 1.

@@ -15,14 +15,14 @@ import (
 //     and wasteful when the warm-up dominates;
 //   - warm-branch: the warm-up runs once, the warmed machine is
 //     checkpointed (WarmImage), and every seed branches an in-memory
-//     copy of the restored template (SeedSweepFromImage).
+//     copy of the restored template. The esfarmd daemon (internal/farm)
+//     is this plan, with the image cached across requests.
 //
 // Equivalence is by construction, not by tolerance: a branch is a
 // bit-exact copy of the warmed machine, and a rebuilt machine reaches
 // the same warmed state deterministically, so both plans enter
-// Reseed(seed) from identical states. The esfarmd daemon serves the
-// warm-branch plan with the image cached across requests;
-// TestSeedSweepPlansAgree pins the equivalence.
+// Reseed(seed) from identical states. The farm's
+// TestSweepMatchesExperiments pins the equivalence.
 
 // SeedRow is one seed's measured outcome over the measurement window.
 // The JSON form is the esfarmd result-stream row.
@@ -56,12 +56,11 @@ func MeasureSeed(m *machine.Machine, seed uint64, measureMS int64) SeedRow {
 	}
 }
 
-// WarmImage builds the scenario's machine on the configured engine,
-// runs the warm-up, and returns its checkpoint image. Identical
-// (spec, engine, warmup) inputs produce identical bytes — the esfarmd
-// image cache keys on exactly that triple.
-func (rc RunConfig) WarmImage(spec scenario.Spec, warmupMS int64) ([]byte, error) {
-	m, err := spec.Build(rc.Engine, nil)
+// WarmImage builds the scenario's machine, runs the warm-up, and
+// returns its checkpoint image. Identical (spec, warmup) inputs produce
+// identical bytes — the esfarmd image cache keys on exactly that pair.
+func WarmImage(spec scenario.Spec, warmupMS int64) ([]byte, error) {
+	m, err := spec.Build(machine.EngineAsync, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -69,46 +68,13 @@ func (rc RunConfig) WarmImage(spec scenario.Spec, warmupMS int64) ([]byte, error
 	return m.Checkpoint()
 }
 
-// SeedSweepFromImage restores a WarmImage once and measures every seed
-// on its own branch of the template, on the ForEach worker pool. Rows
-// come back in seed order regardless of worker count.
-func (rc RunConfig) SeedSweepFromImage(image []byte, measureMS int64, seeds []uint64) ([]SeedRow, error) {
-	template, err := machine.Restore(image, nil)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]SeedRow, len(seeds))
-	err = rc.ForEach(len(seeds), func(i int) {
-		// Branch only reads the template, so concurrent branches off
-		// the one restored machine are safe.
-		b, err := template.Branch(nil)
-		if err != nil {
-			panic(fmt.Sprintf("branch for seed %d: %v", seeds[i], err))
-		}
-		rows[i] = MeasureSeed(b, seeds[i], measureMS)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
-}
-
-// SeedSweep is the warm-branch plan end to end: warm once, branch per
-// seed.
-func (rc RunConfig) SeedSweep(spec scenario.Spec, warmupMS, measureMS int64, seeds []uint64) ([]SeedRow, error) {
-	image, err := rc.WarmImage(spec, warmupMS)
-	if err != nil {
-		return nil, err
-	}
-	return rc.SeedSweepFromImage(image, measureMS, seeds)
-}
-
 // SeedSweepRebuild is the reference plan: every seed builds its own
-// machine and re-simulates the warm-up. Byte-identical to SeedSweep.
+// machine and re-simulates the warm-up. Byte-identical to the
+// warm-branch plan.
 func (rc RunConfig) SeedSweepRebuild(spec scenario.Spec, warmupMS, measureMS int64, seeds []uint64) ([]SeedRow, error) {
 	rows := make([]SeedRow, len(seeds))
 	err := rc.ForEach(len(seeds), func(i int) {
-		m, err := spec.Build(rc.Engine, nil)
+		m, err := spec.Build(machine.EngineAsync, nil)
 		if err != nil {
 			panic(fmt.Sprintf("build for seed %d: %v", seeds[i], err))
 		}

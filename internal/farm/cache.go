@@ -6,7 +6,7 @@ import (
 )
 
 // imageCache is a byte-budgeted LRU of warm checkpoint images keyed by
-// cacheKey (scenario hash × engine × warm-up). Concurrent requests for
+// cacheKey (scenario hash × warm-up). Concurrent requests for
 // the same missing key share one build (single-flight): the first
 // caller warms, the rest wait.
 type imageCache struct {

@@ -65,16 +65,3 @@ func (c *Client) Scenarios() ([]string, error) {
 	}
 	return names, nil
 }
-
-// Health checks the daemon's liveness endpoint.
-func (c *Client) Health() error {
-	resp, err := c.http().Get(c.url("/v1/healthz"))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("farm: daemon: %s", resp.Status)
-	}
-	return nil
-}

@@ -1,7 +1,7 @@
 // Package farm is the esfarmd simulation service: an HTTP/JSON daemon
 // that runs seed sweeps of shared scenarios and streams results. A
-// sweep request names (or inlines) a scenario, an engine, a warm-up
-// length, a measurement window, and a seed list; the daemon warms the
+// sweep request names (or inlines) a scenario, a warm-up length, a
+// measurement window, and a seed list; the daemon warms the
 // scenario once, caches the checkpoint image by content, and measures
 // every seed on an in-memory branch of the restored template — so a
 // thousand-seed sweep pays for one warm-up, and repeated sweeps of the
@@ -10,8 +10,15 @@
 // Results stream back as NDJSON in seed order: one header object,
 // then one experiments.SeedRow per seed, then (only on failure) an
 // error object. Rows are byte-identical to the direct, daemon-less
-// execution of the same request (RunConfig.SeedSweepFromImage) — the
-// CI smoke test diffs the two paths.
+// execution of the same request (Server.Direct) and to the
+// rebuild-per-seed reference (RunConfig.SeedSweepRebuild) — the CI
+// smoke test diffs the first pair, TestSweepMatchesExperiments the
+// second.
+//
+// Every sweep runs on the default async engine. The request schema has
+// no engine field: the engines are byte-identical by construction, so
+// choosing one could only pick a slower way to the same rows, and a
+// request that names one is rejected as an unknown field.
 package farm
 
 import (
@@ -20,7 +27,6 @@ import (
 	"strconv"
 	"strings"
 
-	"energysched/internal/machine"
 	"energysched/internal/scenario"
 )
 
@@ -30,7 +36,8 @@ const RequestVersion = 1
 
 // SweepRequest is the body of POST /v1/sweep. Exactly one of Name
 // (a scenario.Names catalog entry) or Scenario (an inline spec) must
-// be set.
+// be set. There is no engine field: every sweep runs on the default
+// async engine, and ParseRequest rejects a body that names one.
 type SweepRequest struct {
 	// Version is the request schema version; 0 reads as RequestVersion.
 	Version int `json:"version,omitempty"`
@@ -38,9 +45,6 @@ type SweepRequest struct {
 	Name string `json:"name,omitempty"`
 	// Scenario is an inline scenario spec.
 	Scenario *scenario.Spec `json:"scenario,omitempty"`
-	// Engine is the simulation engine ("lockstep", "async",
-	// "parallel"); empty means the default, async.
-	Engine string `json:"engine,omitempty"`
 	// WarmupMS is simulated once and shared by every seed.
 	WarmupMS int64 `json:"warmup_ms"`
 	// MeasureMS is the per-seed measurement window.
@@ -55,10 +59,12 @@ type Header struct {
 	// ScenarioHash is the content hash of the resolved scenario (the
 	// image-cache key component).
 	ScenarioHash string `json:"scenario_hash"`
-	Engine       string `json:"engine"`
-	WarmupMS     int64  `json:"warmup_ms"`
-	MeasureMS    int64  `json:"measure_ms"`
-	Seeds        int    `json:"seeds"`
+	// Engine names the simulation engine the rows ran on; always
+	// "async".
+	Engine    string `json:"engine"`
+	WarmupMS  int64  `json:"warmup_ms"`
+	MeasureMS int64  `json:"measure_ms"`
+	Seeds     int    `json:"seeds"`
 }
 
 // ErrorLine is the trailing NDJSON object of a failed sweep.
@@ -66,20 +72,19 @@ type ErrorLine struct {
 	Error string `json:"error"`
 }
 
-// resolve validates the request and returns the scenario and engine it
-// names.
-func (r *SweepRequest) resolve() (scenario.Spec, machine.Engine, error) {
+// resolve validates the request and returns the scenario it names.
+func (r *SweepRequest) resolve() (scenario.Spec, error) {
 	var spec scenario.Spec
 	if r.Version != 0 && r.Version != RequestVersion {
-		return spec, 0, fmt.Errorf("farm: request version %d, want %d", r.Version, RequestVersion)
+		return spec, fmt.Errorf("farm: request version %d, want %d", r.Version, RequestVersion)
 	}
 	switch {
 	case r.Name != "" && r.Scenario != nil:
-		return spec, 0, fmt.Errorf("farm: request sets both name and scenario")
+		return spec, fmt.Errorf("farm: request sets both name and scenario")
 	case r.Name != "":
 		s, err := scenario.Named(r.Name)
 		if err != nil {
-			return spec, 0, err
+			return spec, err
 		}
 		spec = s
 	case r.Scenario != nil:
@@ -90,32 +95,24 @@ func (r *SweepRequest) resolve() (scenario.Spec, machine.Engine, error) {
 			spec.RunMS = r.WarmupMS + r.MeasureMS
 		}
 	default:
-		return spec, 0, fmt.Errorf("farm: request sets neither name nor scenario")
+		return spec, fmt.Errorf("farm: request sets neither name nor scenario")
 	}
 	if err := spec.Validate(); err != nil {
-		return spec, 0, err
-	}
-	var engine machine.Engine
-	if r.Engine != "" {
-		e, err := machine.ParseEngine(r.Engine)
-		if err != nil {
-			return spec, 0, err
-		}
-		engine = e
+		return spec, err
 	}
 	if r.WarmupMS < 0 {
-		return spec, 0, fmt.Errorf("farm: warmup_ms %d out of range", r.WarmupMS)
+		return spec, fmt.Errorf("farm: warmup_ms %d out of range", r.WarmupMS)
 	}
 	if r.MeasureMS < 1 {
-		return spec, 0, fmt.Errorf("farm: measure_ms %d out of range", r.MeasureMS)
+		return spec, fmt.Errorf("farm: measure_ms %d out of range", r.MeasureMS)
 	}
 	if len(r.Seeds) == 0 {
-		return spec, 0, fmt.Errorf("farm: empty seed list")
+		return spec, fmt.Errorf("farm: empty seed list")
 	}
 	if len(r.Seeds) > maxSeeds {
-		return spec, 0, fmt.Errorf("farm: %d seeds exceeds the %d-seed request limit", len(r.Seeds), maxSeeds)
+		return spec, fmt.Errorf("farm: %d seeds exceeds the %d-seed request limit", len(r.Seeds), maxSeeds)
 	}
-	return spec, engine, nil
+	return spec, nil
 }
 
 // maxSeeds bounds one request's fan-out.
@@ -123,8 +120,8 @@ const maxSeeds = 1 << 20
 
 // cacheKey is the image-cache identity: everything the warm image's
 // bytes depend on.
-func cacheKey(spec scenario.Spec, engine machine.Engine, warmupMS int64) string {
-	return spec.Hash() + "|" + engine.String() + "|" + strconv.FormatInt(warmupMS, 10)
+func cacheKey(spec scenario.Spec, warmupMS int64) string {
+	return spec.Hash() + "|" + strconv.FormatInt(warmupMS, 10)
 }
 
 // ParseSeeds parses a CLI seed list: comma-separated entries, each a

@@ -20,8 +20,7 @@ const maxRequestBytes = 16 << 20
 // in-process (Direct). Both paths share the image cache and produce
 // byte-identical NDJSON.
 type Server struct {
-	// RC supplies the worker pool; RC.Engine is overridden per request
-	// (a request that names no engine runs on the zero value, async).
+	// RC supplies the worker pool.
 	RC experiments.RunConfig
 
 	cache *imageCache
@@ -84,12 +83,12 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	spec, engine, err := req.resolve()
+	spec, err := req.resolve()
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	image, hit, err := s.warmImage(spec, engine, req.WarmupMS)
+	image, hit, err := s.warmImage(spec, req.WarmupMS)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -99,8 +98,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		cacheState = "hit"
 	}
 	entries, bytes_, hits, misses := s.cache.stats()
-	s.logf("sweep %s engine=%s warmup=%dms measure=%dms seeds=%d cache=%s (cache: %d images, %d bytes, %d hits, %d misses)",
-		spec.Hash()[:12], engine, req.WarmupMS, req.MeasureMS, len(req.Seeds), cacheState, entries, bytes_, hits, misses)
+	s.logf("sweep %s warmup=%dms measure=%dms seeds=%d cache=%s (cache: %d images, %d bytes, %d hits, %d misses)",
+		spec.Hash()[:12], req.WarmupMS, req.MeasureMS, len(req.Seeds), cacheState, entries, bytes_, hits, misses)
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	// Cache state lives in a header, not the body: direct and daemon
@@ -110,7 +109,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if f, ok := w.(http.Flusher); ok {
 		flush = f.Flush
 	}
-	if err := s.stream(w, flush, spec, engine, image, req); err != nil {
+	if err := s.stream(w, flush, spec, image, req); err != nil {
 		// The header already went out; the error line is the trailer.
 		s.logf("sweep %s failed: %v", spec.Hash()[:12], err)
 	}
@@ -133,11 +132,9 @@ func ParseRequest(data []byte) (SweepRequest, error) {
 
 // warmImage fetches the request's warm checkpoint image from the
 // cache, warming the scenario on a miss.
-func (s *Server) warmImage(spec scenario.Spec, engine machine.Engine, warmupMS int64) ([]byte, bool, error) {
-	rc := s.RC
-	rc.Engine = engine
-	return s.cache.get(cacheKey(spec, engine, warmupMS), func() ([]byte, error) {
-		return rc.WarmImage(spec, warmupMS)
+func (s *Server) warmImage(spec scenario.Spec, warmupMS int64) ([]byte, bool, error) {
+	return s.cache.get(cacheKey(spec, warmupMS), func() ([]byte, error) {
+		return experiments.WarmImage(spec, warmupMS)
 	})
 }
 
@@ -145,22 +142,22 @@ func (s *Server) warmImage(spec scenario.Spec, engine machine.Engine, warmupMS i
 // NDJSON stream the daemon would. The CI smoke test byte-diffs this
 // against a round trip through the HTTP path.
 func (s *Server) Direct(w io.Writer, req SweepRequest) error {
-	spec, engine, err := req.resolve()
+	spec, err := req.resolve()
 	if err != nil {
 		return err
 	}
-	image, _, err := s.warmImage(spec, engine, req.WarmupMS)
+	image, _, err := s.warmImage(spec, req.WarmupMS)
 	if err != nil {
 		return err
 	}
-	return s.stream(w, func() {}, spec, engine, image, req)
+	return s.stream(w, func() {}, spec, image, req)
 }
 
 // stream restores the warm image once and writes the header plus one
 // row per seed, in seed order, each row committed as soon as it and
 // all its predecessors are done. Worker panics surface as an error
 // trailer after the rows that did complete.
-func (s *Server) stream(w io.Writer, flush func(), spec scenario.Spec, engine machine.Engine, image []byte, req SweepRequest) error {
+func (s *Server) stream(w io.Writer, flush func(), spec scenario.Spec, image []byte, req SweepRequest) error {
 	template, err := machine.Restore(image, nil)
 	if err != nil {
 		return writeError(w, err)
@@ -169,7 +166,7 @@ func (s *Server) stream(w io.Writer, flush func(), spec scenario.Spec, engine ma
 	if err := enc.Encode(Header{
 		Version:      RequestVersion,
 		ScenarioHash: spec.Hash(),
-		Engine:       engine.String(),
+		Engine:       machine.EngineAsync.String(),
 		WarmupMS:     req.WarmupMS,
 		MeasureMS:    req.MeasureMS,
 		Seeds:        len(req.Seeds),
@@ -178,15 +175,15 @@ func (s *Server) stream(w io.Writer, flush func(), spec scenario.Spec, engine ma
 	}
 	flush()
 
-	rc := s.RC
-	rc.Engine = engine
 	results := make([]chan experiments.SeedRow, len(req.Seeds))
 	for i := range results {
 		results[i] = make(chan experiments.SeedRow, 1)
 	}
 	poolErr := make(chan error, 1)
 	go func() {
-		err := rc.ForEach(len(req.Seeds), func(i int) {
+		err := s.RC.ForEach(len(req.Seeds), func(i int) {
+			// Branch only reads the template, so concurrent branches
+			// off the one restored machine are safe.
 			b, err := template.Branch(nil)
 			if err != nil {
 				panic(fmt.Sprintf("branch for seed %d: %v", req.Seeds[i], err))

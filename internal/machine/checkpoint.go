@@ -713,7 +713,9 @@ func applyState(st *machineState, rec *trace.Recorder) (*Machine, error) {
 // checkShape rejects an image whose per-CPU, per-core, per-package and
 // per-throttle state does not fit the machine New built from the
 // image's Config, so a malformed image fails Restore instead of
-// panicking. Only lengths are compared: it runs on every Branch.
+// panicking. Beyond lengths it only checks the DVFS P-state indices and
+// pending count, which index the ladder on every step; it runs on every
+// Branch, so it must not allocate.
 func (st *machineState) checkShape(m *Machine) error {
 	if (st.DVFS != nil) != m.dvfsOn || (st.Async != nil) != m.async || (st.Faults != nil) != (m.faults != nil) {
 		return fmt.Errorf("machine: checkpoint DVFS/async/faults state does not match its config")
@@ -758,6 +760,9 @@ func (st *machineState) checkShape(m *Machine) error {
 			dims{"pending transition times", len(d.PendingAt), len(m.pendingAt)},
 			dims{"down-clocked tick counts", len(d.DownTicks), len(m.downTicks)},
 		)
+		if err == nil {
+			err = d.checkPStates(len(m.dvfsCfg.Ladder))
+		}
 	}
 	if err == nil && st.Async != nil {
 		a := st.Async
@@ -771,6 +776,29 @@ func (st *machineState) checkShape(m *Machine) error {
 		)
 	}
 	return err
+}
+
+// checkPStates rejects current or pending P-state indices outside an
+// n-state ladder (pending may be -1: none) and a pending count that
+// disagrees with the pending entries. The slices' lengths are already
+// checked equal.
+func (d *dvfsSnapshot) checkPStates(n int) error {
+	pending := 0
+	for c, idx := range d.FreqIdx {
+		if idx < 0 || idx >= n {
+			return fmt.Errorf("machine: checkpoint CPU %d at P-state %d, ladder has %d", c, idx, n)
+		}
+		switch p := d.PendingIdx[c]; {
+		case p >= n || p < -1:
+			return fmt.Errorf("machine: checkpoint CPU %d pending P-state %d, ladder has %d", c, p, n)
+		case p >= 0:
+			pending++
+		}
+	}
+	if d.NPending != pending {
+		return fmt.Errorf("machine: checkpoint counts %d pending P-states, entries hold %d", d.NPending, pending)
+	}
+	return nil
 }
 
 func restoreThrottles(ths []*thermal.Throttle, snaps []throttleSnapshot) {

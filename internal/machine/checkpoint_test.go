@@ -169,7 +169,8 @@ func TestBranchDivergence(t *testing.T) {
 // structurally inconsistent image with an error instead of a panic:
 // every per-CPU, per-core and per-throttle slice must fit the machine
 // the image's own Config builds, every task must sit on a real CPU, and
-// every runqueue may only hold tasks that record that CPU.
+// every runqueue may only hold tasks that record that CPU, and every
+// current or pending P-state must lie on the DVFS ladder.
 func TestRestoreRejectsMalformedImages(t *testing.T) {
 	byName := map[string]engineScenario{}
 	for _, sc := range engineScenarios() {
@@ -239,6 +240,27 @@ func TestRestoreRejectsMalformedImages(t *testing.T) {
 		}},
 		{"short P-state vector", "dvfs-unit-thermal", func(st *machineState) {
 			st.DVFS.FreqIdx = st.DVFS.FreqIdx[:1]
+		}},
+		{"P-state past the ladder", "dvfs-unit-thermal", func(st *machineState) {
+			st.DVFS.FreqIdx[0] = 99
+		}},
+		{"negative P-state", "dvfs-unit-thermal", func(st *machineState) {
+			st.DVFS.FreqIdx[0] = -1
+		}},
+		{"pending P-state past the ladder", "dvfs-unit-thermal", func(st *machineState) {
+			if st.DVFS.PendingIdx[0] < 0 {
+				st.DVFS.NPending++ // keep the count consistent
+			}
+			st.DVFS.PendingIdx[0] = 99
+		}},
+		{"pending P-state below none", "dvfs-unit-thermal", func(st *machineState) {
+			if st.DVFS.PendingIdx[0] >= 0 {
+				st.DVFS.NPending-- // keep the count consistent
+			}
+			st.DVFS.PendingIdx[0] = -2
+		}},
+		{"pending count disagrees with the entries", "dvfs-unit-thermal", func(st *machineState) {
+			st.DVFS.NPending++
 		}},
 		{"extra dormant-throttle flag", "dvfs-unit-thermal", func(st *machineState) {
 			st.Async.ThrDormant = append(st.Async.ThrDormant, false)

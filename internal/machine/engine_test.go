@@ -422,17 +422,6 @@ func engineScenarios() []engineScenario {
 	}
 }
 
-func relDiff(a, b float64) float64 {
-	if a == b {
-		return 0
-	}
-	den := math.Max(math.Abs(a), math.Abs(b))
-	if den == 0 {
-		return 0
-	}
-	return math.Abs(a-b) / den
-}
-
 // TestEngineEquivalence runs every scenario through all three engines
 // and asserts the acceptance contract against the lockstep reference:
 // exactly equal discrete outcomes (completions, migrations with their
@@ -541,139 +530,16 @@ func firstTraceDiff(a, b string) string {
 }
 
 // assertEquivalent asserts the cross-engine contract between a lockstep
-// reference machine and another engine's machine after identical runs.
-func assertEquivalent(t *testing.T, lock, bat *Machine) {
+// reference machine and another engine's machine after identical runs:
+// the oracle's snapshot comparison at 1e-6, plus the machine's own
+// conservation and bookkeeping invariants.
+func assertEquivalent(t *testing.T, lock, got *Machine) {
 	t.Helper()
-	const tol = 1e-6
-	if lock.NowMS() != bat.NowMS() {
-		t.Fatalf("clocks diverged: %d vs %d", lock.NowMS(), bat.NowMS())
+	for _, d := range DiffSnapshots(lock.Snapshot(), got.Snapshot(), 1e-6) {
+		t.Errorf("%s vs lockstep: %s", got.Cfg.Engine, d)
 	}
-	if lock.Completions != bat.Completions {
-		t.Errorf("completions: lockstep %d vs %s %d", lock.Completions, bat.Cfg.Engine, bat.Completions)
-	}
-	for prog, n := range lock.CompletionsByProg {
-		if bat.CompletionsByProg[prog] != n {
-			t.Errorf("completions[%s]: %d vs %d", prog, n, bat.CompletionsByProg[prog])
-		}
-	}
-	if lock.MigrationCount() != bat.MigrationCount() {
-		t.Errorf("migrations: %d vs %d", lock.MigrationCount(), bat.MigrationCount())
-	}
-	if lock.Sched.MigrationsByReason != bat.Sched.MigrationsByReason {
-		t.Errorf("migrations by reason: %v vs %v",
-			lock.Sched.MigrationsByReason, bat.Sched.MigrationsByReason)
-	}
-	if len(lock.Migrations) == len(bat.Migrations) {
-		for i := range lock.Migrations {
-			if lock.Migrations[i] != bat.Migrations[i] {
-				t.Errorf("migration %d differs: %+v vs %+v", i, lock.Migrations[i], bat.Migrations[i])
-				break
-			}
-		}
-	} else {
-		t.Errorf("migration event counts: %d vs %d", len(lock.Migrations), len(bat.Migrations))
-	}
-	nCPU := lock.Cfg.Layout.NumLogical()
-	for c := 0; c < nCPU; c++ {
-		cpu := topology.CPUID(c)
-		if lock.haltedTicks[c] != bat.haltedTicks[c] {
-			t.Errorf("cpu %d halted ticks: %d vs %d", c, lock.haltedTicks[c], bat.haltedTicks[c])
-		}
-		if lock.idleTicks[c] != bat.idleTicks[c] {
-			t.Errorf("cpu %d idle ticks: %d vs %d", c, lock.idleTicks[c], bat.idleTicks[c])
-		}
-		if d := relDiff(lock.Sched.Power[c].ThermalPower(), bat.Sched.Power[c].ThermalPower()); d > tol {
-			t.Errorf("cpu %d thermal power rel diff %.2e", c, d)
-		}
-		if lock.ThrottledFrac(cpu) != bat.ThrottledFrac(cpu) {
-			t.Errorf("cpu %d throttled frac: %v vs %v", c, lock.ThrottledFrac(cpu), bat.ThrottledFrac(cpu))
-		}
-	}
-	for core := range lock.nodes {
-		if d := relDiff(lock.CoreTemp(core), bat.CoreTemp(core)); d > tol {
-			t.Errorf("core %d temp rel diff %.2e (%.6f vs %.6f)",
-				core, d, lock.CoreTemp(core), bat.CoreTemp(core))
-		}
-	}
-	if d := relDiff(lock.TrueEnergyJ, bat.TrueEnergyJ); d > tol {
-		t.Errorf("true energy rel diff %.2e (%.6f vs %.6f)", d, lock.TrueEnergyJ, bat.TrueEnergyJ)
-	}
-	if d := relDiff(lock.EstimationErrJ, bat.EstimationErrJ); d > tol {
-		t.Errorf("estimation err rel diff %.2e (%.6f vs %.6f)", d, lock.EstimationErrJ, bat.EstimationErrJ)
-	}
-	if d := relDiff(lock.ResidualW, bat.ResidualW); d > tol {
-		t.Errorf("residual rel diff %.2e (%.9f vs %.9f)", d, lock.ResidualW, bat.ResidualW)
-	}
-	if lock.RecalibrationCount != bat.RecalibrationCount {
-		t.Errorf("recalibrations: %d vs %d", lock.RecalibrationCount, bat.RecalibrationCount)
-	}
-	if lock.FallbackTicks != bat.FallbackTicks {
-		t.Errorf("fallback ticks: %d vs %d", lock.FallbackTicks, bat.FallbackTicks)
-	}
-	if d := relDiff(lock.PeakTempC(), bat.PeakTempC()); d > tol {
-		t.Errorf("peak temp rel diff %.2e", d)
-	}
-	// DVFS state: P-state indices, transition counts, pending
-	// transitions, and downclocked occupancy must match exactly.
-	if lock.dvfsOn {
-		if lock.PStateSwitches != bat.PStateSwitches {
-			t.Errorf("p-state switches: %d vs %d", lock.PStateSwitches, bat.PStateSwitches)
-		}
-		for c := 0; c < nCPU; c++ {
-			if lock.freqIdx[c] != bat.freqIdx[c] {
-				t.Errorf("cpu %d p-state: %d vs %d", c, lock.freqIdx[c], bat.freqIdx[c])
-			}
-			if lock.downTicks[c] != bat.downTicks[c] {
-				t.Errorf("cpu %d downclocked ticks: %d vs %d", c, lock.downTicks[c], bat.downTicks[c])
-			}
-			if lock.pendingIdx[c] != bat.pendingIdx[c] ||
-				(lock.pendingIdx[c] >= 0 && lock.pendingAt[c] != bat.pendingAt[c]) {
-				t.Errorf("cpu %d pending transition differs", c)
-			}
-		}
-	}
-	if lock.unitNodes != nil {
-		if d := relDiff(lock.MaxUnitTemp(), bat.MaxUnitTemp()); d > tol {
-			t.Errorf("max unit temp rel diff %.2e", d)
-		}
-	}
-	if d := relDiff(lock.WorkDoneMS, bat.WorkDoneMS); d > 1e-9 {
-		t.Errorf("work done rel diff %.2e", d)
-	}
-	// The deadline scheduler's incrementally maintained gate counters
-	// must agree with full scans on the event-driven engines.
-	if bat.async {
-		if got, want := bat.wheel.QueuedCount(), bat.Sched.TotalQueued(); got != want {
-			t.Errorf("queued counter drifted: %d vs TotalQueued %d", got, want)
-		}
-		idle := 0
-		for _, rq := range bat.Sched.RQs {
-			if rq.Idle() {
-				idle++
-			}
-		}
-		if got := bat.wheel.IdleCPUCount(); got != idle {
-			t.Errorf("idle counter drifted: %d vs scan %d", got, idle)
-		}
-	}
-	// Tasks ended up in identical scheduler states.
-	if lock.Sched.TotalTasks() != bat.Sched.TotalTasks() || len(lock.sleepers) != len(bat.sleepers) {
-		t.Errorf("task states differ: %d/%d runnable, %d/%d asleep",
-			lock.Sched.TotalTasks(), bat.Sched.TotalTasks(), len(lock.sleepers), len(bat.sleepers))
-	}
-	for id, lts := range lock.tasks {
-		bts, ok := bat.tasks[id]
-		if !ok {
-			t.Errorf("task %d missing from %s machine", id, bat.Cfg.Engine)
-			continue
-		}
-		if lts.st.CPU != bts.st.CPU || lts.sleeping != bts.sleeping || lts.wakeAtMS != bts.wakeAtMS {
-			t.Errorf("task %d state: cpu %d/%d sleeping %v/%v wake %d/%d", id,
-				lts.st.CPU, bts.st.CPU, lts.sleeping, bts.sleeping, lts.wakeAtMS, bts.wakeAtMS)
-		}
-		if d := relDiff(lts.st.Profile.Watts(), bts.st.Profile.Watts()); d > tol {
-			t.Errorf("task %d profile rel diff %.2e", id, d)
-		}
+	if err := got.CheckInvariants(); err != nil {
+		t.Errorf("%s: %v", got.Cfg.Engine, err)
 	}
 }
 

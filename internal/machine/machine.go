@@ -108,8 +108,8 @@ const (
 	EngineParallel
 )
 
-// ParseEngine parses an engine name — the values accepted by the CLI
-// tools' -engine flags.
+// ParseEngine parses an engine name — the values accepted by estrace's
+// -engine flag.
 func ParseEngine(s string) (Engine, error) {
 	switch s {
 	case "lockstep":

@@ -53,15 +53,6 @@ func (m *Machine) AvgDownclockedFrac() float64 {
 	return sum / float64(n)
 }
 
-// PStateIndex returns a logical CPU's current P-state ladder index, or
-// -1 when DVFS is disabled.
-func (m *Machine) PStateIndex(cpu topology.CPUID) int {
-	if !m.dvfsOn {
-		return -1
-	}
-	return m.freqIdx[int(cpu)]
-}
-
 // FreqMHz returns a logical CPU's current clock. Without DVFS it is
 // the model's nominal clock.
 func (m *Machine) FreqMHz(cpu topology.CPUID) float64 {

@@ -122,9 +122,9 @@ func (m *Machine) Snapshot() *Snapshot {
 	return s
 }
 
-// oracleRelDiff is relDiff from the equivalence tests, duplicated here
-// so non-test code can use it.
-func oracleRelDiff(a, b float64) float64 {
+// relDiff is the relative difference |a-b| / max(|a|, |b|), 0 when
+// a == b.
+func relDiff(a, b float64) float64 {
 	if a == b {
 		return 0
 	}
@@ -184,34 +184,34 @@ func DiffSnapshots(ref, got *Snapshot, tol float64) []string {
 		if ref.HaltedTicks[c] != got.HaltedTicks[c] {
 			add("cpu %d halted ticks: %d vs %d", c, ref.HaltedTicks[c], got.HaltedTicks[c])
 		}
-		if d := oracleRelDiff(ref.ThermalW[c], got.ThermalW[c]); d > tol {
+		if d := relDiff(ref.ThermalW[c], got.ThermalW[c]); d > tol {
 			add("cpu %d thermal power rel diff %.2e (%.9f vs %.9f)", c, d, ref.ThermalW[c], got.ThermalW[c])
 		}
 	}
 	for core := range ref.CoreTempC {
-		if d := oracleRelDiff(ref.CoreTempC[core], got.CoreTempC[core]); d > tol {
+		if d := relDiff(ref.CoreTempC[core], got.CoreTempC[core]); d > tol {
 			add("core %d temp rel diff %.2e (%.9f vs %.9f)", core, d, ref.CoreTempC[core], got.CoreTempC[core])
 		}
 	}
-	if d := oracleRelDiff(ref.TrueEnergyJ, got.TrueEnergyJ); d > tol {
+	if d := relDiff(ref.TrueEnergyJ, got.TrueEnergyJ); d > tol {
 		add("true energy rel diff %.2e (%.6f vs %.6f)", d, ref.TrueEnergyJ, got.TrueEnergyJ)
 	}
-	if d := oracleRelDiff(ref.PeakTempC, got.PeakTempC); d > tol {
+	if d := relDiff(ref.PeakTempC, got.PeakTempC); d > tol {
 		add("peak temp rel diff %.2e (%.6f vs %.6f)", d, ref.PeakTempC, got.PeakTempC)
 	}
-	if d := oracleRelDiff(ref.MaxUnitTempC, got.MaxUnitTempC); d > tol {
+	if d := relDiff(ref.MaxUnitTempC, got.MaxUnitTempC); d > tol {
 		add("max unit temp rel diff %.2e", d)
 	}
-	if d := oracleRelDiff(ref.WorkDoneMS, got.WorkDoneMS); d > 1e-9 {
+	if d := relDiff(ref.WorkDoneMS, got.WorkDoneMS); d > 1e-9 {
 		add("work done rel diff %.2e (%.6f vs %.6f)", d, ref.WorkDoneMS, got.WorkDoneMS)
 	}
 	if ref.PStateSwitches != got.PStateSwitches {
 		add("p-state switches: %d vs %d", ref.PStateSwitches, got.PStateSwitches)
 	}
-	if d := oracleRelDiff(ref.EstimationErrJ, got.EstimationErrJ); d > tol {
+	if d := relDiff(ref.EstimationErrJ, got.EstimationErrJ); d > tol {
 		add("estimation err rel diff %.2e (%.6f vs %.6f)", d, ref.EstimationErrJ, got.EstimationErrJ)
 	}
-	if d := oracleRelDiff(ref.ResidualW, got.ResidualW); d > tol {
+	if d := relDiff(ref.ResidualW, got.ResidualW); d > tol {
 		add("residual rel diff %.2e (%.9f vs %.9f)", d, ref.ResidualW, got.ResidualW)
 	}
 	if ref.RecalibrationCount != got.RecalibrationCount {
@@ -250,7 +250,7 @@ func DiffSnapshots(ref, got *Snapshot, tol float64) []string {
 			add("task %d state: cpu %d/%d sleeping %v/%v wake %d/%d", id,
 				rt.CPU, gt.CPU, rt.Sleeping, gt.Sleeping, rt.WakeAtMS, gt.WakeAtMS)
 		}
-		if d := oracleRelDiff(rt.ProfileW, gt.ProfileW); d > tol {
+		if d := relDiff(rt.ProfileW, gt.ProfileW); d > tol {
 			add("task %d profile rel diff %.2e", id, d)
 		}
 	}

@@ -304,12 +304,6 @@ func (t *PlacementTable) Lookup(binary uint64) float64 {
 	return t.DefaultWatts
 }
 
-// Known reports whether the binary has an entry.
-func (t *PlacementTable) Known(binary uint64) bool {
-	_, ok := t.table[binary]
-	return ok
-}
-
 // Record stores the power a task consumed during its first timeslice.
 // Later starts of the same binary overwrite the entry, keeping the
 // estimate fresh.

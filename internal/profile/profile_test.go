@@ -186,15 +186,12 @@ func TestCPUPowerFollowsStepSlowly(t *testing.T) {
 
 func TestPlacementTable(t *testing.T) {
 	tab := NewPlacementTable(45)
-	if tab.Known(7) {
-		t.Fatal("empty table knows a binary")
-	}
 	if got := tab.Lookup(7); got != 45 {
 		t.Fatalf("default lookup = %v, want 45", got)
 	}
 	tab.Record(7, 61)
-	if !tab.Known(7) || tab.Lookup(7) != 61 {
-		t.Fatalf("after record: known=%v lookup=%v", tab.Known(7), tab.Lookup(7))
+	if got := tab.Lookup(7); got != 61 {
+		t.Fatalf("after record: lookup = %v, want 61", got)
 	}
 	tab.Record(7, 38) // overwrite keeps the estimate fresh
 	if tab.Lookup(7) != 38 {

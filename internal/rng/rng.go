@@ -102,26 +102,6 @@ func (s *Source) ExpFloat64() float64 {
 	return -math.Log(u)
 }
 
-// Perm returns a random permutation of [0, n).
-func (s *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := s.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
-// Shuffle randomizes the order of n elements using the provided swap
-// function, in the manner of sort.Slice.
-func (s *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
 // Bool returns true with probability p.
 func (s *Source) Bool(p float64) bool {
 	return s.Float64() < p

@@ -137,40 +137,6 @@ func TestExpFloat64Mean(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	s := New(31)
-	for n := 0; n <= 20; n++ {
-		p := s.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) length %d", n, len(p))
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) = %v is not a permutation", n, p)
-			}
-			seen[v] = true
-		}
-	}
-}
-
-func TestShufflePreservesElements(t *testing.T) {
-	s := New(41)
-	xs := []int{1, 2, 3, 4, 5, 6, 7}
-	sum := 0
-	for _, x := range xs {
-		sum += x
-	}
-	s.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	got := 0
-	for _, x := range xs {
-		got += x
-	}
-	if got != sum {
-		t.Fatalf("shuffle changed multiset: %v", xs)
-	}
-}
-
 func TestBoolProbability(t *testing.T) {
 	s := New(53)
 	const n = 100000

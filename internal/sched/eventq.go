@@ -45,14 +45,6 @@ func (q *EventQueue) Push(at int64, payload int) {
 	q.up(len(q.heap) - 1)
 }
 
-// PeekTime returns the earliest event time, or NoDeadline when empty.
-func (q *EventQueue) PeekTime() int64 {
-	if len(q.heap) == 0 {
-		return NoDeadline
-	}
-	return q.heap[0].at
-}
-
 // Peek returns the earliest event's time and payload; ok is false when
 // the queue is empty.
 func (q *EventQueue) Peek() (at int64, payload int, ok bool) {

@@ -15,8 +15,8 @@ func TestEventQueueOrdersByTime(t *testing.T) {
 	want := append([]int64(nil), times...)
 	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
 	for _, w := range want {
-		if got := q.PeekTime(); got != w {
-			t.Fatalf("PeekTime = %d, want %d", got, w)
+		if got, _, ok := q.Peek(); !ok || got != w {
+			t.Fatalf("Peek = %d,%v, want %d", got, ok, w)
 		}
 		at, _, ok := q.Pop()
 		if !ok || at != w {
@@ -26,8 +26,8 @@ func TestEventQueueOrdersByTime(t *testing.T) {
 	if _, _, ok := q.Pop(); ok {
 		t.Fatal("Pop on empty queue reported ok")
 	}
-	if q.PeekTime() != NoDeadline {
-		t.Fatal("empty queue PeekTime != NoDeadline")
+	if _, _, ok := q.Peek(); ok {
+		t.Fatal("Peek on empty queue reported ok")
 	}
 }
 

@@ -92,19 +92,6 @@ func (s *Series) Tail(frac float64) float64 {
 	return Sum(v) / float64(len(v))
 }
 
-// Downsample returns a copy of the series keeping every k-th sample,
-// for compact figure output.
-func (s *Series) Downsample(k int) *Series {
-	if k <= 1 {
-		return s
-	}
-	out := &Series{Name: s.Name, Step: s.Step * float64(k)}
-	for i := 0; i < len(s.Values); i += k {
-		out.Values = append(out.Values, s.Values[i])
-	}
-	return out
-}
-
 // CSV renders "t,value" lines for plotting.
 func (s *Series) CSV() string {
 	var b strings.Builder
@@ -160,20 +147,6 @@ func Min(xs []float64) float64 {
 	return m
 }
 
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)))
-}
-
 // Percentile returns the p-th percentile (0 <= p <= 100) of xs using
 // linear interpolation between closest ranks. It returns 0 when empty.
 func Percentile(xs []float64, p float64) float64 {
@@ -226,16 +199,3 @@ func SuccessiveChange(xs []float64) (maxPct, avgPct float64) {
 	}
 	return maxPct, sum / float64(n)
 }
-
-// Counter is a monotonically increasing event tally with a name, used
-// for migration counts and completion (throughput) accounting.
-type Counter struct {
-	Name  string
-	Count int64
-}
-
-// Inc adds one to the counter.
-func (c *Counter) Inc() { c.Count++ }
-
-// Add adds n to the counter.
-func (c *Counter) Add(n int64) { c.Count += n }

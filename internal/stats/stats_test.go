@@ -47,20 +47,6 @@ func TestSeriesTail(t *testing.T) {
 	}
 }
 
-func TestDownsample(t *testing.T) {
-	s := NewSeries("x", 1)
-	for i := 0; i < 10; i++ {
-		s.Append(float64(i))
-	}
-	d := s.Downsample(3)
-	if d.Len() != 4 || d.At(1) != 3 || d.Step != 3 {
-		t.Fatalf("Downsample wrong: len=%d step=%v", d.Len(), d.Step)
-	}
-	if s.Downsample(1) != s {
-		t.Fatal("Downsample(1) should return the receiver")
-	}
-}
-
 func TestCSV(t *testing.T) {
 	s := NewSeries("power", 1)
 	s.Append(42)
@@ -75,14 +61,8 @@ func TestScalarHelpers(t *testing.T) {
 	if Sum(xs) != 10 || Mean(xs) != 2.5 || Max(xs) != 4 || Min(xs) != 1 {
 		t.Fatal("scalar helpers wrong")
 	}
-	if Mean(nil) != 0 || Max(nil) != 0 || Min(nil) != 0 || StdDev(nil) != 0 {
+	if Mean(nil) != 0 || Max(nil) != 0 || Min(nil) != 0 {
 		t.Fatal("empty-slice helpers should be 0")
-	}
-	if got := StdDev([]float64{2, 2, 2}); got != 0 {
-		t.Fatalf("StdDev constant = %v", got)
-	}
-	if got := StdDev([]float64{1, 3}); math.Abs(got-1) > 1e-12 {
-		t.Fatalf("StdDev{1,3} = %v, want 1", got)
 	}
 }
 
@@ -126,15 +106,6 @@ func TestSuccessiveChange(t *testing.T) {
 	max, avg = SuccessiveChange([]float64{0, 10, 10})
 	if max != 0 || avg != 0 {
 		t.Fatalf("zero-base: max=%v avg=%v", max, avg)
-	}
-}
-
-func TestCounter(t *testing.T) {
-	c := Counter{Name: "migrations"}
-	c.Inc()
-	c.Add(4)
-	if c.Count != 5 {
-		t.Fatalf("Count = %d", c.Count)
 	}
 }
 

@@ -178,9 +178,3 @@ func (p *Profile) Vector() Energies {
 
 // Primed reports whether the profile has data.
 func (p *Profile) Primed() bool { return p.avgs[0].Primed() }
-
-// Dominant returns the unit with the highest profiled power.
-func (p *Profile) Dominant() Kind {
-	k, _ := p.Vector().Peak()
-	return k
-}

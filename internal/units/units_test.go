@@ -79,8 +79,8 @@ func TestProfileSeedAndSamples(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		p.AddSample(e, 100)
 	}
-	if p.Dominant() != FPUnit {
-		t.Fatalf("dominant = %v, want fp", p.Dominant())
+	if k, _ := p.Vector().Peak(); k != FPUnit {
+		t.Fatalf("dominant = %v, want fp", k)
 	}
 	if math.Abs(p.Watts(FPUnit)-40) > 1 {
 		t.Fatalf("fp watts = %v", p.Watts(FPUnit))

@@ -215,18 +215,6 @@ func (t *Task) PhaseName() string { return t.Prog.Phases[t.phase].Name }
 // DoneWork returns the executed milliseconds so far at full speed.
 func (t *Task) DoneWork() float64 { return t.doneWork }
 
-// Remaining returns the work left in ms, or -1 for an endless task.
-func (t *Task) Remaining() float64 {
-	if t.Prog.WorkMS <= 0 {
-		return -1
-	}
-	rem := t.Prog.WorkMS - t.doneWork
-	if rem < 0 {
-		rem = 0
-	}
-	return rem
-}
-
 // workFinishSlackMS pulls the work-completion threshold a hair below
 // WorkMS. doneWork accumulates in segments whose boundaries depend on
 // how the caller partitions wall time into Tick calls, so two engines

@@ -38,17 +38,17 @@ type (
 	// throttling as thermal-limit enforcement knobs.
 	DVFSComparisonResult = experiments.DVFSComparisonResult
 
-	// RunConfig carries the execution knobs of a reproduction run —
-	// simulation engine, worker-pool size, parallel-engine shard count.
-	// Results never depend on it: every experiment is byte-identical
-	// for every RunConfig (the cross-engine equivalence tests enforce
-	// the engine half, the deterministic worker pool the jobs half).
+	// RunConfig carries the execution knob of a reproduction run: the
+	// worker-pool size. Results never depend on it: every experiment
+	// is byte-identical for every RunConfig (the deterministic worker
+	// pool guarantees it). Experiment machines always run on the
+	// default async engine.
 	RunConfig = experiments.RunConfig
 )
 
 // A Reproducer regenerates the paper's tables and figures under an
-// explicit RunConfig. The zero value (async engine, GOMAXPROCS workers)
-// is ready to use:
+// explicit RunConfig. The zero value (GOMAXPROCS workers) is ready to
+// use:
 //
 //	var r energysched.Reproducer
 //	rows := r.Table1(7, 300)
