@@ -21,8 +21,9 @@ import (
 // Equivalence is by construction, not by tolerance: a branch is a
 // bit-exact copy of the warmed machine, and a rebuilt machine reaches
 // the same warmed state deterministically, so both plans enter
-// Reseed(seed) from identical states. The farm's
-// TestSweepMatchesExperiments pins the equivalence.
+// Reseed(seed) from identical states. TestSeedSweepPlansAgree pins the
+// equivalence on this package's primitives, and the farm's
+// TestSweepMatchesExperiments pins it on the daemon's stream.
 
 // SeedRow is one seed's measured outcome over the measurement window.
 // The JSON form is the esfarmd result-stream row.
