@@ -171,6 +171,15 @@ func TestRequestValidation(t *testing.T) {
 		`{"name":"mixed","seeds":[1],"measure_ms":0}`,                    // no window
 		`{"name":"mixed","seeds":[1],"measure_ms":1,"bogus_field":true}`, // unknown field
 		`{"name":"mixed","seeds":[1],"measure_ms":1} {"junk":true}`,      // trailing data
+		// A layout whose logical CPU count overflows int.
+		`{"scenario":{"topology":{"nodes":4294967296,"packages_per_node":2147483648,"cores_per_package":1,"threads_per_core":1},` +
+			`"workload":[{"program":"bitcnts","count":1}]},"seeds":[1],"measure_ms":1}`,
+		// A layout past topology.MaxLogical.
+		`{"scenario":{"topology":{"nodes":1,"packages_per_node":4097,"cores_per_package":1,"threads_per_core":1},` +
+			`"workload":[{"program":"bitcnts","count":1}]},"seeds":[1],"measure_ms":1}`,
+		// A workload past scenario.MaxTasks.
+		`{"scenario":{"topology":{"nodes":1,"packages_per_node":1,"cores_per_package":1,"threads_per_core":1},` +
+			`"workload":[{"program":"bitcnts","count":65536},{"program":"sshd","count":1}]},"seeds":[1],"measure_ms":1}`,
 	}
 	for _, body := range bad {
 		if code := post(body); code != http.StatusBadRequest {

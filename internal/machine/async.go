@@ -303,7 +303,6 @@ func (m *Machine) settleCPUMetricTo(d int, to int64) {
 	if gap := to - m.cpuSettledMS[d]; gap > 0 {
 		fg := float64(gap)
 		m.Sched.Power[d].AddEnergyWeighted(m.estIdleJ*fg, fg, m.thermWeightFor(d, fg))
-		m.Sched.InvalidateThermal(topology.CPUID(d))
 		m.TrueEnergyJ += m.idleShareW * fg / 1000
 		m.idleTicks[d] += gap
 		m.cpuSettledMS[d] = to
@@ -576,23 +575,6 @@ pkgs:
 		m.pkgSettledMS[p] = now
 		m.setPkgCores(p, false)
 	}
-}
-
-// syncBeforeDeadlines records, just before the periodic-deadline phase
-// of an async step, the queued-task count the deadline loop uses to
-// skip parked CPUs (with zero waiting tasks a parked CPU's balance
-// pass is a provable no-op). Deferred metrics are NOT settled here:
-// the ThermalRead hook settles each parked CPU lazily, the first time
-// a balance, hot-check, or placement pass actually reads it.
-func (m *Machine) syncBeforeDeadlines() {
-	if m.nParked == 0 {
-		// Nothing parked: the deadline phase visits every due CPU.
-		// The queued count is only consulted for parked CPUs, so skip
-		// even the counter read.
-		m.asyncQueued = 1
-		return
-	}
-	m.asyncQueued = m.wheel.QueuedCount()
 }
 
 // settleAll materializes every deferred piece of state at the current

@@ -15,7 +15,9 @@
 //   - Everything derivable from the Config rebuilds through New:
 //     topology tables, budgets, throttle groups, hooks, scratch
 //     buffers, and the engine runtimes.
-//   - Pure caches are dropped: memoized scan results, pow-memos, the
+//   - Pure caches are dropped: the thermal sample-weight memo, the
+//     scheduler's per-domain core lists (static topology) and domain
+//     load counts (rebuilt from the restored queues), the
 //     materialized step lists (recomputed from restored bitmaps), and
 //     the deadline wheel — its due tables are static and its armed
 //     heaps are a function of runqueue occupancy, so re-running

@@ -14,11 +14,13 @@ const (
 	fireGov
 )
 
-// DeadlineFires returns how many deadline-phase visits each class fired
-// (balance, idle-pull, hot-check, governor) since the last ResetStats —
-// on the async engines, exactly the work the due lists walked
-// instead of an O(nCPU) scan per step. Always zero on the lockstep
-// engine, which fires from the historical modulo scan.
+// DeadlineFires returns how many deadline-phase passes of each class
+// (balance, idle-pull, hot-check, governor) the async engine ran since
+// the last ResetStats. They are a subset of the lockstep engine's
+// passes: the skipped ones are provable no-ops (see fireDueDeadlines),
+// and every pass that runs decides exactly as its lockstep twin. Always
+// zero on the lockstep engine, which fires from the historical modulo
+// scan.
 func (m *Machine) DeadlineFires() (balance, idlePull, hot, gov int64) {
 	return m.deadlineFires[fireBalance], m.deadlineFires[fireIdlePull],
 		m.deadlineFires[fireHot], m.deadlineFires[fireGov]
@@ -28,14 +30,18 @@ func (m *Machine) DeadlineFires() (balance, idlePull, hot, gov int64) {
 // (arming, lazy re-arms, stale drops of the hot/governor heaps).
 func (m *Machine) DeadlineStats() sched.DeadlineStats { return m.wheel.Stats }
 
-// fireDueDeadlines is the async engines' phase 8: run the
-// periodic balance, idle-pull, and hot-check work due exactly at endMS.
-// The due-CPU lists come from the deadline scheduler's static stagger
-// grid, so the visited (CPU, class) set — and, walking the merged lists
-// in ascending CPU order with balance shadowing idle pull, the exact
-// call order — is identical to the lockstep engine's per-CPU modulo
-// scan. Idleness and hot-check applicability are re-checked live at
-// fire time, exactly as the scan does.
+// fireDueDeadlines is the async engine's phase 8: run the periodic
+// balance, idle-pull, and hot-check work due exactly at endMS. The
+// due-CPU lists come from the deadline scheduler's static stagger grid,
+// walked merged in ascending CPU order with balance shadowing idle pull
+// — the lockstep engine's per-CPU modulo scan order. Of those passes it
+// skips the provable no-ops: balance and idle pull only ever pull or
+// swap queued tasks, so they are skipped while no task waits anywhere
+// (the planner's balance gate; the count is read live, as a hot
+// migration mid-phase can queue a task), and a hot check needs a
+// running task, which a parked CPU lacks. Idleness and hot-check
+// applicability are re-checked live at fire time, exactly as the scan
+// does.
 func (m *Machine) fireDueDeadlines(endMS int64) {
 	bal := m.wheel.BalanceDueCPUs(endMS)
 	idle := m.wheel.IdlePullDueCPUs(endMS)
@@ -64,34 +70,23 @@ func (m *Machine) fireDueDeadlines(endMS int64) {
 		if hotDue {
 			hi++
 		}
-		ci := int(c)
-		if m.cpuParked(ci) && m.asyncQueued == 0 {
-			// Parked with nothing to pull machine-wide: every pass is a
-			// provable no-op.
-			continue
-		}
-		cpu := topology.CPUID(ci)
+		cpu := topology.CPUID(c)
+		queued := m.wheel.QueuedCount() > 0
 		if balDue {
-			m.deadlineFires[fireBalance]++
-			m.Sched.Balance(cpu)
-			m.Sched.UnitBalance(cpu)
-		} else if idleDue && m.Sched.RQ(cpu).Idle() {
+			if queued {
+				m.deadlineFires[fireBalance]++
+				m.Sched.Balance(cpu)
+				m.Sched.UnitBalance(cpu)
+			}
+		} else if idleDue && queued && m.Sched.RQ(cpu).Idle() {
 			// Idle balancing: an idle CPU tries to pull work promptly,
 			// like Linux's idle rebalance.
 			m.deadlineFires[fireIdlePull]++
 			m.Sched.Balance(cpu)
 		}
-		if hotDue {
+		if hotDue && !m.cpuParked(int(c)) {
 			m.deadlineFires[fireHot]++
-			if m.Sched.HotCheck(cpu) {
-				// The hot migration (or exchange) re-enqueued a running
-				// task, so a parked CPU's balance pass later this tick
-				// is no longer a provable no-op: refresh the queued
-				// count the skip condition consults. (Deferred metrics
-				// settle lazily through the ThermalRead hook as the
-				// pass reads them.)
-				m.asyncQueued = m.wheel.QueuedCount()
-			}
+			m.Sched.HotCheck(cpu)
 		}
 	}
 }

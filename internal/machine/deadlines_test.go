@@ -89,7 +89,8 @@ func TestDeadlineRearmAfterParkedCPUSettles(t *testing.T) {
 
 // The maintained queued/idle counters must agree with full scans after
 // a churny run, and the diagnostic fire counters must show the
-// event-driven engine actually visiting deadline work.
+// event-driven engine actually visiting deadline work. More tasks than
+// CPUs keep tasks queued, so balance passes are not skipped.
 func TestDeadlineCountersAfterRun(t *testing.T) {
 	m := MustNew(Config{
 		Engine: EngineAsync, Layout: topology.XSeries445NoSMT(),
@@ -98,7 +99,7 @@ func TestDeadlineCountersAfterRun(t *testing.T) {
 		RespawnFinished:  true,
 	})
 	cat := catalog()
-	m.SpawnN(workload.WithWork(cat.Bitcnts(), 1500), 5)
+	m.SpawnN(workload.WithWork(cat.Bitcnts(), 1500), 9)
 	m.SpawnN(cat.Sshd(), 3)
 	m.Run(30_000)
 	if got, want := m.wheel.QueuedCount(), m.Sched.TotalQueued(); got != want {
@@ -116,6 +117,38 @@ func TestDeadlineCountersAfterRun(t *testing.T) {
 	bal, _, hot, _ := m.DeadlineFires()
 	if bal == 0 || hot == 0 {
 		t.Errorf("deadline fires bal=%d hot=%d; event-driven path not exercised", bal, hot)
+	}
+}
+
+// With fewer CPU-bound tasks than CPUs and a power budget no core
+// reaches, no task ever waits in a queue, so every balance and
+// idle-pull pass is a no-op: the async engine must skip them all and
+// still match the lockstep engine, which runs every pass, byte for byte.
+func TestNoQueueSkipsBalancePasses(t *testing.T) {
+	build := func(e Engine) *Machine {
+		m := MustNew(Config{
+			Engine: e, Layout: topology.XSeries445NoSMT(),
+			Sched: sched.DefaultConfig(), Seed: 29,
+			PackageMaxPowerW: []float64{200},
+			Trace:            trace.New(0),
+		})
+		m.SpawnN(catalog().Bitcnts(), 4)
+		return m
+	}
+	lock := build(EngineLockstep)
+	lock.Run(10_000)
+	got := build(EngineAsync)
+	got.Run(10_000)
+	assertEquivalent(t, lock, got)
+	if lockCSV, gotCSV := traceCSV(t, lock.Cfg.Trace), traceCSV(t, got.Cfg.Trace); gotCSV != lockCSV {
+		t.Errorf("trace differs from lockstep: %s", firstTraceDiff(lockCSV, gotCSV))
+	}
+	bal, idle, hot, _ := got.DeadlineFires()
+	if bal != 0 || idle != 0 {
+		t.Errorf("deadline fires bal=%d idle=%d with nothing ever queued, want 0", bal, idle)
+	}
+	if hot == 0 {
+		t.Error("no hot check fired; the deadline phase was not exercised")
 	}
 }
 

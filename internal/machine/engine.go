@@ -316,19 +316,16 @@ func (m *Machine) step(limitMS int64) int64 {
 	// 8. Periodic balancing and hot-task checks, staggered per CPU on
 	// the deadline scheduler. The planner guarantees no relevant
 	// deadline falls strictly inside the quantum, so firing at the end
-	// tick alone visits exactly the instants the lockstep loop visits. These passes read thermal power across the machine, so
-	// the async engine settles its deferred metrics first when any pass
-	// will evaluate; with nothing queued a parked CPU's pass is a
-	// provable no-op and is skipped outright. The async engine walks
-	// the precomputed due-CPU lists of the end tick; the lockstep
-	// engine keeps the historical per-CPU modulo scan, the reference
-	// the due lists are asserted byte-identical against.
+	// tick alone visits exactly the instants the lockstep loop visits.
+	// The async engine walks the precomputed due-CPU lists of the end
+	// tick and skips the passes that provably change nothing (balance
+	// with no task queued anywhere, hot checks on parked CPUs); the
+	// passes read deferred metrics, which settle lazily through the
+	// ThermalRead hook. The lockstep engine keeps the historical
+	// per-CPU modulo scan and runs every pass, the reference that the
+	// skipped passes are asserted byte-identical against.
 	if m.async {
 		m.thermalDone = true
-		m.syncBeforeDeadlines()
-	}
-	m.Sched.BeginDeadlineEpoch()
-	if m.async {
 		m.fireDueDeadlines(endMS)
 	} else {
 		for c := 0; c < nCPU; c++ {
@@ -346,7 +343,6 @@ func (m *Machine) step(limitMS int64) int64 {
 			}
 		}
 	}
-	m.Sched.EndDeadlineEpoch()
 
 	// 8b. DVFS governor evaluations, staggered per CPU on the deadline
 	// scheduler like the balancer passes. Only occupied CPUs are

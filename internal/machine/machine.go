@@ -397,7 +397,6 @@ type Machine struct {
 	throttleOf   []int             // cpu → scalar throttle index, -1 if none
 	idleEffW     float64           // core effective power, whole package idle
 	wakePQ       *sched.EventQueue // pending wake-ups (lazy deletion)
-	asyncQueued  int               // queued count at the deadline phase
 	// lastSettleGap/lastSettleW cache the thermal sample weight for the
 	// most recent period length, shared across CPUs only when
 	// thermWShared (uniform package time constants, checked at
@@ -636,7 +635,7 @@ func New(cfg Config) (*Machine, error) {
 		Topo:              topo,
 		Model:             model,
 		Est:               est,
-		Sched:             sched.New(topo, cfg.Sched, profile.NewPlacementTable(45)),
+		Sched:             sched.New(topo, cfg.Sched),
 		rng:               rng.New(cfg.Seed),
 		banks:             make([]counters.Bank, nCPU),
 		dispatches:        make([]dispatch, nCPU),

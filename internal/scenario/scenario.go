@@ -290,15 +290,24 @@ func (s Spec) Validate() error {
 	if s.RunMS < 1 {
 		return fmt.Errorf("scenario: RunMS %d out of range", s.RunMS)
 	}
+	total := 0
 	for _, g := range s.Workload {
 		if g.Count < 1 {
 			return fmt.Errorf("scenario: task group %q count %d", g.Program, g.Count)
 		}
+		if g.Count > MaxTasks-total {
+			return fmt.Errorf("scenario: workload spawns more than %d tasks", MaxTasks)
+		}
+		total += g.Count
 	}
 	// Everything else is validated by the machine constructor.
 	_, err := s.Build(machine.EngineLockstep, nil)
 	return err
 }
+
+// MaxTasks bounds a spec's initially spawned tasks (the summed Count of
+// its workload groups).
+const MaxTasks = 1 << 16
 
 // TotalTasks returns the number of initially spawned tasks.
 func (s Spec) TotalTasks() int {

@@ -7,6 +7,7 @@ import (
 
 	"energysched/internal/machine"
 	"energysched/internal/sched"
+	"energysched/internal/topology"
 )
 
 // TestCatalogBuildsOnEveryEngine checks every named scenario validates
@@ -109,6 +110,17 @@ func TestValidateRejects(t *testing.T) {
 		{"budgets for fewer packages", func(s *Spec) { s.BudgetW = []float64{40, 40} }},
 		{"newer version", func(s *Spec) { s.Version = SpecVersion + 1 }},
 		{"invalid topology", func(s *Spec) { s.Topology.Nodes = 0 }},
+		{"more logical CPUs than the bound", func(s *Spec) {
+			s.Topology = TopoSpec{Nodes: 1, PackagesPerNode: topology.MaxLogical + 1, CoresPerPackage: 1, ThreadsPerCore: 1}
+			s.Packages, s.BudgetW = nil, nil
+		}},
+		{"a layout whose CPU count overflows", func(s *Spec) {
+			s.Topology = TopoSpec{Nodes: 1 << 32, PackagesPerNode: 1 << 31, CoresPerPackage: 1, ThreadsPerCore: 1}
+			s.Packages, s.BudgetW = nil, nil
+		}},
+		{"more tasks than the bound", func(s *Spec) {
+			s.Workload = []TaskGroup{{Program: "bitcnts", Count: MaxTasks}, {Program: "sshd", Count: 1}}
+		}},
 		{"unknown program", func(s *Spec) { s.Workload = []TaskGroup{{Program: "no-such", Count: 1}} }},
 		{"unknown scope", func(s *Spec) { s.Throttle, s.Scope = true, "socket" }},
 		{"balance period above the deadline-table bound", func(s *Spec) { s.Sched.BalancePeriodMS = sched.MaxPeriodMS + 1 }},

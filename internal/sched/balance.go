@@ -15,31 +15,8 @@ const (
 
 // extremeGroup returns the index and value of the group of dom that
 // maximizes the metric (strict, first group wins ties — the historical
-// scan order). The scan is memoized per domain: the ranking is
-// independent of the calling CPU and stands until a queue mutation
-// (qMutGen) invalidates it. Only the queue-length ranking survives
-// across deadline epochs — lengths change through mutations alone. The
-// runqueue-power ranking expires with the epoch: queue power sums the
-// tasks' profiled watts, which drift with every timeslice sample
-// without touching qMutGen. The thermal ranking likewise expires on
-// any settle or epoch (coolGen).
-func (s *Scheduler) extremeGroup(cache map[*topology.Domain]groupEntry, dom *topology.Domain, metric int) (int, float64) {
-	if s.memoOn {
-		if e, ok := cache[dom]; ok && e.mutGen == s.qMutGen {
-			valid := false
-			switch metric {
-			case groupMetricLen:
-				valid = true
-			case groupMetricRQRatio:
-				valid = e.epoch == s.memoGen
-			case groupMetricThermal:
-				valid = e.coolGen == s.coolGen
-			}
-			if valid {
-				return int(e.idx), e.val
-			}
-		}
-	}
+// scan order).
+func (s *Scheduler) extremeGroup(dom *topology.Domain, metric int) (int, float64) {
 	best := -1
 	bestVal := math.Inf(-1)
 	for i, g := range dom.Groups {
@@ -55,10 +32,6 @@ func (s *Scheduler) extremeGroup(cache map[*topology.Domain]groupEntry, dom *top
 		if v > bestVal {
 			best, bestVal = i, v
 		}
-	}
-	if s.memoOn {
-		cache[dom] = groupEntry{epoch: s.memoGen, coolGen: s.coolGen,
-			mutGen: s.qMutGen, idx: int32(best), val: bestVal}
 	}
 	return best, bestVal
 }
@@ -88,13 +61,11 @@ func (s *Scheduler) Balance(cpu topology.CPUID) {
 func (s *Scheduler) energyBalanceStep(cpu topology.CPUID, dom *topology.Domain) {
 	// "Search CPU group with highest average power ratio". The
 	// thermal-only ablation ranks groups by thermal ratio instead.
-	// Cached per domain within a deadline epoch: the ranking is caller-
-	// independent and stands until a task moves or a metric settles.
 	metric := groupMetricRQRatio
 	if s.Cfg.Metric == MetricThermalOnly {
 		metric = groupMetricThermal
 	}
-	hottest, _ := s.extremeGroup(s.hotGroups, dom, metric)
+	hottest, _ := s.extremeGroup(dom, metric)
 	if hottest < 0 || hottest == dom.GroupOf(cpu) {
 		return // "Group contains local CPU?" → yes: nothing to pull here
 	}
@@ -195,7 +166,7 @@ func ratioAfter(powerSum float64, n int, maxPower float64) float64 {
 // cooler (§4.4). In domains whose groups are SMT siblings the energy
 // restrictions do not apply (§4.7).
 func (s *Scheduler) loadBalanceStep(cpu topology.CPUID, dom *topology.Domain) {
-	busiest, _ := s.extremeGroup(s.bsyGroups, dom, groupMetricLen)
+	busiest, _ := s.extremeGroup(dom, groupMetricLen)
 	if busiest < 0 || busiest == dom.GroupOf(cpu) {
 		return
 	}

@@ -34,13 +34,14 @@ package sched
 //
 // Arming transitions are driven by runqueue mutation notifications
 // (Runqueue.notify → Wheel.rqChanged), which also maintain the
-// machine-wide queued-task and idle-CPU counters the planner gates on —
-// turning the former O(nCPU) TotalQueued sweep per plan into a counter
-// read. A parked CPU has an empty runqueue, so it keeps no hot or
-// governor deadline armed; its balance/idle-pull instants live only in
-// the static tables and cost nothing until a queued task makes the
-// class relevant again. When work lands on a settled CPU, the enqueue
-// notification re-arms its per-CPU classes in the same call.
+// machine-wide queued-task and idle-CPU counters that the planner and
+// the async engine's firing loop gate on — turning the former O(nCPU)
+// TotalQueued sweep per plan into a counter read. A parked CPU has an
+// empty runqueue, so it keeps no hot or governor deadline armed; its
+// balance/idle-pull instants live only in the static tables and cost
+// nothing until a queued task makes the class relevant again. When
+// work lands on a settled CPU, the enqueue notification re-arms its
+// per-CPU classes in the same call.
 //
 // The wheel must be attached (Scheduler.AttachDeadlines) before any of
 // the event-driven queries are used; the modulo Due/Next methods keep

@@ -126,79 +126,35 @@ func coolerThan(a, b float64) bool {
 
 // coolestCoreExcl returns the coolest physical core of a domain's span
 // other than myCore, with its summed thermal power; (-1, +inf) when no
-// such core exists. Within a deadline epoch the domain's two coolest
-// cores are computed once and shared by every hot check that fires in
-// the phase — the thermal sums they rank cannot change between fires
-// except through settles, which invalidate the cache. The top two
-// suffice because each caller excludes exactly one core (its own).
+// such core exists.
 func (s *Scheduler) coolestCoreExcl(dom *topology.Domain, myCore int) (int, float64) {
-	if !s.memoOn {
-		// Outside an epoch (direct HotCheck calls in tests): plain scan.
-		destCore := -1
-		destTP := math.Inf(1)
-		for _, core := range s.domainCores(dom) {
-			if int(core) == myCore {
-				continue
-			}
-			if tp := s.coreSum(int(core)); coolerThan(tp, destTP) {
-				destCore, destTP = int(core), tp
-			}
+	destCore := -1
+	destTP := math.Inf(1)
+	for _, core := range s.domainCores(dom) {
+		if int(core) == myCore {
+			continue
 		}
-		return destCore, destTP
-	}
-	e, ok := s.coolCache[dom]
-	if !ok || e.gen != s.coolGen {
-		e = coolEntry{top1: -1, top2: -1,
-			tp1: math.Inf(1), tp2: math.Inf(1)}
-		for _, core := range s.domainCores(dom) {
-			tp := s.coreSum(int(core))
-			if coolerThan(tp, e.tp1) {
-				e.top2, e.tp2 = e.top1, e.tp1
-				e.top1, e.tp1 = core, tp
-			} else if coolerThan(tp, e.tp2) {
-				e.top2, e.tp2 = core, tp
-			}
+		if tp := s.coreSum(int(core)); coolerThan(tp, destTP) {
+			destCore, destTP = int(core), tp
 		}
-		// Stamp with the generation as of the END of the scan: the
-		// scan's own reads may settle deferred metrics (bumping
-		// coolGen), but each settle lands before that CPU's sum is
-		// taken, so the ranking is current at scan end — stamping the
-		// start generation would invalidate the entry it just built.
-		e.gen = s.coolGen
-		s.coolCache[dom] = e
 	}
-	if int(e.top1) != myCore {
-		return int(e.top1), e.tp1
-	}
-	return int(e.top2), e.tp2
+	return destCore, destTP
 }
 
 // CoreThermalSum returns the summed thermal power of all logical CPUs
 // on cpu's physical core — the quantity that corresponds to the core's
 // temperature (§4.7; per-core on a §7 CMP). It iterates the siblings
-// directly (rather than via Siblings) to stay allocation-free, and
-// within a deadline epoch memoizes the sum per core: a hot-check
-// phase reads each core once per sibling trigger and once per domain
-// level it appears in. If computing the sum settles a deferred
-// sibling, the settle's invalidation lands before the post-loop
-// stamp, so the memo stores the settled sum.
+// directly (rather than via Siblings) to stay allocation-free.
 func (s *Scheduler) CoreThermalSum(cpu topology.CPUID) float64 {
 	return s.coreSum(int(s.coreOf[cpu]))
 }
 
 // coreSum is CoreThermalSum keyed by physical core index.
 func (s *Scheduler) coreSum(core int) float64 {
-	if s.memoOn && s.coreSumStamp[core] == s.memoGen {
-		return s.coreSumVal[core]
-	}
 	base := core * s.threads
 	sum := 0.0
 	for t := 0; t < s.threads; t++ {
 		sum += s.ThermalPower(topology.CPUID(s.coreCPUs[base+t]))
-	}
-	if s.memoOn {
-		s.coreSumStamp[core] = s.memoGen
-		s.coreSumVal[core] = sum
 	}
 	return sum
 }
@@ -212,7 +168,7 @@ func (s *Scheduler) domainCores(dom *topology.Domain) []int32 {
 	if cores, ok := s.domCores[dom]; ok {
 		return cores
 	}
-	seen := make([]bool, len(s.coreSumStamp))
+	seen := make([]bool, s.Topo.Layout.NumCores())
 	cores := make([]int32, 0, len(dom.Span)/s.threads+1)
 	for _, c := range dom.Span {
 		if core := s.coreOf[c]; !seen[core] {

@@ -20,10 +20,7 @@ import (
 // the policy disabled, eligible CPUs are used round-robin, approximating
 // vanilla Linux fork/exec balancing.
 func (s *Scheduler) PlaceNewTask(t *Task) topology.CPUID {
-	estWatts := s.Placement.DefaultWatts
-	if s.Placement != nil {
-		estWatts = s.Placement.Lookup(t.Binary)
-	}
+	estWatts := s.Placement.Lookup(t.Binary)
 	if t.Profile == nil || !t.Profile.Primed() {
 		t.Profile = profile.NewSeededTaskProfile(estWatts)
 	}
@@ -110,7 +107,5 @@ func (s *Scheduler) packageTaskCount(cpu topology.CPUID) int {
 // program is data-independent, so it predicts future instances of the
 // same binary).
 func (s *Scheduler) RecordFirstSlice(t *Task, watts float64) {
-	if s.Placement != nil {
-		s.Placement.Record(t.Binary, watts)
-	}
+	s.Placement.Record(t.Binary, watts)
 }

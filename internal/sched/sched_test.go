@@ -12,7 +12,7 @@ import (
 // newSched builds a scheduler over the given layout with every CPU's
 // max power set to 60 W and thermal power seeded at idle.
 func newSched(l topology.Layout, cfg Config) *Scheduler {
-	s := New(topology.MustNew(l), cfg, profile.NewPlacementTable(45))
+	s := New(topology.MustNew(l), cfg)
 	for i := range s.Power {
 		s.Power[i] = profile.NewCPUPower(60, 0.001, 1, 13.6)
 	}
@@ -588,7 +588,7 @@ func TestRecordFirstSlice(t *testing.T) {
 }
 
 func TestMaxPowerUninstalled(t *testing.T) {
-	s := New(topology.MustNew(smp2()), DefaultConfig(), profile.NewPlacementTable(45))
+	s := New(topology.MustNew(smp2()), DefaultConfig())
 	if s.MaxPower(0) < 1e17 {
 		t.Fatal("uninstalled max power should be effectively infinite")
 	}
@@ -615,7 +615,7 @@ func TestTotalTasks(t *testing.T) {
 // cmpSched builds a scheduler over 2 dual-core packages (4 cores, SMT
 // off) with a 40 W budget per core.
 func cmpSched(cfg Config) *Scheduler {
-	s := New(topology.MustNew(topology.CMP2x2()), cfg, profile.NewPlacementTable(45))
+	s := New(topology.MustNew(topology.CMP2x2()), cfg)
 	for i := range s.Power {
 		s.Power[i] = profile.NewCPUPower(40, 0.001, 1, 6.8)
 	}

@@ -92,6 +92,9 @@ const (
 	// migrated task pays, within a node and across nodes (§4.1).
 	cacheWarmupMS = 2
 	nodeWarmupMS  = 8
+	// defaultPlacementW is the §4.6 placement table's power estimate
+	// for a binary it has not yet seen run.
+	defaultPlacementW = 45
 )
 
 // WarmupSpeed is the speed factor of a task paying its §4.1 cache-refill
@@ -202,33 +205,6 @@ type Scheduler struct {
 	// eligScratch is the reusable eligible-CPU buffer of PlaceNewTask.
 	eligScratch []topology.CPUID
 
-	// Deadline-phase ratio memo. All balance and hot-check passes of
-	// one deadline phase fire at the same instant, and the §4.3 metrics
-	// they read change mid-phase only through queue mutations and
-	// deferred-metric settles — both of which invalidate the affected
-	// CPU's entry. Between BeginDeadlineEpoch and EndDeadlineEpoch the
-	// overlapping group sums of the staggered passes therefore share
-	// one computation per CPU instead of re-walking every queue.
-	memoGen    uint64
-	memoOn     bool
-	ratioStamp []uint64
-	ratioVal   []float64
-	thermStamp []uint64
-	thermVal   []float64
-	// coolGen/coolCache memoize the §4.5 coolest-core destination scan
-	// per scheduler domain within one epoch (every hot check of the
-	// phase scans the same unchanged thermal sums). Bumping coolGen
-	// invalidates all entries; thermVal/ratioVal stay, as they carry
-	// their own per-CPU stamps.
-	coolGen   uint64
-	coolCache map[*topology.Domain]coolEntry
-	// qMutGen counts queue-occupancy mutations; the per-domain group
-	// scans below are valid only while it stands still (any task move
-	// can change a group's hottest/busiest ranking).
-	qMutGen   uint64
-	hotGroups map[*topology.Domain]groupEntry
-	bsyGroups map[*topology.Domain]groupEntry
-
 	// coreOf and coreCPUs cache Layout.Core / Layout.CPUOfCore flat,
 	// like loadCounts' node/package tables: the hot-check destination
 	// scans resolve them per candidate CPU.
@@ -236,34 +212,8 @@ type Scheduler struct {
 	coreCPUs []int32
 	threads  int
 
-	// coreSumStamp/coreSumVal memoize CoreThermalSum per physical core
-	// within an epoch: a hot-check phase sums each core once per
-	// sibling and once per domain level it appears in, all against the
-	// same unchanged thermal powers. A settle invalidates only the
-	// settled CPU's core.
-	coreSumStamp []uint64
-	coreSumVal   []float64
 	// domCores caches each domain's distinct physical cores (static).
 	domCores map[*topology.Domain][]int32
-}
-
-// groupEntry caches one domain's extreme group (hottest by ratio for
-// the energy step, busiest by mean length for the load step): every
-// balance pass of a deadline phase ranks the same unchanged queues, so
-// the scan runs once per phase unless a task moves.
-type groupEntry struct {
-	epoch, coolGen, mutGen uint64
-	idx                    int32
-	val                    float64
-}
-
-// coolEntry caches a domain's two coolest physical cores by summed
-// thermal power: any hot check needs only the best core that is not
-// its own, so the top two answer every exclusion.
-type coolEntry struct {
-	gen        uint64
-	top1, top2 int32
-	tp1, tp2   float64
 }
 
 // loadCounts holds the incrementally maintained per-domain runnable-task
@@ -273,28 +223,19 @@ type coolEntry struct {
 type loadCounts struct {
 	nodeOf, pkgOf []int32 // per logical CPU
 	node, pkg     []int32 // runnable tasks per node / per package
-	// ratioStamp aliases the scheduler's memoized-RQRatio stamps: the
-	// mutations that shift domain counts are exactly the ones that
-	// change a queue's power, so the same hook drops the memo entry.
-	// mutGen aliases the scheduler's queue-mutation counter gating the
-	// cached per-domain group scans.
-	ratioStamp []uint64
-	mutGen     *uint64
 }
 
 // add shifts a CPU's domain counts by delta (±1 per queue mutation).
 func (lc *loadCounts) add(cpu topology.CPUID, delta int32) {
 	lc.node[lc.nodeOf[cpu]] += delta
 	lc.pkg[lc.pkgOf[cpu]] += delta
-	lc.ratioStamp[cpu] = 0
-	(*lc.mutGen)++ // invalidate the cached per-domain group scans
 }
 
-// New creates a scheduler over the given topology. Per-CPU power
-// trackers must be installed by the caller (the machine knows the
-// thermal calibration); until then the scheduler treats all CPUs as
-// having unlimited max power.
-func New(topo *topology.Topology, cfg Config, placement *profile.PlacementTable) *Scheduler {
+// New creates a scheduler over the given topology, with an empty §4.6
+// placement table. Per-CPU power trackers must be installed by the
+// caller (the machine knows the thermal calibration); until then the
+// scheduler treats all CPUs as having unlimited max power.
+func New(topo *topology.Topology, cfg Config) *Scheduler {
 	n := topo.Layout.NumLogical()
 	s := &Scheduler{
 		Topo:      topo,
@@ -302,22 +243,13 @@ func New(topo *topology.Topology, cfg Config, placement *profile.PlacementTable)
 		RQs:       make([]*Runqueue, n),
 		Power:     make([]*profile.CPUPower, n),
 		Util:      make([]UtilTracker, n),
-		Placement: placement,
+		Placement: profile.NewPlacementTable(defaultPlacementW),
 	}
-	s.ratioStamp = make([]uint64, n)
-	s.ratioVal = make([]float64, n)
-	s.thermStamp = make([]uint64, n)
-	s.thermVal = make([]float64, n)
-	s.coolCache = make(map[*topology.Domain]coolEntry)
-	s.hotGroups = make(map[*topology.Domain]groupEntry)
-	s.bsyGroups = make(map[*topology.Domain]groupEntry)
 	s.loads = loadCounts{
-		nodeOf:     make([]int32, n),
-		pkgOf:      make([]int32, n),
-		node:       make([]int32, topo.Layout.Nodes),
-		pkg:        make([]int32, topo.Layout.NumPackages()),
-		ratioStamp: s.ratioStamp,
-		mutGen:     &s.qMutGen,
+		nodeOf: make([]int32, n),
+		pkgOf:  make([]int32, n),
+		node:   make([]int32, topo.Layout.Nodes),
+		pkg:    make([]int32, topo.Layout.NumPackages()),
 	}
 	for i := 0; i < n; i++ {
 		cpu := topology.CPUID(i)
@@ -338,8 +270,6 @@ func New(topo *topology.Topology, cfg Config, placement *profile.PlacementTable)
 			s.coreCPUs[core*s.threads+t] = int32(topo.Layout.CPUOfCore(core, t))
 		}
 	}
-	s.coreSumStamp = make([]uint64, nCores)
-	s.coreSumVal = make([]float64, nCores)
 	s.domCores = make(map[*topology.Domain][]int32)
 	return s
 }
@@ -356,63 +286,20 @@ func (s *Scheduler) MaxPower(cpu topology.CPUID) float64 {
 }
 
 // ThermalPower returns a CPU's thermal-power metric, 0 when no tracker
-// is installed. Within a deadline epoch the exponential-average read
-// (whose decay weight costs a math.Pow) is memoized per CPU.
+// is installed.
 func (s *Scheduler) ThermalPower(cpu topology.CPUID) float64 {
-	if s.memoOn && s.thermStamp[cpu] == s.memoGen {
-		return s.thermVal[cpu]
-	}
 	if s.Hooks.ThermalRead != nil {
 		s.Hooks.ThermalRead(cpu)
 	}
-	v := 0.0
 	if p := s.Power[int(cpu)]; p != nil {
-		v = p.ThermalPower()
+		return p.ThermalPower()
 	}
-	if s.memoOn {
-		s.thermStamp[cpu] = s.memoGen
-		s.thermVal[cpu] = v
-	}
-	return v
+	return 0
 }
 
-// RQRatio returns the runqueue power ratio of a CPU (§4.3). Within a
-// deadline epoch the queue walk is memoized per CPU; queue mutations
-// drop the entry via the loadCounts hook.
+// RQRatio returns the runqueue power ratio of a CPU (§4.3).
 func (s *Scheduler) RQRatio(cpu topology.CPUID) float64 {
-	if s.memoOn && s.ratioStamp[cpu] == s.memoGen {
-		return s.ratioVal[cpu]
-	}
-	r := s.RQ(cpu).Power() / s.MaxPower(cpu)
-	if s.memoOn {
-		s.ratioStamp[cpu] = s.memoGen
-		s.ratioVal[cpu] = r
-	}
-	return r
-}
-
-// BeginDeadlineEpoch opens a deadline-phase memo window: until
-// EndDeadlineEpoch, per-CPU RQRatio and ThermalPower reads are cached.
-// Sound because every balance/hot-check pass of one phase fires at the
-// same simulated instant, and the only mid-phase mutations — task
-// moves and deferred-metric settles — invalidate the CPUs they touch.
-func (s *Scheduler) BeginDeadlineEpoch() {
-	s.memoGen++
-	s.coolGen++
-	s.memoOn = true
-}
-
-// EndDeadlineEpoch closes the memo window; reads outside it always
-// recompute.
-func (s *Scheduler) EndDeadlineEpoch() { s.memoOn = false }
-
-// InvalidateThermal drops a CPU's memoized thermal power and every
-// cached coolest-core scan. The machine calls it when it settles a
-// deferred metric mid-phase (un-parking a migration destination).
-func (s *Scheduler) InvalidateThermal(cpu topology.CPUID) {
-	s.thermStamp[cpu] = 0
-	s.coreSumStamp[s.coreOf[cpu]] = 0
-	s.coolGen++
+	return s.RQ(cpu).Power() / s.MaxPower(cpu)
 }
 
 // ThermalRatio returns the thermal power ratio of a CPU (§4.3).

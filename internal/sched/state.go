@@ -1,10 +1,10 @@
 package sched
 
 // Checkpoint-restore support. The scheduler's serializable state is
-// small — runqueue occupancy and the per-CPU utilization windows; every
-// memo (group scans, thermal sums, RQ-ratio stamps) is a cache that the
-// next deadline epoch rebuilds, and the wheel's tables re-arm from the
-// restored occupancy when the caller re-runs AttachDeadlines.
+// small — runqueue occupancy and the per-CPU utilization windows. The
+// per-domain load counts are derived from the occupancy (RebuildLoads),
+// and the wheel's tables re-arm from the restored occupancy when the
+// caller re-runs AttachDeadlines.
 
 // UtilState is the serializable state of one UtilTracker.
 type UtilState struct {
@@ -34,8 +34,7 @@ func (rq *Runqueue) SetTasks(current *Task, queued []*Task) {
 }
 
 // RebuildLoads recomputes the per-node/per-package runnable counts from
-// the runqueues' restored occupancy and invalidates every
-// occupancy-derived memo (RQ-ratio stamps, group-scan caches).
+// the runqueues' restored occupancy.
 func (s *Scheduler) RebuildLoads() {
 	for i := range s.loads.node {
 		s.loads.node[i] = 0
@@ -49,8 +48,4 @@ func (s *Scheduler) RebuildLoads() {
 			s.loads.pkg[s.loads.pkgOf[i]] += n
 		}
 	}
-	for i := range s.ratioStamp {
-		s.ratioStamp[i] = 0
-	}
-	s.qMutGen++
 }

@@ -83,10 +83,25 @@ func Server1024() Layout {
 	return Layout{Nodes: 8, PackagesPerNode: 16, CoresPerPackage: 4, ThreadsPerPackage: 2}
 }
 
-// Validate reports an error if the layout is degenerate.
+// MaxLogical bounds a layout's logical CPU count at four times
+// Server1024. A machine allocates its per-CPU state up front, so the
+// bound also bounds its memory.
+const MaxLogical = 4096
+
+// Validate reports an error if the layout is degenerate or wider than
+// MaxLogical.
 func (l Layout) Validate() error {
 	if l.Nodes < 1 || l.PackagesPerNode < 1 || l.ThreadsPerPackage < 1 || l.CoresPerPackage < 0 {
 		return fmt.Errorf("topology: invalid layout %+v: all dimensions must be >= 1", l)
+	}
+	// Multiply with the bound checked before each step, so a huge
+	// dimension cannot overflow the product past it.
+	n := 1
+	for _, d := range [...]int{l.Nodes, l.PackagesPerNode, l.Cores(), l.ThreadsPerPackage} {
+		if d > MaxLogical/n {
+			return fmt.Errorf("topology: invalid layout %+v: more than %d logical CPUs", l, MaxLogical)
+		}
+		n *= d
 	}
 	return nil
 }
