@@ -180,6 +180,12 @@ func TestRequestValidation(t *testing.T) {
 		// A workload past scenario.MaxTasks.
 		`{"scenario":{"topology":{"nodes":1,"packages_per_node":1,"cores_per_package":1,"threads_per_core":1},` +
 			`"workload":[{"program":"bitcnts","count":65536},{"program":"sshd","count":1}]},"seeds":[1],"measure_ms":1}`,
+		// Heat-sink time constants whose 1 ms thermal-power weight
+		// rounds to 0 (R·C overflowing, and a finite 1e14 s).
+		`{"scenario":{"topology":{"nodes":1,"packages_per_node":1,"cores_per_package":1,"threads_per_core":1},` +
+			`"packages":[{"r":1e300,"c":1e300,"ambient_c":25}],"workload":[{"program":"bitcnts","count":1}]},"seeds":[1],"measure_ms":1}`,
+		`{"scenario":{"topology":{"nodes":1,"packages_per_node":1,"cores_per_package":1,"threads_per_core":1},` +
+			`"packages":[{"r":1e7,"c":1e7,"ambient_c":25}],"workload":[{"program":"bitcnts","count":1}]},"seeds":[1],"measure_ms":1}`,
 	}
 	for _, body := range bad {
 		if code := post(body); code != http.StatusBadRequest {

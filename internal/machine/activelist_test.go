@@ -13,10 +13,9 @@ import (
 
 // Property tests for the O(busy) step: the async engine's maintained
 // active-CPU/active-core lists must stay consistent with the parking
-// state through arbitrary spawn/wake/migration churn, and mid-sweep
-// activations must land behind the execution cursor (deferred to
-// pendingActs, drained before the step ends) rather than mutating the
-// list a sweep is iterating.
+// state through arbitrary spawn/wake/migration churn, and the engine
+// must stay equivalent to the lockstep reference under respawn and
+// wake storms.
 
 // checkActiveLists asserts every structural invariant tying the
 // membership bitmaps, the materialized lists, and the parking state
@@ -29,21 +28,15 @@ func checkActiveLists(t *testing.T, m *Machine) {
 	if !m.async {
 		return
 	}
-	if len(m.pendingActs) != 0 {
-		t.Fatalf("pendingActs not drained between steps: %v", m.pendingActs)
-	}
 	nParked := 0
 	for c := range m.parked {
-		want := !m.parked[c]
-		if g := m.throttleOf[c]; g >= 0 && !m.thrDormant[g] {
-			// Parked members of a live throttle group keep their
-			// per-step metric updates, so they stay on the list.
-			want = true
-		}
+		// Under scalar throttles parked CPUs keep their per-step metric
+		// updates, so they stay on the list.
+		want := !m.parked[c] || len(m.throttles) > 0
 		got := m.liveCPUBits[c>>6]&(1<<(uint(c)&63)) != 0
 		if got != want {
-			t.Fatalf("cpu %d: active bit %v, want %v (parked=%v group=%d)",
-				c, got, want, m.parked[c], m.throttleOf[c])
+			t.Fatalf("cpu %d: active bit %v, want %v (parked=%v throttles=%d)",
+				c, got, want, m.parked[c], len(m.throttles))
 		}
 		if m.parked[c] {
 			nParked++
@@ -107,10 +100,10 @@ func stormLayouts() []topology.Layout {
 
 // buildStorm constructs a randomized spawn/wake storm machine: a mix of
 // interactive programs (wake storms: every sleep→wake transition is an
-// activation) and short finite respawning tasks (spawn storms: every
-// completion places a fresh task mid-execution-sweep, the
-// activation-behind-cursor path). All parameters derive from trial, so
-// each engine builds an identical machine.
+// activation) and short finite respawning tasks (respawn storms: every
+// completion queues a fresh task that is placed right after the
+// execution sweep, often un-parking its CPU). All parameters derive
+// from trial, so each engine builds an identical machine.
 func buildStorm(trial int64, lay topology.Layout, e Engine) *Machine {
 	rng := rand.New(rand.NewSource(trial))
 	cfg := Config{
@@ -135,19 +128,20 @@ func buildStorm(trial int64, lay topology.Layout, e Engine) *Machine {
 		m.Spawn(interactive[rng.Intn(len(interactive))]())
 	}
 	for i, n := 0, 1+rng.Intn(4); i < n; i++ {
-		// Short finite work keeps completions (and thus mid-sweep
-		// spawn placements) frequent.
+		// Short finite work keeps completions (and thus respawn
+		// placements) frequent.
 		m.Spawn(workload.WithWork(cpubound[rng.Intn(len(cpubound))](), 300+float64(rng.Intn(1200))))
 	}
 	return m
 }
 
-// TestActivationBehindCursor is the property test for event-driven
-// dispatch: under randomized spawn/wake storms, across random chunk
+// TestActivationBehindCursor is the respawn- and wake-storm
+// equivalence test: under randomized storms, across random chunk
 // boundaries, the async engine must stay byte-identical to the
-// lockstep reference — which can only hold if every mid-phase
-// activation lands behind the sweep cursor — and its active lists must
-// be consistent after every chunk.
+// lockstep reference — every activation, including the respawn
+// placements that follow the execution sweep, must settle the
+// activated CPU and its package to exactly the lockstep state — and
+// its active lists must be consistent after every chunk.
 func TestActivationBehindCursor(t *testing.T) {
 	layouts := stormLayouts()
 	for trial := int64(0); trial < 8; trial++ {
@@ -177,9 +171,9 @@ func TestActivationBehindCursor(t *testing.T) {
 	}
 }
 
-// TestActiveListConsistencyUnderMutations drives one long storm with
-// fine-grained chunks (so checks interleave tightly with runqueue
-// mutations) on the widest layout, including dormant-throttle and
+// TestActiveListConsistencyUnderMutations is the mutation-storm test:
+// one long storm with fine-grained chunks (so checks interleave tightly
+// with runqueue mutations) on the widest layout, including
 // parked-package transitions.
 func TestActiveListConsistencyUnderMutations(t *testing.T) {
 	m := buildStorm(99, topology.Server64(), EngineAsync)
@@ -195,7 +189,7 @@ func TestActiveListConsistencyUnderMutations(t *testing.T) {
 // TestStepAllocsBounded guards the O(busy) execution path against
 // per-quantum allocations: steady-state simulation must not allocate
 // per step or per CPU. A small constant budget absorbs amortized
-// reallocations (migration log, wake heap growth); anything O(steps)
+// reallocations (migration log, sleeper list growth); anything O(steps)
 // or O(nCPU) blows past it immediately (a 3 s chunk runs thousands of
 // quanta over 64 CPUs).
 func TestStepAllocsBounded(t *testing.T) {

@@ -30,21 +30,19 @@ import (
 // idle power feed is constant, so the variable-period exponential
 // average composes one gap-length update identically to per-step
 // updates; the RC thermal step is closed-form over constant power; the
-// throttle tick accounting is integer addition. The engine therefore
-// reproduces the lockstep engine's scheduling decisions bit-for-bit, with temperatures and energies equal up to
+// unit throttles' tick accounting is integer addition. The engine
+// therefore reproduces the lockstep engine's scheduling decisions
+// bit-for-bit, with temperatures and energies equal up to
 // floating-point rounding — enforced by TestEngineEquivalence.
 //
-// Three nested layers of parking exist, each with its own settle clock:
+// Two nested layers of parking exist, each with its own settle clock:
 //
 //   - per-CPU: the power metric and the idle-tick counter
-//     (cpuSettledMS). A CPU's metric may stay live while the CPU is
-//     parked if the CPU belongs to a throttle group that still needs
-//     per-step evaluation (see below).
-//   - per scalar throttle: a group whose members are all parked, whose
-//     throttle is disengaged, and whose summed metric provably cannot
-//     reach the limit while idle (each member's metric moves
-//     monotonically toward the idle feed) goes *dormant*: Engage is
-//     skipped and the tick accounting (thrSettledMS) settles lazily.
+//     (cpuSettledMS). On a machine with scalar throttles the metric
+//     stays live while the CPU is parked: every throttle reads its
+//     members' metrics each step, so parked CPUs stay on the active
+//     list and take the execution sweep's idle branch. Only a machine
+//     without scalar throttles defers parked metrics.
 //   - per package: when every logical CPU of a package is parked, the
 //     package's thermal state — core nodes, unit hotspots, unit
 //     throttle accounting — freezes (pkgSettledMS) and settles in one
@@ -52,10 +50,9 @@ import (
 //     any active CPU keep stepping every quantum, because chip coupling
 //     makes their idle cores' effective power time-varying.
 //
-// Wake events live in a sched.EventQueue (binary min-heap) so the
-// quantum planner peeks the earliest wake in O(1) instead of scanning
-// the sleeper list; stale entries (tasks that woke or re-blocked) are
-// discarded lazily at peek time.
+// The quantum planner bounds each quantum by the earliest sleeper
+// wake-up, a minimum over the sleeper list that the step's wake phase
+// walks anyway.
 //
 // DVFS composes with parking for free: governors evaluate only
 // occupied CPUs, and a CPU in hlt draws its sleep power whatever its
@@ -77,7 +74,7 @@ func (m *Machine) runAsync(durationMS int64) {
 		}
 		m.step(limit)
 	}
-	m.settleAll()
+	m.settleParkedTo(m.nowMS)
 	// A Spawn before the next Run must settle parked state to the clock,
 	// not one tick past it as the finished step's markers would.
 	m.resetPhaseMarkers()
@@ -88,8 +85,7 @@ func (m *Machine) runAsync(durationMS int64) {
 // yet. Between Run calls the markers always hold these values.
 func (m *Machine) resetPhaseMarkers() {
 	m.qStartMS = m.nowMS
-	m.phase6CPU = -1
-	m.metricsDone, m.thermalDone, m.accountDone = false, false, false
+	m.metricsDone, m.thermalDone = false, false
 }
 
 // initAsync allocates the parking state. Called from New for every
@@ -103,19 +99,6 @@ func (m *Machine) initAsync() {
 	m.cpuSettledMS = make([]int64, nCPU)
 	m.pkgParked = make([]bool, nPkg)
 	m.pkgSettledMS = make([]int64, nPkg)
-	m.throttleOf = make([]int, nCPU)
-	for c := range m.throttleOf {
-		m.throttleOf[c] = -1
-	}
-	for i, members := range m.throttleMembers {
-		for _, cpu := range members {
-			m.throttleOf[int(cpu)] = i
-		}
-	}
-	if m.throttles != nil {
-		m.thrDormant = make([]bool, len(m.throttles))
-		m.thrSettledMS = make([]int64, len(m.throttles))
-	}
 	// Effective thermal power of a core while its whole package idles:
 	// own idle share plus the chip-coupling share of its (equally idle)
 	// neighbours. Constant, so parked packages settle in closed form.
@@ -125,7 +108,6 @@ func (m *Machine) initAsync() {
 	m.resetPhaseMarkers()
 	m.stepList = make([]int32, 0, nCPU)
 	m.stepCores = make([]int32, 0, len(m.nodes))
-	m.pendingActs = make([]topology.CPUID, 0, nCPU)
 	// Membership bitmaps behind the two active lists, all-set to start
 	// (nothing is parked yet). The trailing bits of the last word stay
 	// zero so the materialization loops need no bounds check.
@@ -144,8 +126,8 @@ func (m *Machine) initAsync() {
 	// split between this settle and the eventual unpark/monitor settle
 	// lands on exactly the values a full settle would have produced.
 	m.Sched.Hooks.ThermalRead = func(cpu topology.CPUID) {
-		if c := int(cpu); m.parked[c] && m.metricDormant(c) {
-			m.settleCPUMetricTo(c, m.metricSettleTo(c))
+		if c := int(cpu); m.parked[c] && m.metricsDeferred() {
+			m.settleCPUMetricTo(c, m.metricSettleTo())
 		}
 	}
 	m.stepListDirty = true
@@ -192,11 +174,12 @@ func (m *Machine) setPkgCores(p int, on bool) {
 func (m *Machine) cpuParked(c int) bool { return m.async && m.parked[c] }
 
 // stepCPUs returns the CPUs the per-step phases must visit, ascending:
-// every CPU on the lockstep engine; on the async engine
-// the un-parked CPUs plus the parked members of live (non-dormant)
-// throttle groups, whose metrics update per step. Materialized lazily
-// from the membership bitmap in O(set bits + nCPU/64), so park/unpark
-// churn on a mostly-idle machine costs O(busy), not O(nCPU).
+// every CPU on the lockstep engine; on the async engine the un-parked
+// CPUs, plus every parked CPU when the machine has scalar throttles
+// (their metrics update per step). Materialized lazily from the
+// membership bitmap in O(set bits + nCPU/64), so park/unpark churn on a
+// mostly-idle machine without scalar throttles costs O(busy), not
+// O(nCPU).
 func (m *Machine) stepCPUs() []int32 {
 	if !m.async {
 		return m.allCPUs
@@ -237,45 +220,29 @@ func materialize(dst []int32, words []uint64) []int32 {
 	return dst
 }
 
-// metricDormant reports whether a parked CPU's power metric is
-// deferred. A parked CPU outside any throttle group defers
-// immediately; a group member defers only while its whole group is
-// dormant (live groups read every member's metric each step, so those
-// members keep the per-step idle update).
-func (m *Machine) metricDormant(c int) bool {
-	g := m.throttleOf[c]
-	if g < 0 {
-		return true
-	}
-	return m.thrDormant[g]
-}
+// metricsDeferred reports whether parked CPUs defer their power
+// metrics. Scalar throttles read every member's metric each step, so on
+// a machine with any of them parked CPUs keep the per-step idle update.
+func (m *Machine) metricsDeferred() bool { return len(m.throttles) == 0 }
 
-// earliestWake returns the earliest pending wake-up time, discarding
-// stale heap entries (tasks already woken, or re-blocked under a new
-// wake time) lazily.
+// earliestWake returns the earliest pending wake-up time, or
+// NoDeadline when no task sleeps.
 func (m *Machine) earliestWake() int64 {
-	for {
-		at, id, ok := m.wakePQ.Peek()
-		if !ok {
-			return sched.NoDeadline
+	at := int64(sched.NoDeadline)
+	for _, ts := range m.sleepers {
+		if ts.wakeAtMS < at {
+			at = ts.wakeAtMS
 		}
-		if ts, live := m.tasks[id]; live && ts.sleeping && ts.wakeAtMS == at {
-			return at
-		}
-		m.wakePQ.Pop()
 	}
+	return at
 }
 
-// metricSettleTo returns the tick up to (exclusive) which CPU d's idle
-// metric must be brought forward to match the shared step's state at
-// the current phase: before the execution phase nothing of the current
-// quantum is folded in yet; after it the whole quantum is. During the
-// execution phase itself (spawn placements from finishTask) the loop
-// has folded the quantum into CPUs below phase6CPU but not yet into the
-// ones above — the settle target honors that split so placement reads
-// exactly what an unparked CPU's tracker would hold.
-func (m *Machine) metricSettleTo(d int) int64 {
-	if m.metricsDone || d < m.phase6CPU {
+// metricSettleTo returns the tick up to (exclusive) which a parked
+// CPU's idle metric must be brought forward to match the shared step's
+// state at the current phase: before the execution phase nothing of the
+// current quantum is folded in yet; after it the whole quantum is.
+func (m *Machine) metricSettleTo() int64 {
+	if m.metricsDone {
 		return m.nowMS + 1
 	}
 	return m.qStartMS
@@ -306,21 +273,6 @@ func (m *Machine) settleCPUMetricTo(d int, to int64) {
 		m.TrueEnergyJ += m.idleShareW * fg / 1000
 		m.idleTicks[d] += gap
 		m.cpuSettledMS[d] = to
-	}
-}
-
-// settleDormantMetrics brings every deferred CPU metric forward to its
-// phase-correct settle target. Called before any pass that reads
-// cross-CPU thermal power (balance, idle pull, hot check, placement,
-// monitor sampling).
-func (m *Machine) settleDormantMetrics() {
-	if m.nParked == 0 {
-		return // nothing parked, nothing deferred
-	}
-	for c := range m.parked {
-		if m.parked[c] && m.metricDormant(c) {
-			m.settleCPUMetricTo(c, m.metricSettleTo(c))
-		}
 	}
 }
 
@@ -364,9 +316,24 @@ func (m *Machine) settlePackageThermal(p int, to int64) {
 	m.pkgSettledMS[p] = to
 }
 
-// settleParkedPackages brings every parked package's thermal state
-// forward to to (they stay parked).
-func (m *Machine) settleParkedPackages(to int64) {
+// settleParkedTo brings every parked CPU's deferred metric and every
+// parked package's thermal state forward to tick to (exclusive). They
+// stay parked — only their settle clocks advance — so the caller can
+// read any metric, temperature, or accounting field as if the machine
+// had stepped every quantum. Called at a quantum's end before a monitor
+// sample or a recalibration window reads machine-wide state, and when
+// Run returns.
+func (m *Machine) settleParkedTo(to int64) {
+	if m.nParked == 0 {
+		return // nothing parked, nothing deferred
+	}
+	if m.metricsDeferred() {
+		for c := range m.parked {
+			if m.parked[c] {
+				m.settleCPUMetricTo(c, to)
+			}
+		}
+	}
 	for p := range m.pkgParked {
 		if m.pkgParked[p] {
 			m.settlePackageThermal(p, to)
@@ -374,51 +341,18 @@ func (m *Machine) settleParkedPackages(to int64) {
 	}
 }
 
-// wakeThrottleGroup ends a scalar throttle's dormancy: member metrics
-// settle (they return to per-step updates from here on) and the
-// skipped tick accounting is folded in.
-func (m *Machine) wakeThrottleGroup(g int) {
-	if !m.thrDormant[g] {
-		return
-	}
-	for _, mc := range m.throttleMembers[g] {
-		m.settleCPUMetricTo(int(mc), m.metricSettleTo(int(mc)))
-	}
-	to := m.qStartMS
-	if m.accountDone {
-		to = m.nowMS + 1
-	}
-	if gap := to - m.thrSettledMS[g]; gap > 0 {
-		m.throttles[g].Account(gap)
-	}
-	m.thrDormant[g] = false
-	for _, mc := range m.throttleMembers[g] {
-		m.setLiveCPU(int(mc)) // parked members rejoin the per-step path
-	}
-}
-
 // activateCPU un-parks a CPU because work is about to be enqueued on it
-// (wake-up, migration, or spawn placement). Its metric, its throttle
-// group, and its package all rejoin the per-step path with settled
-// state.
+// (wake-up, migration, or spawn placement). Its metric and its package
+// rejoin the per-step path with settled state. Nothing in the execution
+// sweep enqueues work (respawns wait in respawnQ until the sweep ends),
+// so the active list never changes under the sweep's cursor.
 func (m *Machine) activateCPU(cpu topology.CPUID) {
 	c := int(cpu)
 	if !m.parked[c] {
 		return
 	}
-	if m.phase6CPU >= 0 {
-		// Mid-execution-sweep activation (a spawn placed by a finishing
-		// task's respawn hook). The sweep iterates a frozen snapshot of
-		// the active list, so the un-park is deferred until the sweep
-		// ends; the drain settles the full quantum through the same
-		// closed forms the idle branch would have applied.
-		m.pendingActs = append(m.pendingActs, cpu)
-		return
-	}
-	if g := m.throttleOf[c]; g >= 0 {
-		m.wakeThrottleGroup(g)
-	} else {
-		m.settleCPUMetricTo(c, m.metricSettleTo(c))
+	if m.metricsDeferred() {
+		m.settleCPUMetricTo(c, m.metricSettleTo())
 	}
 	m.unparkPackage(m.Cfg.Layout.Package(cpu))
 	m.parked[c] = false
@@ -441,10 +375,8 @@ func (m *Machine) unparkPackage(p int) {
 }
 
 // parkIdleCPUs runs at the end of every async step: CPUs that ended the
-// step with nothing to run are parked, throttle groups whose last
-// member parked (or whose throttle just disengaged with all members
-// parked) go dormant when provably inert, and fully parked packages
-// freeze their thermal state. m.nowMS already points past the quantum,
+// step with nothing to run are parked, and fully parked packages freeze
+// their thermal state. m.nowMS already points past the quantum,
 // so every settle clock starts exactly at the first unprocessed tick.
 func (m *Machine) parkIdleCPUs() {
 	now := m.nowMS
@@ -475,11 +407,10 @@ func (m *Machine) parkIdleCPUs() {
 			newParked = true
 			m.truePower[c] = m.idleShareW
 			m.execSpeed[c] = 0
-			if m.throttleOf[c] < 0 {
-				// No throttle group: the metric defers immediately and the
-				// CPU leaves the active list. Members of a live group stay
-				// on it (their metrics still step) until the whole group
-				// goes dormant below.
+			if m.metricsDeferred() {
+				// No scalar throttle reads the metric: it defers and the
+				// CPU leaves the active list. Under scalar throttles the
+				// CPU stays on it and its metric keeps stepping.
 				m.cpuSettledMS[c] = now
 				m.clearLiveCPU(c)
 			}
@@ -487,45 +418,6 @@ func (m *Machine) parkIdleCPUs() {
 	}
 	if !newParked && m.nParked == 0 {
 		return
-	}
-	// Scalar throttle dormancy: all members parked, disengaged, and the
-	// summed metric cannot reach the limit while every member feeds
-	// idle power (each member's average moves monotonically toward the
-	// idle feed, so the sum is bounded by Σ max(current, idle)).
-	for g, th := range m.throttles {
-		if m.thrDormant[g] || th.Engaged() {
-			continue
-		}
-		members := m.throttleMembers[g]
-		all := true
-		for _, mc := range members {
-			if !m.parked[int(mc)] {
-				all = false
-				break
-			}
-		}
-		if !all {
-			continue
-		}
-		if th.LimitW > 0 {
-			bound := 0.0
-			for _, mc := range members {
-				tp := m.Sched.Power[int(mc)].ThermalPower()
-				if tp < m.estIdleW {
-					tp = m.estIdleW
-				}
-				bound += tp
-			}
-			if bound+1e-9 >= th.LimitW {
-				continue // could still engage: keep evaluating per step
-			}
-		}
-		m.thrDormant[g] = true
-		m.thrSettledMS[g] = now
-		for _, mc := range members {
-			m.cpuSettledMS[int(mc)] = now
-			m.clearLiveCPU(int(mc)) // metrics leave the per-step path
-		}
 	}
 	// Package thermal parking: every logical CPU parked, and — under
 	// unit throttling — no unit throttle engaged or able to engage
@@ -575,27 +467,4 @@ pkgs:
 		m.pkgSettledMS[p] = now
 		m.setPkgCores(p, false)
 	}
-}
-
-// settleAll materializes every deferred piece of state at the current
-// clock. Parked CPUs, dormant throttles, and parked packages stay
-// parked — only their settle clocks advance — so the caller can read
-// any metric, temperature, or accounting field as if the machine had
-// stepped every quantum.
-func (m *Machine) settleAll() {
-	now := m.nowMS
-	for c := range m.parked {
-		if m.parked[c] && m.metricDormant(c) {
-			m.settleCPUMetricTo(c, now)
-		}
-	}
-	for g := range m.thrDormant {
-		if m.thrDormant[g] {
-			if gap := now - m.thrSettledMS[g]; gap > 0 {
-				m.throttles[g].Account(gap)
-			}
-			m.thrSettledMS[g] = now
-		}
-	}
-	m.settleParkedPackages(now)
 }

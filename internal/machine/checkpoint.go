@@ -51,8 +51,9 @@ import (
 // was retired), so a version-1 image would restore onto the wrong
 // engine. Version 3 dropped the per-step phase markers (always at their
 // reset values between Run calls) and the Config fields that became
-// constants.
-const CheckpointVersion = 3
+// constants. Version 4 dropped the async engine's dormant-throttle
+// flags and throttle settle times.
+const CheckpointVersion = 4
 
 // taskSnapshot is one task's complete state: the scheduler's view
 // (timeslice, CPU, warmup, profile) and the workload's (phase machine,
@@ -114,15 +115,14 @@ type dvfsSnapshot struct {
 
 // asyncSnapshot is the async/parallel engines' parking and lazy-settle
 // state. The live-CPU/live-core bitmaps are not stored: they are a pure
-// function of (parked, thrDormant, pkgParked) and are recomputed at
-// restore per the same invariant the oracle checks.
+// function of (parked, pkgParked) and whether the machine has scalar
+// throttles, and are recomputed at restore per the same invariant the
+// oracle checks.
 type asyncSnapshot struct {
 	Parked       []bool
 	CPUSettledMS []int64
 	PkgParked    []bool
 	PkgSettledMS []int64
-	ThrDormant   []bool
-	ThrSettledMS []int64
 	ParkDirty    bool
 }
 
@@ -381,8 +381,6 @@ func (m *Machine) captureState() *machineState {
 			CPUSettledMS: append([]int64(nil), m.cpuSettledMS...),
 			PkgParked:    append([]bool(nil), m.pkgParked...),
 			PkgSettledMS: append([]int64(nil), m.pkgSettledMS...),
-			ThrDormant:   append([]bool(nil), m.thrDormant...),
-			ThrSettledMS: append([]int64(nil), m.thrSettledMS...),
 			ParkDirty:    m.parkDirty,
 		}
 	}
@@ -574,19 +572,14 @@ func applyState(st *machineState, rec *trace.Recorder) (*Machine, error) {
 		m.Sched.AttachDeadlines(m.wheel)
 	}
 
-	// Sleepers in original list order; the wake heap is rebuilt from
-	// them (pop order among equal wake times is unobservable — wakes
-	// are processed by walking the sleeper list, the heap only bounds
-	// planner horizons).
+	// Sleepers in original list order: wakes are processed by walking
+	// the list.
 	for _, id := range st.Sleepers {
 		ts, err := lookup(id)
 		if err != nil {
 			return nil, err
 		}
 		m.sleepers = append(m.sleepers, ts)
-		if m.async {
-			m.wakePQ.Push(ts.wakeAtMS, id)
-		}
 	}
 
 	for c := range st.Dispatches {
@@ -644,8 +637,6 @@ func applyState(st *machineState, rec *trace.Recorder) (*Machine, error) {
 		copy(m.cpuSettledMS, st.Async.CPUSettledMS)
 		copy(m.pkgParked, st.Async.PkgParked)
 		copy(m.pkgSettledMS, st.Async.PkgSettledMS)
-		copy(m.thrDormant, st.Async.ThrDormant)
-		copy(m.thrSettledMS, st.Async.ThrSettledMS)
 		m.nParked = 0
 		for c := range m.parked {
 			if m.parked[c] {
@@ -653,16 +644,11 @@ func applyState(st *machineState, rec *trace.Recorder) (*Machine, error) {
 			}
 		}
 		// The live sets are a function of the parking state: a CPU is
-		// in the per-step path unless parked, except that members of a
-		// live (non-dormant) throttle group always are; a core steps
-		// unless its package is parked. Same invariant CheckInvariants
-		// asserts.
+		// in the per-step path unless it is parked on a machine without
+		// scalar throttles; a core steps unless its package is parked.
+		// Same invariant CheckInvariants asserts.
 		for c := range m.parked {
-			want := !m.parked[c]
-			if g := m.throttleOf[c]; g >= 0 && !m.thrDormant[g] {
-				want = true
-			}
-			if want {
+			if !m.parked[c] || !m.metricsDeferred() {
 				m.setLiveCPU(c)
 			} else {
 				m.clearLiveCPU(c)
@@ -773,8 +759,6 @@ func (st *machineState) checkShape(m *Machine) error {
 			dims{"CPU settle times", len(a.CPUSettledMS), len(m.cpuSettledMS)},
 			dims{"package parked flags", len(a.PkgParked), len(m.pkgParked)},
 			dims{"package settle times", len(a.PkgSettledMS), len(m.pkgSettledMS)},
-			dims{"dormant-throttle flags", len(a.ThrDormant), len(m.thrDormant)},
-			dims{"throttle settle times", len(a.ThrSettledMS), len(m.thrSettledMS)},
 		)
 	}
 	return err

@@ -87,11 +87,12 @@ func TestCheckpointRoundTrip(t *testing.T) {
 // under an older layout must fail to restore instead of coming back
 // wrong — version 1 on a different engine (Engine 0 was the retired
 // batched engine), version 2 with per-step phase markers and Config
-// fields the current format no longer carries.
+// fields the current format no longer carries, version 3 with the
+// retired dormant-throttle state.
 func TestRestoreRejectsOldVersion(t *testing.T) {
 	m := engineScenarios()[1].build(EngineAsync, 0)
 	m.Run(1000)
-	for _, v := range []int{1, 2} {
+	for _, v := range []int{1, 2, 3} {
 		st := m.captureState()
 		st.Version = v
 		var buf bytes.Buffer
@@ -262,8 +263,8 @@ func TestRestoreRejectsMalformedImages(t *testing.T) {
 		{"pending count disagrees with the entries", "dvfs-unit-thermal", func(st *machineState) {
 			st.DVFS.NPending++
 		}},
-		{"extra dormant-throttle flag", "dvfs-unit-thermal", func(st *machineState) {
-			st.Async.ThrDormant = append(st.Async.ThrDormant, false)
+		{"extra parked flag", "dvfs-unit-thermal", func(st *machineState) {
+			st.Async.Parked = append(st.Async.Parked, false)
 		}},
 		{"extra package settle time", "dvfs-unit-thermal", func(st *machineState) {
 			st.Async.PkgSettledMS = append(st.Async.PkgSettledMS, 0)

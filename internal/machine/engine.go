@@ -142,8 +142,9 @@ func (m *Machine) step(limitMS int64) int64 {
 		cores := layout.Cores()
 		for core, th := range m.unitThrottles {
 			if m.async && m.pkgParked[core/cores] {
-				// Dormant: temperatures are falling below the limit,
-				// so the engage decision cannot change (see async.go).
+				// Parked package: temperatures are falling below the
+				// limit, so the engage decision cannot change (see
+				// async.go).
 				continue
 			}
 			maxT := 0.0
@@ -199,10 +200,7 @@ func (m *Machine) step(limitMS int64) int64 {
 		// migrations) arm deadlines from the quantum's last tick.
 		m.wheel.SetNow(endMS)
 	}
-	for i, th := range m.throttles {
-		if m.async && m.thrDormant[i] {
-			continue // accounted lazily when the group wakes
-		}
+	for _, th := range m.throttles {
 		th.Account(dt)
 	}
 	if m.unitThrottles != nil {
@@ -213,9 +211,6 @@ func (m *Machine) step(limitMS int64) int64 {
 			}
 			th.Account(dt)
 		}
-	}
-	if m.async {
-		m.accountDone = true
 	}
 	if m.fallbackOn {
 		m.FallbackTicks += dt
@@ -229,13 +224,11 @@ func (m *Machine) step(limitMS int64) int64 {
 	// updates.
 	//
 	// The sweep walks the active list — the same CPUs the old full scan
-	// visited (parked-dormant CPUs settle lazily when observed; parked
-	// members of live throttle groups take the idle branch because the
-	// group reads their metric every step). The list is a stable
-	// snapshot: mid-sweep activations (spawn placements from finishing
-	// tasks' respawns) are deferred until after the sweep (activateCPU),
-	// so they always land behind the cursor and the deferred CPU's
-	// quantum folds through the identical closed-form settle.
+	// visited (parked CPUs settle lazily when observed; under scalar
+	// throttles parked CPUs stay on the list and take the idle branch
+	// because the throttles read their metrics every step). Nothing in
+	// the sweep enqueues work — respawns wait in respawnQ — so the list
+	// never changes under the cursor.
 	// The sweep is split into a per-CPU compute half and a canonical-
 	// order commit: compute integrates each CPU's workload, counters,
 	// metric, and per-unit power (all CPU-local state) and stages the
@@ -279,20 +272,13 @@ func (m *Machine) step(limitMS int64) int64 {
 	// closed-form step when the package is next observed (async.go).
 	if m.async {
 		m.metricsDone = true
-		m.phase6CPU = -1
-		// Drain the activations the execution sweep deferred: with
-		// metricsDone set, each CPU's idle quantum folds through the
-		// same closed-form settle the sweep's idle branch would have
-		// applied, and its package (settled to the quantum start)
-		// rejoins the core list below in time for the thermal phase.
-		for _, cpu := range m.pendingActs {
-			m.activateCPU(cpu)
-		}
-		m.pendingActs = m.pendingActs[:0]
 	}
 	// Respawns the sweep queued: every tracker is now current through
 	// the quantum's end tick — the same instant the lockstep loop
-	// reads — so placement picks the same CPU under every engine.
+	// reads — so placement picks the same CPU under every engine. A
+	// placement that un-parks a CPU settles its metric over the whole
+	// quantum and its package to the quantum start, so the package
+	// rejoins the core list below in time for the thermal phase.
 	for _, prog := range m.respawnQ {
 		m.Spawn(prog)
 	}
@@ -383,8 +369,7 @@ func (m *Machine) step(limitMS int64) int64 {
 	// instant).
 	if p := m.Cfg.MonitorPeriodMS; p > 0 && endMS%int64(p) == 0 {
 		if m.async {
-			m.settleDormantMetrics()
-			m.settleParkedPackages(endMS + 1)
+			m.settleParkedTo(endMS + 1)
 		}
 		for c := 0; c < nCPU; c++ {
 			m.tpSeries[c].Append(m.Sched.Power[c].ThermalPower())
@@ -424,8 +409,10 @@ func (m *Machine) coupledEffPower(raw []float64, core int) float64 {
 // throttledCPUs runs the throttle engagement for this step and returns,
 // per logical CPU, whether it must halt. Each throttle decides on the
 // summed thermal power of its precomputed member group — the same
-// groups the planner's crossing prediction iterates. The
-// returned slice is a scratch buffer reused across steps.
+// groups the planner's crossing prediction iterates. The returned slice
+// is a scratch buffer reused across steps, cleared whole when any
+// throttle exists: unit throttles write every thread of an engaged
+// core, parked ones included.
 func (m *Machine) throttledCPUs() []bool {
 	nCPU := m.Cfg.Layout.NumLogical()
 	if m.throttleScratch == nil {
@@ -438,27 +425,8 @@ func (m *Machine) throttledCPUs() []bool {
 		// per-step clear is skipped.
 		return out
 	}
-	if m.unitThrottles != nil {
-		// Unit throttles write every thread of an engaged core, which
-		// may include parked-dormant CPUs of a live package — clear the
-		// whole scratch.
-		for i := range out {
-			out[i] = false
-		}
-	} else {
-		// Scalar throttles only ever write members of non-dormant
-		// groups, and the decision loop only writes active-list CPUs —
-		// all on the active list, so clearing it alone suffices. (A CPU
-		// whose group went dormant left the list with false: dormancy
-		// requires a disengaged throttle.)
-		for _, c := range m.stepCPUs() {
-			out[c] = false
-		}
-	}
+	clear(out)
 	for i, th := range m.throttles {
-		if m.async && m.thrDormant[i] {
-			continue // provably cannot engage while its CPUs idle
-		}
 		members := m.throttleMembers[i]
 		sum := 0.0
 		for _, cpu := range members {
@@ -761,9 +729,6 @@ func (m *Machine) execCommit(cpus []int32, fdt float64, endMS int64) {
 
 // execCommitCPU is execCommit for one CPU.
 func (m *Machine) execCommitCPU(c int, fdt float64, endMS int64) {
-	if m.async {
-		m.phase6CPU = c
-	}
 	stat := m.p6stat[c]
 	m.p6stat[c] = 0
 	if stat == p6Idle {
@@ -923,9 +888,6 @@ func (m *Machine) blockTask(cpu topology.CPUID, ts *taskState, blockMS float64, 
 	ts.sleeping = true
 	ts.wakeAtMS = atMS + int64(blockMS)
 	m.sleepers = append(m.sleepers, ts)
-	if m.async {
-		m.wakePQ.Push(ts.wakeAtMS, ts.st.ID)
-	}
 	if t := rq.PickNext(); t != nil {
 		m.startDispatch(cpu, t, atMS)
 	} else {

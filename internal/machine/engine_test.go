@@ -390,8 +390,8 @@ func engineScenarios() []engineScenario {
 			// Fault injection: a grossly under-estimating model (half
 			// weights, never recalibrated) with a diode that freezes
 			// mid-run. The divergence detector must engage the fallback
-			// limits identically across engines — including the async
-			// engine's dormant-group wake on the limit change.
+			// limits identically across engines, with every throttle
+			// group re-evaluated against the changed limits.
 			name: "faults-fallback-stuck",
 			build: func(e Engine, shards int) *Machine {
 				m := MustNew(Config{

@@ -13,6 +13,6 @@ func (m *Machine) RunCountingQuanta(durationMS int64) (quanta int) {
 		m.step(limit)
 		quanta++
 	}
-	m.settleAll()
+	m.settleParkedTo(m.nowMS)
 	return quanta
 }

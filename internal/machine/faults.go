@@ -27,8 +27,7 @@ func (m *Machine) recalWindow(endMS int64) {
 		// Bring every parked CPU's metrics/ticks and every parked
 		// package's temperature current through this instant, exactly
 		// like a monitor sample does.
-		m.settleDormantMetrics()
-		m.settleParkedPackages(endMS + 1)
+		m.settleParkedTo(endMS + 1)
 	}
 
 	// Sensor side: each package's diode sits on its hottest core (the
@@ -103,16 +102,6 @@ func (m *Machine) setFallback(on bool, atMS int64) {
 	m.emit(trace.Event{TimeMS: atMS, Kind: kind, TaskID: -1, CPU: -1, From: -1})
 	if len(m.throttles) == 0 {
 		return
-	}
-	if m.async {
-		// A dormant group's parking proof compares its power bound
-		// against the limit about to change; wake them all and let the
-		// step-end park sweep re-prove dormancy against the new limits.
-		for g := range m.thrDormant {
-			if m.thrDormant[g] {
-				m.wakeThrottleGroup(g)
-			}
-		}
 	}
 	scale := 1.0
 	if on {

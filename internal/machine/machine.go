@@ -338,7 +338,6 @@ type Machine struct {
 	// Planner state.
 	wheel      *sched.Wheel // deadline scheduler for staggered periodic work
 	maxQuantum int64        // resolved MaxQuantumMS (lifted when no throttle)
-	hotArmed   bool         // hot-check deadlines can ever act
 	// deadlineFires counts fired deadline-phase visits per class
 	// (balance, idle-pull, hot, governor) on the event-driven engines —
 	// diagnostics for the deadline scheduler, not simulation state.
@@ -350,16 +349,16 @@ type Machine struct {
 	// counter accounting — walks these instead of ranging 0..n and
 	// skipping: for the lockstep engine they are the identity lists
 	// (built once), preserving the historical full scan; the async
-	// engine maintains stepList as the CPUs in the per-step
-	// path (un-parked, plus parked members of live throttle groups,
-	// ascending) and stepCores as the cores of un-parked packages. Both
-	// are backed by membership bitmaps (liveCPUBits, liveCoreBits)
-	// mutated in O(1) on every parking-state change and materialized
-	// into the slices lazily in O(popcount), so wake/park churn on a
-	// mostly-idle 1024-CPU machine never pays an O(nCPU) rebuild.
-	// During the execution sweep the list is a frozen snapshot:
-	// activations are deferred behind the cursor (see activateCPU and
-	// pendingActs), never mutating a list mid-iteration.
+	// engine maintains stepList as the CPUs in the per-step path
+	// (un-parked, plus every parked CPU on a machine with scalar
+	// throttles, ascending) and stepCores as the cores of un-parked
+	// packages. Both are backed by membership bitmaps (liveCPUBits,
+	// liveCoreBits) mutated in O(1) on every parking-state change and
+	// materialized into the slices lazily in O(popcount), so wake/park
+	// churn on a mostly-idle 1024-CPU machine without scalar throttles
+	// never pays an O(nCPU) rebuild. Nothing activates a CPU during the
+	// execution sweep (respawns wait in respawnQ), so no list changes
+	// mid-iteration.
 	allCPUs        []int32
 	allCores       []int32
 	coreOfCPU      []int32 // CPU → physical core, flat (Layout.Core cached)
@@ -382,21 +381,16 @@ type Machine struct {
 
 	// Async-engine state (see async.go; nil/zero on lockstep). async
 	// marks every engine but lockstep: quanta are planned, CPUs park,
-	// the deadline scheduler is attached, wake-ups live on the event
-	// heap, and the periodic-deadline phases fire from due lists instead
-	// of the per-CPU modulo scan (which the lockstep engine keeps as the
-	// reference behavior).
+	// the deadline scheduler is attached, and the periodic-deadline
+	// phases fire from due lists instead of the per-CPU modulo scan
+	// (which the lockstep engine keeps as the reference behavior).
 	async        bool
-	nParked      int               // count of parked CPUs
-	parked       []bool            // per logical CPU: out of the per-step path
-	cpuSettledMS []int64           // per CPU: first tick not yet in its metric
-	pkgParked    []bool            // per package: thermal state frozen
-	pkgSettledMS []int64           // per package: first unintegrated tick
-	thrDormant   []bool            // per scalar throttle: evaluation skipped
-	thrSettledMS []int64           // per throttle: first unaccounted tick
-	throttleOf   []int             // cpu → scalar throttle index, -1 if none
-	idleEffW     float64           // core effective power, whole package idle
-	wakePQ       *sched.EventQueue // pending wake-ups (lazy deletion)
+	nParked      int     // count of parked CPUs
+	parked       []bool  // per logical CPU: nothing to run, settled lazily
+	cpuSettledMS []int64 // per CPU: first tick not yet in its metric
+	pkgParked    []bool  // per package: thermal state frozen
+	pkgSettledMS []int64 // per package: first unintegrated tick
+	idleEffW     float64 // core effective power, whole package idle
 	// lastSettleGap/lastSettleW cache the thermal sample weight for the
 	// most recent period length, shared across CPUs only when
 	// thermWShared (uniform package time constants, checked at
@@ -406,11 +400,6 @@ type Machine struct {
 	thermWShared  bool
 	lastSettleGap float64
 	lastSettleW   float64
-	// pendingActs holds CPUs whose activation (a spawn placement from a
-	// finishing task's respawn) arrived during the execution sweep; they
-	// un-park right after the sweep so activations always land behind
-	// the cursor and never mutate the active list mid-iteration.
-	pendingActs []topology.CPUID
 	// respawnQ holds the programs of tasks that finished during the
 	// execution sweep and are configured to respawn. Placement reads
 	// runqueue power and thermal-power trackers machine-wide, so it
@@ -429,10 +418,8 @@ type Machine struct {
 	parkDirty bool
 	// Per-step phase markers driving the settle targets.
 	qStartMS    int64 // first tick of the quantum being stepped
-	phase6CPU   int   // CPU the execution loop is at (-1 outside it)
 	metricsDone bool  // execution phase finished this step
 	thermalDone bool  // thermal phase finished this step
-	accountDone bool  // throttle accounting finished this step
 
 	// Precomputed per-step constants.
 	idleShareW float64 // true idle power per logical CPU (W)
@@ -661,7 +648,6 @@ func New(cfg Config) (*Machine, error) {
 		maxQuantum:        int64(cfg.MaxQuantumMS),
 		async:             cfg.Engine != EngineLockstep,
 	}
-	m.hotArmed = cfg.Sched.HotTaskMigration && int64(cfg.Sched.HotCheckPeriodMS) > 0
 	m.allCPUs = make([]int32, nCPU)
 	for c := range m.allCPUs {
 		m.allCPUs[c] = int32(c)
@@ -687,11 +673,6 @@ func New(cfg Config) (*Machine, error) {
 		// No throttle to re-evaluate: quanta are bounded by real event
 		// horizons alone (the lockstep engine steps 1 ms regardless).
 		m.maxQuantum = unboundedQuantumMS
-	}
-	if m.async {
-		// Pending wake-ups on a lazy-deletion min-heap: the planner
-		// peeks the earliest wake instead of scanning the sleeper list.
-		m.wakePQ = sched.NewEventQueue(64)
 	}
 
 	// DVFS: resolve the ladder/governor configuration and start every

@@ -341,7 +341,7 @@ func (m *Machine) CheckInvariants() error {
 // checkParkInvariants validates the async engine's parking and settle
 // bookkeeping after a settled quantum: parked CPUs are empty, every
 // parkable CPU is parked (the parkDirty contract — a missed setter
-// leaves an empty CPU unparked forever), and the dormancy layers and
+// leaves an empty CPU unparked forever), and the parked packages and
 // membership bitmaps agree with first-principles scans.
 func (m *Machine) checkParkInvariants() error {
 	if m.nowMS == 0 {
@@ -371,28 +371,12 @@ func (m *Machine) checkParkInvariants() error {
 	if nParked != m.nParked {
 		return fmt.Errorf("nParked %d vs %d parked flags", m.nParked, nParked)
 	}
-	// Active-CPU bitmap: un-parked CPUs, plus parked members of live
-	// (non-dormant) throttle groups.
+	// Active-CPU bitmap: un-parked CPUs, plus every parked CPU when
+	// scalar throttles read the metrics each step.
 	for c := range m.parked {
-		want := !m.parked[c]
-		if g := m.throttleOf[c]; g >= 0 && !m.thrDormant[g] {
-			want = true
-		}
+		want := !m.parked[c] || !m.metricsDeferred()
 		if got := m.liveCPUBits[c>>6]&(1<<(uint(c)&63)) != 0; got != want {
 			return fmt.Errorf("cpu %d live bit %v, want %v", c, got, want)
-		}
-	}
-	for g := range m.thrDormant {
-		if !m.thrDormant[g] {
-			continue
-		}
-		if m.throttles[g].Engaged() {
-			return fmt.Errorf("throttle %d dormant while engaged", g)
-		}
-		for _, mc := range m.throttleMembers[g] {
-			if !m.parked[int(mc)] {
-				return fmt.Errorf("throttle %d dormant with unparked member cpu %d", g, mc)
-			}
 		}
 	}
 	cores := layout.Cores()
@@ -413,12 +397,6 @@ func (m *Machine) checkParkInvariants() error {
 				return fmt.Errorf("core %d live bit %v, want %v (package %d parked=%v)", core, got, want, p, m.pkgParked[p])
 			}
 		}
-	}
-	if len(m.pendingActs) != 0 {
-		return fmt.Errorf("%d pending activations left after a settled quantum", len(m.pendingActs))
-	}
-	if m.phase6CPU != -1 {
-		return fmt.Errorf("execution cursor %d left set outside the sweep", m.phase6CPU)
 	}
 	return nil
 }

@@ -86,8 +86,7 @@ func (m *Machine) planQuantum(limit int64) int64 {
 	}
 
 	// Earliest sleeper wake-up (a start-of-tick event: the quantum must
-	// end before it). Wake events live on a binary heap, so the horizon
-	// is a peek instead of a scan over the sleeper list.
+	// end before it).
 	if w := m.earliestWake(); w != sched.NoDeadline {
 		clamp(w - now)
 	}
@@ -165,9 +164,10 @@ func (m *Machine) planQuantum(limit int64) int64 {
 // every balancing pass — periodic and idle pull alike — is provably a
 // no-op and both classes are skipped entirely: the big win for
 // idle-heavy workloads. Hot-check deadlines are armed only for
-// single-task CPUs with a power budget, governor deadlines only for
-// occupied CPUs; all other CPUs' instants are no-ops and never reach
-// the planner.
+// single-task CPUs with a power budget while hot migration is on (so
+// the hot query answers NoDeadline otherwise), governor deadlines only
+// for occupied CPUs; all other CPUs' instants are no-ops and never
+// reach the planner.
 func (m *Machine) clampDeadlines(dt, now int64) int64 {
 	clamp := func(v int64) {
 		if v < dt {
@@ -185,10 +185,8 @@ func (m *Machine) clampDeadlines(dt, now int64) int64 {
 			clamp(m.wheel.NextIdlePullDeadline(now) - now + 1)
 		}
 	}
-	if m.hotArmed {
-		if d := m.wheel.NextHotDeadline(now); d != sched.NoDeadline {
-			clamp(d - now + 1)
-		}
+	if d := m.wheel.NextHotDeadline(now); d != sched.NoDeadline {
+		clamp(d - now + 1)
 	}
 	if m.dvfsOn && m.govPeriod > 0 {
 		if d := m.wheel.NextGovDeadline(now); d != sched.NoDeadline {
@@ -259,9 +257,6 @@ func (m *Machine) clampThrottleCrossings(dt int64) int64 {
 	for i, th := range m.throttles {
 		if th.LimitW <= 0 {
 			continue
-		}
-		if m.thrDormant[i] {
-			continue // dormant groups provably cannot cross
 		}
 		members := m.throttleMembers[i]
 		s0, x := 0.0, 0.0
@@ -343,7 +338,7 @@ func (m *Machine) clampUnitCrossings(dt int64) int64 {
 			continue
 		}
 		if m.pkgParked[core/cores] {
-			continue // dormant: unit temperatures falling below limit
+			continue // parked: unit temperatures falling below limit
 		}
 		eff := m.coupledEffPower(raw, core)
 		node := m.nodes[core]

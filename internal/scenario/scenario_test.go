@@ -122,6 +122,16 @@ func TestValidateRejects(t *testing.T) {
 			s.Workload = []TaskGroup{{Program: "bitcnts", Count: MaxTasks}, {Program: "sshd", Count: 1}}
 		}},
 		{"unknown program", func(s *Spec) { s.Workload = []TaskGroup{{Program: "no-such", Count: 1}} }},
+		// Time constants whose 1 ms thermal-power weight rounds to 0:
+		// R·C overflowing to +Inf, and a finite R·C of 1e14 s.
+		{"an infinite heat-sink time constant", func(s *Spec) {
+			s.Packages = append([]PackageSpec(nil), s.Packages...)
+			s.Packages[0] = PackageSpec{R: 1e300, C: 1e300, AmbientC: 25}
+		}},
+		{"a heat-sink time constant too long for a 1 ms update", func(s *Spec) {
+			s.Packages = append([]PackageSpec(nil), s.Packages...)
+			s.Packages[0] = PackageSpec{R: 1e7, C: 1e7, AmbientC: 25}
+		}},
 		{"unknown scope", func(s *Spec) { s.Throttle, s.Scope = true, "socket" }},
 		{"balance period above the deadline-table bound", func(s *Spec) { s.Sched.BalancePeriodMS = sched.MaxPeriodMS + 1 }},
 		{"hot-check period above the deadline-table bound", func(s *Spec) { s.Sched.HotCheckPeriodMS = 1e9 }},

@@ -1,23 +1,21 @@
 package sched
 
-// EventQueue is a binary min-heap of timed events, the coordination
-// structure of the discrete-event (async) simulation engine: each entry
-// is a deadline in milliseconds with an opaque payload (a task ID, a
-// CPU index — whatever the owner keys its events by). The queue answers
+// EventQueue is a binary min-heap of timed events, behind the deadline
+// wheel's armed hot-check and governor deadlines: each entry is a
+// deadline in milliseconds with an opaque payload (a CPU index, or
+// whatever else the owner keys its events by). The queue answers
 // "when is the next event?" in O(1) and absorbs insertions and
 // extractions in O(log n), replacing the per-plan linear scans over all
 // pending events.
 //
 // Ordering is stable: events with equal times pop in insertion order
-// (an internal sequence number breaks ties), so an engine draining due
-// events processes them exactly as the lockstep loop's in-order scan
-// would.
+// (an internal sequence number breaks ties), so the pop sequence is a
+// function of the push sequence alone.
 //
 // The queue supports lazy deletion: owners that cannot cheaply unlink
-// stale entries (e.g. a task that blocked again with a new wake time)
-// just push a fresh entry and let the stale one surface at pop time,
-// where it is recognized — via the owner's validity check — and
-// discarded.
+// stale entries (e.g. a CPU re-armed under a new deadline) just push a
+// fresh entry and let the stale one surface at pop time, where it is
+// recognized — via the owner's validity check — and discarded.
 type EventQueue struct {
 	heap []event
 	seq  uint64

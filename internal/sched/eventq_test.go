@@ -31,8 +31,8 @@ func TestEventQueueOrdersByTime(t *testing.T) {
 	}
 }
 
-// Equal-time events must pop in insertion order — the engine relies on
-// this to reproduce the lockstep loop's in-order wake scan.
+// Equal-time events must pop in insertion order, so a queue's pop
+// sequence is a function of its push sequence alone.
 func TestEventQueueStableForEqualTimes(t *testing.T) {
 	q := NewEventQueue(0)
 	q.Push(7, 100)
@@ -80,15 +80,15 @@ func TestEventQueueRandomizedAgainstSort(t *testing.T) {
 	}
 }
 
-// Property test of the lazy-deletion discipline the async engine's
-// wake handling rests on: owners never unlink entries — a re-blocked
-// task just pushes a duplicate with its new wake time, a woken task
-// leaves its entry to rot — and every consumer discards entries whose
-// (payload, time) no longer matches the owner's model, exactly like
-// machine.earliestWake. The property: against a randomized interleaving
-// of push / cancel / cancel-and-re-push / drain operations on a small
-// CPU-ID space (lots of duplicates), the filtered queue must always
-// surface exactly the model's live events, in time order, stably.
+// Property test of the lazy-deletion discipline the deadline wheel's
+// hot-check and governor heaps rest on (Wheel.nextArmed): owners never
+// unlink entries — a re-armed CPU just pushes a duplicate with its new
+// instant, a disarmed one leaves its entry to rot — and every consumer
+// discards entries whose (payload, time) no longer matches the owner's
+// model. The property: against a randomized interleaving of push /
+// cancel / cancel-and-re-push / drain operations on a small CPU-ID
+// space (lots of duplicates), the filtered queue must always surface
+// exactly the model's live events, in time order, stably.
 func TestEventQueueLazyDeletionProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(2006))
 	const cpus = 8

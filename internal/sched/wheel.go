@@ -160,10 +160,12 @@ func (w *Wheel) NextGov(now int64, cpu int) int64 {
 }
 
 // TotalQueued returns the number of waiting (non-running) tasks across
-// all runqueues. When zero, every balancing pass — periodic, idle pull,
-// and unit exchange alike — is provably a no-op (there is nothing to
-// pull or swap), so the async engine's planner skips balance deadlines
-// entirely and lets quanta run to the next real event.
+// all runqueues by a full scan. When zero, every balancing pass —
+// periodic, idle pull, and unit exchange alike — is provably a no-op
+// (there is nothing to pull or swap). The async engine gates on the
+// wheel's incrementally maintained QueuedCount instead; this scan is
+// the reference the oracle checks that counter against, and feeds the
+// machine snapshot.
 func (s *Scheduler) TotalQueued() int {
 	n := 0
 	for _, rq := range s.RQs {

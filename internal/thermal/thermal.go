@@ -39,10 +39,15 @@ type Properties struct {
 	AmbientC float64
 }
 
-// Validate reports an error for non-physical properties.
+// Validate reports an error for non-physical properties, and for a time
+// constant so long that the 1 ms thermal-power weight rounds to zero
+// (the metric would never move).
 func (p Properties) Validate() error {
 	if p.R <= 0 || p.C <= 0 {
 		return fmt.Errorf("thermal: non-positive R or C: %+v", p)
+	}
+	if w := ThermalPowerWeight(p, 1); !(w > 0) {
+		return fmt.Errorf("thermal: time constant %g s too long for a 1 ms metric update: %+v", p.TimeConstant(), p)
 	}
 	return nil
 }
