@@ -3,6 +3,7 @@ package farm
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -217,6 +218,41 @@ func TestRequestValidation(t *testing.T) {
 	}
 	if !strings.Contains(string(body), `unknown field "engine"`) {
 		t.Errorf("engine request body %q, want the unknown-field error", body)
+	}
+}
+
+// TestInlineSpecCacheIgnoresMeasure: the warm image depends on the spec
+// and the warm-up, not on the measurement window. Two inline requests
+// that differ only in measure_ms share one image, so the second is a
+// cache hit (resolve fills the omitted run_ms from warm-up + measure,
+// which must not split the spec hash).
+func TestInlineSpecCacheIgnoresMeasure(t *testing.T) {
+	srv := NewServer(experiments.RunConfig{}, 0, nil)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	const spec = `{"topology":{"nodes":1,"packages_per_node":2,"cores_per_package":1,"threads_per_core":1},` +
+		`"workload":[{"program":"bitcnts","count":2}]}`
+	cache := func(measureMS int) string {
+		body := fmt.Sprintf(`{"scenario":%s,"seeds":[1],"warmup_ms":200,"measure_ms":%d}`, spec, measureMS)
+		resp, err := ts.Client().Post(ts.URL+"/v1/sweep", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("measure_ms %d -> %d, want 200", measureMS, resp.StatusCode)
+		}
+		return resp.Header.Get("X-Esfarmd-Cache")
+	}
+	if got := cache(100); got != "miss" {
+		t.Errorf("first sweep X-Esfarmd-Cache = %q, want \"miss\"", got)
+	}
+	if got := cache(300); got != "hit" {
+		t.Errorf("same warm-up, longer measure: X-Esfarmd-Cache = %q, want \"hit\"", got)
 	}
 }
 

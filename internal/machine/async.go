@@ -354,7 +354,7 @@ func (m *Machine) activateCPU(cpu topology.CPUID) {
 	if m.metricsDeferred() {
 		m.settleCPUMetricTo(c, m.metricSettleTo())
 	}
-	m.unparkPackage(m.Cfg.Layout.Package(cpu))
+	m.unparkPackage(int(m.Topo.PkgOf[c]))
 	m.parked[c] = false
 	m.nParked--
 	m.setLiveCPU(c)

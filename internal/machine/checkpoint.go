@@ -13,16 +13,17 @@
 //     and pending transitions, async parking/settling state, the fault
 //     injector and the recalibration loop, and every metric.
 //   - Everything derivable from the Config rebuilds through New:
-//     topology tables, budgets, throttle groups, hooks, scratch
-//     buffers, and the engine runtimes.
+//     the topology and its flat CPU maps and per-domain core lists,
+//     budgets, throttle groups, hooks, scratch buffers, and the engine
+//     runtimes.
 //   - Pure caches are dropped: the thermal sample-weight memo, the
-//     scheduler's per-domain core lists (static topology) and domain
-//     load counts (rebuilt from the restored queues), the
-//     materialized step lists (recomputed from restored bitmaps), and
-//     the deadline wheel — its due tables are static and its armed
-//     heaps are a function of runqueue occupancy, so re-running
-//     AttachDeadlines after the queues are restored re-arms it exactly
-//     (stale heap entries are lazily discarded by design).
+//     scheduler's runqueue occupancy ledger (node, package, queued and
+//     idle counts, rebuilt from the restored queues by RebuildLoads),
+//     the materialized step lists (recomputed from restored bitmaps),
+//     and the deadline wheel's arming — its due tables are static and
+//     its armed heaps are a function of runqueue occupancy, so
+//     re-running AttachDeadlines after the queues are restored re-arms
+//     it exactly (stale heap entries are lazily discarded by design).
 package machine
 
 import (
@@ -528,7 +529,7 @@ func applyState(st *machineState, rec *trace.Recorder) (*Machine, error) {
 		return ts.st, nil
 	}
 
-	// Runqueue occupancy, then the derived load counters.
+	// Runqueue occupancy, then the derived occupancy ledger.
 	for c := range st.RQs {
 		rs := &st.RQs[c]
 		var cur *sched.Task
@@ -562,11 +563,10 @@ func applyState(st *machineState, rec *trace.Recorder) (*Machine, error) {
 	m.Sched.MigrationsByReason = st.MigrationsByReason
 
 	// Re-arm the deadline wheel against the restored occupancy. The due
-	// tables are position-independent; attach rebuilds the armed heaps,
-	// the queued/idle counters, and the per-CPU idle flags from the
-	// runqueues, exactly as the original machine's wheel would present
-	// them at this instant (stale armed entries are discarded lazily by
-	// design, so heap-content differences are unobservable).
+	// tables are position-independent; attach rebuilds the armed heaps
+	// from the runqueues, exactly as the original machine's wheel would
+	// present them at this instant (stale armed entries are discarded
+	// lazily by design, so heap-content differences are unobservable).
 	if m.async {
 		m.wheel.SetNow(st.NowMS)
 		m.Sched.AttachDeadlines(m.wheel)

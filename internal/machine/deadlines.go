@@ -71,7 +71,7 @@ func (m *Machine) fireDueDeadlines(endMS int64) {
 			hi++
 		}
 		cpu := topology.CPUID(c)
-		queued := m.wheel.QueuedCount() > 0
+		queued := m.Sched.QueuedCount() > 0
 		if balDue {
 			if queued {
 				m.deadlineFires[fireBalance]++

@@ -87,8 +87,8 @@ func TestDeadlineRearmAfterParkedCPUSettles(t *testing.T) {
 	}
 }
 
-// The maintained queued/idle counters must agree with full scans after
-// a churny run, and the diagnostic fire counters must show the
+// The occupancy ledger's queued/idle counts must agree with full scans
+// after a churny run, and the diagnostic fire counters must show the
 // event-driven engine actually visiting deadline work. More tasks than
 // CPUs keep tasks queued, so balance passes are not skipped.
 func TestDeadlineCountersAfterRun(t *testing.T) {
@@ -102,7 +102,7 @@ func TestDeadlineCountersAfterRun(t *testing.T) {
 	m.SpawnN(workload.WithWork(cat.Bitcnts(), 1500), 9)
 	m.SpawnN(cat.Sshd(), 3)
 	m.Run(30_000)
-	if got, want := m.wheel.QueuedCount(), m.Sched.TotalQueued(); got != want {
+	if got, want := m.Sched.QueuedCount(), m.Sched.TotalQueued(); got != want {
 		t.Errorf("QueuedCount = %d, want TotalQueued %d", got, want)
 	}
 	idle := 0
@@ -111,7 +111,7 @@ func TestDeadlineCountersAfterRun(t *testing.T) {
 			idle++
 		}
 	}
-	if got := m.wheel.IdleCPUCount(); got != idle {
+	if got := m.Sched.IdleCPUCount(); got != idle {
 		t.Errorf("IdleCPUCount = %d, want %d", got, idle)
 	}
 	bal, _, hot, _ := m.DeadlineFires()

@@ -521,16 +521,14 @@ func (m *Machine) resolveHaltsTaskThrottling(throttledStep []bool) {
 // the final execution speed of the quantum, and every planner horizon
 // divides by it.
 func (m *Machine) smtScaleOn(cpus []int32) {
-	threads := m.Cfg.Layout.ThreadsPerPackage
-	if threads > 1 {
+	if m.Cfg.Layout.ThreadsPerPackage > 1 {
 		for _, c32 := range cpus {
 			c := int(c32)
 			if m.execSpeed[c] == 0 {
 				continue
 			}
-			base := int(m.coreOfCPU[c]) * threads
-			for t := 0; t < threads; t++ {
-				if sib := int(m.coreCPUs[base+t]); sib != c && m.execSpeed[sib] > 0 {
+			for _, sib32 := range m.Topo.CPUsOfCore(int(m.Topo.CoreOf[c])) {
+				if sib := int(sib32); sib != c && m.execSpeed[sib] > 0 {
 					m.execSpeed[c] = smtSlowdown
 					break
 				}
@@ -673,7 +671,7 @@ func (m *Machine) execComputeCPU(c int, tickRes *workload.TickResult, throttledS
 		m.p6true[c] = trueJ
 		if m.unitPower != nil {
 			ue := units.SplitExact(m.Model.Weights, tickRes.Exact)
-			core := int(m.coreOfCPU[c])
+			core := int(m.Topo.CoreOf[c])
 			for u := range ue {
 				m.unitPower[core][u] += ue[u] * ps * 1000 / fdt
 			}
@@ -758,13 +756,11 @@ func (m *Machine) execCommitCPU(c int, fdt float64, endMS int64) {
 // coupled effective power sums its chip neighbours' raw powers, and a
 // package never spans shards — so per-shard execution is exact.
 func (m *Machine) thermalOn(cores []int32, dt int64, fdt float64) float64 {
-	threads := m.Cfg.Layout.ThreadsPerPackage
 	for _, core32 := range cores {
 		core := int(core32)
 		sum := 0.0
-		base := core * threads
-		for t := 0; t < threads; t++ {
-			sum += m.truePower[int(m.coreCPUs[base+t])]
+		for _, c := range m.Topo.CPUsOfCore(core) {
+			sum += m.truePower[int(c)]
 		}
 		m.corePower[core] = sum
 		m.coreStartTemp[core] = m.nodes[core].TempC

@@ -361,8 +361,6 @@ type Machine struct {
 	// mid-iteration.
 	allCPUs        []int32
 	allCores       []int32
-	coreOfCPU      []int32 // CPU → physical core, flat (Layout.Core cached)
-	coreCPUs       []int32 // core*threads+t → CPU (Layout.CPUOfCore cached)
 	stepList       []int32
 	stepCores      []int32
 	liveCPUBits    []uint64
@@ -644,7 +642,6 @@ func New(cfg Config) (*Machine, error) {
 		idleTicks:         make([]int64, nCPU),
 		haltedTicks:       make([]int64, nCPU),
 		prevHalt:          make([]bool, nCPU),
-		wheel:             sched.NewWheel(cfg.Sched),
 		maxQuantum:        int64(cfg.MaxQuantumMS),
 		async:             cfg.Engine != EngineLockstep,
 	}
@@ -655,19 +652,6 @@ func New(cfg Config) (*Machine, error) {
 	m.allCores = make([]int32, nCore)
 	for c := range m.allCores {
 		m.allCores[c] = int32(c)
-	}
-	// Flat topology tables: the per-step loops resolve CPU↔core
-	// mappings every tick, and Layout derives them through integer
-	// division chains — hot enough on big machines to cache.
-	m.coreOfCPU = make([]int32, nCPU)
-	for c := 0; c < nCPU; c++ {
-		m.coreOfCPU[c] = int32(cfg.Layout.Core(topology.CPUID(c)))
-	}
-	m.coreCPUs = make([]int32, nCore*cfg.Layout.ThreadsPerPackage)
-	for core := 0; core < nCore; core++ {
-		for t := 0; t < cfg.Layout.ThreadsPerPackage; t++ {
-			m.coreCPUs[core*cfg.Layout.ThreadsPerPackage+t] = int32(cfg.Layout.CPUOfCore(core, t))
-		}
 	}
 	if !capExplicit && !cfg.ThrottleEnabled {
 		// No throttle to re-evaluate: quanta are bounded by real event
@@ -703,8 +687,6 @@ func New(cfg Config) (*Machine, error) {
 			// machine genuinely cost- and behaviour-identical to one
 			// without DVFS.
 			m.govPeriod = 0
-		} else {
-			m.wheel.SetGovPeriod(m.govPeriod)
 		}
 		m.freqIdx = make([]int, nCPU)
 		m.speedScale = make([]float64, nCPU)
@@ -724,6 +706,8 @@ func New(cfg Config) (*Machine, error) {
 			m.psLabels[i] = resolved.Ladder.Label(i)
 		}
 	}
+
+	m.wheel = sched.NewWheel(cfg.Sched, m.govPeriod)
 
 	// Per-core thermal nodes. A core owns 1/cores of the package heat
 	// sink (R scaled up, C scaled down, time constant preserved) and,
@@ -755,9 +739,7 @@ func New(cfg Config) (*Machine, error) {
 	m.thermWShared = true
 	w0 := thermal.ThermalPowerWeight(cfg.PackageProps[0], 1)
 	for c := 0; c < nCPU; c++ {
-		cpu := topology.CPUID(c)
-		core := cfg.Layout.Core(cpu)
-		pkg := cfg.Layout.Package(cpu)
+		core, pkg := topo.CoreOf[c], topo.PkgOf[c]
 		w := thermal.ThermalPowerWeight(cfg.PackageProps[pkg], 1)
 		if w != w0 {
 			// Heterogeneous time constants (distinct R·C per package):

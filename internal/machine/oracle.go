@@ -319,11 +319,8 @@ func (m *Machine) CheckInvariants() error {
 		return fmt.Errorf("runnable tasks: %d live-awake vs %d on runqueues", runnable, m.Sched.TotalTasks())
 	}
 
-	if !m.async {
-		return nil
-	}
-	// Event-driven gate counters vs full scans.
-	if got, want := m.wheel.QueuedCount(), m.Sched.TotalQueued(); got != want {
+	// Occupancy ledger vs full scans.
+	if got, want := m.Sched.QueuedCount(), m.Sched.TotalQueued(); got != want {
 		return fmt.Errorf("queued counter drifted: %d vs TotalQueued %d", got, want)
 	}
 	idle := 0
@@ -332,8 +329,12 @@ func (m *Machine) CheckInvariants() error {
 			idle++
 		}
 	}
-	if got := m.wheel.IdleCPUCount(); got != idle {
+	if got := m.Sched.IdleCPUCount(); got != idle {
 		return fmt.Errorf("idle counter drifted: %d vs scan %d", got, idle)
+	}
+
+	if !m.async {
+		return nil
 	}
 	return m.checkParkInvariants()
 }

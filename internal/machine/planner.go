@@ -177,11 +177,11 @@ func (m *Machine) clampDeadlines(dt, now int64) int64 {
 			dt = v
 		}
 	}
-	if m.wheel.QueuedCount() > 0 {
+	if m.Sched.QueuedCount() > 0 {
 		if d := m.wheel.NextBalanceDeadline(now); d != sched.NoDeadline {
 			clamp(d - now + 1)
 		}
-		if m.wheel.IdleCPUCount() > 0 {
+		if m.Sched.IdleCPUCount() > 0 {
 			clamp(m.wheel.NextIdlePullDeadline(now) - now + 1)
 		}
 	}

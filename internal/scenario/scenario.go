@@ -327,12 +327,15 @@ func (s Spec) CostMS() int64 {
 
 // Hash returns a stable content hash of the machine the spec describes:
 // sha256 over the canonical JSON with the metadata fields (Name, Note)
-// cleared and the version normalized. Two specs with equal hashes build
+// and the run-length fields Build never reads (RunMS, Chunks) cleared,
+// and the version normalized. Two specs with equal hashes build
 // byte-identical machines; the esfarmd image cache keys on it.
 func (s Spec) Hash() string {
 	s.Version = SpecVersion
 	s.Name = ""
 	s.Note = ""
+	s.RunMS = 0
+	s.Chunks = 0
 	data, err := json.Marshal(s)
 	if err != nil {
 		// Spec is a plain data struct; Marshal cannot fail on it.

@@ -94,6 +94,23 @@ func TestHash(t *testing.T) {
 	if MustNamed("dvfs").Hash() == h {
 		t.Error("two different catalog scenarios share a hash")
 	}
+	// Build never reads the run length, so it must not split the hash.
+	run := s
+	run.RunMS, run.Chunks = s.RunMS+1000, 7
+	if run.Hash() != h {
+		t.Error("Hash changed with RunMS or Chunks")
+	}
+	// Shards and MaxQuantumMS are machine.Config fields, in the image.
+	for _, mut := range []func(*Spec){
+		func(s *Spec) { s.Shards = 2 },
+		func(s *Spec) { s.MaxQuantumMS = 5 },
+	} {
+		cfgd := s
+		mut(&cfgd)
+		if cfgd.Hash() == h {
+			t.Error("Hash ignored a machine.Config field")
+		}
+	}
 }
 
 // TestValidateRejects covers the checks Validate makes before building.

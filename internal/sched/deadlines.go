@@ -32,16 +32,16 @@ package sched
 //     only to bound the planner's horizon, so a stale or duplicate
 //     entry can cost a too-short quantum but never a wrong decision.
 //
-// Arming transitions are driven by runqueue mutation notifications
-// (Runqueue.notify → Wheel.rqChanged), which also maintain the
-// machine-wide queued-task and idle-CPU counters that the planner and
-// the async engine's firing loop gate on — turning the former O(nCPU)
-// TotalQueued sweep per plan into a counter read. A parked CPU has an
-// empty runqueue, so it keeps no hot or governor deadline armed; its
-// balance/idle-pull instants live only in the static tables and cost
-// nothing until a queued task makes the class relevant again. When
-// work lands on a settled CPU, the enqueue notification re-arms its
-// per-CPU classes in the same call.
+// Arming transitions are driven by the runqueue occupancy ledger: every
+// runqueue mutation shifts the ledger (Runqueue.changed), which then
+// re-arms the mutated CPU on the attached wheel. The same ledger keeps
+// the machine-wide queued-task and idle-CPU counts that the planner and
+// the async engine's firing loop gate on (Scheduler.QueuedCount,
+// IdleCPUCount). A parked CPU has an empty runqueue, so it keeps no hot
+// or governor deadline armed; its balance/idle-pull instants live only
+// in the static tables and cost nothing until a queued task makes the
+// class relevant again. When work lands on a settled CPU, the enqueue
+// re-arms its per-CPU classes in the same call.
 //
 // The wheel must be attached (Scheduler.AttachDeadlines) before any of
 // the event-driven queries are used; the modulo Due/Next methods keep
@@ -146,22 +146,18 @@ func (t *dueTable) due(now int64) []int32 {
 }
 
 // AttachDeadlines wires the wheel into the scheduler as its event-driven
-// deadline scheduler: runqueue mutations from here on maintain the
-// queued/idle counters and the hot/governor arming. The machine attaches
-// once, after the per-CPU power trackers are installed (hot eligibility
-// reads MaxPower) and before any task is spawned.
+// deadline scheduler: it arms the wheel from the current occupancy, and
+// from here on the occupancy ledger re-arms each mutated CPU's hot and
+// governor deadlines. The machine attaches after the per-CPU power
+// trackers are installed (hot eligibility reads MaxPower), and again
+// after a checkpoint restore.
 func (s *Scheduler) AttachDeadlines(w *Wheel) {
 	w.attach(s)
-	for _, rq := range s.RQs {
-		rq.notify = w
-	}
+	s.ledger.wheel = w
 }
 
 func (w *Wheel) attach(s *Scheduler) {
 	n := len(s.RQs)
-	w.attached = true
-	w.sched = s
-	w.nCPU = n
 	w.balTab = newDueTable(w.balP, BalanceStaggerMS, n)
 	w.hotTab = newDueTable(w.hotP, HotStaggerMS, n)
 	w.idleTab = newDueTable(IdlePullPeriodMS, 1, n)
@@ -176,16 +172,7 @@ func (w *Wheel) attach(s *Scheduler) {
 		w.hotAt[c], w.govAt[c] = -1, -1
 		w.hotEligible[c] = hotOn && s.Power[c] != nil && s.Power[c].MaxPower > 0
 	}
-	w.prevQueued = make([]int32, n)
-	w.isIdle = make([]bool, n)
-	w.queued, w.idleCPUs = 0, 0
 	for c, rq := range s.RQs {
-		w.prevQueued[c] = int32(len(rq.Queued()))
-		w.queued += len(rq.Queued())
-		if rq.Idle() {
-			w.isIdle[c] = true
-			w.idleCPUs++
-		}
 		w.refreshArming(c, rq)
 	}
 }
@@ -195,25 +182,6 @@ func (w *Wheel) attach(s *Scheduler) {
 // its clock moves (quantum start and quantum end); time never goes
 // backwards.
 func (w *Wheel) SetNow(nowMS int64) { w.nowMS = nowMS }
-
-// rqChanged is the runqueue mutation notification: refresh the
-// machine-wide counters and this CPU's armed deadline classes.
-func (w *Wheel) rqChanged(rq *Runqueue) {
-	c := int(rq.CPU)
-	q := int32(len(rq.queue))
-	w.queued += int(q - w.prevQueued[c])
-	w.prevQueued[c] = q
-	idle := rq.Len() == 0
-	if idle != w.isIdle[c] {
-		w.isIdle[c] = idle
-		if idle {
-			w.idleCPUs++
-		} else {
-			w.idleCPUs--
-		}
-	}
-	w.refreshArming(c, rq)
-}
 
 // refreshArming arms or disarms CPU c's hot-check and governor
 // deadlines to match its runqueue state. Disarming is lazy (the heap
@@ -245,14 +213,6 @@ func (w *Wheel) refreshArming(c int, rq *Runqueue) {
 		}
 	}
 }
-
-// QueuedCount returns the machine-wide count of waiting (non-running)
-// tasks, maintained incrementally — the O(1) replacement for the
-// TotalQueued sweep in the planner's balance gate.
-func (w *Wheel) QueuedCount() int { return w.queued }
-
-// IdleCPUCount returns the number of CPUs with nothing to run.
-func (w *Wheel) IdleCPUCount() int { return w.idleCPUs }
 
 // NextBalanceDeadline returns the earliest time ≥ now at which any
 // CPU's periodic balance is due, or NoDeadline when balancing is

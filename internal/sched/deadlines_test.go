@@ -54,13 +54,13 @@ func TestDueTableMatchesModulo(t *testing.T) {
 // reads MaxPower).
 func attachedSched(cfg Config) (*Scheduler, *Wheel) {
 	s := newSched(smp4(), cfg)
-	w := NewWheel(cfg)
+	w := NewWheel(cfg, 0)
 	s.AttachDeadlines(w)
 	return s, w
 }
 
 // bruteQueued and bruteIdle are the scan-based references for the
-// incrementally maintained counters.
+// occupancy ledger's machine-wide counts.
 func bruteQueued(s *Scheduler) int {
 	n := 0
 	for _, rq := range s.RQs {
@@ -79,43 +79,70 @@ func bruteIdle(s *Scheduler) int {
 	return n
 }
 
-// checkCounters asserts the maintained counters match the scans.
-func checkCounters(t *testing.T, s *Scheduler, w *Wheel, at string) {
+// checkLedger asserts the occupancy ledger — queued and idle counts,
+// node and package loads — matches full runqueue scans.
+func checkLedger(t *testing.T, s *Scheduler, at string) {
 	t.Helper()
-	if got, want := w.QueuedCount(), bruteQueued(s); got != want {
+	if got, want := s.QueuedCount(), bruteQueued(s); got != want {
 		t.Fatalf("%s: QueuedCount = %d, want %d", at, got, want)
 	}
-	if got, want := w.IdleCPUCount(), bruteIdle(s); got != want {
+	if got, want := s.IdleCPUCount(), bruteIdle(s); got != want {
 		t.Fatalf("%s: IdleCPUCount = %d, want %d", at, got, want)
+	}
+	l := s.Topo.Layout
+	node := make([]int, l.Nodes)
+	pkg := make([]int, l.NumPackages())
+	for i, rq := range s.RQs {
+		node[l.Node(topology.CPUID(i))] += rq.Len()
+		pkg[l.Package(topology.CPUID(i))] += rq.Len()
+	}
+	for n, want := range node {
+		if got := s.nodeTaskCount(n); got != want {
+			t.Fatalf("%s: node %d load = %d, want %d", at, n, got, want)
+		}
+	}
+	for i := range s.RQs {
+		cpu := topology.CPUID(i)
+		if got, want := s.packageTaskCount(cpu), pkg[l.Package(cpu)]; got != want {
+			t.Fatalf("%s: CPU %d package load = %d, want %d", at, i, got, want)
+		}
 	}
 }
 
 // Every runqueue mutation — enqueue, dispatch, deschedule (with and
-// without requeue), unlink, migration — must keep the machine-wide
-// queued/idle counters in lockstep with a full scan.
+// without requeue), unlink, migration within and across nodes — must
+// keep the occupancy ledger in step with full scans, whether or not a
+// deadline wheel is attached. RebuildLoads must reproduce it.
 func TestDeadlineCountersTrackMutations(t *testing.T) {
-	s, w := attachedSched(DefaultConfig())
-	checkCounters(t, s, w, "fresh")
+	for _, attach := range []bool{false, true} {
+		s := newSched(topology.XSeries445(), DefaultConfig())
+		if attach {
+			s.AttachDeadlines(NewWheel(DefaultConfig(), 0))
+		}
+		checkLedger(t, s, "fresh")
 
-	a, b, c := mkTask(1, 50), mkTask(2, 20), mkTask(3, 30)
-	s.RQ(0).Enqueue(a)
-	checkCounters(t, s, w, "enqueue a")
-	s.RQ(0).Enqueue(b)
-	s.RQ(1).Enqueue(c)
-	checkCounters(t, s, w, "enqueue b,c")
-	s.RQ(0).PickNext()
-	s.RQ(1).PickNext()
-	checkCounters(t, s, w, "dispatch")
-	s.RQ(0).Deschedule(true) // slice rotation: back to the queue
-	checkCounters(t, s, w, "rotate")
-	s.RQ(0).PickNext()
-	checkCounters(t, s, w, "redispatch")
-	s.Migrate(a, 2, MigrateLoad) // queued task moves CPUs
-	checkCounters(t, s, w, "migrate queued")
-	s.Migrate(c, 3, MigrateHot) // running task moves CPUs
-	checkCounters(t, s, w, "migrate running")
-	s.RQ(0).Deschedule(false) // block: leaves the machine
-	checkCounters(t, s, w, "block")
+		a, b, c := mkTask(1, 50), mkTask(2, 20), mkTask(3, 30)
+		s.RQ(0).Enqueue(a)
+		checkLedger(t, s, "enqueue a")
+		s.RQ(0).Enqueue(b)
+		s.RQ(1).Enqueue(c)
+		checkLedger(t, s, "enqueue b,c")
+		s.RQ(0).PickNext()
+		s.RQ(1).PickNext()
+		checkLedger(t, s, "dispatch")
+		s.RQ(0).Deschedule(true) // slice rotation: back to the queue
+		checkLedger(t, s, "rotate")
+		s.RQ(0).PickNext()
+		checkLedger(t, s, "redispatch")
+		s.Migrate(a, 2, MigrateLoad) // queued task moves CPUs
+		checkLedger(t, s, "migrate queued")
+		s.Migrate(c, 12, MigrateHot) // running task moves across nodes
+		checkLedger(t, s, "migrate running")
+		s.RQ(0).Deschedule(false) // block: leaves the machine
+		checkLedger(t, s, "block")
+		s.RebuildLoads()
+		checkLedger(t, s, "rebuild")
+	}
 }
 
 // NextHotDeadline must equal the minimum per-CPU NextHot over exactly
@@ -158,18 +185,16 @@ func TestDeadlineHotArming(t *testing.T) {
 	}
 }
 
-// A governor period installed after attach arms occupied CPUs; setting
-// it to zero mid-run disarms everything and stays silent.
-func TestDeadlineGovPeriodToggledMidRun(t *testing.T) {
-	s, w := attachedSched(DefaultConfig())
-	a := mkTask(1, 40)
-	s.RQ(1).Enqueue(a)
+// The governor period is fixed when the wheel is built. A wheel built
+// with one arms the CPUs already occupied at attach (the restore path)
+// and every CPU occupied later, on the period's grid; a wheel built
+// with 0 arms nothing.
+func TestDeadlineGovArmedAtConstruction(t *testing.T) {
+	s := newSched(smp4(), DefaultConfig())
+	s.RQ(1).Enqueue(mkTask(1, 40))
 	s.RQ(1).PickNext()
-	if got := w.NextGovDeadline(0); got != NoDeadline {
-		t.Fatalf("no governor period, but NextGovDeadline = %d", got)
-	}
-
-	w.SetGovPeriod(20)
+	w := NewWheel(DefaultConfig(), 20)
+	s.AttachDeadlines(w)
 	if got, want := w.NextGovDeadline(0), w.NextGov(0, 1); got != want {
 		t.Fatalf("NextGovDeadline = %d, want CPU 1's %d", got, want)
 	}
@@ -177,26 +202,28 @@ func TestDeadlineGovPeriodToggledMidRun(t *testing.T) {
 		t.Fatalf("GovDueCPUs = %v, want [1]", due)
 	}
 
-	// Disabled mid-run: armed deadlines drop (lazily) and new
-	// occupancy arms nothing.
-	w.SetGovPeriod(0)
-	if got := w.NextGovDeadline(0); got != NoDeadline {
-		t.Fatalf("disabled governor still reports %d", got)
-	}
+	// A CPU occupied after attach arms on the same grid.
 	s.RQ(3).Enqueue(mkTask(2, 10))
 	s.RQ(3).PickNext()
-	if got := w.NextGovDeadline(0); got != NoDeadline {
-		t.Fatalf("disabled governor armed a new CPU: %d", got)
+	want := min(w.NextGov(0, 1), w.NextGov(0, 3))
+	if got := w.NextGovDeadline(0); got != want {
+		t.Fatalf("two occupied CPUs: NextGovDeadline = %d, want %d", got, want)
+	}
+	// Leaving the CPU disarms it.
+	s.RQ(1).Deschedule(false)
+	if got, want := w.NextGovDeadline(0), w.NextGov(0, 3); got != want {
+		t.Fatalf("after CPU 1 emptied: NextGovDeadline = %d, want CPU 3's %d", got, want)
 	}
 
-	// Re-enabled: the occupied CPUs re-arm on the new grid.
-	w.SetGovPeriod(40)
-	want := w.NextGov(0, 1)
-	if d := w.NextGov(0, 3); d < want {
-		want = d
+	// No governor period: occupancy arms nothing.
+	s0, w0 := attachedSched(DefaultConfig())
+	s0.RQ(1).Enqueue(mkTask(3, 40))
+	s0.RQ(1).PickNext()
+	if got := w0.NextGovDeadline(0); got != NoDeadline {
+		t.Fatalf("no governor period, but NextGovDeadline = %d", got)
 	}
-	if got := w.NextGovDeadline(0); got != want {
-		t.Fatalf("re-enabled NextGovDeadline = %d, want %d", got, want)
+	if due := w0.GovDueCPUs(20); len(due) != 0 {
+		t.Fatalf("no governor period, but GovDueCPUs = %v", due)
 	}
 }
 
@@ -237,11 +264,11 @@ func TestDeadlineSameInstantTie(t *testing.T) {
 // Unattached wheels (the lockstep reference path) must keep serving the
 // modulo grid without any deadline-scheduler state.
 func TestWheelUnattachedStillServesGrid(t *testing.T) {
-	w := NewWheel(DefaultConfig())
+	w := NewWheel(DefaultConfig(), 0)
 	if !w.BalanceDue(0, 0) || w.NextHot(5, 1) < 5 {
 		t.Fatal("unattached wheel grid broken")
 	}
-	// Runqueues without a notify target must not panic.
+	// Runqueues without an occupancy ledger must not panic.
 	rq := NewRunqueue(topology.CPUID(0))
 	rq.Enqueue(mkTask(9, 10))
 	rq.PickNext()

@@ -16,10 +16,9 @@ import (
 // core is the whole package; on a §7 CMP each core is a heat source of
 // its own. For non-SMT layouts this degenerates to the §4.5 wording.
 func (s *Scheduler) HotTrigger(cpu topology.CPUID) bool {
-	base := int(s.coreOf[cpu]) * s.threads
 	var maxP float64
-	for t := 0; t < s.threads; t++ {
-		maxP += s.MaxPower(topology.CPUID(s.coreCPUs[base+t]))
+	for _, c := range s.Topo.CPUsOfCore(int(s.Topo.CoreOf[cpu])) {
+		maxP += s.MaxPower(topology.CPUID(c))
 	}
 	if maxP >= 1e18 {
 		return false // no power budget installed
@@ -54,7 +53,7 @@ func (s *Scheduler) HotCheck(cpu topology.CPUID) bool {
 	}
 	task := rq.Current
 	myCoreTP := s.CoreThermalSum(cpu)
-	myCore := int(s.coreOf[cpu])
+	myCore := int(s.Topo.CoreOf[cpu])
 
 	for _, dom := range s.Topo.DomainsFor(cpu) {
 		if dom.Flags&topology.FlagShareCPUPower != 0 {
@@ -76,8 +75,8 @@ func (s *Scheduler) HotCheck(cpu topology.CPUID) bool {
 		}
 		// Within the coolest core: "CPU idle?" → migrate there.
 		var idle, exch topology.CPUID = -1, -1
-		for t := 0; t < s.threads; t++ {
-			c := topology.CPUID(s.coreCPUs[destCore*s.threads+t])
+		for _, c32 := range s.Topo.CPUsOfCore(destCore) {
+			c := topology.CPUID(c32)
 			dstRQ := s.RQ(c)
 			if dstRQ.Idle() && idle < 0 {
 				idle = c
@@ -130,7 +129,7 @@ func coolerThan(a, b float64) bool {
 func (s *Scheduler) coolestCoreExcl(dom *topology.Domain, myCore int) (int, float64) {
 	destCore := -1
 	destTP := math.Inf(1)
-	for _, core := range s.domainCores(dom) {
+	for _, core := range dom.Cores {
 		if int(core) == myCore {
 			continue
 		}
@@ -143,53 +142,31 @@ func (s *Scheduler) coolestCoreExcl(dom *topology.Domain, myCore int) (int, floa
 
 // CoreThermalSum returns the summed thermal power of all logical CPUs
 // on cpu's physical core — the quantity that corresponds to the core's
-// temperature (§4.7; per-core on a §7 CMP). It iterates the siblings
-// directly (rather than via Siblings) to stay allocation-free.
+// temperature (§4.7; per-core on a §7 CMP). It reads the siblings
+// from the topology's CoreCPUs table, so it does not allocate.
 func (s *Scheduler) CoreThermalSum(cpu topology.CPUID) float64 {
-	return s.coreSum(int(s.coreOf[cpu]))
+	return s.coreSum(int(s.Topo.CoreOf[cpu]))
 }
 
 // coreSum is CoreThermalSum keyed by physical core index.
 func (s *Scheduler) coreSum(core int) float64 {
-	base := core * s.threads
-	sum := 0.0
-	for t := 0; t < s.threads; t++ {
-		sum += s.ThermalPower(topology.CPUID(s.coreCPUs[base+t]))
-	}
-	return sum
-}
-
-// domainCores returns the distinct physical cores of a domain's span in
-// first-encounter order (preserving the historical scan's tie-breaks),
-// built once per domain — topology is static, so the list never
-// changes. Iterating cores instead of span CPUs halves the destination
-// scan on SMT layouts.
-func (s *Scheduler) domainCores(dom *topology.Domain) []int32 {
-	if cores, ok := s.domCores[dom]; ok {
-		return cores
-	}
-	seen := make([]bool, s.Topo.Layout.NumCores())
-	cores := make([]int32, 0, len(dom.Span)/s.threads+1)
-	for _, c := range dom.Span {
-		if core := s.coreOf[c]; !seen[core] {
-			seen[core] = true
-			cores = append(cores, core)
-		}
-	}
-	s.domCores[dom] = cores
-	return cores
+	return s.thermalSum(s.Topo.CPUsOfCore(core))
 }
 
 // PackageThermalSum returns the summed thermal power of all logical
-// CPUs on cpu's physical package (all cores).
+// CPUs on cpu's physical package (all cores), core-major: a package's
+// CPUs are one contiguous run of CoreCPUs.
 func (s *Scheduler) PackageThermalSum(cpu topology.CPUID) float64 {
-	l := s.Topo.Layout
-	p := l.Package(cpu)
+	n := s.Topo.Layout.Cores() * s.Topo.Layout.ThreadsPerPackage
+	p := int(s.Topo.PkgOf[cpu])
+	return s.thermalSum(s.Topo.CoreCPUs[p*n : (p+1)*n])
+}
+
+// thermalSum adds the thermal powers of cpus in order.
+func (s *Scheduler) thermalSum(cpus []int32) float64 {
 	sum := 0.0
-	for c := p * l.Cores(); c < (p+1)*l.Cores(); c++ {
-		for t := 0; t < l.ThreadsPerPackage; t++ {
-			sum += s.ThermalPower(l.CPUOfCore(c, t))
-		}
+	for _, c := range cpus {
+		sum += s.ThermalPower(topology.CPUID(c))
 	}
 	return sum
 }

@@ -52,7 +52,7 @@ func (s *Scheduler) PlaceNewTask(t *Task) topology.CPUID {
 		chosen = eligible[0]
 		bestNode, bestPkg := 1<<30, 1<<30
 		for _, c := range eligible {
-			nl := s.nodeTaskCount(int(s.loads.nodeOf[c]))
+			nl := s.nodeTaskCount(int(s.Topo.NodeOf[c]))
 			pl := s.packageTaskCount(c)
 			if nl < bestNode || (nl == bestNode && pl < bestPkg) {
 				chosen, bestNode, bestPkg = c, nl, pl
@@ -73,7 +73,7 @@ func (s *Scheduler) PlaceNewTask(t *Task) topology.CPUID {
 			rq := s.RQ(c)
 			withTask := ratioAfter(rq.PowerSum()+estWatts, rq.Len()+1, s.MaxPower(c))
 			d := math.Abs(withTask - avg)
-			nl := s.nodeTaskCount(int(s.loads.nodeOf[c]))
+			nl := s.nodeTaskCount(int(s.Topo.NodeOf[c]))
 			tp := s.PackageThermalSum(c)
 			const eps = 1e-9
 			better := d < bestDist-eps ||
@@ -89,17 +89,16 @@ func (s *Scheduler) PlaceNewTask(t *Task) topology.CPUID {
 }
 
 // nodeTaskCount returns the number of runnable tasks on a NUMA node,
-// from the incrementally maintained domain counts (profiling showed the
-// old full-runqueue scan — with its per-CPU integer-division topology
-// lookups — dominating placement on saturated large machines).
+// from the occupancy ledger (profiling showed the old full-runqueue
+// scan dominating placement on saturated large machines).
 func (s *Scheduler) nodeTaskCount(node int) int {
-	return int(s.loads.node[node])
+	return int(s.ledger.node[node])
 }
 
 // packageTaskCount returns the number of runnable tasks on cpu's
 // physical package (all cores and threads).
 func (s *Scheduler) packageTaskCount(cpu topology.CPUID) int {
-	return int(s.loads.pkg[s.loads.pkgOf[cpu]])
+	return int(s.ledger.pkg[s.Topo.PkgOf[cpu]])
 }
 
 // RecordFirstSlice stores the power a task drew during its first

@@ -23,25 +23,33 @@ type Runqueue struct {
 
 	queue []*Task // runnable tasks not currently executing, FIFO
 
-	// notify is the attached deadline scheduler (see deadlines.go),
-	// told after every occupancy mutation so it can maintain the
-	// machine-wide queued/idle counters and this CPU's armed hot-check
-	// and governor deadlines. nil when no deadline scheduler is
-	// attached (bare scheduler tests, the lockstep reference engine).
-	notify *Wheel
-
-	// loads is the scheduler's per-domain runnable-task accounting,
-	// shifted on every mutation that changes Len (Enqueue, a
-	// non-requeueing Deschedule, RemoveQueued — PickNext and requeueing
-	// Deschedule keep Len constant). nil for standalone runqueues.
-	loads *loadCounts
+	// ledger is the scheduler's occupancy ledger, shifted by every
+	// mutation (Enqueue, PickNext, Deschedule, RemoveQueued); nil for
+	// standalone runqueues.
+	ledger *occupancy
 }
 
-// changed reports an occupancy mutation to the attached deadline
-// scheduler.
-func (rq *Runqueue) changed() {
-	if rq.notify != nil {
-		rq.notify.rqChanged(rq)
+// changed reports one occupancy mutation to the ledger: dLen is the
+// change in Len, dQueued the change in the waiting-task count. The
+// ledger's attached deadline wheel then re-arms this CPU.
+func (rq *Runqueue) changed(dLen, dQueued int) {
+	l := rq.ledger
+	if l == nil {
+		return
+	}
+	if dLen != 0 {
+		l.node[l.topo.NodeOf[rq.CPU]] += int32(dLen)
+		l.pkg[l.topo.PkgOf[rq.CPU]] += int32(dLen)
+		switch n := rq.Len(); n {
+		case 0:
+			l.idle++
+		case dLen:
+			l.idle-- // was empty
+		}
+	}
+	l.queued += dQueued
+	if l.wheel != nil {
+		l.wheel.refreshArming(int(rq.CPU), rq)
 	}
 }
 
@@ -68,10 +76,7 @@ func (rq *Runqueue) Idle() bool { return rq.Len() == 0 }
 func (rq *Runqueue) Enqueue(t *Task) {
 	t.CPU = rq.CPU
 	rq.queue = append(rq.queue, t)
-	if rq.loads != nil {
-		rq.loads.add(rq.CPU, 1)
-	}
-	rq.changed()
+	rq.changed(1, 1)
 }
 
 // PickNext pops the head of the queue into Current. It panics if a task
@@ -86,7 +91,7 @@ func (rq *Runqueue) PickNext() *Task {
 	rq.Current = rq.queue[0]
 	copy(rq.queue, rq.queue[1:])
 	rq.queue = rq.queue[:len(rq.queue)-1]
-	rq.changed()
+	rq.changed(0, -1)
 	return rq.Current
 }
 
@@ -100,10 +105,10 @@ func (rq *Runqueue) Deschedule(requeue bool) *Task {
 	rq.Current = nil
 	if requeue {
 		rq.queue = append(rq.queue, t)
-	} else if rq.loads != nil {
-		rq.loads.add(rq.CPU, -1)
+		rq.changed(0, 1)
+	} else {
+		rq.changed(-1, 0)
 	}
-	rq.changed()
 	return t
 }
 
@@ -118,10 +123,7 @@ func (rq *Runqueue) RemoveQueued(t *Task) {
 	for i, q := range rq.queue {
 		if q == t {
 			rq.queue = append(rq.queue[:i], rq.queue[i+1:]...)
-			if rq.loads != nil {
-				rq.loads.add(rq.CPU, -1)
-			}
-			rq.changed()
+			rq.changed(-1, -1)
 			return
 		}
 	}

@@ -197,38 +197,26 @@ type Scheduler struct {
 	MigrationCount     int64
 	MigrationsByReason [4]int64
 
-	// loads aggregates runnable-task counts per NUMA node and per
-	// package, maintained by the runqueues on every occupancy-changing
-	// mutation, so §4.6 placement reads domain loads in O(1) instead of
-	// re-deriving them from a full runqueue scan per candidate CPU.
-	loads loadCounts
+	// ledger is the runqueue occupancy ledger every runqueue of this
+	// scheduler reports its mutations to.
+	ledger occupancy
 	// eligScratch is the reusable eligible-CPU buffer of PlaceNewTask.
 	eligScratch []topology.CPUID
-
-	// coreOf and coreCPUs cache Layout.Core / Layout.CPUOfCore flat,
-	// like loadCounts' node/package tables: the hot-check destination
-	// scans resolve them per candidate CPU.
-	coreOf   []int32
-	coreCPUs []int32
-	threads  int
-
-	// domCores caches each domain's distinct physical cores (static).
-	domCores map[*topology.Domain][]int32
 }
 
-// loadCounts holds the incrementally maintained per-domain runnable-task
-// counts and the per-CPU node/package lookup tables they are keyed by
-// (topology.Layout derives node and package through integer division
-// chains — hot enough in placement to be worth caching flat).
-type loadCounts struct {
-	nodeOf, pkgOf []int32 // per logical CPU
-	node, pkg     []int32 // runnable tasks per node / per package
-}
-
-// add shifts a CPU's domain counts by delta (±1 per queue mutation).
-func (lc *loadCounts) add(cpu topology.CPUID, delta int32) {
-	lc.node[lc.nodeOf[cpu]] += delta
-	lc.pkg[lc.pkgOf[cpu]] += delta
+// occupancy is the runqueue occupancy ledger: the runnable-task counts
+// per NUMA node and per package that §4.6 placement ranks CPUs by, and
+// the machine-wide queued-task and idle-CPU counts that gate balance
+// passes. Each runqueue mutation shifts it once (Runqueue.changed), so
+// no reader scans the runqueues.
+type occupancy struct {
+	topo      *topology.Topology
+	node, pkg []int32 // runnable tasks per node / per package
+	queued    int     // waiting (non-running) tasks
+	idle      int     // CPUs with nothing to run
+	// wheel is the attached deadline scheduler, re-armed for the
+	// mutated CPU after every change; nil when none is attached.
+	wheel *Wheel
 }
 
 // New creates a scheduler over the given topology, with an empty §4.6
@@ -245,34 +233,27 @@ func New(topo *topology.Topology, cfg Config) *Scheduler {
 		Util:      make([]UtilTracker, n),
 		Placement: profile.NewPlacementTable(defaultPlacementW),
 	}
-	s.loads = loadCounts{
-		nodeOf: make([]int32, n),
-		pkgOf:  make([]int32, n),
-		node:   make([]int32, topo.Layout.Nodes),
-		pkg:    make([]int32, topo.Layout.NumPackages()),
+	s.ledger = occupancy{
+		topo: topo,
+		node: make([]int32, topo.Layout.Nodes),
+		pkg:  make([]int32, topo.Layout.NumPackages()),
+		idle: n,
 	}
-	for i := 0; i < n; i++ {
-		cpu := topology.CPUID(i)
-		s.loads.nodeOf[i] = int32(topo.Layout.Node(cpu))
-		s.loads.pkgOf[i] = int32(topo.Layout.Package(cpu))
-		s.RQs[i] = NewRunqueue(cpu)
-		s.RQs[i].loads = &s.loads
+	for i := range s.RQs {
+		s.RQs[i] = NewRunqueue(topology.CPUID(i))
+		s.RQs[i].ledger = &s.ledger
 	}
-	s.threads = topo.Layout.ThreadsPerPackage
-	s.coreOf = make([]int32, n)
-	for i := 0; i < n; i++ {
-		s.coreOf[i] = int32(topo.Layout.Core(topology.CPUID(i)))
-	}
-	nCores := topo.Layout.NumCores()
-	s.coreCPUs = make([]int32, nCores*s.threads)
-	for core := 0; core < nCores; core++ {
-		for t := 0; t < s.threads; t++ {
-			s.coreCPUs[core*s.threads+t] = int32(topo.Layout.CPUOfCore(core, t))
-		}
-	}
-	s.domCores = make(map[*topology.Domain][]int32)
 	return s
 }
+
+// QueuedCount returns the machine-wide number of waiting (non-running)
+// tasks from the occupancy ledger. When it is zero, every balancing
+// pass is provably a no-op.
+func (s *Scheduler) QueuedCount() int { return s.ledger.queued }
+
+// IdleCPUCount returns the number of CPUs with nothing to run, from the
+// occupancy ledger.
+func (s *Scheduler) IdleCPUCount() int { return s.ledger.idle }
 
 // RQ returns the runqueue of a CPU.
 func (s *Scheduler) RQ(cpu topology.CPUID) *Runqueue { return s.RQs[int(cpu)] }

@@ -37,7 +37,9 @@ const NoDeadline = int64(math.MaxInt64)
 // (Scheduler.AttachDeadlines, see deadlines.go), it additionally
 // answers the machine-wide questions the event-driven engines plan and
 // fire from in O(1): the next due instant of each class, and the exact
-// CPU set due at a given instant.
+// CPU set due at a given instant. Its periods are fixed at NewWheel;
+// once attached, the scheduler's occupancy ledger re-arms it after
+// every runqueue mutation. It keeps no occupancy counts of its own.
 type Wheel struct {
 	balP int64
 	hotP int64
@@ -45,10 +47,7 @@ type Wheel struct {
 
 	// Event-driven deadline-scheduler state (see deadlines.go); zero
 	// until AttachDeadlines.
-	attached bool
-	sched    *Scheduler
-	nCPU     int
-	nowMS    int64
+	nowMS int64
 	// Static residue tables of the machine-wide classes (nil when the
 	// class is disabled).
 	balTab, hotTab, idleTab, govTab *dueTable
@@ -58,42 +57,17 @@ type Wheel struct {
 	hotQ, govQ   *EventQueue
 	hotAt, govAt []int64
 	hotEligible  []bool
-	// Machine-wide gate counters, maintained by rqChanged.
-	prevQueued []int32
-	isIdle     []bool
-	queued     int
-	idleCPUs   int
 	// Stats counts the deadline scheduler's event traffic.
 	Stats DeadlineStats
 }
 
 // NewWheel builds the wheel from the policy's periods (fractional
 // periods are truncated to whole milliseconds, as the lockstep loop
-// always did).
-func NewWheel(cfg Config) *Wheel {
-	return &Wheel{balP: int64(cfg.BalancePeriodMS), hotP: int64(cfg.HotCheckPeriodMS)}
-}
-
-// SetGovPeriod installs the DVFS governor evaluation period (0
-// disables governor deadlines). The machine calls it when frequency
-// scaling is configured; the scheduler policy itself has no DVFS
-// knobs. On an attached wheel the governor class is re-derived: armed
-// deadlines of a disabled class are dropped (lazily), and occupied
-// CPUs are re-armed on the new period's grid.
-func (w *Wheel) SetGovPeriod(periodMS int64) {
-	w.govP = periodMS
-	if !w.attached {
-		return
-	}
-	w.govTab = newDueTable(w.govP, GovStaggerMS, w.nCPU)
-	for c := range w.govAt {
-		w.govAt[c] = -1 // stale: existing heap entries drop at peek time
-	}
-	if w.govP > 0 {
-		for c, rq := range w.sched.RQs {
-			w.refreshArming(c, rq)
-		}
-	}
+// always did) and the DVFS governor evaluation period, which is 0 when
+// no governor needs evaluating. The scheduler policy itself has no DVFS
+// knobs.
+func NewWheel(cfg Config, govPeriodMS int64) *Wheel {
+	return &Wheel{balP: int64(cfg.BalancePeriodMS), hotP: int64(cfg.HotCheckPeriodMS), govP: govPeriodMS}
 }
 
 // nextAt returns the smallest T ≥ now with (T + off) mod period == 0.
@@ -163,9 +137,9 @@ func (w *Wheel) NextGov(now int64, cpu int) int64 {
 // all runqueues by a full scan. When zero, every balancing pass —
 // periodic, idle pull, and unit exchange alike — is provably a no-op
 // (there is nothing to pull or swap). The async engine gates on the
-// wheel's incrementally maintained QueuedCount instead; this scan is
-// the reference the oracle checks that counter against, and feeds the
-// machine snapshot.
+// occupancy ledger's QueuedCount instead; this scan is the reference
+// the oracle checks that count against, and feeds the machine
+// snapshot.
 func (s *Scheduler) TotalQueued() int {
 	n := 0
 	for _, rq := range s.RQs {

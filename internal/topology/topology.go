@@ -228,6 +228,10 @@ type Domain struct {
 	// Parent is the next-higher domain containing this one, nil at the
 	// top.
 	Parent *Domain
+	// Cores lists the distinct physical cores of Span in first-
+	// encounter order, the order the §4.5 coolest-core scan breaks
+	// ties in.
+	Cores []int32
 	// groupOf maps CPU → group index (-1 outside the span). Built at
 	// construction for wide domains, where the nested GroupOf scan
 	// would cost O(span) on every balance pass; narrow domains keep
@@ -260,13 +264,27 @@ func (d *Domain) GroupOf(cpu CPUID) int {
 	return -1
 }
 
-// indexGroups builds the O(1) group lookup for domains whose span is
-// wide enough that the linear scan shows up in balance passes.
-func (d *Domain) indexGroups(nCPU int) {
-	if d.groupOf != nil || len(d.Span) < 32 {
+// index builds the domain's core list and, for spans wide enough that
+// the linear GroupOf scan shows up in balance passes, its O(1) group
+// lookup. It runs once per domain; seen is an all-false per-core
+// scratch buffer, returned all-false.
+func (d *Domain) index(coreOf []int32, seen []bool) {
+	if d.Cores != nil {
 		return
 	}
-	d.groupOf = make([]int32, nCPU)
+	for _, c := range d.Span {
+		if core := coreOf[c]; !seen[core] {
+			seen[core] = true
+			d.Cores = append(d.Cores, core)
+		}
+	}
+	for _, core := range d.Cores {
+		seen[core] = false
+	}
+	if len(d.Span) < 32 {
+		return
+	}
+	d.groupOf = make([]int32, len(coreOf))
 	for i := range d.groupOf {
 		d.groupOf[i] = -1
 	}
@@ -277,11 +295,29 @@ func (d *Domain) indexGroups(nCPU int) {
 	}
 }
 
-// Topology combines a Layout with its scheduler-domain hierarchy.
+// Topology combines a Layout with its scheduler-domain hierarchy and
+// the Layout's CPU maps flattened into tables. Layout derives each map
+// through integer division chains, which the per-step loops, the §4.5
+// hot checks and §4.6 placement resolve too often to recompute. The
+// tables are built once by New and must not be modified.
 type Topology struct {
 	Layout Layout
+	// CoreOf, PkgOf and NodeOf map a logical CPU to its physical core,
+	// package and NUMA node (Layout.Core, Package, Node).
+	CoreOf, PkgOf, NodeOf []int32
+	// CoreCPUs[core·threads+t] is thread t of the core
+	// (Layout.CPUOfCore), so a core's CPUs, and a package's, are one
+	// contiguous slice.
+	CoreCPUs []int32
 	// domains[cpu] is the bottom-up chain of domains containing cpu.
 	domains [][]*Domain
+}
+
+// CPUsOfCore returns the logical CPUs of a physical core in thread
+// order, as a view of CoreCPUs.
+func (t *Topology) CPUsOfCore(core int) []int32 {
+	n := t.Layout.ThreadsPerPackage
+	return t.CoreCPUs[core*n : (core+1)*n]
 }
 
 // New builds the scheduler-domain hierarchy for a layout, mirroring
@@ -302,7 +338,23 @@ func New(l Layout) (*Topology, error) {
 	if err := l.Validate(); err != nil {
 		return nil, err
 	}
-	t := &Topology{Layout: l, domains: make([][]*Domain, l.NumLogical())}
+	n := l.NumLogical()
+	t := &Topology{
+		Layout:   l,
+		CoreOf:   make([]int32, n),
+		PkgOf:    make([]int32, n),
+		NodeOf:   make([]int32, n),
+		CoreCPUs: make([]int32, n),
+		domains:  make([][]*Domain, n),
+	}
+	for c := 0; c < n; c++ {
+		cpu := CPUID(c)
+		core := l.Core(cpu)
+		t.CoreOf[c] = int32(core)
+		t.PkgOf[c] = int32(l.Package(cpu))
+		t.NodeOf[c] = int32(l.Node(cpu))
+		t.CoreCPUs[core*l.ThreadsPerPackage+l.Thread(cpu)] = int32(c)
+	}
 
 	level := 0
 
@@ -416,6 +468,7 @@ func New(l Layout) (*Topology, error) {
 		}
 	}
 
+	seen := make([]bool, l.NumCores())
 	for c := 0; c < l.NumLogical(); c++ {
 		cpu := CPUID(c)
 		var chain []*Domain
@@ -433,7 +486,7 @@ func New(l Layout) (*Topology, error) {
 		}
 		t.domains[c] = chain
 		for _, d := range chain {
-			d.indexGroups(l.NumLogical())
+			d.index(t.CoreOf, seen)
 		}
 	}
 	return t, nil
