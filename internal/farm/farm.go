@@ -89,21 +89,14 @@ func (r *SweepRequest) resolve() (scenario.Spec, error) {
 		spec = s
 	case r.Scenario != nil:
 		spec = *r.Scenario
-		if spec.RunMS == 0 {
-			// The sweep's run length is warmup+measure; the spec's own
-			// RunMS is unused, so let inline requests omit it.
-			spec.RunMS = r.WarmupMS + r.MeasureMS
-		}
 	default:
 		return spec, fmt.Errorf("farm: request sets neither name nor scenario")
 	}
-	if err := spec.Validate(); err != nil {
-		return spec, err
-	}
-	if r.WarmupMS < 0 {
+	// Both windows are bounded before anything adds or multiplies them.
+	if r.WarmupMS < 0 || r.WarmupMS > scenario.MaxRunMS {
 		return spec, fmt.Errorf("farm: warmup_ms %d out of range", r.WarmupMS)
 	}
-	if r.MeasureMS < 1 {
+	if r.MeasureMS < 1 || r.MeasureMS > scenario.MaxRunMS {
 		return spec, fmt.Errorf("farm: measure_ms %d out of range", r.MeasureMS)
 	}
 	if len(r.Seeds) == 0 {
@@ -112,7 +105,42 @@ func (r *SweepRequest) resolve() (scenario.Spec, error) {
 	if len(r.Seeds) > maxSeeds {
 		return spec, fmt.Errorf("farm: %d seeds exceeds the %d-seed request limit", len(r.Seeds), maxSeeds)
 	}
+	if r.Scenario != nil && spec.RunMS == 0 {
+		// The sweep's run length is warmup+measure; the spec's own
+		// RunMS is unused, so let inline requests omit it.
+		spec.RunMS = r.WarmupMS + r.MeasureMS
+	}
+	layout := spec.Topology.Layout()
+	if err := layout.Validate(); err != nil {
+		return spec, err
+	}
+	// Price the request before Validate builds a machine.
+	if !r.withinCost(int64(layout.NumLogical())) {
+		return spec, fmt.Errorf("farm: request costs more than %d CPU-ms (logical CPUs × (warmup_ms + seeds × measure_ms))", MaxRequestCostMS)
+	}
+	if err := spec.Validate(); err != nil {
+		return spec, err
+	}
 	return spec, nil
+}
+
+// MaxRequestCostMS bounds one request's simulated work in CPU-ms:
+// logical CPUs × (warm-up + seeds × measurement window). The farm has
+// no way to cancel a sweep once it runs, so this is what keeps one
+// request from running for an unbounded time. It admits a 1024-CPU
+// sweep of 100 one-minute seeds after a one-minute warm-up.
+const MaxRequestCostMS = 10_000_000_000
+
+// withinCost reports whether cpus × (WarmupMS + len(Seeds) × MeasureMS)
+// stays within MaxRequestCostMS. The windows must already be in range
+// (MeasureMS ≥ 1); the comparison divides instead of multiplying, so it
+// cannot overflow.
+func (r *SweepRequest) withinCost(cpus int64) bool {
+	perCPU := MaxRequestCostMS / cpus
+	if r.WarmupMS > perCPU {
+		return false
+	}
+	return int64(len(r.Seeds)) <= (perCPU-r.WarmupMS)/r.MeasureMS
 }
 
 // maxSeeds bounds one request's fan-out.

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -12,6 +13,7 @@ import (
 	"testing"
 
 	"energysched/internal/experiments"
+	"energysched/internal/scenario"
 )
 
 func testRequest() SweepRequest {
@@ -218,6 +220,63 @@ func TestRequestValidation(t *testing.T) {
 	}
 	if !strings.Contains(string(body), `unknown field "engine"`) {
 		t.Errorf("engine request body %q, want the unknown-field error", body)
+	}
+}
+
+// TestRequestCostBudget: a request is priced as logical CPUs ×
+// (warm-up + seeds × measure) and refused past MaxRequestCostMS before
+// anything builds, however large its windows, without the price or the
+// inline run length overflowing. resolve is called directly, so a
+// request that slipped through fails here instead of running.
+func TestRequestCostBudget(t *testing.T) {
+	inline := func() *scenario.Spec {
+		return &scenario.Spec{
+			Topology: scenario.TopoSpec{Nodes: 1, PackagesPerNode: 2, CoresPerPackage: 1, ThreadsPerCore: 1},
+			Workload: []scenario.TaskGroup{{Program: "bitcnts", Count: 2}},
+		}
+	}
+	seeds := func(n int) []uint64 {
+		out := make([]uint64, n)
+		for i := range out {
+			out[i] = uint64(i + 1)
+		}
+		return out
+	}
+	// 8 CPUs × (1 000 + 4 × atBudget) is exactly MaxRequestCostMS.
+	const atBudget = (MaxRequestCostMS/8 - 1_000) / 4
+	for _, c := range []struct {
+		why string
+		req SweepRequest
+	}{
+		{"a 2^50 ms warm-up", SweepRequest{Name: "mixed", WarmupMS: 1 << 50, MeasureMS: 1000, Seeds: []uint64{1}}},
+		{"a 2^50 ms window on 1024 CPUs", SweepRequest{Name: "large/1024cpu/saturated", WarmupMS: 1000, MeasureMS: 1 << 50, Seeds: []uint64{1, 2, 3}}},
+		{"warm-up plus measure overflowing int64", SweepRequest{Name: "mixed",
+			WarmupMS: math.MaxInt64 - 10, MeasureMS: 100, Seeds: []uint64{1}}},
+		{"an inline run length overflowing int64", SweepRequest{Scenario: inline(),
+			WarmupMS: math.MaxInt64 - 10, MeasureMS: 100, Seeds: []uint64{1}}},
+		{"in-range windows over the budget", SweepRequest{Name: "mixed", WarmupMS: 1000, MeasureMS: 1 << 30, Seeds: seeds(2)}},
+		// mixed has 8 logical CPUs: one CPU-ms per CPU over the budget.
+		{"one CPU-ms per CPU over the budget", SweepRequest{Name: "mixed",
+			WarmupMS: 1_001, MeasureMS: atBudget, Seeds: seeds(4)}},
+	} {
+		if _, err := c.req.resolve(); err == nil {
+			t.Errorf("resolve accepted %s", c.why)
+		}
+	}
+	for _, c := range []struct {
+		why string
+		req SweepRequest
+	}{
+		// The repository benchmark's farm sweeps: 8 CPUs, a 60 s
+		// warm-up plus a per-miss offset, 16 seeds of 5 s.
+		{"a benchmark farm sweep", SweepRequest{Name: "mixed", WarmupMS: 60_000 + 1_000, MeasureMS: 5_000, Seeds: seeds(16)}},
+		{"a CI smoke sweep", SweepRequest{Name: "engines/steady-state", WarmupMS: 2_000, MeasureMS: 2_000, Seeds: seeds(8)}},
+		{"exactly the budget", SweepRequest{Name: "mixed",
+			WarmupMS: 1_000, MeasureMS: atBudget, Seeds: seeds(4)}},
+	} {
+		if _, err := c.req.resolve(); err != nil {
+			t.Errorf("resolve refused %s: %v", c.why, err)
+		}
 	}
 }
 

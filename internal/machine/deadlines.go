@@ -17,8 +17,9 @@ const (
 // DeadlineFires returns how many deadline-phase passes of each class
 // (balance, idle-pull, hot-check, governor) the async engine ran since
 // the last ResetStats. They are a subset of the lockstep engine's
-// passes: the skipped ones are provable no-ops (see fireDueDeadlines),
-// and every pass that runs decides exactly as its lockstep twin. Always
+// passes: the skipped ones are provable no-ops (see fireDueDeadlines,
+// and clampHotChecks for the hot checks a quantum steps past), and
+// every pass that runs decides exactly as its lockstep twin. Always
 // zero on the lockstep engine, which fires from the historical modulo
 // scan.
 func (m *Machine) DeadlineFires() (balance, idlePull, hot, gov int64) {

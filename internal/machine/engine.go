@@ -300,9 +300,11 @@ func (m *Machine) step(limitMS int64) int64 {
 	}
 
 	// 8. Periodic balancing and hot-task checks, staggered per CPU on
-	// the deadline scheduler. The planner guarantees no relevant
-	// deadline falls strictly inside the quantum, so firing at the end
-	// tick alone visits exactly the instants the lockstep loop visits.
+	// the deadline scheduler. The planner guarantees that the only
+	// deadlines strictly inside the quantum are provable no-ops:
+	// balance and idle-pull instants while nothing is queued, and hot
+	// checks whose core sum stays below its trigger. So firing at the
+	// end tick alone makes every decision the lockstep loop makes.
 	// The async engine walks the precomputed due-CPU lists of the end
 	// tick and skips the passes that provably change nothing (balance
 	// with no task queued anywhere, hot checks on parked CPUs); the

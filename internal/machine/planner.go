@@ -6,6 +6,7 @@ import (
 	"energysched/internal/profile"
 	"energysched/internal/sched"
 	"energysched/internal/thermal"
+	"energysched/internal/topology"
 )
 
 // The async engine's quantum planner.
@@ -22,8 +23,13 @@ import (
 //     with them power — change; the crossing millisecond is isolated
 //     into its own 1 ms quantum so power stays constant per quantum),
 //   - the end of a migration's cache-warmup penalty (speed changes),
-//   - a balance, idle-pull, hot-check, or monitor deadline (periodic
-//     work runs on the quantum's last tick, exactly on schedule),
+//   - a balance, idle-pull, or monitor deadline (periodic work runs on
+//     the quantum's last tick, exactly on schedule),
+//   - a hot-check deadline whose check could act: §4.5 hot migration
+//     needs a single-task CPU on a core whose thermal sum has reached
+//     its trigger, and that sum follows the same closed-form curve as
+//     a throttle metric, so checks that provably find it below the
+//     trigger fall inside the quantum and are skipped,
 //   - a predicted throttle flip: while inputs are constant, the
 //     thermal-power metric follows a geometric curve, so the
 //     millisecond at which a throttle would engage or disengage is
@@ -109,12 +115,23 @@ func (m *Machine) planQuantum(limit int64) int64 {
 	}
 
 	// Periodic deadlines next — each a single O(1) query, and on a
-	// saturated machine some CPU's staggered balance pass is due every
-	// tick, pinning dt to 1 before the per-CPU horizon scan below even
-	// starts (the scan can only lower dt, and 1 is the floor).
-	dt = m.clampDeadlines(dt, now)
+	// saturated machine with tasks queued some CPU's staggered balance
+	// pass is due every tick, pinning dt to 1 before the per-CPU
+	// horizon scan below even starts (the scan can only lower dt, and 1
+	// is the floor). Hot checks resolve in two steps. A check due on
+	// the first tick that could act pins dt to 1 here too: once a
+	// saturated machine's cores are past their triggers, one is due on
+	// nearly every tick. The grid walk over the rest of the quantum
+	// waits until the running-task horizons have shortened it.
+	dt, hot := m.clampDeadlines(dt, now)
 	if dt <= 1 {
 		return 1
+	}
+	if hot == now {
+		if m.hotCheckDue(now, 1) {
+			return 1
+		}
+		hot++
 	}
 
 	// Running-task horizons: timeslice expiry, warmup end, and the
@@ -146,6 +163,9 @@ func (m *Machine) planQuantum(limit int64) int64 {
 		}
 	}
 
+	if hot-now < dt {
+		dt = m.clampHotChecks(dt, now, hot)
+	}
 	if dt > 1 && m.throttles != nil {
 		dt = m.clampThrottleCrossings(dt)
 	}
@@ -163,12 +183,15 @@ func (m *Machine) planQuantum(limit int64) int64 {
 // former per-CPU modulo sweep. With zero waiting tasks machine-wide,
 // every balancing pass — periodic and idle pull alike — is provably a
 // no-op and both classes are skipped entirely: the big win for
-// idle-heavy workloads. Hot-check deadlines are armed only for
-// single-task CPUs with a power budget while hot migration is on (so
-// the hot query answers NoDeadline otherwise), governor deadlines only
-// for occupied CPUs; all other CPUs' instants are no-ops and never
-// reach the planner.
-func (m *Machine) clampDeadlines(dt, now int64) int64 {
+// idle-heavy workloads. Governor deadlines are armed only for occupied
+// CPUs, so other CPUs' instants never reach the planner. Hot-check
+// deadlines are armed only for single-task CPUs with a power budget
+// while hot migration is on, but an armed check still acts only once
+// its core has reached the trigger, so the earliest armed hot deadline
+// (NoDeadline when none) is returned unclamped for planQuantum to
+// resolve. The query runs on every plan, so the heap's lazy re-arms
+// keep it bounded.
+func (m *Machine) clampDeadlines(dt, now int64) (int64, int64) {
 	clamp := func(v int64) {
 		if v < dt {
 			if v < 1 {
@@ -185,15 +208,91 @@ func (m *Machine) clampDeadlines(dt, now int64) int64 {
 			clamp(m.wheel.NextIdlePullDeadline(now) - now + 1)
 		}
 	}
-	if d := m.wheel.NextHotDeadline(now); d != sched.NoDeadline {
-		clamp(d - now + 1)
-	}
 	if m.dvfsOn && m.govPeriod > 0 {
 		if d := m.wheel.NextGovDeadline(now); d != sched.NoDeadline {
 			clamp(d - now + 1)
 		}
 	}
+	return dt, m.wheel.NextHotDeadline(now)
+}
+
+// clampHotChecks ends the quantum at the first hot-check instant whose
+// check could act. It walks the static hot grid from hot, the earliest
+// armed hot deadline, to the quantum's last tick; a CPU due at the
+// quantum's k-th tick stops the walk when hotCheckCouldAct says its
+// check might migrate. Every check it steps past is a provable no-op,
+// so phase 8 firing only at the end tick still decides exactly as the
+// lockstep loop does.
+func (m *Machine) clampHotChecks(dt, now, hot int64) int64 {
+	for t := hot; t-now < dt; t++ {
+		if m.hotCheckDue(t, t-now+1) {
+			return t - now + 1
+		}
+	}
 	return dt
+}
+
+// hotCheckDue reports whether any CPU whose hot check is due at t, the
+// quantum's k-th tick, could act there.
+func (m *Machine) hotCheckDue(t, k int64) bool {
+	for _, c := range m.wheel.HotDueCPUs(t) {
+		if m.hotCheckCouldAct(int(c), k) {
+			return true
+		}
+	}
+	return false
+}
+
+// hotCheckCouldAct reports whether CPU c's hot check, run after k
+// milliseconds of the coming quantum, might pass sched.HotCheck's
+// gates: a single running task, a core power budget, and the core's
+// thermal sum at or above the trigger. Within the quantum each CPU of
+// the core feeds its metric a constant sample, so the sum follows
+// S(k) = X + (S0 − X)·q^k (see clampThrottleCrossings). A parked
+// sibling's metric is not settled, and reading it would settle it, so
+// such a core always counts as able to act.
+func (m *Machine) hotCheckCouldAct(c int, k int64) bool {
+	rq := m.Sched.RQs[c]
+	if rq.Current == nil || rq.Len() != 1 {
+		return false
+	}
+	trigger, ok := m.Sched.HotTriggerW(topology.CPUID(c))
+	if !ok {
+		return false
+	}
+	cpus := m.Topo.CPUsOfCore(int(m.Topo.CoreOf[c]))
+	s0 := 0.0
+	for _, d := range cpus {
+		if m.cpuParked(int(d)) {
+			return true
+		}
+		s0 += m.Sched.Power[d].ThermalPower()
+	}
+	if s0 >= trigger {
+		return true // already triggered; skip the feed estimates
+	}
+	x := 0.0
+	for _, d := range cpus {
+		x += m.metricFeedW(int(d))
+	}
+	return hotSumMayReach(s0, x, m.Sched.Power[c].RetentionPerMS(), trigger, k)
+}
+
+// hotTriggerSlackRel lowers the hot trigger for the planner's
+// prediction. The engines fold a quantum's metric in one update, or in
+// per-millisecond ones, and differ from the closed form by a few ulps;
+// this relative margin (far above that drift) keeps the prediction on
+// the safe side.
+const hotTriggerSlackRel = 1e-9
+
+// hotSumMayReach reports whether a core thermal sum starting at s0 and
+// relaxing toward x with per-millisecond retention may reach trigger
+// within k milliseconds. It errs toward true: the threshold is lowered
+// by hotTriggerSlackRel, and the predicted crossing gets one millisecond
+// of slack.
+func hotSumMayReach(s0, x, retain, trigger float64, k int64) bool {
+	n, ok := profile.CrossSteps(s0, x, retain, trigger-hotTriggerSlackRel*math.Abs(trigger), true)
+	return ok && n-1 <= k
 }
 
 // anyThrottleEngaged reports whether any throttle (scalar or unit) is
@@ -218,13 +317,18 @@ func (m *Machine) anyThrottleEngaged() bool {
 // current rates and speed, or the idle share when halted or idle.
 func (m *Machine) metricFeed() []float64 {
 	for c := range m.xbarScratch {
-		if x := m.estRatePowerW(c); x > 0 {
-			m.xbarScratch[c] = x
-		} else {
-			m.xbarScratch[c] = m.estIdleW
-		}
+		m.xbarScratch[c] = m.metricFeedW(c)
 	}
 	return m.xbarScratch
+}
+
+// metricFeedW is CPU c's constant per-millisecond metric sample this
+// quantum: estRatePowerW, or the idle share when halted or idle.
+func (m *Machine) metricFeedW(c int) float64 {
+	if x := m.estRatePowerW(c); x > 0 {
+		return x
+	}
+	return m.estIdleW
 }
 
 // estRatePowerW returns CPU c's instantaneous estimated power this

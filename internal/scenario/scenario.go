@@ -287,7 +287,7 @@ func (s Spec) Validate() error {
 	if n := len(s.BudgetW); n != 0 && n != 1 && n != nPkg {
 		return fmt.Errorf("scenario: %d budgets for %d packages", n, nPkg)
 	}
-	if s.RunMS < 1 {
+	if s.RunMS < 1 || s.RunMS > MaxRunMS {
 		return fmt.Errorf("scenario: RunMS %d out of range", s.RunMS)
 	}
 	total := 0
@@ -308,6 +308,11 @@ func (s Spec) Validate() error {
 // MaxTasks bounds a spec's initially spawned tasks (the summed Count of
 // its workload groups).
 const MaxTasks = 1 << 16
+
+// MaxRunMS bounds a spec's run length (about 50 days of simulated
+// time), so CostMS cannot overflow: topology.MaxLogical × MaxRunMS is
+// 2^44.
+const MaxRunMS = 1 << 32
 
 // TotalTasks returns the number of initially spawned tasks.
 func (s Spec) TotalTasks() int {

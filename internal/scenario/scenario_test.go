@@ -122,6 +122,7 @@ func TestValidateRejects(t *testing.T) {
 	}{
 		{"RunMS 0", func(s *Spec) { s.RunMS = 0 }},
 		{"negative RunMS", func(s *Spec) { s.RunMS = -5 }},
+		{"RunMS above the bound", func(s *Spec) { s.RunMS = MaxRunMS + 1 }},
 		{"task count 0", func(s *Spec) { s.Workload = []TaskGroup{{Program: "bitcnts", Count: 0}} }},
 		{"package specs for fewer packages", func(s *Spec) { s.Packages = s.Packages[:3] }},
 		{"budgets for fewer packages", func(s *Spec) { s.BudgetW = []float64{40, 40} }},

@@ -16,14 +16,23 @@ import (
 // core is the whole package; on a §7 CMP each core is a heat source of
 // its own. For non-SMT layouts this degenerates to the §4.5 wording.
 func (s *Scheduler) HotTrigger(cpu topology.CPUID) bool {
+	trigger, ok := s.HotTriggerW(cpu)
+	return ok && s.CoreThermalSum(cpu) >= trigger
+}
+
+// HotTriggerW returns the core thermal sum at which HotTrigger fires
+// for cpu: the core's summed maximum power less the trigger margin. ok
+// is false when no power budget is installed, and then HotTrigger never
+// fires.
+func (s *Scheduler) HotTriggerW(cpu topology.CPUID) (trigger float64, ok bool) {
 	var maxP float64
 	for _, c := range s.Topo.CPUsOfCore(int(s.Topo.CoreOf[cpu])) {
 		maxP += s.MaxPower(topology.CPUID(c))
 	}
 	if maxP >= 1e18 {
-		return false // no power budget installed
+		return 0, false
 	}
-	return s.CoreThermalSum(cpu) >= maxP-hotTriggerMarginW
+	return maxP - hotTriggerMarginW, true
 }
 
 // HotCheck runs the §4.5 hot task migration algorithm (Fig. 5) for cpu.
