@@ -13,15 +13,21 @@
 // object, one row per seed in seed order, and an error object only on
 // failure. Every sweep runs on the default async engine. The daemon
 // caches warm images by (scenario, warm-up) content, so repeated sweeps
-// skip the warm-up entirely.
+// skip the warm-up entirely. On SIGINT or SIGTERM the daemon stops
+// accepting connections and exits once in-flight sweeps have streamed
+// their last row.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"os"
+	"os/signal"
+	"syscall"
 
 	"energysched/internal/experiments"
 	"energysched/internal/farm"
@@ -38,7 +44,7 @@ func main() {
 	var err error
 	switch os.Args[1] {
 	case "serve":
-		err = serve(os.Args[2:])
+		err = serveCmd(os.Args[2:])
 	case "submit":
 		err = submit(os.Args[2:])
 	case "direct":
@@ -66,16 +72,47 @@ func usage() {
 seed LIST is comma-separated values and inclusive ranges, e.g. 1,5,10-20`)
 }
 
-func serve(args []string) error {
+func serveCmd(args []string) error {
 	fs := flag.NewFlagSet("esfarmd serve", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:7433", "listen address")
 	jobs := fs.Int("j", 0, "worker goroutines for independent runs (0 = GOMAXPROCS, 1 = sequential)")
 	cacheMB := fs.Int64("cache-mb", 256, "warm-image cache budget in MiB")
 	fs.Parse(args)
 
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		return err
+	}
+	// The first SIGINT or SIGTERM starts the drain; once it has, the
+	// default handling is back, so a second one ends the process.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	context.AfterFunc(ctx, stop)
 	srv := farm.NewServer(experiments.RunConfig{Jobs: *jobs}, *cacheMB<<20, log.Printf)
-	log.Printf("listening on %s", *addr)
-	return http.ListenAndServe(*addr, srv.Handler())
+	log.Printf("listening on %s", ln.Addr())
+	return serve(ctx, ln, srv.Handler())
+}
+
+// serve answers requests on ln until ctx is done, then drains through
+// http.Server.Shutdown: the listener closes, and sweeps already
+// streaming run to their last row before serve returns nil.
+func serve(ctx context.Context, ln net.Listener, h http.Handler) error {
+	hs := &http.Server{Handler: h}
+	served := make(chan error, 1)
+	go func() { served <- hs.Serve(ln) }()
+	select {
+	case err := <-served:
+		return err
+	case <-ctx.Done():
+	}
+	log.Printf("draining in-flight sweeps")
+	if err := hs.Shutdown(context.Background()); err != nil {
+		return err
+	}
+	if err := <-served; err != http.ErrServerClosed {
+		return err
+	}
+	return nil
 }
 
 // sweepFlags registers the request-shaping flags shared by submit and

@@ -15,7 +15,8 @@ import (
 // The parallel engine runs twice: once as built for this host, and once
 // with a forced multi-worker pool, because its fork/join (a buffered
 // channel send per worker plus one WaitGroup cycle) must also cost zero
-// allocations per quantum.
+// allocations per quantum. The engine rows run with quantum attribution
+// off (the default); one more async row runs with it on.
 func TestSteadyStateQuantumAllocs(t *testing.T) {
 	measure := func(t *testing.T, build func() *Machine) {
 		t.Helper()
@@ -47,6 +48,13 @@ func TestSteadyStateQuantumAllocs(t *testing.T) {
 			measure(t, func() *Machine { return MustNew(cfg(e)) })
 		})
 	}
+	t.Run("async-quantum-stats", func(t *testing.T) {
+		measure(t, func() *Machine {
+			m := MustNew(cfg(EngineAsync))
+			m.SetQuantumStats(new(QuantumStats))
+			return m
+		})
+	})
 	t.Run("parallel-pool", func(t *testing.T) {
 		var m *Machine
 		withWorkers(t, 2, func() { m = MustNew(cfg(EngineParallel)) })

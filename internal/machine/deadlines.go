@@ -31,6 +31,14 @@ func (m *Machine) DeadlineFires() (balance, idlePull, hot, gov int64) {
 // (arming, lazy re-arms, stale drops of the hot/governor heaps).
 func (m *Machine) DeadlineStats() sched.DeadlineStats { return m.wheel.Stats }
 
+// SetQuantumStats attaches s to count every quantum stepped from now
+// on, or detaches the counter when s is nil (the default: no
+// attribution, no cost). ResetStats zeroes an attached counter.
+func (m *Machine) SetQuantumStats(s *QuantumStats) { m.qstats = s }
+
+// QuantumStats returns the attached quantum attribution, nil when off.
+func (m *Machine) QuantumStats() *QuantumStats { return m.qstats }
+
 // fireDueDeadlines is the async engine's phase 8: run the periodic
 // balance, idle-pull, and hot-check work due exactly at endMS. The
 // due-CPU lists come from the deadline scheduler's static stagger grid,
@@ -40,10 +48,12 @@ func (m *Machine) DeadlineStats() sched.DeadlineStats { return m.wheel.Stats }
 // swap queued tasks, so they are skipped while no task waits anywhere
 // (the planner's balance gate; the count is read live, as a hot
 // migration mid-phase can queue a task), and a hot check needs a
-// running task, which a parked CPU lacks. Idleness and hot-check
-// applicability are re-checked live at fire time, exactly as the scan
-// does.
+// running task, which a parked CPU lacks, and a considerably cooler
+// core, which the plan's destination floor may rule out (hotDestShut).
+// Idleness and hot-check applicability are re-checked live at fire
+// time, exactly as the scan does.
 func (m *Machine) fireDueDeadlines(endMS int64) {
+	k := endMS - m.qStartMS + 1 // the end tick's place in the quantum
 	bal := m.wheel.BalanceDueCPUs(endMS)
 	idle := m.wheel.IdlePullDueCPUs(endMS)
 	hot := m.wheel.HotDueCPUs(endMS)
@@ -85,7 +95,7 @@ func (m *Machine) fireDueDeadlines(endMS int64) {
 			m.deadlineFires[fireIdlePull]++
 			m.Sched.Balance(cpu)
 		}
-		if hotDue && !m.cpuParked(int(c)) {
+		if hotDue && !m.cpuParked(int(c)) && !m.hotDestShut(int(c), k) {
 			m.deadlineFires[fireHot]++
 			m.Sched.HotCheck(cpu)
 		}

@@ -182,9 +182,12 @@ func (m *Machine) step(limitMS int64) int64 {
 
 	// 5. Fix the quantum: the largest dt over which every decision made
 	// above provably holds (1 for the lockstep engine).
-	dt := limitMS
+	dt, why := limitMS, HorizonLimit
 	if dt > 1 {
-		dt = m.planQuantum(dt)
+		dt, why = m.planQuantum(dt)
+	}
+	if m.qstats != nil {
+		m.qstats.add(dt, why)
 	}
 	fdt := float64(dt)
 	// From here on the machine clock points at the quantum's last tick:
@@ -303,11 +306,13 @@ func (m *Machine) step(limitMS int64) int64 {
 	// the deadline scheduler. The planner guarantees that the only
 	// deadlines strictly inside the quantum are provable no-ops:
 	// balance and idle-pull instants while nothing is queued, and hot
-	// checks whose core sum stays below its trigger. So firing at the
-	// end tick alone makes every decision the lockstep loop makes.
+	// checks whose core sum stays below its trigger or which find no
+	// core considerably cooler. So firing at the end tick alone makes
+	// every decision the lockstep loop makes.
 	// The async engine walks the precomputed due-CPU lists of the end
 	// tick and skips the passes that provably change nothing (balance
-	// with no task queued anywhere, hot checks on parked CPUs); the
+	// with no task queued anywhere, hot checks on parked CPUs or with
+	// no core cool enough under the plan's destination floor); the
 	// passes read deferred metrics, which settle lazily through the
 	// ThermalRead hook. The lockstep engine keeps the historical
 	// per-CPU modulo scan and runs every pass, the reference that the

@@ -342,6 +342,12 @@ type Machine struct {
 	// (balance, idle-pull, hot, governor) on the event-driven engines —
 	// diagnostics for the deadline scheduler, not simulation state.
 	deadlineFires [4]int64
+	// qstats is the opt-in quantum attribution (nil: off; see
+	// SetQuantumStats). destFloor is the planner's per-plan scratch for
+	// the hot checks' destination side, valid only within the quantum
+	// that built it and never serialized.
+	qstats    *QuantumStats
+	destFloor hotDestFloor
 
 	// Per-step iteration sets. Every per-CPU and per-core phase of the
 	// shared step — dispatch, throttle decisions, execution-speed

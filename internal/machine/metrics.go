@@ -171,6 +171,9 @@ func (m *Machine) ResetStats() {
 	}
 	m.deadlineFires = [4]int64{}
 	m.wheel.Stats = sched.DeadlineStats{}
+	if m.qstats != nil {
+		*m.qstats = QuantumStats{}
+	}
 	// Peak temperature restarts from the hottest current core.
 	m.peakTempC = 0
 	for _, n := range m.nodes {

@@ -27,9 +27,12 @@ import (
 //     the quantum's last tick, exactly on schedule),
 //   - a hot-check deadline whose check could act: §4.5 hot migration
 //     needs a single-task CPU on a core whose thermal sum has reached
-//     its trigger, and that sum follows the same closed-form curve as
-//     a throttle metric, so checks that provably find it below the
-//     trigger fall inside the quantum and are skipped,
+//     its trigger, and some other core at least HotDestGapW cooler.
+//     The source sum follows the same closed-form curve as a throttle
+//     metric, and every other core's sum has a floor through the
+//     quantum, so checks that provably find their core below the
+//     trigger, or no core cool enough, fall inside the quantum and are
+//     skipped,
 //   - a predicted throttle flip: while inputs are constant, the
 //     thermal-power metric follows a geometric curve, so the
 //     millisecond at which a throttle would engage or disengage is
@@ -47,29 +50,39 @@ import (
 // approximation — the cross-engine tests assert identical completions,
 // migrations, and throttle decisions against the lockstep engine.
 
-// planQuantum returns the largest safe quantum dt in [1, limit] for the
-// current machine state. It runs after dispatch, throttle engagement,
-// and speed assignment, so m.execSpeed (0 for halted or idle CPUs)
-// describes the quantum about to execute.
-func (m *Machine) planQuantum(limit int64) int64 {
-	dt := limit
-	now := m.nowMS
-	clamp := func(v int64) {
-		if v < dt {
-			if v < 1 {
-				v = 1
-			}
-			dt = v
-		}
+// quantumPlan is planQuantum's running bound: the quantum length so
+// far and the horizon that set it.
+type quantumPlan struct {
+	dt  int64
+	why Horizon
+}
+
+// clamp lowers the quantum to v (at least 1) if v is shorter; the first
+// horizon to reach the final length is the one that binds.
+func (p *quantumPlan) clamp(v int64, why Horizon) {
+	if v < 1 {
+		v = 1
 	}
+	if v < p.dt {
+		p.dt, p.why = v, why
+	}
+}
+
+// planQuantum returns the largest safe quantum dt in [1, limit] for the
+// current machine state, and the horizon that bound it. It runs after
+// dispatch, throttle engagement, and speed assignment, so m.execSpeed
+// (0 for halted or idle CPUs) describes the quantum about to execute.
+func (m *Machine) planQuantum(limit int64) (int64, Horizon) {
+	p := quantumPlan{dt: limit, why: HorizonLimit}
+	now := m.nowMS
 
 	// Metric sampling boundary: the quantum must end exactly on the
 	// next multiple of the monitor period.
-	if p := int64(m.Cfg.MonitorPeriodMS); p > 0 {
-		if r := now % p; r == 0 {
-			clamp(1)
+	if per := int64(m.Cfg.MonitorPeriodMS); per > 0 {
+		if r := now % per; r == 0 {
+			p.clamp(1, HorizonMonitor)
 		} else {
-			clamp(p - r + 1)
+			p.clamp(per-r+1, HorizonMonitor)
 		}
 	}
 
@@ -79,22 +92,22 @@ func (m *Machine) planQuantum(limit int64) int64 {
 	// quantum even on an otherwise event-free machine (where the cap is
 	// effectively unbounded).
 	if m.faults != nil {
-		if p := m.recalPeriod; p > 0 {
-			if r := now % p; r == 0 {
-				clamp(1)
+		if per := m.recalPeriod; per > 0 {
+			if r := now % per; r == 0 {
+				p.clamp(1, HorizonFaults)
 			} else {
-				clamp(p - r + 1)
+				p.clamp(per-r+1, HorizonFaults)
 			}
 		}
 		if d := m.faults.NextDriftMS(); d >= 0 {
-			clamp(d - now)
+			p.clamp(d-now, HorizonFaults)
 		}
 	}
 
 	// Earliest sleeper wake-up (a start-of-tick event: the quantum must
 	// end before it).
 	if w := m.earliestWake(); w != sched.NoDeadline {
-		clamp(w - now)
+		p.clamp(w-now, HorizonWake)
 	}
 
 	// Pending P-state transitions are start-of-tick events: the
@@ -103,7 +116,7 @@ func (m *Machine) planQuantum(limit int64) int64 {
 	if m.dvfsOn && m.nPending > 0 {
 		for c := range m.pendingIdx {
 			if m.pendingIdx[c] >= 0 {
-				clamp(m.pendingAt[c] - now)
+				p.clamp(m.pendingAt[c]-now, HorizonPState)
 			}
 		}
 	}
@@ -111,27 +124,21 @@ func (m *Machine) planQuantum(limit int64) int64 {
 	// §2.3 task throttling rotates runqueue heads every millisecond
 	// while a throttle is engaged; degrade to lockstep for those spans.
 	if m.Cfg.TaskThrottling && m.anyThrottleEngaged() {
-		return 1
+		return 1, HorizonTaskThrottle
 	}
 
 	// Periodic deadlines next — each a single O(1) query, and on a
 	// saturated machine with tasks queued some CPU's staggered balance
 	// pass is due every tick, pinning dt to 1 before the per-CPU
 	// horizon scan below even starts (the scan can only lower dt, and 1
-	// is the floor). Hot checks resolve in two steps. A check due on
-	// the first tick that could act pins dt to 1 here too: once a
-	// saturated machine's cores are past their triggers, one is due on
-	// nearly every tick. The grid walk over the rest of the quantum
-	// waits until the running-task horizons have shortened it.
-	dt, hot := m.clampDeadlines(dt, now)
-	if dt <= 1 {
-		return 1
-	}
-	if hot == now {
-		if m.hotCheckDue(now, 1) {
-			return 1
-		}
-		hot++
+	// is the floor). Hot checks resolve last: once a saturated
+	// machine's cores are past their triggers one is due on nearly
+	// every tick, and the grid walk over the quantum, with its
+	// destination bounds, waits until the running-task horizons have
+	// shortened it.
+	hot := m.clampDeadlines(&p, now)
+	if p.dt <= 1 {
+		return 1, p.why
 	}
 
 	// Running-task horizons: timeslice expiry, warmup end, and the
@@ -144,39 +151,44 @@ func (m *Machine) planQuantum(limit int64) int64 {
 		if cur == nil {
 			continue
 		}
-		clamp(ceilToInt64(cur.SliceLeft))
+		p.clamp(ceilToInt64(cur.SliceLeft), HorizonSlice)
 		if cur.WarmupLeft > 0 {
-			clamp(ceilToInt64(cur.WarmupLeft))
+			p.clamp(ceilToInt64(cur.WarmupLeft), HorizonWarmup)
 		}
 		if speed := m.execSpeed[c]; speed > 0 {
 			work := m.dispatches[c].task.work
 			if rh := work.RateHorizonMS(); !math.IsInf(rh, 1) {
-				// Rates change inside the crossing millisecond;
-				// isolate it so quantum power is exactly constant.
-				clamp(int64(math.Floor(rh / speed)))
+				p.clamp(rateHorizonMS(rh, speed), HorizonRate)
 			}
 			if sh := work.StopHorizonMS(); !math.IsInf(sh, 1) {
 				// Block/finish take effect at the end of the
 				// crossing millisecond.
-				clamp(ceilToInt64(sh / speed))
+				p.clamp(ceilToInt64(sh/speed), HorizonStop)
 			}
 		}
 	}
 
-	if hot-now < dt {
-		dt = m.clampHotChecks(dt, now, hot)
+	if hot-now < p.dt {
+		// Also on a 1 ms quantum: the floor a due check builds lets
+		// phase 8 skip the end-tick checks it rules out.
+		m.clampHotChecks(&p, now, hot)
 	}
-	if dt > 1 && m.throttles != nil {
-		dt = m.clampThrottleCrossings(dt)
+	if p.dt > 1 && m.throttles != nil {
+		p.clamp(m.clampThrottleCrossings(p.dt), HorizonThrottle)
 	}
-	if dt > 1 && m.unitThrottles != nil {
-		dt = m.clampUnitCrossings(dt)
+	if p.dt > 1 && m.unitThrottles != nil {
+		p.clamp(m.clampUnitCrossings(p.dt), HorizonUnit)
 	}
-	if dt < 1 {
-		dt = 1
-	}
-	return dt
+	return p.dt, p.why
 }
+
+// rateHorizonMS is the number of whole milliseconds a running task
+// keeps its event rates at execution speed speed, rh being its
+// RateHorizonMS in progress milliseconds. Rates change inside the
+// crossing millisecond, which the floor leaves out of the quantum: it
+// runs as a 1 ms quantum of its own, so within every longer quantum
+// each CPU feeds its metric one constant sample.
+func rateHorizonMS(rh, speed float64) int64 { return int64(math.Floor(rh / speed)) }
 
 // clampDeadlines bounds a quantum by the periodic deadline classes, a
 // single O(1) query per class on the deadline scheduler instead of the
@@ -186,103 +198,116 @@ func (m *Machine) planQuantum(limit int64) int64 {
 // idle-heavy workloads. Governor deadlines are armed only for occupied
 // CPUs, so other CPUs' instants never reach the planner. Hot-check
 // deadlines are armed only for single-task CPUs with a power budget
-// while hot migration is on, but an armed check still acts only once
-// its core has reached the trigger, so the earliest armed hot deadline
-// (NoDeadline when none) is returned unclamped for planQuantum to
-// resolve. The query runs on every plan, so the heap's lazy re-arms
-// keep it bounded.
-func (m *Machine) clampDeadlines(dt, now int64) (int64, int64) {
-	clamp := func(v int64) {
-		if v < dt {
-			if v < 1 {
-				v = 1
-			}
-			dt = v
-		}
-	}
+// while hot migration is on, but an armed check acts only if its core
+// has reached the trigger and some other core is considerably cooler,
+// so the earliest armed hot deadline (NoDeadline when none) is
+// returned unclamped for planQuantum to resolve. The query runs on
+// every plan, so the heap's lazy re-arms keep it bounded.
+func (m *Machine) clampDeadlines(p *quantumPlan, now int64) int64 {
 	if m.Sched.QueuedCount() > 0 {
 		if d := m.wheel.NextBalanceDeadline(now); d != sched.NoDeadline {
-			clamp(d - now + 1)
+			p.clamp(d-now+1, HorizonBalance)
 		}
 		if m.Sched.IdleCPUCount() > 0 {
-			clamp(m.wheel.NextIdlePullDeadline(now) - now + 1)
+			p.clamp(m.wheel.NextIdlePullDeadline(now)-now+1, HorizonBalance)
 		}
 	}
 	if m.dvfsOn && m.govPeriod > 0 {
 		if d := m.wheel.NextGovDeadline(now); d != sched.NoDeadline {
-			clamp(d - now + 1)
+			p.clamp(d-now+1, HorizonGovernor)
 		}
 	}
-	return dt, m.wheel.NextHotDeadline(now)
+	return m.wheel.NextHotDeadline(now)
 }
 
 // clampHotChecks ends the quantum at the first hot-check instant whose
 // check could act. It walks the static hot grid from hot, the earliest
 // armed hot deadline, to the quantum's last tick; a CPU due at the
 // quantum's k-th tick stops the walk when hotCheckCouldAct says its
-// check might migrate. Every check it steps past is a provable no-op,
-// so phase 8 firing only at the end tick still decides exactly as the
-// lockstep loop does.
-func (m *Machine) clampHotChecks(dt, now, hot int64) int64 {
-	for t := hot; t-now < dt; t++ {
-		if m.hotCheckDue(t, t-now+1) {
-			return t - now + 1
+// check might migrate. The destination bounds hold through the quantum
+// as the running-task horizons left it, which the walk can only
+// shorten. Every check it steps past is a provable no-op, so phase 8
+// firing only at the end tick still decides exactly as the lockstep
+// loop does.
+func (m *Machine) clampHotChecks(p *quantumPlan, now, hot int64) {
+	horizon := p.dt
+	for t := hot; t-now < p.dt; t++ {
+		if why, ok := m.hotCheckDue(t, t-now+1, horizon); ok {
+			p.clamp(t-now+1, why)
+			return
 		}
 	}
-	return dt
 }
 
 // hotCheckDue reports whether any CPU whose hot check is due at t, the
-// quantum's k-th tick, could act there.
-func (m *Machine) hotCheckDue(t, k int64) bool {
+// quantum's k-th tick, could act there, and which side of the check
+// could not be ruled out. horizon is the quantum length the
+// destination bounds must hold through (k ≤ horizon).
+func (m *Machine) hotCheckDue(t, k, horizon int64) (Horizon, bool) {
 	for _, c := range m.wheel.HotDueCPUs(t) {
-		if m.hotCheckCouldAct(int(c), k) {
-			return true
+		if why, ok := m.hotCheckCouldAct(int(c), k, horizon); ok {
+			return why, true
 		}
 	}
-	return false
+	return 0, false
 }
 
 // hotCheckCouldAct reports whether CPU c's hot check, run after k
-// milliseconds of the coming quantum, might pass sched.HotCheck's
-// gates: a single running task, a core power budget, and the core's
-// thermal sum at or above the trigger. Within the quantum each CPU of
-// the core feeds its metric a constant sample, so the sum follows
-// S(k) = X + (S0 − X)·q^k (see clampThrottleCrossings). A parked
-// sibling's metric is not settled, and reading it would settle it, so
-// such a core always counts as able to act.
-func (m *Machine) hotCheckCouldAct(c int, k int64) bool {
+// milliseconds of the coming quantum, might migrate. sched.HotCheck
+// acts only past two gates, and the check is a provable no-op when
+// either is shut for the whole quantum:
+//
+//   - Source: a single running task, a core power budget, and the
+//     core's thermal sum at or above the trigger. Within the quantum
+//     each live CPU of the core feeds its metric a constant sample, so
+//     the sum follows S(k) = X + (S0 − X)·q^k (see
+//     clampThrottleCrossings); a parked sibling enters at the most its
+//     deferred metric can settle to (hotSourceTermsW).
+//   - Destination: some other core at least HotDestGapW cooler. S(k)
+//     stays below hotSourceCeilW, and hotFloorFor bounds every other
+//     core's sum from below through horizon; when the floor lies more
+//     than HotDestGapW above the ceiling, every domain level's coolest
+//     core fails the gap test and HotCheck ascends past them all.
+//     Without a floor the check binds on the source test alone
+//     (HorizonHotSource); a floor that cannot rule it out reports
+//     HorizonHotDest.
+func (m *Machine) hotCheckCouldAct(c int, k, horizon int64) (Horizon, bool) {
 	rq := m.Sched.RQs[c]
 	if rq.Current == nil || rq.Len() != 1 {
-		return false
+		return 0, false
 	}
 	trigger, ok := m.Sched.HotTriggerW(topology.CPUID(c))
 	if !ok {
-		return false
+		return 0, false
 	}
-	cpus := m.Topo.CPUsOfCore(int(m.Topo.CoreOf[c]))
-	s0 := 0.0
-	for _, d := range cpus {
-		if m.cpuParked(int(d)) {
-			return true
-		}
-		s0 += m.Sched.Power[d].ThermalPower()
+	core := int(m.Topo.CoreOf[c])
+	s0, x := 0.0, 0.0
+	deferred := m.nParked > 0 && m.metricsDeferred()
+	for _, d32 := range m.Topo.CPUsOfCore(core) {
+		d := int(d32)
+		sd, xd := hotSourceTermsW(m.Sched.Power[d].ThermalPower(), m.metricFeedW(d), m.estIdleW, deferred && m.parked[d])
+		s0 += sd
+		x += xd
 	}
-	if s0 >= trigger {
-		return true // already triggered; skip the feed estimates
+	retain := m.Sched.Power[c].RetentionPerMS()
+	if s0 < trigger && !hotSumMayReach(s0, x, retain, trigger, k) {
+		return 0, false
 	}
-	x := 0.0
-	for _, d := range cpus {
-		x += m.metricFeedW(int(d))
+	f := m.hotFloorFor(horizon, retain)
+	if !f.ok {
+		return HorizonHotSource, true
 	}
-	return hotSumMayReach(s0, x, m.Sched.Power[c].RetentionPerMS(), trigger, k)
+	if hotDestRuledOut(f.floorExcl(core), hotSourceCeilW(s0, x, f.qk), m.Sched.Cfg.HotDestGapW) {
+		return 0, false
+	}
+	return HorizonHotDest, true
 }
 
 // hotTriggerSlackRel lowers the hot trigger for the planner's
 // prediction. The engines fold a quantum's metric in one update, or in
 // per-millisecond ones, and differ from the closed form by a few ulps;
 // this relative margin (far above that drift) keeps the prediction on
-// the safe side.
+// the safe side. The destination test keeps the same margin.
 const hotTriggerSlackRel = 1e-9
 
 // hotSumMayReach reports whether a core thermal sum starting at s0 and
@@ -293,6 +318,163 @@ const hotTriggerSlackRel = 1e-9
 func hotSumMayReach(s0, x, retain, trigger float64, k int64) bool {
 	n, ok := profile.CrossSteps(s0, x, retain, trigger-hotTriggerSlackRel*math.Abs(trigger), true)
 	return ok && n-1 <= k
+}
+
+// hotDestFloor is the planner's per-plan scratch for the destination
+// side of the hot checks: lower bounds on every core's thermal sum
+// through the next horizon milliseconds, of which only the two
+// smallest are kept, so that the source core can be left out. Phase 8
+// reads it too (hotDestShut).
+type hotDestFloor struct {
+	start   int64   // first tick of the quantum whose plan built the bounds
+	horizon int64   // they hold through this many ticks of it
+	ok      bool    // the bounds exist (see hotFloorFor)
+	qk      float64 // q^horizon, q the per-ms retention
+	lo, lo2 float64 // the smallest and second-smallest core bounds
+	loCore  int     // the core lo belongs to
+}
+
+// floorExcl returns the smallest core bound other than core's own.
+func (f *hotDestFloor) floorExcl(core int) float64 {
+	if f.loCore == core {
+		return f.lo2
+	}
+	return f.lo
+}
+
+// hotFloorFor returns the destination bounds through horizon ms for
+// the machine-wide per-ms retention q, built at most once per plan and
+// horizon in one read-only pass over the cores: each core's bound sums
+// its CPUs' metricFloorW, which reads parked CPUs' deferred metrics
+// without settling them. The bounds need non-negative metric samples
+// and one retention for the whole machine, so they are missing (ok
+// false) under a negative estimate or per-package thermal
+// calibrations; the planner then keeps to the source test.
+func (m *Machine) hotFloorFor(horizon int64, q float64) *hotDestFloor {
+	f := &m.destFloor
+	if f.start == m.qStartMS && f.horizon == horizon {
+		return f
+	}
+	f.start, f.horizon = m.qStartMS, horizon
+	f.ok = m.thermWShared && m.estimatesNonNegative()
+	if !f.ok {
+		return f
+	}
+	f.qk = math.Pow(q, float64(horizon))
+	f.lo, f.lo2, f.loCore = math.Inf(1), math.Inf(1), -1
+	deferred := m.nParked > 0 && m.metricsDeferred()
+	for core := range m.nodes {
+		lo := 0.0
+		for _, d32 := range m.Topo.CPUsOfCore(core) {
+			d := int(d32)
+			var gap int64
+			parked := deferred && m.parked[d]
+			if parked {
+				gap = m.qStartMS - m.cpuSettledMS[d]
+			}
+			lo += metricFloorW(m.Sched.Power[d].ThermalPower(), m.estIdleW, q, f.qk, horizon, gap, parked)
+		}
+		if lo < f.lo {
+			f.lo, f.lo2, f.loCore = lo, f.lo, core
+		} else if lo < f.lo2 {
+			f.lo2 = lo
+		}
+	}
+	return f
+}
+
+// hotDestShut reports whether CPU c's hot check at the end of the
+// quantum, its k-th tick, is a provable no-op because no core can be
+// HotDestGapW cooler: this plan's floor holds through k, and the
+// source core's sum, read now that the quantum is folded in, stays
+// more than the gap above it. End-of-tick events and earlier passes of
+// phase 8 move tasks but no thermal sum, and a parked sibling enters at
+// the most its deferred metric can settle to, so the proof holds
+// whatever phase 8 did before the check.
+func (m *Machine) hotDestShut(c int, k int64) bool {
+	f := &m.destFloor
+	if f.start != m.qStartMS || f.horizon < k || !f.ok {
+		return false // no floor from this quantum's plan, or too short
+	}
+	core := int(m.Topo.CoreOf[c])
+	hi := 0.0
+	deferred := m.nParked > 0 && m.metricsDeferred()
+	for _, d32 := range m.Topo.CPUsOfCore(core) {
+		d := int(d32)
+		s, _ := hotSourceTermsW(m.Sched.Power[d].ThermalPower(), 0, m.estIdleW, deferred && m.parked[d])
+		hi += s
+	}
+	return hotDestRuledOut(f.floorExcl(core), hi, m.Sched.Cfg.HotDestGapW)
+}
+
+// estimatesNonNegative reports whether every metric sample is
+// non-negative: all estimator weights and the halt power are.
+func (m *Machine) estimatesNonNegative() bool {
+	if m.Est.HaltPower < 0 {
+		return false
+	}
+	for _, w := range m.Est.Weights {
+		if w < 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// metricFloorW bounds from below, for every k ≤ n, one CPU's metric
+// after the quantum's k-th tick. tp is its stored value, q the per-ms
+// retention and qn = q^n. A live metric takes one sample per ms; when
+// every sample is non-negative it keeps at least q^k of itself, which
+// lies between tp and qn·tp. A deferred (parked) metric still owes the
+// idle samples of gap ms before the quantum, and its settle folds the
+// constant idle sample into idleW + (tp − idleW)·q^(gap+k): from above
+// idleW it falls and is lowest at k = n, from below it rises and never
+// drops under tp.
+func metricFloorW(tp, idleW, q, qn float64, n, gap int64, deferred bool) float64 {
+	switch {
+	case !deferred:
+		return math.Min(tp, qn*tp)
+	case tp <= idleW:
+		return tp
+	}
+	return idleW + (tp-idleW)*math.Pow(q, float64(gap+n))
+}
+
+// hotSourceTermsW returns one CPU's share of a source core's starting
+// sum and feed. A live CPU adds its stored metric tp and its feed. A
+// deferred (parked) metric is read as stored, without settling it:
+// settled at any tick it lies between tp and the idle sample, and its
+// upper end, entered in both and so held constant, keeps the core's
+// closed form an upper bound.
+func hotSourceTermsW(tp, feed, idleW float64, deferred bool) (s, x float64) {
+	if deferred {
+		hi := math.Max(tp, idleW)
+		return hi, hi
+	}
+	return tp, feed
+}
+
+// hotSourceCeilW bounds from above, for every k ≤ n, a core sum
+// relaxing from s0 toward its feed x, where qn is the retention over
+// n ms: a falling sum stays at or below s0, and a rising one below its
+// value after n ms.
+func hotSourceCeilW(s0, x, qn float64) float64 {
+	if x <= s0 {
+		return s0
+	}
+	return x + (s0-x)*qn
+}
+
+// hotDestRuledOut reports whether no core whose sum is at least lo can
+// be HotDestGapW (gap) cooler than a source core whose sum is at most
+// hi: HotCheck's test destTP ≤ myCoreTP − gap then fails everywhere.
+// The margin must clear hotTriggerSlackRel, which absorbs the engines'
+// rounding drift from the closed forms.
+func hotDestRuledOut(lo, hi, gap float64) bool {
+	if math.IsInf(lo, 1) {
+		return true // no other core to migrate to
+	}
+	return lo-(hi-gap) > hotTriggerSlackRel*math.Max(math.Abs(lo), math.Abs(hi))
 }
 
 // anyThrottleEngaged reports whether any throttle (scalar or unit) is

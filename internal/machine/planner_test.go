@@ -103,23 +103,7 @@ func TestHotSumMayReachBruteForce(t *testing.T) {
 // change a single trace byte against the lockstep engine, which runs
 // every check.
 func TestHotHorizonSkipsNoOpChecks(t *testing.T) {
-	// Placement that ignores energy leaves some cores with two bitcnts,
-	// and a 4 W destination gap lets their hot checks swap one away.
-	pol := sched.DefaultConfig()
-	pol.EnergyAwarePlacement = false
-	pol.HotDestGapW = 4
-	build := func(e Engine) *Machine {
-		m := MustNew(Config{
-			Engine: e, Layout: topology.XSeries445(),
-			Sched: pol, Seed: 3,
-			PackageMaxPowerW: []float64{50},
-			Trace:            trace.New(0),
-		})
-		cat := catalog()
-		m.SpawnN(cat.Bitcnts(), 10)
-		m.SpawnN(cat.Memrw(), 6)
-		return m
-	}
+	build := hotSwapMachine
 	const runMS = 20_000
 	lock := build(EngineLockstep)
 	lock.Run(runMS)
@@ -153,5 +137,287 @@ func TestHotHorizonSkipsNoOpChecks(t *testing.T) {
 		if _, _, hot, _ := got.DeadlineFires(); hot >= int64(grid) {
 			t.Errorf("%s: %d hot checks fired of %d on the grid; none skipped", engine, hot, grid)
 		}
+	}
+}
+
+// hotSwapMachine builds a saturated SMT machine, traced, that heats
+// from cold through its hot trigger. Placement that ignores energy
+// leaves some cores with two bitcnts, and a 4 W destination gap lets
+// their hot checks swap one away.
+func hotSwapMachine(e Engine) *Machine {
+	pol := sched.DefaultConfig()
+	pol.EnergyAwarePlacement = false
+	pol.HotDestGapW = 4
+	m := MustNew(Config{
+		Engine: e, Layout: topology.XSeries445(),
+		Sched: pol, Seed: 3,
+		PackageMaxPowerW: []float64{50},
+		Trace:            trace.New(0),
+	})
+	cat := catalog()
+	m.SpawnN(cat.Bitcnts(), 10)
+	m.SpawnN(cat.Memrw(), 6)
+	return m
+}
+
+// Quantum attribution only observes: attaching it changes no trace
+// byte, its counts add up to the quanta stepped, and it sees the hot
+// checks that ended quanta because a cool-enough core existed. On the
+// lockstep engine every quantum is one tick at its limit.
+func TestQuantumStatsObserveOnly(t *testing.T) {
+	const runMS = 20_000
+	plain := hotSwapMachine(EngineAsync)
+	plain.Run(runMS)
+	m := hotSwapMachine(EngineAsync)
+	var qs QuantumStats
+	m.SetQuantumStats(&qs)
+	m.Run(runMS)
+	if got, want := traceCSV(t, m.Cfg.Trace), traceCSV(t, plain.Cfg.Trace); got != want {
+		t.Fatalf("attribution changed the trace: %s", firstTraceDiff(want, got))
+	}
+	var byHorizon, byLength int64
+	for _, n := range qs.ByHorizon {
+		byHorizon += n
+	}
+	for _, n := range qs.Lengths {
+		byLength += n
+	}
+	if qs.SimMS != runMS || byHorizon != qs.Quanta || byLength != qs.Quanta {
+		t.Errorf("%d quanta over %d ms; %d by horizon, %d by length", qs.Quanta, qs.SimMS, byHorizon, byLength)
+	}
+	if qs.ByHorizon[HorizonHotDest] == 0 || qs.Lengths[0] == qs.Quanta {
+		t.Errorf("want hot checks with a cool core to end some quanta, and quanta past 1 ms: %+v", qs)
+	}
+	t.Logf("%d quanta, %.2f ms each; %d ended by a hot check that could act", qs.Quanta, qs.MeanMS(), qs.ByHorizon[HorizonHotDest])
+
+	lock := hotSwapMachine(EngineLockstep)
+	lock.SetQuantumStats(&qs)
+	lock.ResetStats()
+	lock.Run(1000)
+	if qs.Quanta != 1000 || qs.ByHorizon[HorizonLimit] != 1000 {
+		t.Errorf("lockstep: %d quanta, %d at their limit; want 1000 one-tick quanta", qs.Quanta, qs.ByHorizon[HorizonLimit])
+	}
+}
+
+// Phase 8 reuses the plan's destination floor for the checks due on the
+// quantum's last tick. The floor bounds the sums only within the
+// quantum whose plan built it and through the horizon it was built
+// for, so any other floor must leave the check to run.
+func TestHotDestShutNeedsThisPlansFloor(t *testing.T) {
+	m := hotSwapMachine(EngineAsync)
+	m.Run(2_000)
+	m.resetPhaseMarkers()
+	high := hotDestFloor{start: m.qStartMS, horizon: 4, ok: true, lo: 1e6, lo2: 1e6, loCore: -1}
+	m.destFloor = high
+	if !m.hotDestShut(0, 4) {
+		t.Fatal("a floor far above every core, from this quantum's plan, must shut the check")
+	}
+	earlier, short, missing := high, high, high
+	earlier.start--
+	short.horizon = 3
+	missing.ok = false
+	for name, f := range map[string]hotDestFloor{"earlier quantum": earlier, "shorter horizon": short, "no floor": missing} {
+		m.destFloor = f
+		if m.hotDestShut(0, 4) {
+			t.Errorf("%s: the check was shut", name)
+		}
+	}
+}
+
+// The destination side may skip a hot check only if no other core can
+// be HotDestGapW cooler than the source at any tick of the quantum.
+// Brute force: random cores whose CPUs run (arbitrary non-negative
+// per-ms samples), idle, or sit parked behind a random settle gap, and
+// a source core whose running CPUs keep a constant feed up to a rate
+// crossing, with a mixed sample in the crossing millisecond. Every
+// core is stepped one millisecond at a time (the lockstep engine's
+// partition) and each prefix is also folded as one update (the async
+// engine's). Through the horizon the planner would use (capped by
+// rateHorizonMS) metricFloorW must stay below every other core's sum,
+// hotSourceCeilW above the source's, and whenever hotDestRuledOut
+// holds every other core must fail HotCheck's gap test.
+func TestHotDestFloorBruteForce(t *testing.T) {
+	r := rand.New(rand.NewSource(2))
+	// Per-ms stepping drifts from the closed forms by up to about
+	// ulp/(1 − q), near 1e-12 relative for the slowest metrics here; the
+	// bounds must hold to within a tenth of the planner's slack.
+	const tol = hotTriggerSlackRel / 10
+	type cpuRun struct {
+		start   float64
+		stepped []float64 // value after k ms, k = 0..K
+		folded  []float64
+	}
+	var ruled, open, parkedHot int
+	for trial := 0; trial < 400; trial++ {
+		weight := math.Pow(10, -4+3*r.Float64())
+		stdMS := []float64{1, 10, 100}[r.Intn(3)]
+		share := 20 + 40*r.Float64()
+		idleW := 2 + 10*r.Float64()
+		tracker := func(v float64) *profile.CPUPower { return profile.NewCPUPower(share, weight, stdMS, v) }
+		q := tracker(0).RetentionPerMS()
+		threads := 1 + r.Intn(2)
+		horizon := int64(1 + r.Intn(80))
+
+		// run steps a metric from v through pre idle milliseconds (a
+		// parked CPU's settle gap) and then the samples sample(1..K):
+		// one update per ms, and one fold per prefix.
+		run := func(v float64, pre int64, sample func(j int64) float64, K int64) cpuRun {
+			cr := cpuRun{start: v, stepped: make([]float64, K+1), folded: make([]float64, K+1)}
+			step := tracker(v)
+			for j := int64(1); j <= pre; j++ {
+				step.AddEnergy(idleW/1000, 1)
+			}
+			sum := 0.0
+			for j := int64(0); j <= K; j++ {
+				if j > 0 {
+					step.AddEnergy(sample(j)/1000, 1)
+				}
+				cr.stepped[j] = step.ThermalPower()
+				if j > 0 {
+					sum += sample(j)
+				}
+				fold := tracker(v)
+				fold.AddEnergy((sum+idleW*float64(pre))/1000, float64(j+pre))
+				cr.folded[j] = fold.ThermalPower()
+			}
+			return cr
+		}
+		idle := func(int64) float64 { return idleW }
+		drawParked := func() (tp float64, gap int64) {
+			tp = share * 2 * r.Float64()
+			if r.Intn(2) == 0 {
+				tp = idleW * r.Float64()
+			}
+			return tp, r.Int63n(int64(math.Min(3/(1-q), 20_000)) + 1)
+		}
+
+		// The source core: CPU 0 runs; a sibling runs or is parked.
+		K := horizon
+		type srcCPU struct {
+			tp, old, new, cross float64
+			parked              bool
+			gap                 int64
+		}
+		src := make([]srcCPU, threads)
+		for i := range src {
+			s := &src[i]
+			if i > 0 && r.Intn(2) == 0 {
+				s.parked = true
+				s.tp, s.gap = drawParked()
+				continue
+			}
+			s.tp = share * 1.5 * r.Float64()
+			s.old = share * 1.5 * r.Float64()
+			s.new = share * 1.5 * r.Float64()
+			speed := 0.3 + r.Float64()
+			rh := (0.01 + 2*float64(horizon)*r.Float64()) * speed
+			s.cross = rh / speed
+			if n := rateHorizonMS(rh, speed); n < K {
+				K = n
+			}
+		}
+		if K < 1 {
+			continue // a 1 ms quantum: the check fires, nothing is skipped
+		}
+		qK := math.Pow(q, float64(K))
+		s0, x := 0.0, 0.0
+		srcStep, srcFold := make([]float64, K+1), make([]float64, K+1)
+		for _, s := range src {
+			var cr cpuRun
+			if s.parked {
+				sd, xd := hotSourceTermsW(s.tp, idleW, idleW, true)
+				s0, x = s0+sd, x+xd
+				cr = run(s.tp, s.gap, idle, K)
+			} else {
+				sd, xd := hotSourceTermsW(s.tp, s.old, idleW, false)
+				s0, x = s0+sd, x+xd
+				cr = run(s.tp, 0, func(j int64) float64 {
+					switch lo := math.Floor(s.cross); {
+					case float64(j) <= lo:
+						return s.old
+					case float64(j-1) < s.cross:
+						f := s.cross - lo
+						return f*s.old + (1-f)*s.new
+					}
+					return s.new
+				}, K)
+			}
+			for k := range srcStep {
+				srcStep[k] += cr.stepped[k]
+				srcFold[k] += cr.folded[k]
+			}
+		}
+		hi := hotSourceCeilW(s0, x, qK)
+		for k := int64(1); k <= K; k++ {
+			if v := math.Max(srcStep[k], srcFold[k]); v > hi+tol*math.Abs(hi) {
+				t.Fatalf("trial %d: source sum %v after %d of %d ms exceeds its ceiling %v", trial, v, k, K, hi)
+			}
+		}
+
+		// The other cores, and the smallest floor among them.
+		nCores := 1 + r.Intn(4)
+		destStep := make([][]float64, nCores)
+		destFold := make([][]float64, nCores)
+		minFloor := math.Inf(1)
+		for c := range destStep {
+			destStep[c], destFold[c] = make([]float64, K+1), make([]float64, K+1)
+			floor := 0.0
+			for i := 0; i < threads; i++ {
+				var cr cpuRun
+				switch r.Intn(3) {
+				case 0: // running: any non-negative samples
+					samples := make([]float64, K+1)
+					for j := range samples {
+						samples[j] = share * 1.5 * r.Float64()
+						if r.Intn(8) == 0 {
+							samples[j] = 0
+						}
+					}
+					cr = run(share*1.5*r.Float64(), 0, func(j int64) float64 { return samples[j] }, K)
+					floor += metricFloorW(cr.start, idleW, q, qK, K, 0, false)
+				case 1: // idle, metric live
+					cr = run(share*1.5*r.Float64(), 0, idle, K)
+					floor += metricFloorW(cr.start, idleW, q, qK, K, 0, false)
+				default: // parked, metric deferred over gap ms
+					tp, gap := drawParked()
+					if tp > idleW {
+						parkedHot++
+					}
+					cr = run(tp, gap, idle, K)
+					floor += metricFloorW(tp, idleW, q, qK, K, gap, true)
+				}
+				for k := range destStep[c] {
+					destStep[c][k] += cr.stepped[k]
+					destFold[c][k] += cr.folded[k]
+				}
+			}
+			for k := int64(1); k <= K; k++ {
+				if v := math.Min(destStep[c][k], destFold[c][k]); floor > v+tol*math.Abs(v) {
+					t.Fatalf("trial %d: core %d sum %v after %d of %d ms is below its floor %v", trial, c, v, k, K, floor)
+				}
+			}
+			minFloor = math.Min(minFloor, floor)
+		}
+
+		// HotCheck's gap test, at gaps around the bounds' margin.
+		margin := hi - minFloor
+		for _, gap := range []float64{margin - 1, margin - 1e-6, margin, margin + 1e-6, margin + 1, margin + 10*r.Float64() - 5} {
+			if !hotDestRuledOut(minFloor, hi, gap) {
+				open++
+				continue
+			}
+			ruled++
+			for c := range destStep {
+				for k := int64(1); k <= K; k++ {
+					if destStep[c][k] <= srcStep[k]-gap || destFold[c][k] <= srcFold[k]-gap {
+						t.Fatalf("trial %d: gap %v ruled out, but core %d is cool enough after %d ms", trial, gap, c, k)
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d gaps ruled out, %d open, %d parked CPUs above idle", ruled, open, parkedHot)
+	if ruled == 0 || open == 0 || parkedHot == 0 {
+		t.Fatalf("vacuous draw: %d gaps ruled out, %d open, %d parked CPUs above idle", ruled, open, parkedHot)
 	}
 }

@@ -1,6 +1,7 @@
 package machine_test
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -18,35 +19,84 @@ import (
 func TestBenchQuantaLength(t *testing.T) {
 	// Average quantum length (ms) over the timed chunk, measured when
 	// the row was last raised. The 1024-CPU saturated regime is absent:
-	// every core is above its hot trigger by then, so a hot check that
-	// could act is due every millisecond and its quanta sit at 1 ms.
+	// its quanta sit near 1 ms, bound by the CPU-local events of 1 024
+	// busy CPUs — rate crossings (99% of quanta in the timed chunk) and,
+	// by 30 s, timeslice expiries (82%) — so no floor could trip.
 	measured := map[string]float64{
-		"engines/idle-heavy":        4.98,
+		"engines/idle-heavy":        6.97,
 		"engines/steady-state":      15.29,
-		"engines/churn-heavy":       6.84,
+		"engines/churn-heavy":       6.97,
 		"engines/dvfs-thermal":      2.25,
-		"large/64cpu/mostly-idle":   4.50,
-		"large/256cpu/mostly-idle":  4.59,
-		"large/1024cpu/mostly-idle": 4.04,
-		"large/256cpu/wide-idle":    3.26,
-		"large/1024cpu/wide-idle":   3.26,
-		"large/64cpu/saturated":     5.73,
-		"large/256cpu/saturated":    2.17,
+		"large/64cpu/mostly-idle":   6.99,
+		"large/256cpu/mostly-idle":  6.99,
+		"large/1024cpu/mostly-idle": 5.78,
+		"large/256cpu/wide-idle":    4.15,
+		"large/1024cpu/wide-idle":   4.15,
+		"large/64cpu/saturated":     7.02,
+		"large/256cpu/saturated":    2.28,
 	}
 	for _, sc := range append(engineBenchScenarios(), largeBenchScenarios()...) {
 		t.Run(strings.ReplaceAll(sc.Name, "/", "_"), func(t *testing.T) {
 			want, ok := measured[sc.Name]
 			if !ok {
-				t.Skip("every core is above its hot trigger: quanta sit at 1 ms")
+				t.Skip("CPU-local rate crossings and slice expiries hold quanta near 1 ms")
 			}
 			m := sc.New(machine.Engine(0)) // the default engine
 			m.Run(sc.WarmupMS)
-			q := m.RunCountingQuanta(sc.SimChunkMS)
-			avg := float64(sc.SimChunkMS) / float64(q)
-			t.Logf("%s: %d quanta over %d ms, %.2f ms per quantum", sc.Name, q, sc.SimChunkMS, avg)
-			if avg < want/2 {
+			qs := countQuanta(m, sc.SimChunkMS)
+			t.Logf("%s: %d quanta over %d ms, %.2f ms per quantum", sc.Name, qs.Quanta, sc.SimChunkMS, qs.MeanMS())
+			if avg := qs.MeanMS(); avg < want/2 {
 				t.Errorf("%s: %.2f ms per quantum, want at least half of the measured %.2f", sc.Name, avg, want)
 			}
 		})
 	}
+
+	// The saturated steady state, after 30 s: nearly every core is past
+	// its hot trigger, so a hot check is due on almost every tick, and
+	// only the destination side (no core considerably cooler) lets the
+	// planner step over them. The 256-CPU row also pins which horizons
+	// bound its quanta, each share to within five points.
+	steady := []struct {
+		name string
+		want float64
+		mix  map[machine.Horizon]float64
+	}{
+		{name: "large/64cpu/saturated", want: 3.29},
+		{name: "large/256cpu/saturated", want: 1.53, mix: map[machine.Horizon]float64{
+			machine.HorizonSlice:   0.535,
+			machine.HorizonRate:    0.460,
+			machine.HorizonHotDest: 0.003,
+		}},
+	}
+	for _, row := range steady {
+		t.Run(strings.ReplaceAll(row.name, "/", "_")+"_30s", func(t *testing.T) {
+			m := fromCatalog(row.name, 0, 0, false, false).New(machine.Engine(0))
+			m.Run(30_000)
+			qs := countQuanta(m, 4_000)
+			t.Logf("%s after 30 s: %d quanta over 4000 ms, %.2f ms per quantum", row.name, qs.Quanta, qs.MeanMS())
+			if avg := qs.MeanMS(); avg < row.want/2 {
+				t.Errorf("%s: %.2f ms per quantum, want at least half of the measured %.2f", row.name, avg, row.want)
+			}
+			for h := machine.Horizon(0); h < machine.NumHorizons; h++ {
+				if qs.ByHorizon[h] > 0 {
+					t.Logf("  %-13s %5d quanta (%.1f%%)", h, qs.ByHorizon[h], 100*qs.Share(h))
+				}
+				if row.mix == nil {
+					continue
+				}
+				if got, want := qs.Share(h), row.mix[h]; math.Abs(got-want) > 0.05 {
+					t.Errorf("%s: %s bound %.1f%% of quanta, want %.1f%%", row.name, h, 100*got, 100*want)
+				}
+			}
+		})
+	}
+}
+
+// countQuanta runs m for ms milliseconds with quantum attribution on.
+func countQuanta(m *machine.Machine, ms int64) *machine.QuantumStats {
+	qs := new(machine.QuantumStats)
+	m.SetQuantumStats(qs)
+	m.Run(ms)
+	m.SetQuantumStats(nil)
+	return qs
 }
