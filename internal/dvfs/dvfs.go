@@ -18,9 +18,9 @@
 // P-state changes are not free: a transition decided by a governor
 // takes TransitionLatencyMS to take effect (PLL relock, voltage ramp).
 // The simulation engines treat pending transitions and governor
-// evaluation deadlines as event horizons, so all three engines
-// (lockstep, async, parallel) make bit-identical DVFS decisions — see
-// machine.TestEngineEquivalence.
+// evaluations that could change a P-state as event horizons, so all
+// three engines (lockstep, async, parallel) make bit-identical DVFS
+// decisions — see machine.TestEngineEquivalence.
 package dvfs
 
 import (
@@ -336,6 +336,11 @@ type Thermal struct {
 // Name implements Governor.
 func (g Thermal) Name() string { return "thermal" }
 
+// DownThresholdW is the thermal-power level at or above which Evaluate
+// takes the overheating branch for a CPU with budget maxPowerW. It is
+// the only way Evaluate's decision depends on ThermalPowerW.
+func (g Thermal) DownThresholdW(maxPowerW float64) float64 { return g.DownRatio * maxPowerW }
+
 // Evaluate implements Governor.
 func (g Thermal) Evaluate(in Inputs) int {
 	if in.MaxPowerW <= 0 {
@@ -355,7 +360,7 @@ func (g Thermal) Evaluate(in Inputs) int {
 		predicted := in.InstPowerW * in.Ladder.PowerScale(i) / in.Ladder.PowerScale(in.Cur)
 		return predicted <= g.UpRatio*in.MaxPowerW
 	}
-	if in.ThermalPowerW >= g.DownRatio*in.MaxPowerW {
+	if in.ThermalPowerW >= g.DownThresholdW(in.MaxPowerW) {
 		// Overheating: drop straight to the highest sustainable state
 		// (the lowest if none fits).
 		for i := in.Cur; i > 0; i-- {

@@ -74,9 +74,9 @@ func fromCatalog(name string, chunkMS, warmupMS int64, skipLockstep, skipParalle
 // while a few run hot — the async engine's case), steady-state
 // (saturated; quanta bounded by balance/hot-check deadlines, nothing to
 // park), churn-heavy (completions, respawns, and throttle oscillation
-// shrink the quanta), and dvfs-thermal (governor deadlines cap the
-// quanta of busy CPUs at the evaluation period and pending transitions
-// add planner horizons).
+// shrink the quanta), and dvfs-thermal (thermal-governor evaluations
+// that could change a P-state and pending transitions add planner
+// horizons; the planner steps over the evaluations that cannot).
 func engineBenchScenarios() []benchScenario {
 	return []benchScenario{
 		fromCatalog("engines/idle-heavy", 10_000, 5_000, false, true),

@@ -18,8 +18,9 @@ const (
 // (balance, idle-pull, hot-check, governor) the async engine ran since
 // the last ResetStats. They are a subset of the lockstep engine's
 // passes: the skipped ones are provable no-ops (see fireDueDeadlines,
-// and clampHotChecks for the hot checks a quantum steps past), and
-// every pass that runs decides exactly as its lockstep twin. Always
+// clampHotChecks for the hot checks a quantum steps past, and
+// clampGovEvals for the thermal-governor evaluations), and every pass
+// that runs decides exactly as its lockstep twin. Always
 // zero on the lockstep engine, which fires from the historical modulo
 // scan.
 func (m *Machine) DeadlineFires() (balance, idlePull, hot, gov int64) {
@@ -131,7 +132,7 @@ func (m *Machine) governorEval(c int, endMS int64) {
 	if d := &m.dispatches[c]; d.task != nil && d.ranMS > 0 {
 		inst = m.estRatePowerW(c)
 	}
-	want := m.gov.Evaluate(dvfs.Inputs{
+	want := m.govTarget(dvfs.Inputs{
 		Util:          util,
 		ThermalPowerW: m.Sched.Power[c].ThermalPower(),
 		InstPowerW:    inst,
@@ -139,15 +140,31 @@ func (m *Machine) governorEval(c int, endMS int64) {
 		Cur:           m.freqIdx[c],
 		Ladder:        m.dvfsCfg.Ladder,
 	})
-	if want < 0 {
-		want = 0
-	}
-	if max := m.dvfsCfg.Ladder.Max(); want > max {
-		want = max
-	}
 	if want != m.freqIdx[c] {
 		m.pendingIdx[c] = want
 		m.pendingAt[c] = endMS + 1 + m.govLatency
 		m.nPending++
+	}
+}
+
+// govTarget is the P-state the governor picks for in, clamped to the
+// ladder. The evaluation changes the P-state iff it differs from in.Cur.
+func (m *Machine) govTarget(in dvfs.Inputs) int {
+	return min(max(m.gov.Evaluate(in), 0), in.Ladder.Max())
+}
+
+// addBusy folds a quantum of dt occupied milliseconds, ending at the
+// clock's tick, into CPU c's utilization window. The planner may have
+// stepped over governor evaluations of c inside the quantum (see
+// clampGovEvals); each would have observed and restarted the window, so
+// the last one, at t, is replayed: the window starts at t and holds the
+// end − t milliseconds after it, all occupied since occupancy is
+// constant within a quantum.
+func (m *Machine) addBusy(c int, dt int64, fdt float64) {
+	u := &m.Sched.Util[c]
+	u.AddBusy(fdt)
+	end := m.nowMS
+	if t := m.wheel.NextGov(max(end-dt+1, end-m.govPeriod), c); t < end {
+		u.ReplayObserve(t, end)
 	}
 }

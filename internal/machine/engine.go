@@ -342,7 +342,11 @@ func (m *Machine) step(limitMS int64) int64 {
 	// evaluated: an idle CPU sits in hlt, where its P-state draws no
 	// extra power and decides nothing — it simply keeps its last state
 	// (which is what lets the async engine park idle CPUs without
-	// deferring any governor work).
+	// deferring any governor work). The async engine evaluates only at
+	// the end tick: the planner ends a quantum at every ondemand
+	// evaluation, and at every thermal one that could change a P-state
+	// (clampGovEvals); the thermal evaluations it steps over are
+	// provable no-ops whose window restarts phase 6 already replayed.
 	if m.dvfsOn && m.govPeriod > 0 {
 		if m.async {
 			for _, c32 := range m.wheel.GovDueCPUs(endMS) {
@@ -637,7 +641,7 @@ func (m *Machine) execComputeCPU(c int, tickRes *workload.TickResult, throttledS
 				// Halted with a runnable task: occupied, not idle.
 				// (Utilization feeds only active governors — skip the
 				// tracker when no governor evaluates.)
-				m.Sched.Util[c].AddBusy(fdt)
+				m.addBusy(c, dt, fdt)
 			}
 			return
 		}
@@ -657,7 +661,7 @@ func (m *Machine) execComputeCPU(c int, tickRes *workload.TickResult, throttledS
 		}
 		task.work.TickInto(tickRes, speed, fdt)
 		if m.govPeriod > 0 {
-			m.Sched.Util[c].AddBusy(fdt)
+			m.addBusy(c, dt, fdt)
 		}
 		m.banks[c].AccumulateFrom(&tickRes.Counts)
 		d.counts.Accum(&tickRes.Counts)

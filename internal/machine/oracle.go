@@ -53,6 +53,12 @@ type Snapshot struct {
 	PendingAt   []int64 // nil without DVFS
 	CoreTempC   []float64
 
+	// Per-CPU utilization windows: busy time since the last governor
+	// observation and that observation's instant. nil when no governor
+	// evaluates.
+	UtilBusyMS  []float64
+	UtilSinceMS []int64
+
 	// Fault-injection observables (zero without Cfg.Faults).
 	EstimationErrJ     float64
 	ResidualW          float64
@@ -110,6 +116,14 @@ func (m *Machine) Snapshot() *Snapshot {
 		s.FreqIdx = append([]int(nil), m.freqIdx...)
 		s.PendingIdx = append([]int(nil), m.pendingIdx...)
 		s.PendingAt = append([]int64(nil), m.pendingAt...)
+	}
+	if m.govPeriod > 0 {
+		s.UtilBusyMS = make([]float64, nCPU)
+		s.UtilSinceMS = make([]int64, nCPU)
+		for c := range m.Sched.Util {
+			st := m.Sched.Util[c].State()
+			s.UtilBusyMS[c], s.UtilSinceMS[c] = st.BusyMS, st.SinceMS
+		}
 	}
 	for id, ts := range m.tasks {
 		s.Tasks[id] = TaskSnapshot{
@@ -231,6 +245,15 @@ func DiffSnapshots(ref, got *Snapshot, tol float64) []string {
 			(ref.PendingIdx[c] >= 0 && ref.PendingAt[c] != got.PendingAt[c]) {
 			add("cpu %d pending transition: %d@%d vs %d@%d", c,
 				ref.PendingIdx[c], ref.PendingAt[c], got.PendingIdx[c], got.PendingAt[c])
+		}
+	}
+	if len(ref.UtilBusyMS) != len(got.UtilBusyMS) {
+		add("util windows: %d vs %d CPUs", len(ref.UtilBusyMS), len(got.UtilBusyMS))
+	}
+	for c := range min(len(ref.UtilBusyMS), len(got.UtilBusyMS)) {
+		if ref.UtilBusyMS[c] != got.UtilBusyMS[c] || ref.UtilSinceMS[c] != got.UtilSinceMS[c] {
+			add("cpu %d util window: {%v %d} vs {%v %d}", c,
+				ref.UtilBusyMS[c], ref.UtilSinceMS[c], got.UtilBusyMS[c], got.UtilSinceMS[c])
 		}
 	}
 	if ref.QueuedTasks != got.QueuedTasks || ref.Sleepers != got.Sleepers {

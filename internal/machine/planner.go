@@ -3,6 +3,7 @@ package machine
 import (
 	"math"
 
+	"energysched/internal/dvfs"
 	"energysched/internal/profile"
 	"energysched/internal/sched"
 	"energysched/internal/thermal"
@@ -33,6 +34,15 @@ import (
 //     quantum, so checks that provably find their core below the
 //     trigger, or no core cool enough, fall inside the quantum and are
 //     skipped,
+//   - a pending P-state transition (the new frequency applies at the
+//     start of its tick), an ondemand governor evaluation (it reads the
+//     utilization, which changes across the quantum), and a thermal
+//     governor evaluation that could change the P-state: the thermal
+//     governor reads the metric only through its down threshold, so an
+//     evaluation whose decision is the current state on both sides of
+//     it, or on the side where the metric's closed-form curve provably
+//     stays, falls inside the quantum and is skipped (its
+//     utilization-window restart is replayed by phase 6),
 //   - a predicted throttle flip: while inputs are constant, the
 //     thermal-power metric follows a geometric curve, so the
 //     millisecond at which a throttle would engage or disengage is
@@ -131,12 +141,12 @@ func (m *Machine) planQuantum(limit int64) (int64, Horizon) {
 	// saturated machine with tasks queued some CPU's staggered balance
 	// pass is due every tick, pinning dt to 1 before the per-CPU
 	// horizon scan below even starts (the scan can only lower dt, and 1
-	// is the floor). Hot checks resolve last: once a saturated
-	// machine's cores are past their triggers one is due on nearly
-	// every tick, and the grid walk over the quantum, with its
-	// destination bounds, waits until the running-task horizons have
-	// shortened it.
-	hot := m.clampDeadlines(&p, now)
+	// is the floor). Thermal-governor evaluations and hot checks
+	// resolve last, by grid walks over the quantum that wait until the
+	// running-task horizons have shortened it: once a saturated
+	// machine's cores are past their triggers a hot check is due on
+	// nearly every tick, and its walk builds destination bounds.
+	hot, gov := m.clampDeadlines(&p, now)
 	if p.dt <= 1 {
 		return 1, p.why
 	}
@@ -168,6 +178,9 @@ func (m *Machine) planQuantum(limit int64) (int64, Horizon) {
 		}
 	}
 
+	if gov-now < p.dt {
+		m.clampGovEvals(&p, now, gov)
+	}
 	if hot-now < p.dt {
 		// Also on a 1 ms quantum: the floor a due check builds lets
 		// phase 8 skip the end-tick checks it rules out.
@@ -196,14 +209,20 @@ func rateHorizonMS(rh, speed float64) int64 { return int64(math.Floor(rh / speed
 // every balancing pass — periodic and idle pull alike — is provably a
 // no-op and both classes are skipped entirely: the big win for
 // idle-heavy workloads. Governor deadlines are armed only for occupied
-// CPUs, so other CPUs' instants never reach the planner. Hot-check
+// CPUs, so other CPUs' instants never reach the planner. The thermal
+// governor's evaluations act only when the metric's side of its
+// threshold or the instantaneous power calls for another P-state, so
+// under it the earliest armed governor deadline is returned unclamped
+// for planQuantum to resolve; any other governor reads the utilization,
+// which changes across the quantum, and clamps here. Hot-check
 // deadlines are armed only for single-task CPUs with a power budget
 // while hot migration is on, but an armed check acts only if its core
 // has reached the trigger and some other core is considerably cooler,
-// so the earliest armed hot deadline (NoDeadline when none) is
-// returned unclamped for planQuantum to resolve. The query runs on
-// every plan, so the heap's lazy re-arms keep it bounded.
-func (m *Machine) clampDeadlines(p *quantumPlan, now int64) int64 {
+// so the earliest armed hot deadline is returned unclamped too. Either
+// is NoDeadline when none is armed or the class is clamped here. The
+// queries run on every plan, so the heaps' lazy re-arms keep them
+// bounded.
+func (m *Machine) clampDeadlines(p *quantumPlan, now int64) (hot, gov int64) {
 	if m.Sched.QueuedCount() > 0 {
 		if d := m.wheel.NextBalanceDeadline(now); d != sched.NoDeadline {
 			p.clamp(d-now+1, HorizonBalance)
@@ -212,12 +231,72 @@ func (m *Machine) clampDeadlines(p *quantumPlan, now int64) int64 {
 			p.clamp(m.wheel.NextIdlePullDeadline(now)-now+1, HorizonBalance)
 		}
 	}
+	gov = sched.NoDeadline
 	if m.dvfsOn && m.govPeriod > 0 {
 		if d := m.wheel.NextGovDeadline(now); d != sched.NoDeadline {
-			p.clamp(d-now+1, HorizonGovernor)
+			if _, ok := m.gov.(dvfs.Thermal); ok {
+				gov = d
+			} else {
+				p.clamp(d-now+1, HorizonGovernor)
+			}
 		}
 	}
-	return m.wheel.NextHotDeadline(now)
+	return m.wheel.NextHotDeadline(now), gov
+}
+
+// clampGovEvals ends the quantum at the first thermal-governor
+// evaluation that could change a P-state. It walks the static governor
+// grid from gov, the earliest armed governor deadline, to the
+// quantum's last tick, and stops at the first CPU that govEvalCouldAct
+// cannot rule out. Every evaluation it steps past is a provable no-op
+// but for its utilization window, which phase 6 replays (addBusy), so
+// phase 8b evaluating only at the end tick decides exactly as the
+// lockstep loop does.
+func (m *Machine) clampGovEvals(p *quantumPlan, now, gov int64) {
+	g := m.gov.(dvfs.Thermal)
+	for t := gov; t-now < p.dt; t++ {
+		for _, c := range m.wheel.GovDueCPUs(t) {
+			if m.govEvalCouldAct(g, int(c), t-now+1) {
+				p.clamp(t-now+1, HorizonGovernor)
+				return
+			}
+		}
+	}
+}
+
+// govEvalCouldAct reports whether CPU c's thermal-governor evaluation,
+// run after k milliseconds of the coming quantum, might change its
+// P-state. governorEval returns early on a CPU without a running task
+// (a parked CPU has none) and with a transition pending, and those
+// stay so through the quantum. Otherwise every input but the
+// thermal-power metric is fixed through it: InstPowerW is
+// estRatePowerW once the task has run a millisecond, the budget and
+// the P-state are constant. Evaluate reads the metric only through
+// DownThresholdW, so it is called on each side of that threshold: when
+// neither side acts the evaluation is a no-op whatever the metric
+// does, and when one side acts the metric, which follows
+// S(k) = X + (S0 − X)·q^k with X its constant feed, must provably stay
+// on the other side through tick k (metricMayCross).
+func (m *Machine) govEvalCouldAct(g dvfs.Thermal, c int, k int64) bool {
+	if m.Sched.RQs[c].Current == nil || m.pendingIdx[c] >= 0 {
+		return false
+	}
+	pw := m.Sched.Power[c]
+	in := dvfs.Inputs{
+		InstPowerW: m.estRatePowerW(c),
+		MaxPowerW:  pw.MaxPower,
+		Cur:        m.freqIdx[c],
+		Ladder:     m.dvfsCfg.Ladder,
+	}
+	down := g.DownThresholdW(in.MaxPowerW)
+	in.ThermalPowerW = down
+	hot := m.govTarget(in) != in.Cur
+	in.ThermalPowerW = math.Nextafter(down, math.Inf(-1))
+	cool := m.govTarget(in) != in.Cur
+	if hot == cool {
+		return hot
+	}
+	return metricMayCross(pw.ThermalPower(), m.metricFeedW(c), pw.RetentionPerMS(), down, hot, k)
 }
 
 // clampHotChecks ends the quantum at the first hot-check instant whose
@@ -290,7 +369,7 @@ func (m *Machine) hotCheckCouldAct(c int, k, horizon int64) (Horizon, bool) {
 		x += xd
 	}
 	retain := m.Sched.Power[c].RetentionPerMS()
-	if s0 < trigger && !hotSumMayReach(s0, x, retain, trigger, k) {
+	if s0 < trigger && !metricMayCross(s0, x, retain, trigger, true, k) {
 		return 0, false
 	}
 	f := m.hotFloorFor(horizon, retain)
@@ -303,20 +382,27 @@ func (m *Machine) hotCheckCouldAct(c int, k, horizon int64) (Horizon, bool) {
 	return HorizonHotDest, true
 }
 
-// hotTriggerSlackRel lowers the hot trigger for the planner's
-// prediction. The engines fold a quantum's metric in one update, or in
-// per-millisecond ones, and differ from the closed form by a few ulps;
-// this relative margin (far above that drift) keeps the prediction on
-// the safe side. The destination test keeps the same margin.
-const hotTriggerSlackRel = 1e-9
+// crossSlackRel moves a threshold toward the side that acts for the
+// planner's crossing predictions (the hot trigger, the thermal
+// governor's down threshold). The engines fold a quantum's metric in
+// one update, or in per-millisecond ones, and differ from the closed
+// form by a few ulps; this relative margin (far above that drift)
+// keeps the prediction on the safe side. The hot destination test
+// keeps the same margin.
+const crossSlackRel = 1e-9
 
-// hotSumMayReach reports whether a core thermal sum starting at s0 and
-// relaxing toward x with per-millisecond retention may reach trigger
-// within k milliseconds. It errs toward true: the threshold is lowered
-// by hotTriggerSlackRel, and the predicted crossing gets one millisecond
-// of slack.
-func hotSumMayReach(s0, x, retain, trigger float64, k int64) bool {
-	n, ok := profile.CrossSteps(s0, x, retain, trigger-hotTriggerSlackRel*math.Abs(trigger), true)
+// metricMayCross reports whether a metric (or a core's sum of them)
+// starting at s0 and relaxing toward x with per-millisecond retention
+// may, within k milliseconds, reach threshold (rising: at or above it)
+// or drop below it (falling). It errs toward true: the threshold moves
+// crossSlackRel toward the crossing side, and the predicted
+// crossing gets one millisecond of slack.
+func metricMayCross(s0, x, retain, threshold float64, rising bool, k int64) bool {
+	slack := crossSlackRel * math.Abs(threshold)
+	if !rising {
+		slack = -slack
+	}
+	n, ok := profile.CrossSteps(s0, x, retain, threshold-slack, rising)
 	return ok && n-1 <= k
 }
 
@@ -468,13 +554,13 @@ func hotSourceCeilW(s0, x, qn float64) float64 {
 // hotDestRuledOut reports whether no core whose sum is at least lo can
 // be HotDestGapW (gap) cooler than a source core whose sum is at most
 // hi: HotCheck's test destTP ≤ myCoreTP − gap then fails everywhere.
-// The margin must clear hotTriggerSlackRel, which absorbs the engines'
+// The margin must clear crossSlackRel, which absorbs the engines'
 // rounding drift from the closed forms.
 func hotDestRuledOut(lo, hi, gap float64) bool {
 	if math.IsInf(lo, 1) {
 		return true // no other core to migrate to
 	}
-	return lo-(hi-gap) > hotTriggerSlackRel*math.Max(math.Abs(lo), math.Abs(hi))
+	return lo-(hi-gap) > crossSlackRel*math.Max(math.Abs(lo), math.Abs(hi))
 }
 
 // anyThrottleEngaged reports whether any throttle (scalar or unit) is

@@ -15,7 +15,7 @@ import (
 // core below its trigger. Brute force: step a core's per-CPU metrics
 // one millisecond at a time (the lockstep engine's partition) and also
 // fold each prefix as one quantum (the async engine's); whenever either
-// sum reaches the trigger within k ms, hotSumMayReach must say the
+// sum reaches the trigger within k ms, metricMayCross must say the
 // check at k could act. Triggers are drawn at random and exactly at,
 // one ulp around, and 1e-12 around the stepped sums.
 func TestHotSumMayReachBruteForce(t *testing.T) {
@@ -78,7 +78,7 @@ func TestHotSumMayReachBruteForce(t *testing.T) {
 			hit := false
 			for k := 1; k <= horizon; k++ {
 				hit = hit || stepped[k] >= trigger || folded[k] >= trigger
-				may := hotSumMayReach(s0, x, retain, trigger, int64(k))
+				may := metricMayCross(s0, x, retain, trigger, true, int64(k))
 				if hit && !may {
 					t.Fatalf("trial %d: s0=%v x=%v retain=%v trigger=%v: sum reaches the trigger by %d ms, but the check there was judged a no-op",
 						trial, s0, x, retain, trigger, k)
@@ -93,6 +93,71 @@ func TestHotSumMayReachBruteForce(t *testing.T) {
 	}
 	if reached == 0 || skipped == 0 {
 		t.Fatalf("vacuous draw: %d reaching and %d skippable checks", reached, skipped)
+	}
+}
+
+// The governor horizon may skip an evaluation that would act on one
+// side of the down threshold only if the CPU's metric provably stays on
+// the other side. Brute force as for the hot trigger, on one CPU's
+// metric rising and falling toward its feed, with the acting side
+// above (rising: at or above the threshold) or below (falling) it:
+// whenever the per-ms or the folded metric is on the acting side by
+// k ms, metricMayCross must say the evaluation at k could act.
+// Thresholds are drawn at random and exactly at, one ulp around, and
+// 1e-12 around the stepped values.
+func TestMetricMayCrossBruteForce(t *testing.T) {
+	r := rand.New(rand.NewSource(2))
+	const horizon = 120
+	var reached, skipped int
+	for trial := 0; trial < 400; trial++ {
+		weight := math.Pow(10, -4+3*r.Float64())
+		stdMS := []float64{1, 10, 100}[r.Intn(3)]
+		budget := 20 + 80*r.Float64()
+		lo := budget * (0.2 + 0.6*r.Float64())
+		hi := lo + budget*(0.01+0.7*r.Float64())
+		seed, feed := lo, hi // a rising metric
+		if trial%2 == 1 {
+			seed, feed = hi, lo
+		}
+		p := profile.NewCPUPower(budget, weight, stdMS, seed)
+		s0, retain := p.ThermalPower(), p.RetentionPerMS()
+		stepped := make([]float64, horizon+1)
+		folded := make([]float64, horizon+1)
+		for j := 1; j <= horizon; j++ {
+			p.AddEnergy(feed/1000, 1)
+			stepped[j] = p.ThermalPower()
+			q := profile.NewCPUPower(budget, weight, stdMS, seed)
+			q.AddEnergy(feed*float64(j)/1000, float64(j))
+			folded[j] = q.ThermalPower()
+		}
+
+		at := stepped[1+r.Intn(horizon)]
+		for _, threshold := range []float64{
+			s0 + (feed-s0)*r.Float64(),
+			at, math.Nextafter(at, 0), math.Nextafter(at, math.Inf(1)),
+			at * (1 - 1e-12), at * (1 + 1e-12),
+		} {
+			for _, rising := range []bool{true, false} {
+				acts := func(v float64) bool { return (v >= threshold) == rising }
+				hit := false
+				for k := 1; k <= horizon; k++ {
+					hit = hit || acts(stepped[k]) || acts(folded[k])
+					may := metricMayCross(s0, feed, retain, threshold, rising, int64(k))
+					if hit && !may {
+						t.Fatalf("trial %d: s0=%v x=%v retain=%v threshold=%v rising=%v: metric on the acting side by %d ms, but the evaluation there was judged a no-op",
+							trial, s0, feed, retain, threshold, rising, k)
+					}
+					if hit {
+						reached++
+					} else if !may {
+						skipped++
+					}
+				}
+			}
+		}
+	}
+	if reached == 0 || skipped == 0 {
+		t.Fatalf("vacuous draw: %d acting and %d skippable evaluations", reached, skipped)
 	}
 }
 
@@ -241,7 +306,7 @@ func TestHotDestFloorBruteForce(t *testing.T) {
 	// Per-ms stepping drifts from the closed forms by up to about
 	// ulp/(1 − q), near 1e-12 relative for the slowest metrics here; the
 	// bounds must hold to within a tenth of the planner's slack.
-	const tol = hotTriggerSlackRel / 10
+	const tol = crossSlackRel / 10
 	type cpuRun struct {
 		start   float64
 		stepped []float64 // value after k ms, k = 0..K

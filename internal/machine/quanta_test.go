@@ -26,7 +26,7 @@ func TestBenchQuantaLength(t *testing.T) {
 		"engines/idle-heavy":        6.97,
 		"engines/steady-state":      15.29,
 		"engines/churn-heavy":       6.97,
-		"engines/dvfs-thermal":      2.25,
+		"engines/dvfs-thermal":      9.26,
 		"large/64cpu/mostly-idle":   6.99,
 		"large/256cpu/mostly-idle":  6.99,
 		"large/1024cpu/mostly-idle": 5.78,
@@ -51,29 +51,40 @@ func TestBenchQuantaLength(t *testing.T) {
 		})
 	}
 
-	// The saturated steady state, after 30 s: nearly every core is past
-	// its hot trigger, so a hot check is due on almost every tick, and
-	// only the destination side (no core considerably cooler) lets the
-	// planner step over them. The 256-CPU row also pins which horizons
-	// bound its quanta, each share to within five points.
+	// The steady state, after 30 s. On the saturated machines nearly
+	// every core is past its hot trigger, so a hot check is due on
+	// almost every tick, and only the destination side (no core
+	// considerably cooler) lets the planner step over them. On the DVFS
+	// machine the thermal governor has settled and its evaluations,
+	// due every 2.5 ms, are provable no-ops. The 256-CPU and DVFS rows
+	// also pin which horizons bound their quanta, each share to within
+	// five points.
 	steady := []struct {
-		name string
-		want float64
-		mix  map[machine.Horizon]float64
+		name      string
+		measureMS int64
+		want      float64
+		mix       map[machine.Horizon]float64
 	}{
-		{name: "large/64cpu/saturated", want: 3.29},
-		{name: "large/256cpu/saturated", want: 1.53, mix: map[machine.Horizon]float64{
+		{name: "large/64cpu/saturated", measureMS: 4_000, want: 3.29},
+		{name: "large/256cpu/saturated", measureMS: 4_000, want: 1.53, mix: map[machine.Horizon]float64{
 			machine.HorizonSlice:   0.535,
 			machine.HorizonRate:    0.460,
 			machine.HorizonHotDest: 0.003,
+		}},
+		{name: "engines/dvfs-thermal", measureMS: 15_000, want: 8.26, mix: map[machine.Horizon]float64{
+			machine.HorizonRate:     0.483,
+			machine.HorizonSlice:    0.307,
+			machine.HorizonWake:     0.106,
+			machine.HorizonStop:     0.102,
+			machine.HorizonGovernor: 0,
 		}},
 	}
 	for _, row := range steady {
 		t.Run(strings.ReplaceAll(row.name, "/", "_")+"_30s", func(t *testing.T) {
 			m := fromCatalog(row.name, 0, 0, false, false).New(machine.Engine(0))
 			m.Run(30_000)
-			qs := countQuanta(m, 4_000)
-			t.Logf("%s after 30 s: %d quanta over 4000 ms, %.2f ms per quantum", row.name, qs.Quanta, qs.MeanMS())
+			qs := countQuanta(m, row.measureMS)
+			t.Logf("%s after 30 s: %d quanta over %d ms, %.2f ms per quantum", row.name, qs.Quanta, row.measureMS, qs.MeanMS())
 			if avg := qs.MeanMS(); avg < row.want/2 {
 				t.Errorf("%s: %.2f ms per quantum, want at least half of the measured %.2f", row.name, avg, row.want)
 			}

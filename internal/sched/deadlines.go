@@ -29,9 +29,9 @@ package sched
 //     the exact stagger grid, so deadline instants are bit-identical to
 //     the lockstep loop's modulo checks. Firing still consults the
 //     static grid (the due lists), never the heap — the heap exists
-//     only to bound the planner's horizon (for hot checks, the instant
-//     from which the planner walks the grid looking for a check that
-//     could act), so a stale or duplicate entry can cost a too-short
+//     only to bound the planner's horizon (for hot checks and thermal-
+//     governor evaluations, the instant from which the planner walks
+//     the grid looking for one that could act), so a stale or duplicate entry can cost a too-short
 //     quantum or a longer walk but never a wrong decision.
 //
 // Arming transitions are driven by the runqueue occupancy ledger: every

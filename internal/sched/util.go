@@ -59,6 +59,18 @@ func (u *UtilTracker) Observe(nowMS int64) float64 {
 	return util
 }
 
+// ReplayObserve leaves the window as an Observe at atMS would have,
+// followed by occupied milliseconds only through nowMS: it starts at
+// atMS and holds nowMS − atMS busy milliseconds. A zero-width window at
+// atMS is left alone, as it is never observed (see Window). It stands
+// in for observations whose result nobody reads.
+func (u *UtilTracker) ReplayObserve(atMS, nowMS int64) {
+	if u.Window(atMS) > 0 {
+		u.busyMS = float64(nowMS - atMS)
+		u.sinceMS = atMS
+	}
+}
+
 // Utilization returns CPU cpu's busy fraction since its last governor
 // observation (or the start) and resets the window — the scheduler's
 // per-CPU utilization surface for DVFS governors.

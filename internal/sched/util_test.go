@@ -44,3 +44,33 @@ func TestUtilTrackerIdleExit(t *testing.T) {
 		t.Fatalf("interactive util = %v, want 25/100 = 0.25", got)
 	}
 }
+
+func TestUtilTrackerReplayObserve(t *testing.T) {
+	// An Observe at t inside an occupied stretch, then one AddBusy per
+	// millisecond through now, must equal AddBusy over the stretch plus
+	// ReplayObserve(t, now).
+	for _, since := range []int64{0, 95, 100} {
+		var stepped, replayed UtilTracker
+		stepped.Observe(since)
+		replayed.Observe(since)
+		for ms := int64(100); ms <= 130; ms++ {
+			stepped.AddBusy(1)
+			if ms == 112 && stepped.Window(ms) > 0 {
+				stepped.Observe(ms)
+			}
+		}
+		replayed.AddBusy(31)
+		replayed.ReplayObserve(112, 130)
+		if stepped.State() != replayed.State() {
+			t.Errorf("since %d: replayed %+v, stepped %+v", since, replayed.State(), stepped.State())
+		}
+	}
+	// A zero-width window at the instant is never observed.
+	var u UtilTracker
+	u.Observe(50)
+	u.AddBusy(5)
+	u.ReplayObserve(50, 55)
+	if got := u.State(); got != (UtilState{BusyMS: 5, SinceMS: 50}) {
+		t.Errorf("zero-width replay changed the window: %+v", got)
+	}
+}
