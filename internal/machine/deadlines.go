@@ -1,6 +1,8 @@
 package machine
 
 import (
+	"slices"
+
 	"energysched/internal/dvfs"
 	"energysched/internal/sched"
 	"energysched/internal/topology"
@@ -20,9 +22,11 @@ const (
 // passes: the skipped ones are provable no-ops (see fireDueDeadlines,
 // clampHotChecks for the hot checks a quantum steps past, and
 // clampGovEvals for the thermal-governor evaluations), and every pass
-// that runs decides exactly as its lockstep twin. Always
-// zero on the lockstep engine, which fires from the historical modulo
-// scan.
+// that runs decides exactly as its lockstep twin. A skipped pass counts
+// nothing, whether phase 8 reached it and ruled it out or never walked
+// to it (the balance and idle-pull lists while nothing is queued).
+// Always zero on the lockstep engine, which fires from the historical
+// modulo scan.
 func (m *Machine) DeadlineFires() (balance, idlePull, hot, gov int64) {
 	return m.deadlineFires[fireBalance], m.deadlineFires[fireIdlePull],
 		m.deadlineFires[fireHot], m.deadlineFires[fireGov]
@@ -53,11 +57,36 @@ func (m *Machine) QuantumStats() *QuantumStats { return m.qstats }
 // core, which the plan's destination floor may rule out (hotDestShut).
 // Idleness and hot-check applicability are re-checked live at fire
 // time, exactly as the scan does.
+//
+// While nothing is queued, the walk visits only the hot list: every
+// balance and idle-pull pass would meet the queued gate and do
+// nothing, so its cost scales with the hot checks due, not with the
+// grid width. A hot check can queue a task (Migrate enqueues on the
+// destination; an exchange queues two), and then the merged walk
+// resumes at the next CPU of all three lists — the lockstep order: the
+// balance and idle-pull passes of the CPUs up to the checked one were
+// due while nothing was queued, so they were no-ops.
 func (m *Machine) fireDueDeadlines(endMS int64) {
 	k := endMS - m.qStartMS + 1 // the end tick's place in the quantum
 	bal := m.wheel.BalanceDueCPUs(endMS)
 	idle := m.wheel.IdlePullDueCPUs(endMS)
 	hot := m.wheel.HotDueCPUs(endMS)
+	if m.Sched.QueuedCount() == 0 {
+		i := 0
+		for i < len(hot) && m.Sched.QueuedCount() == 0 {
+			m.fireHot(hot[i], k)
+			i++
+		}
+		if m.Sched.QueuedCount() == 0 {
+			return
+		}
+		// hot[i-1]'s check queued a task: resume the merged walk at the
+		// next CPU.
+		next := hot[i-1] + 1
+		b, _ := slices.BinarySearch(bal, next)
+		j, _ := slices.BinarySearch(idle, next)
+		bal, idle, hot = bal[b:], idle[j:], hot[i:]
+	}
 	bi, ii, hi := 0, 0, 0
 	for bi < len(bal) || ii < len(idle) || hi < len(hot) {
 		c := int32(1) << 30
@@ -96,11 +125,21 @@ func (m *Machine) fireDueDeadlines(endMS int64) {
 			m.deadlineFires[fireIdlePull]++
 			m.Sched.Balance(cpu)
 		}
-		if hotDue && !m.cpuParked(int(c)) && !m.hotDestShut(int(c), k) {
-			m.deadlineFires[fireHot]++
-			m.Sched.HotCheck(cpu)
+		if hotDue {
+			m.fireHot(c, k)
 		}
 	}
+}
+
+// fireHot runs CPU c's due hot check unless it is a provable no-op:
+// c is parked (no running task) or no core can be HotDestGapW cooler
+// at the quantum's k-th tick.
+func (m *Machine) fireHot(c int32, k int64) {
+	if m.cpuParked(int(c)) || m.hotDestShut(int(c), k) {
+		return
+	}
+	m.deadlineFires[fireHot]++
+	m.Sched.HotCheck(topology.CPUID(c))
 }
 
 // governorEval runs one due DVFS governor evaluation for an occupied

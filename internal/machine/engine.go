@@ -312,7 +312,9 @@ func (m *Machine) step(limitMS int64) int64 {
 	// The async engine walks the precomputed due-CPU lists of the end
 	// tick and skips the passes that provably change nothing (balance
 	// with no task queued anywhere, hot checks on parked CPUs or with
-	// no core cool enough under the plan's destination floor); the
+	// no core cool enough under the plan's destination floor). While
+	// nothing is queued it walks the hot list alone, resuming the
+	// merged walk at the next CPU if a hot check queues a task; the
 	// passes read deferred metrics, which settle lazily through the
 	// ThermalRead hook. The lockstep engine keeps the historical
 	// per-CPU modulo scan and runs every pass, the reference that the
