@@ -10,14 +10,18 @@ import (
 // The async discrete-event engine.
 //
 // The quantum planner (planner.go) removes the per-millisecond loop, but
-// a planned quantum is *global* — the minimum over all CPUs' event
-// horizons — so without parking one busy CPU would drag every idle CPU
-// through its small steps, each paying a metric update and a thermal
-// step (an exp/pow each) per quantum. The async engine gives each CPU
-// its own clock: an idle CPU is *parked* and simply stops
-// participating in the per-step work. Its state is brought forward
-// lazily — in one closed-form "settling" over the whole elapsed gap —
-// at the first instant something observes it:
+// a planned quantum is *global* — it ends at the first event that
+// crosses CPUs — so without parking one busy CPU would drag every idle
+// CPU through its small steps, each paying a metric update and a
+// thermal step (an exp/pow each) per quantum. The async engine gives
+// each CPU its own clock. A busy CPU's clock (cpuSettledMS) runs ahead
+// of the quantum's start through its own local events — same-task
+// slice expiries and rate crossings — and its package's thermal clock
+// (pkgSettledMS) with it (window.go); both reach the quantum's end when
+// the step's execution and thermal phases close it. An idle CPU is
+// *parked* and simply stops participating in the per-step work. Its
+// state is brought forward lazily — in one closed-form "settling" over
+// the whole elapsed gap — at the first instant something observes it:
 //
 //   - a wake-up, migration, or spawn placement enqueues work on it,
 //   - a balance / idle-pull / hot-check pass reads its thermal-power
@@ -300,7 +304,7 @@ func (m *Machine) settlePackageThermal(p int, to int64) {
 				n.StepOverBatched(0, gap, start, steady, decay)
 			}
 		} else {
-			node.Step(m.idleEffW, fg)
+			node.StepDecay(m.idleEffW, m.thermDecayFor(core, fg))
 		}
 		// Constant power over the gap makes the RC response monotone,
 		// so the endpoint captures the gap's extremum (the start was

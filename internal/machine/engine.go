@@ -12,9 +12,10 @@ import (
 )
 
 // This file holds the engine-independent simulation step: advancing the
-// whole machine by one quantum of dt ≥ 1 milliseconds over which the
-// machine state is constant — same dispatch assignments, same halt
-// decisions, same execution speeds, same workload event rates. The
+// whole machine by one quantum of dt ≥ 1 milliseconds over which every
+// decision that reads across CPUs holds — same tasks on the same CPUs,
+// same halt decisions, same execution speeds; each busy CPU's event
+// rates are constant between its own local events (window.go). The
 // lockstep engine (lockstep.go) calls step with dt capped at 1; the
 // async engine (async.go) lets step plan the largest safe dt from the
 // event horizons (planner.go) and then runs the very same phases, so a
@@ -181,10 +182,17 @@ func (m *Machine) step(limitMS int64) int64 {
 	}
 
 	// 5. Fix the quantum: the largest dt over which every decision made
-	// above provably holds (1 for the lockstep engine).
+	// above provably holds (1 for the lockstep engine). In a window
+	// (window.go) busy CPUs then step through their local events —
+	// same-task slice expiries and rate crossings, committed at their
+	// own ticks in (tick, CPU) order — and a rate crossing may end the
+	// window earlier.
 	dt, why := limitMS, HorizonLimit
 	if dt > 1 {
 		dt, why = m.planQuantum(dt)
+		if m.windows && dt > 1 {
+			dt, why = m.runWindow(throttledStep)
+		}
 	}
 	if m.qstats != nil {
 		m.qstats.add(dt, why)
@@ -219,12 +227,13 @@ func (m *Machine) step(limitMS int64) int64 {
 		m.FallbackTicks += dt
 	}
 
-	// 6. Execute, account energy. The workload integrates the whole
-	// quantum in one call (exactly, thanks to its progress-indexed
-	// stochastic processes); the thermal-power metric folds the
-	// quantum's average power in one variable-period update, which the
-	// exponential average composes identically to dt per-millisecond
-	// updates.
+	// 6. Execute, account energy. The workload integrates each CPU's
+	// rest of the quantum — from its clock, which local events may have
+	// advanced (execCloseCPU), through the end tick — in one call
+	// (exactly, thanks to its progress-indexed stochastic processes);
+	// the thermal-power metric folds the piece's average power in one
+	// variable-period update, which the exponential average composes
+	// identically to per-millisecond updates.
 	//
 	// The sweep walks the active list — the same CPUs the old full scan
 	// visited (parked CPUs settle lazily when observed; under scalar
@@ -253,15 +262,12 @@ func (m *Machine) step(limitMS int64) int64 {
 	quantW := m.thermWeightFor(0, fdt)
 	if m.par != nil {
 		m.par.fork(m, secExec, throttledStep, dt, fdt, quantW)
-		m.execCommit(m.stepCPUs(), fdt, endMS)
+		m.execCommit(m.stepCPUs(), endMS)
 	} else {
-		nominal := 0
-		if m.dvfsOn {
-			nominal = m.dvfsCfg.Ladder.Max()
-		}
+		nominal := m.nominalPState()
 		for _, c32 := range m.stepCPUs() {
-			m.execComputeCPU(int(c32), &m.tickScratch, throttledStep, dt, fdt, quantW, nominal)
-			m.execCommitCPU(int(c32), fdt, endMS)
+			m.execCloseCPU(int(c32), &m.tickScratch, throttledStep, dt, fdt, quantW, nominal)
+			m.execCommitCPU(int(c32), endMS)
 		}
 	}
 
@@ -269,7 +275,10 @@ func (m *Machine) step(limitMS int64) int64 {
 	// coupling share of its chip neighbours' (§7 CMP extension; on
 	// single-core packages the coupling term vanishes and this is the
 	// paper's per-package RC model). The RC step is closed-form, so one
-	// dt-millisecond step equals dt single steps at the same power.
+	// dt-millisecond step equals dt single steps at the same power. A
+	// package whose CPUs' local events settled it inside the quantum
+	// steps from its own clock (settleLivePackage); the others share one
+	// exponential per step length (thermDecayFor).
 	// Fully parked packages sit this phase out: their cores' effective
 	// power is the constant idle share, so the whole gap settles in one
 	// closed-form step when the package is next observed (async.go).
@@ -291,14 +300,18 @@ func (m *Machine) step(limitMS int64) int64 {
 	// shards never split a package) — so the integration runs per node
 	// shard, with only the peak-temperature fold merged serially (max
 	// is exact, so the merge order cannot matter).
+	decay := 0.0 // shared by every node, or 0: each node's own
+	if m.decayShared {
+		decay = m.thermDecayFor(0, fdt)
+	}
 	if m.par != nil {
-		m.par.fork(m, secTherm, nil, dt, fdt, 0)
+		m.par.fork(m, secTherm, nil, dt, fdt, decay)
 		for _, pk := range m.par.peaks {
 			if pk > m.peakTempC {
 				m.peakTempC = pk
 			}
 		}
-	} else if pk := m.thermalOn(m.stepCoreList(), dt, fdt); pk > m.peakTempC {
+	} else if pk := m.thermalOn(m.stepCoreList(), dt, fdt, decay); pk > m.peakTempC {
 		m.peakTempC = pk
 	}
 
@@ -601,21 +614,39 @@ const (
 )
 
 // execComputeOn is the compute half of the phase-6 execution sweep for
-// the given CPUs: integrate the quantum into each CPU's workload,
-// counter banks, utilization, thermal-power metric, and per-unit power
-// (all CPU- or core-local — SMT siblings share a core and therefore a
-// shard), and stage the global-accumulator terms (true energy,
-// estimation error) plus the task transition for execCommit. The
+// the given CPUs: integrate each CPU's rest of the quantum
+// (execCloseCPU) into its workload, counter banks, utilization,
+// thermal-power metric, and per-unit power (all CPU- or core-local —
+// SMT siblings share a core and therefore a shard), and stage the
+// global-accumulator terms (true energy, estimation error, work done)
+// plus the task transition for execCommit. The
 // per-tick halted/downclocked occupancy counters fold in here too:
 // they are per-CPU and depend only on pre-sweep state.
 func (m *Machine) execComputeOn(cpus []int32, tickRes *workload.TickResult, throttledStep []bool, dt int64, fdt, quantW float64) {
-	nominal := 0
-	if m.dvfsOn {
-		nominal = m.dvfsCfg.Ladder.Max()
-	}
+	nominal := m.nominalPState()
 	for _, c32 := range cpus {
-		m.execComputeCPU(int(c32), tickRes, throttledStep, dt, fdt, quantW, nominal)
+		m.execCloseCPU(int(c32), tickRes, throttledStep, dt, fdt, quantW, nominal)
 	}
+}
+
+// execCloseCPU computes CPU c's last piece of the quantum: from its
+// clock, which local events may have advanced past the quantum's start
+// (window.go), through the end tick. A CPU whose end tick was already
+// executed as a rate crossing (eagerTick) has its commit staged and
+// computes nothing. The sample weight of a shorter piece comes from
+// the CPU's tracker, the same value thermWeightFor caches.
+func (m *Machine) execCloseCPU(c int, tickRes *workload.TickResult, throttledStep []bool, dt int64, fdt, quantW float64, nominal int) {
+	if m.windows {
+		if from := m.cpuSettledMS[c]; from > m.qStartMS {
+			dt = m.nowMS + 1 - from
+			if dt <= 0 {
+				return
+			}
+			fdt = float64(dt)
+			quantW = m.Sched.Power[c].ThermalWeightFor(fdt)
+		}
+	}
+	m.execComputeCPU(c, tickRes, throttledStep, dt, fdt, quantW, nominal)
 }
 
 // execComputeCPU is execComputeOn for one CPU.
@@ -678,6 +709,7 @@ func (m *Machine) execComputeCPU(c int, tickRes *workload.TickResult, throttledS
 			ps = m.powScale[c]
 		}
 		task.st.SliceLeft -= fdt
+		m.p6work[c] = speed * fdt
 
 		trueJ := m.Model.EnergyJExact(tickRes.Exact, 0) * ps
 		m.truePower[c] = trueJ * 1000 / fdt
@@ -732,21 +764,22 @@ func (m *Machine) execComputeCPU(c int, tickRes *workload.TickResult, throttledS
 // the queue-mutating task transitions (finish, block, slice expiry)
 // run with their trace events in the same order on every engine and at
 // every shard count.
-func (m *Machine) execCommit(cpus []int32, fdt float64, endMS int64) {
+func (m *Machine) execCommit(cpus []int32, endMS int64) {
 	for _, c32 := range cpus {
-		m.execCommitCPU(int(c32), fdt, endMS)
+		m.execCommitCPU(int(c32), endMS)
 	}
 }
 
-// execCommitCPU is execCommit for one CPU.
-func (m *Machine) execCommitCPU(c int, fdt float64, endMS int64) {
+// execCommitCPU is execCommit for one CPU: the staged piece ends at
+// endMS.
+func (m *Machine) execCommitCPU(c int, endMS int64) {
 	stat := m.p6stat[c]
 	m.p6stat[c] = 0
 	if stat == p6Idle {
 		m.TrueEnergyJ += m.p6true[c]
 		return
 	}
-	m.WorkDoneMS += m.execSpeed[c] * fdt
+	m.WorkDoneMS += m.p6work[c]
 	m.TrueEnergyJ += m.p6true[c]
 	m.EstimationErrJ += m.p6err[c]
 	cpu := topology.CPUID(c)
@@ -767,8 +800,12 @@ func (m *Machine) execCommitCPU(c int, fdt float64, endMS int64) {
 // and returns their peak end-of-quantum temperature (−Inf when the
 // list is empty). Everything it reads is package-local — a core's
 // coupled effective power sums its chip neighbours' raw powers, and a
-// package never spans shards — so per-shard execution is exact.
-func (m *Machine) thermalOn(cores []int32, dt int64, fdt float64) float64 {
+// package never spans shards — so per-shard execution is exact. A
+// package that local events settled inside the quantum (window.go)
+// integrates from its own clock; the others take decay, the shared
+// retention over fdt (0: each node's own).
+func (m *Machine) thermalOn(cores []int32, dt int64, fdt, decay float64) float64 {
+	perPkg := m.Cfg.Layout.Cores()
 	for _, core32 := range cores {
 		core := int(core32)
 		sum := 0.0
@@ -783,7 +820,13 @@ func (m *Machine) thermalOn(cores []int32, dt int64, fdt float64) float64 {
 		core := int(core32)
 		eff := m.coupledEffPower(m.corePower, core)
 		m.coreEff[core] = eff
-		m.nodes[core].Step(eff, fdt)
+		if m.windows && m.pkgSettledMS[core/perPkg] > m.qStartMS {
+			m.nodes[core].Step(eff, float64(m.nowMS+1-m.pkgSettledMS[core/perPkg]))
+		} else if decay > 0 {
+			m.nodes[core].StepDecay(eff, decay)
+		} else {
+			m.nodes[core].Step(eff, fdt)
+		}
 		// Within a constant-power quantum the RC response is monotone,
 		// so checking the endpoint captures the quantum's extremum.
 		if m.nodes[core].TempC > peak {

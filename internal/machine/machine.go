@@ -74,13 +74,15 @@ type Engine int
 
 const (
 	// EngineAsync is the default discrete-event engine. Before each step
-	// it computes the largest quantum dt ≥ 1 ms over which the machine
-	// state is provably constant — bounded by running tasks'
-	// timeslice/phase/noise/block horizons, the earliest sleeper
-	// wake-up, the next balance/hot-check/monitor deadline, predicted
-	// throttle-metric crossings, and MaxQuantumMS (planner.go) — and
-	// integrates work, energy, and temperature analytically over the
-	// whole quantum. On top of that planner every CPU keeps its own
+	// it computes the largest quantum dt ≥ 1 ms over which every
+	// decision that reads across CPUs provably holds — bounded by
+	// running tasks' block/completion/warm-up horizons, the earliest
+	// sleeper wake-up, the next balance/hot-check/monitor deadline that
+	// could act, predicted throttle-metric crossings, and MaxQuantumMS
+	// (planner.go) — and integrates work, energy, and temperature
+	// analytically over the whole quantum, busy CPUs stepping through
+	// their own slice expiries and rate crossings inside it
+	// (window.go). On top of that planner every CPU keeps its own
 	// clock (async.go): idle CPUs are parked — excluded from per-step
 	// work entirely — and their metric, throttle, and thermal state
 	// settles lazily in closed form whenever another CPU observes them,
@@ -404,6 +406,23 @@ type Machine struct {
 	thermWShared  bool
 	lastSettleGap float64
 	lastSettleW   float64
+	// decayShared/lastDecayDT/lastDecay do the same for the thermal
+	// nodes' step retention e^(−dt/RC): when every core node has one
+	// time constant, one math.Exp per step length serves every node
+	// stepped or settled over it (thermDecayFor).
+	decayShared bool
+	lastDecayDT float64
+	lastDecay   float64
+	// Window state (see window.go). windows is set when the async
+	// engine steps windows — quanta that local events (busy CPUs' slice
+	// expiries and rate crossings) do not end — rather than falling back
+	// to quanta that end at every event. local holds the busy CPUs' next
+	// local boundaries; winEnd is the last tick of the window being
+	// stepped, as far as planned, and winWhy the horizon that set it.
+	windows bool
+	local   localHeap
+	winEnd  int64
+	winWhy  Horizon
 	// respawnQ holds the programs of tasks that finished during the
 	// execution sweep and are configured to respawn. Placement reads
 	// runqueue power and thermal-power trackers machine-wide, so it
@@ -474,7 +493,6 @@ type Machine struct {
 	coreEff         []float64 // per-core power incl. chip coupling this step
 	coreStartTemp   []float64 // per-core temperature at quantum start
 	throttleScratch []bool
-	xbarScratch     []float64 // per-CPU predicted metric feed (W)
 	// Execution-sweep staging: the compute half of phase 6 records each
 	// CPU's global-accumulator terms and task transition here, and
 	// execCommit folds them in canonical ascending-CPU order — the
@@ -485,6 +503,7 @@ type Machine struct {
 	p6true  []float64 // per CPU: true energy this quantum (J)
 	p6err   []float64 // per CPU: |est − true| energy this quantum (J)
 	p6block []float64 // per CPU: block duration when p6Block (ms)
+	p6work  []float64 // per CPU: executed work this piece (speed-weighted ms)
 
 	// Metrics.
 	Completions       int64
@@ -639,11 +658,11 @@ func New(cfg Config) (*Machine, error) {
 		corePower:         make([]float64, nCore),
 		coreEff:           make([]float64, nCore),
 		coreStartTemp:     make([]float64, nCore),
-		xbarScratch:       make([]float64, nCPU),
 		p6stat:            make([]uint8, nCPU),
 		p6true:            make([]float64, nCPU),
 		p6err:             make([]float64, nCPU),
 		p6block:           make([]float64, nCPU),
+		p6work:            make([]float64, nCPU),
 		CompletionsByProg: make(map[string]int64),
 		idleTicks:         make([]int64, nCPU),
 		haltedTicks:       make([]int64, nCPU),
@@ -742,6 +761,12 @@ func New(cfg Config) (*Machine, error) {
 		m.coreBudget[c] = budget[pkg] / float64(cores) / coupling
 	}
 
+	m.decayShared = true
+	for _, n := range m.nodes {
+		if n.Props.TimeConstant() != m.nodes[0].Props.TimeConstant() {
+			m.decayShared = false
+		}
+	}
 	m.thermWShared = true
 	w0 := thermal.ThermalPowerWeight(cfg.PackageProps[0], 1)
 	for c := 0; c < nCPU; c++ {
@@ -883,6 +908,13 @@ func New(cfg Config) (*Machine, error) {
 	// so it shares the whole parking/settling substrate.
 	if m.async {
 		m.initAsync()
+		// Windows need a re-check for every prediction a local event can
+		// move; unit hotspots and §2.3 task throttling have none, so
+		// those machines keep quanta that end at every local event.
+		m.windows = m.unitNodes == nil && !cfg.TaskThrottling
+		if m.windows {
+			m.local.keys = make([]int64, 0, nCPU)
+		}
 	}
 	if cfg.Engine == EngineParallel {
 		m.initParallel()

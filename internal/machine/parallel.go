@@ -68,9 +68,11 @@ type parEngine struct {
 	// Per-fork broadcast parameters, written serially before the fork
 	// and read by the workers after the channel receive (the send is
 	// the happens-before edge).
-	sec       int
-	dt        int64
-	fdt       float64
+	sec int
+	dt  int64
+	fdt float64
+	// quantW is the section's shared factor over fdt: the metric sample
+	// weight for secExec, the thermal retention for secTherm.
 	quantW    float64
 	throttled []bool
 
@@ -160,7 +162,7 @@ func (p *parEngine) runShard(m *Machine, s int) {
 	case secExec:
 		m.execComputeOn(p.cpus[s], &p.tick[s], p.throttled, p.dt, p.fdt, p.quantW)
 	case secTherm:
-		p.peaks[s] = m.thermalOn(p.cores[s], p.dt, p.fdt)
+		p.peaks[s] = m.thermalOn(p.cores[s], p.dt, p.fdt, p.quantW)
 	}
 }
 

@@ -13,16 +13,14 @@ import (
 // The async engine's quantum planner.
 //
 // Instead of simulating every millisecond, the async engine computes —
-// inside each shared step — the largest quantum dt over which the
-// machine state is provably constant, and lets the step integrate the
-// whole quantum at once. A quantum may not span:
+// inside each shared step — the largest quantum dt over which every
+// decision that reads across CPUs provably holds, and lets the step
+// integrate the whole quantum at once. A quantum may not span:
 //
 //   - a sleeper's wake-up (tasks join runqueues at wake instants),
-//   - a running task's timeslice expiry, block point, or completion
-//     (execution state changes at the end of the crossing millisecond),
-//   - a running task's phase or noise-epoch boundary (event rates — and
-//     with them power — change; the crossing millisecond is isolated
-//     into its own 1 ms quantum so power stays constant per quantum),
+//   - a running task's block point or completion (execution state
+//     changes at the end of the crossing millisecond), or a timeslice
+//     expiry that dispatches another queued task,
 //   - the end of a migration's cache-warmup penalty (speed changes),
 //   - a balance, idle-pull, or monitor deadline (periodic work runs on
 //     the quantum's last tick, exactly on schedule),
@@ -50,6 +48,17 @@ import (
 //     short — the flip itself is then decided on a 1 ms quantum,
 //     bit-for-bit like lockstep,
 //   - MaxQuantumMS.
+//
+// A busy CPU's timeslice expiry that re-dispatches the same task and
+// its task's phase or noise-epoch boundaries (event rates — and with
+// them power — change) are local events: inside the quantum, a
+// *window*, each busy CPU runs on its own clock through them, the
+// crossing millisecond as a one-tick piece of its own, so power stays
+// constant per piece (window.go). A rate change moves the metric feed
+// the hot-check, governor and throttle predictions read, so it
+// re-checks them and may end the window earlier. Machines with unit
+// hotspots or §2.3 task throttling have no such re-check, and there
+// the local events end quanta too.
 //
 // Within such a quantum every substrate is exactly integrable: the
 // workload's counts are linear in executed time (and its stochastic
@@ -152,31 +161,17 @@ func (m *Machine) planQuantum(limit int64) (int64, Horizon) {
 	}
 
 	// Running-task horizons: timeslice expiry, warmup end, and the
-	// workload's rate/stop crossings. Parked and idle CPUs contribute
-	// nothing (no Current task).
+	// workload's rate/stop crossings (startPiece). Parked, idle and
+	// halted CPUs contribute nothing: they execute nothing. In a window
+	// (window.go) the slice expiries that re-dispatch the same task and
+	// the rate crossings are local events: each CPU's first one goes on
+	// the local heap instead of ending the quantum.
+	m.local.reset()
+	m.winEnd, m.winWhy = now+p.dt-1, p.why
 	for _, c32 := range m.stepCPUs() {
-		c := int(c32)
-		rq := m.Sched.RQs[c]
-		cur := rq.Current
-		if cur == nil {
-			continue
-		}
-		p.clamp(ceilToInt64(cur.SliceLeft), HorizonSlice)
-		if cur.WarmupLeft > 0 {
-			p.clamp(ceilToInt64(cur.WarmupLeft), HorizonWarmup)
-		}
-		if speed := m.execSpeed[c]; speed > 0 {
-			work := m.dispatches[c].task.work
-			if rh := work.RateHorizonMS(); !math.IsInf(rh, 1) {
-				p.clamp(rateHorizonMS(rh, speed), HorizonRate)
-			}
-			if sh := work.StopHorizonMS(); !math.IsInf(sh, 1) {
-				// Block/finish take effect at the end of the
-				// crossing millisecond.
-				p.clamp(ceilToInt64(sh/speed), HorizonStop)
-			}
-		}
+		m.startPiece(int(c32), now, m.throttleScratch, false)
 	}
+	p.dt, p.why = m.winEnd-now+1, m.winWhy
 
 	if gov-now < p.dt {
 		m.clampGovEvals(&p, now, gov)
@@ -192,6 +187,7 @@ func (m *Machine) planQuantum(limit int64) (int64, Horizon) {
 	if p.dt > 1 && m.unitThrottles != nil {
 		p.clamp(m.clampUnitCrossings(p.dt), HorizonUnit)
 	}
+	m.winEnd, m.winWhy = now+p.dt-1, p.why
 	return p.dt, p.why
 }
 
@@ -256,7 +252,7 @@ func (m *Machine) clampGovEvals(p *quantumPlan, now, gov int64) {
 	g := m.gov.(dvfs.Thermal)
 	for t := gov; t-now < p.dt; t++ {
 		for _, c := range m.wheel.GovDueCPUs(t) {
-			if m.govEvalCouldAct(g, int(c), t-now+1) {
+			if m.govEvalCouldAct(g, int(c), t) {
 				p.clamp(t-now+1, HorizonGovernor)
 				return
 			}
@@ -264,20 +260,19 @@ func (m *Machine) clampGovEvals(p *quantumPlan, now, gov int64) {
 	}
 }
 
-// govEvalCouldAct reports whether CPU c's thermal-governor evaluation,
-// run after k milliseconds of the coming quantum, might change its
-// P-state. governorEval returns early on a CPU without a running task
-// (a parked CPU has none) and with a transition pending, and those
-// stay so through the quantum. Otherwise every input but the
+// govEvalCouldAct reports whether CPU c's thermal-governor evaluation
+// at tick t might change its P-state. governorEval returns early on a
+// CPU without a running task (a parked CPU has none) and with a
+// transition pending, and those stay so through the quantum. Otherwise every input but the
 // thermal-power metric is fixed through it: InstPowerW is
 // estRatePowerW once the task has run a millisecond, the budget and
 // the P-state are constant. Evaluate reads the metric only through
 // DownThresholdW, so it is called on each side of that threshold: when
 // neither side acts the evaluation is a no-op whatever the metric
 // does, and when one side acts the metric, which follows
-// S(k) = X + (S0 − X)·q^k with X its constant feed, must provably stay
-// on the other side through tick k (metricMayCross).
-func (m *Machine) govEvalCouldAct(g dvfs.Thermal, c int, k int64) bool {
+// S(k) = X + (S0 − X)·q^k from its clock with X its constant feed, must
+// provably stay on the other side through tick t (metricMayCross).
+func (m *Machine) govEvalCouldAct(g dvfs.Thermal, c int, t int64) bool {
 	if m.Sched.RQs[c].Current == nil || m.pendingIdx[c] >= 0 {
 		return false
 	}
@@ -296,90 +291,133 @@ func (m *Machine) govEvalCouldAct(g dvfs.Thermal, c int, k int64) bool {
 	if hot == cool {
 		return hot
 	}
+	k := t - (m.clockOf(c) - 1)
 	return metricMayCross(pw.ThermalPower(), m.metricFeedW(c), pw.RetentionPerMS(), down, hot, k)
 }
 
 // clampHotChecks ends the quantum at the first hot-check instant whose
 // check could act. It walks the static hot grid from hot, the earliest
-// armed hot deadline, to the quantum's last tick; a CPU due at the
-// quantum's k-th tick stops the walk when hotCheckCouldAct says its
-// check might migrate. The destination bounds hold through the quantum
-// as the running-task horizons left it, which the walk can only
-// shorten. Every check it steps past is a provable no-op, so phase 8
-// firing only at the end tick still decides exactly as the lockstep
-// loop does.
+// armed hot deadline, to the quantum's last tick, and stops at the
+// first CPU due whose check hotCheckCouldAct says might migrate. Every
+// check it steps past is a provable no-op, so phase 8 firing only at
+// the end tick still decides exactly as the lockstep loop does.
 func (m *Machine) clampHotChecks(p *quantumPlan, now, hot int64) {
-	horizon := p.dt
 	for t := hot; t-now < p.dt; t++ {
-		if why, ok := m.hotCheckDue(t, t-now+1, horizon); ok {
+		if why, ok := m.hotCheckDue(t); ok {
 			p.clamp(t-now+1, why)
 			return
 		}
 	}
 }
 
-// hotCheckDue reports whether any CPU whose hot check is due at t, the
-// quantum's k-th tick, could act there, and which side of the check
-// could not be ruled out. horizon is the quantum length the
-// destination bounds must hold through (k ≤ horizon).
-func (m *Machine) hotCheckDue(t, k, horizon int64) (Horizon, bool) {
+// hotCheckDue reports whether any CPU whose hot check is due at tick t
+// could act there, and which side of the check could not be ruled out.
+func (m *Machine) hotCheckDue(t int64) (Horizon, bool) {
 	for _, c := range m.wheel.HotDueCPUs(t) {
-		if why, ok := m.hotCheckCouldAct(int(c), k, horizon); ok {
+		if why, ok := m.hotCheckCouldAct(int(c), t); ok {
 			return why, true
 		}
 	}
 	return 0, false
 }
 
-// hotCheckCouldAct reports whether CPU c's hot check, run after k
-// milliseconds of the coming quantum, might migrate. sched.HotCheck
-// acts only past two gates, and the check is a provable no-op when
-// either is shut for the whole quantum:
+// hotCheckCouldAct reports whether CPU c's hot check at tick t might
+// migrate. sched.HotCheck acts only past two gates, and the check is a
+// provable no-op when either is shut at t:
 //
 //   - Source: a single running task, a core power budget, and the
-//     core's thermal sum at or above the trigger. Within the quantum
-//     each live CPU of the core feeds its metric a constant sample, so
-//     the sum follows S(k) = X + (S0 − X)·q^k (see
-//     clampThrottleCrossings); a parked sibling enters at the most its
+//     core's thermal sum at or above the trigger. Each live CPU of the
+//     core feeds its metric a constant sample from its clock until its
+//     next local event, which re-checks (recheckFeed), so the sum
+//     follows S(k) = X + (S0 − X)·q^k (see hotCoreSumW and
+//     throttleFlipBound); a parked sibling enters at the most its
 //     deferred metric can settle to (hotSourceTermsW).
-//   - Destination: some other core at least HotDestGapW cooler. S(k)
-//     stays below hotSourceCeilW, and hotFloorFor bounds every other
-//     core's sum from below through horizon; when the floor lies more
-//     than HotDestGapW above the ceiling, every domain level's coolest
-//     core fails the gap test and HotCheck ascends past them all.
-//     Without a floor the check binds on the source test alone
-//     (HorizonHotSource); a floor that cannot rule it out reports
+//   - Destination: some other core at least HotDestGapW cooler. S(t)
+//     stays below hotSourceCeilW, and the floor (hotFloorFor) bounds
+//     every other core's sum at t from below whatever the feeds; when
+//     it lies more than HotDestGapW above the ceiling, every domain
+//     level's coolest core fails the gap test and HotCheck ascends past
+//     them all. Without a floor the check binds on the source test
+//     alone (HorizonHotSource); a floor that cannot rule it out reports
 //     HorizonHotDest.
-func (m *Machine) hotCheckCouldAct(c int, k, horizon int64) (Horizon, bool) {
-	rq := m.Sched.RQs[c]
-	if rq.Current == nil || rq.Len() != 1 {
+func (m *Machine) hotCheckCouldAct(c int, t int64) (Horizon, bool) {
+	if !m.hotCheckEligible(c) {
 		return 0, false
 	}
+	return m.hotCheckAt(c, t, m.hotCoreSumW(int(m.Topo.CoreOf[c])))
+}
+
+// hotCheckEligible reports whether CPU c runs a single task, the only
+// case in which HotCheck looks further.
+func (m *Machine) hotCheckEligible(c int) bool {
+	rq := m.Sched.RQs[c]
+	return rq.Current != nil && rq.Len() == 1
+}
+
+// hotCheckAt is hotCheckCouldAct for an eligible CPU c whose core's sum
+// is cs.
+func (m *Machine) hotCheckAt(c int, t int64, cs coreSum) (Horizon, bool) {
 	trigger, ok := m.Sched.HotTriggerW(topology.CPUID(c))
 	if !ok {
 		return 0, false
 	}
-	core := int(m.Topo.CoreOf[c])
-	s0, x := 0.0, 0.0
-	deferred := m.nParked > 0 && m.metricsDeferred()
-	for _, d32 := range m.Topo.CPUsOfCore(core) {
-		d := int(d32)
-		sd, xd := hotSourceTermsW(m.Sched.Power[d].ThermalPower(), m.metricFeedW(d), m.estIdleW, deferred && m.parked[d])
-		s0 += sd
-		x += xd
-	}
-	retain := m.Sched.Power[c].RetentionPerMS()
-	if s0 < trigger && !metricMayCross(s0, x, retain, trigger, true, k) {
+	k := t - cs.ref
+	if cs.s < trigger && !metricMayCross(cs.s, cs.x, cs.q, trigger, true, k) {
 		return 0, false
 	}
-	f := m.hotFloorFor(horizon, retain)
+	f := m.hotFloorFor(cs.q)
 	if !f.ok {
 		return HorizonHotSource, true
 	}
-	if hotDestRuledOut(f.floorExcl(core), hotSourceCeilW(s0, x, f.qk), m.Sched.Cfg.HotDestGapW) {
+	lo := f.floorAt(int(m.Topo.CoreOf[c]), t-m.qStartMS+1)
+	if hotDestRuledOut(lo, hotSourceCeilW(cs.s, cs.x, math.Pow(cs.q, float64(k))), m.Sched.Cfg.HotDestGapW) {
 		return 0, false
 	}
 	return HorizonHotDest, true
+}
+
+// coreSum is a core's thermal sum s after tick ref and its feed x,
+// relaxing with per-ms retention q (hotCoreSumW).
+type coreSum struct {
+	ref     int64
+	s, x, q float64
+}
+
+// hotCoreSumW returns core's thermal sum after the latest tick any of
+// its live CPUs has folded in, and its feed: each live CPU's metric is
+// carried from its own clock to that tick along its constant feed (in a
+// window the CPUs of a core keep different clocks), and a parked
+// sibling enters through hotSourceTermsW.
+func (m *Machine) hotCoreSumW(core int) coreSum {
+	deferred := m.nParked > 0 && m.metricsDeferred()
+	cpus := m.Topo.CPUsOfCore(core)
+	cs := coreSum{ref: m.qStartMS - 1, q: m.Sched.Power[int(cpus[0])].RetentionPerMS()}
+	for _, d32 := range cpus {
+		if d := int(d32); !(deferred && m.parked[d]) {
+			cs.ref = max(cs.ref, m.clockOf(d)-1)
+		}
+	}
+	for _, d32 := range cpus {
+		d := int(d32)
+		if deferred && m.parked[d] {
+			sd, xd := hotSourceTermsW(m.Sched.Power[d].ThermalPower(), 0, m.estIdleW, true)
+			cs.s, cs.x = cs.s+sd, cs.x+xd
+			continue
+		}
+		xd := m.metricFeedW(d)
+		cs.s, cs.x = cs.s+m.metricAtW(d, cs.ref, xd, cs.q), cs.x+xd
+	}
+	return cs
+}
+
+// metricAtW returns CPU d's metric after tick ref, carried from its
+// clock along its constant feed x with per-ms retention q.
+func (m *Machine) metricAtW(d int, ref int64, x, q float64) float64 {
+	tp := m.Sched.Power[d].ThermalPower()
+	if n := ref - (m.clockOf(d) - 1); n > 0 {
+		tp = x + (tp-x)*math.Pow(q, float64(n))
+	}
+	return tp
 }
 
 // crossSlackRel moves a threshold toward the side that acts for the
@@ -406,17 +444,17 @@ func metricMayCross(s0, x, retain, threshold float64, rising bool, k int64) bool
 	return ok && n-1 <= k
 }
 
-// hotDestFloor is the planner's per-plan scratch for the destination
-// side of the hot checks: lower bounds on every core's thermal sum
-// through the next horizon milliseconds, of which only the two
-// smallest are kept, so that the source core can be left out. Phase 8
-// reads it too (hotDestShut).
+// hotDestFloor is the planner's per-quantum scratch for the
+// destination side of the hot checks: every core's floor term sum
+// (hotFloorTermW) read once in the quantum, of which only the two
+// smallest are kept, so that the source core can be left out. The
+// floor at the quantum's k-th tick is q^k times them. Phase 8 reads it
+// too (hotDestShut).
 type hotDestFloor struct {
-	start   int64   // first tick of the quantum whose plan built the bounds
-	horizon int64   // they hold through this many ticks of it
+	start   int64   // first tick of the quantum that built the bounds
 	ok      bool    // the bounds exist (see hotFloorFor)
-	qk      float64 // q^horizon, q the per-ms retention
-	lo, lo2 float64 // the smallest and second-smallest core bounds
+	q       float64 // the per-ms retention
+	lo, lo2 float64 // the smallest and second-smallest core sums
 	loCore  int     // the core lo belongs to
 }
 
@@ -428,37 +466,45 @@ func (f *hotDestFloor) floorExcl(core int) float64 {
 	return f.lo
 }
 
-// hotFloorFor returns the destination bounds through horizon ms for
-// the machine-wide per-ms retention q, built at most once per plan and
-// horizon in one read-only pass over the cores: each core's bound sums
-// its CPUs' metricFloorW, which reads parked CPUs' deferred metrics
-// without settling them. The bounds need non-negative metric samples
-// and one retention for the whole machine, so they are missing (ok
-// false) under a negative estimate or per-package thermal
-// calibrations; the planner then keeps to the source test.
-func (m *Machine) hotFloorFor(horizon int64, q float64) *hotDestFloor {
+// floorAt bounds from below every core's thermal sum but core's own
+// after the quantum's k-th tick.
+func (f *hotDestFloor) floorAt(core int, k int64) float64 {
+	return math.Pow(f.q, float64(k)) * f.floorExcl(core)
+}
+
+// hotFloorFor returns the destination bounds for the machine-wide
+// per-ms retention q, built at most once per quantum in one read-only
+// pass over the cores: each core sums its CPUs' hotFloorTermW, which
+// reads parked CPUs' deferred metrics without settling them. A live
+// metric, read at any clock in the quantum, keeps at least q^j of
+// itself over j more ticks whatever its feed, because every sample is
+// non-negative, so q^k times a core's sum bounds it at the quantum's
+// k-th tick. The bounds need non-negative metric samples and one
+// retention for the whole machine, so they are missing (ok false)
+// under a negative estimate or per-package thermal calibrations; the
+// planner then keeps to the source test.
+func (m *Machine) hotFloorFor(q float64) *hotDestFloor {
 	f := &m.destFloor
-	if f.start == m.qStartMS && f.horizon == horizon {
+	if f.start == m.qStartMS {
 		return f
 	}
-	f.start, f.horizon = m.qStartMS, horizon
+	f.start, f.q = m.qStartMS, q
 	f.ok = m.thermWShared && m.estimatesNonNegative()
 	if !f.ok {
 		return f
 	}
-	f.qk = math.Pow(q, float64(horizon))
 	f.lo, f.lo2, f.loCore = math.Inf(1), math.Inf(1), -1
 	deferred := m.nParked > 0 && m.metricsDeferred()
 	for core := range m.nodes {
 		lo := 0.0
 		for _, d32 := range m.Topo.CPUsOfCore(core) {
 			d := int(d32)
-			var gap int64
 			parked := deferred && m.parked[d]
+			var gap int64
 			if parked {
 				gap = m.qStartMS - m.cpuSettledMS[d]
 			}
-			lo += metricFloorW(m.Sched.Power[d].ThermalPower(), m.estIdleW, q, f.qk, horizon, gap, parked)
+			lo += hotFloorTermW(m.Sched.Power[d].ThermalPower(), m.estIdleW, q, gap, parked)
 		}
 		if lo < f.lo {
 			f.lo, f.lo2, f.loCore = lo, f.lo, core
@@ -471,16 +517,16 @@ func (m *Machine) hotFloorFor(horizon int64, q float64) *hotDestFloor {
 
 // hotDestShut reports whether CPU c's hot check at the end of the
 // quantum, its k-th tick, is a provable no-op because no core can be
-// HotDestGapW cooler: this plan's floor holds through k, and the
-// source core's sum, read now that the quantum is folded in, stays
-// more than the gap above it. End-of-tick events and earlier passes of
-// phase 8 move tasks but no thermal sum, and a parked sibling enters at
-// the most its deferred metric can settle to, so the proof holds
-// whatever phase 8 did before the check.
+// HotDestGapW cooler: this quantum's floor holds at k, and the source
+// core's sum, read now that the quantum is folded in, stays more than
+// the gap above it. End-of-tick events and earlier passes of phase 8
+// move tasks but no thermal sum, and a parked sibling enters at the
+// most its deferred metric can settle to, so the proof holds whatever
+// phase 8 did before the check.
 func (m *Machine) hotDestShut(c int, k int64) bool {
 	f := &m.destFloor
-	if f.start != m.qStartMS || f.horizon < k || !f.ok {
-		return false // no floor from this quantum's plan, or too short
+	if f.start != m.qStartMS || !f.ok {
+		return false // no floor from this quantum
 	}
 	core := int(m.Topo.CoreOf[c])
 	hi := 0.0
@@ -490,7 +536,7 @@ func (m *Machine) hotDestShut(c int, k int64) bool {
 		s, _ := hotSourceTermsW(m.Sched.Power[d].ThermalPower(), 0, m.estIdleW, deferred && m.parked[d])
 		hi += s
 	}
-	return hotDestRuledOut(f.floorExcl(core), hi, m.Sched.Cfg.HotDestGapW)
+	return hotDestRuledOut(f.floorAt(core, k), hi, m.Sched.Cfg.HotDestGapW)
 }
 
 // estimatesNonNegative reports whether every metric sample is
@@ -507,23 +553,21 @@ func (m *Machine) estimatesNonNegative() bool {
 	return true
 }
 
-// metricFloorW bounds from below, for every k ≤ n, one CPU's metric
-// after the quantum's k-th tick. tp is its stored value, q the per-ms
-// retention and qn = q^n. A live metric takes one sample per ms; when
-// every sample is non-negative it keeps at least q^k of itself, which
-// lies between tp and qn·tp. A deferred (parked) metric still owes the
-// idle samples of gap ms before the quantum, and its settle folds the
-// constant idle sample into idleW + (tp − idleW)·q^(gap+k): from above
-// idleW it falls and is lowest at k = n, from below it rises and never
-// drops under tp.
-func metricFloorW(tp, idleW, q, qn float64, n, gap int64, deferred bool) float64 {
-	switch {
-	case !deferred:
-		return math.Min(tp, qn*tp)
-	case tp <= idleW:
+// hotFloorTermW is one CPU's term of a core's floor sum, tp its stored
+// metric and q the per-ms retention: q^k times the term bounds the
+// metric from below after the quantum's k-th tick. A live metric takes
+// one sample per ms; when every sample is non-negative it keeps at
+// least q^j of itself over j ticks, so its term is tp. A deferred
+// (parked) metric still owes the idle samples of gap ms before the
+// quantum, and its settle folds the constant idle sample: from below
+// idleW it rises and never drops under tp; from above it falls to
+// idleW + (tp − idleW)·q^(gap+k), at least q^k times its value at the
+// quantum's start.
+func hotFloorTermW(tp, idleW, q float64, gap int64, deferred bool) float64 {
+	if !deferred || tp <= idleW {
 		return tp
 	}
-	return idleW + (tp-idleW)*math.Pow(q, float64(gap+n))
+	return idleW + (tp-idleW)*math.Pow(q, float64(gap))
 }
 
 // hotSourceTermsW returns one CPU's share of a source core's starting
@@ -579,17 +623,6 @@ func (m *Machine) anyThrottleEngaged() bool {
 	return false
 }
 
-// metricFeed fills m.xbarScratch with the constant per-millisecond
-// sample (in Watts) each CPU will feed its thermal-power metric for the
-// duration of the quantum: the running task's estimated power at the
-// current rates and speed, or the idle share when halted or idle.
-func (m *Machine) metricFeed() []float64 {
-	for c := range m.xbarScratch {
-		m.xbarScratch[c] = m.metricFeedW(c)
-	}
-	return m.xbarScratch
-}
-
 // metricFeedW is CPU c's constant per-millisecond metric sample this
 // quantum: estRatePowerW, or the idle share when halted or idle.
 func (m *Machine) metricFeedW(c int) float64 {
@@ -619,42 +652,67 @@ func (m *Machine) estRatePowerW(c int) float64 {
 }
 
 // clampThrottleCrossings bounds the quantum by the predicted throttle
-// decision flips. While each member CPU feeds a constant sample x, the
-// group's summed metric follows S(n) = X + (S0 − X)·q^n exactly, so the
-// first millisecond at which the engage/disengage condition changes is
-// solved in closed form; the quantum stops one millisecond short of it
-// and the flip is decided on 1 ms quanta, identically to lockstep.
+// decision flips (throttleFlipBound), one millisecond short of each, so
+// that the flip itself is decided on 1 ms quanta, identically to
+// lockstep.
 func (m *Machine) clampThrottleCrossings(dt int64) int64 {
-	xbar := m.metricFeed()
-	for i, th := range m.throttles {
-		if th.LimitW <= 0 {
-			continue
-		}
-		members := m.throttleMembers[i]
-		s0, x := 0.0, 0.0
-		for _, cpu := range members {
-			s0 += m.Sched.Power[int(cpu)].ThermalPower()
-			x += xbar[int(cpu)]
-		}
-		retain := m.Sched.Power[int(members[0])].RetentionPerMS()
-		var n int64
-		var ok bool
-		if th.Engaged() {
-			n, ok = profile.CrossSteps(s0, x, retain, th.LimitW-thermal.Hysteresis, false)
-		} else {
-			n, ok = profile.CrossSteps(s0, x, retain, th.LimitW, true)
-		}
-		if !ok {
-			continue
-		}
-		if n--; n < 1 {
-			n = 1
-		}
-		if n < dt {
-			dt = n
+	now := m.nowMS
+	for i := range m.throttles {
+		if end, ok := m.throttleFlipBound(i, now); ok {
+			dt = min(dt, end-now+1)
 		}
 	}
 	return dt
+}
+
+// throttleFlipBound returns the last tick, not before floor, that a
+// quantum may reach before throttle i's engage/disengage decision could
+// flip; ok is false when it cannot flip while the members' feeds hold.
+// While each member CPU feeds a constant sample x from its clock, the
+// group's summed metric follows S(n) = X + (S0 − X)·q^n exactly from
+// ref, the latest tick any member has folded in (hotCoreSumW's carry),
+// so the first fold at which the condition changes is solved in closed
+// form.
+func (m *Machine) throttleFlipBound(i int, floor int64) (int64, bool) {
+	th := m.throttles[i]
+	if th.LimitW <= 0 {
+		return 0, false
+	}
+	members := m.throttleMembers[i]
+	ref := m.qStartMS - 1
+	for _, cpu := range members {
+		ref = max(ref, m.clockOf(int(cpu))-1)
+	}
+	retain := m.Sched.Power[int(members[0])].RetentionPerMS()
+	s0, x := 0.0, 0.0
+	for _, cpu := range members {
+		xd := m.metricFeedW(int(cpu))
+		s0 += m.metricAtW(int(cpu), ref, xd, retain)
+		x += xd
+	}
+	var n int64
+	var ok bool
+	if th.Engaged() {
+		n, ok = profile.CrossSteps(s0, x, retain, th.LimitW-thermal.Hysteresis, false)
+	} else {
+		n, ok = profile.CrossSteps(s0, x, retain, th.LimitW, true)
+	}
+	if !ok {
+		return 0, false
+	}
+	return max(ref+n-1, floor), true
+}
+
+// throttleOf returns the index of the scalar throttle whose group holds
+// CPU c.
+func (m *Machine) throttleOf(c int) int {
+	switch m.Cfg.Scope {
+	case ThrottlePerCore:
+		return int(m.Topo.CoreOf[c])
+	case ThrottlePerPackage:
+		return int(m.Topo.PkgOf[c])
+	}
+	return c
 }
 
 // clampUnitCrossings bounds the quantum so that no unit-temperature
@@ -679,16 +737,7 @@ func (m *Machine) clampUnitCrossings(dt int64) int64 {
 	for core := range m.nodes {
 		sum := 0.0
 		for t := 0; t < threads; t++ {
-			c := int(layout.CPUOfCore(core, t))
-			if speed := m.execSpeed[c]; speed > 0 {
-				p := m.Model.ExecPower(m.dispatches[c].task.work.EffectiveRates()) * speed
-				if m.dvfsOn {
-					p *= m.powScale[c]
-				}
-				sum += p
-			} else {
-				sum += m.idleShareW
-			}
+			sum += m.truePowerW(int(layout.CPUOfCore(core, t)))
 		}
 		raw[core] = sum
 	}

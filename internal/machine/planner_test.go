@@ -264,24 +264,24 @@ func TestQuantumStatsObserveOnly(t *testing.T) {
 	}
 }
 
-// Phase 8 reuses the plan's destination floor for the checks due on the
-// quantum's last tick. The floor bounds the sums only within the
-// quantum whose plan built it and through the horizon it was built
-// for, so any other floor must leave the check to run.
+// Phase 8 reuses the quantum's destination floor for the checks due on
+// the quantum's last tick. The floor bounds the sums only within the
+// quantum that built it, decayed to the check's tick, so any other
+// floor must leave the check to run.
 func TestHotDestShutNeedsThisPlansFloor(t *testing.T) {
 	m := hotSwapMachine(EngineAsync)
 	m.Run(2_000)
 	m.resetPhaseMarkers()
-	high := hotDestFloor{start: m.qStartMS, horizon: 4, ok: true, lo: 1e6, lo2: 1e6, loCore: -1}
+	high := hotDestFloor{start: m.qStartMS, ok: true, q: 1, lo: 1e6, lo2: 1e6, loCore: -1}
 	m.destFloor = high
 	if !m.hotDestShut(0, 4) {
 		t.Fatal("a floor far above every core, from this quantum's plan, must shut the check")
 	}
-	earlier, short, missing := high, high, high
+	earlier, decayed, missing := high, high, high
 	earlier.start--
-	short.horizon = 3
+	decayed.q = 1e-3
 	missing.ok = false
-	for name, f := range map[string]hotDestFloor{"earlier quantum": earlier, "shorter horizon": short, "no floor": missing} {
+	for name, f := range map[string]hotDestFloor{"earlier quantum": earlier, "decayed to the check's tick": decayed, "no floor": missing} {
 		m.destFloor = f
 		if m.hotDestShut(0, 4) {
 			t.Errorf("%s: the check was shut", name)
@@ -297,10 +297,13 @@ func TestHotDestShutNeedsThisPlansFloor(t *testing.T) {
 // crossing, with a mixed sample in the crossing millisecond. Every
 // core is stepped one millisecond at a time (the lockstep engine's
 // partition) and each prefix is also folded as one update (the async
-// engine's). Through the horizon the planner would use (capped by
-// rateHorizonMS) metricFloorW must stay below every other core's sum,
-// hotSourceCeilW above the source's, and whenever hotDestRuledOut
-// holds every other core must fail HotCheck's gap test.
+// engine's). At every tick k up to the first crossing, q^k times a
+// core's hotFloorTermW sum must stay below its sum, whatever its
+// non-negative feeds, and hotSourceCeilW above the source's; whenever
+// hotDestRuledOut holds at k every other core must fail HotCheck's gap
+// test there. Past the crossing, the ceiling restarted from the sum
+// after the crossing tick, as a window's re-check does, must hold up to
+// the next CPU's crossing.
 func TestHotDestFloorBruteForce(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	// Per-ms stepping drifts from the closed forms by up to about
@@ -312,7 +315,7 @@ func TestHotDestFloorBruteForce(t *testing.T) {
 		stepped []float64 // value after k ms, k = 0..K
 		folded  []float64
 	}
-	var ruled, open, parkedHot int
+	var ruled, open, parkedHot, restarted int
 	for trial := 0; trial < 400; trial++ {
 		weight := math.Pow(10, -4+3*r.Float64())
 		stdMS := []float64{1, 10, 100}[r.Intn(3)]
@@ -386,17 +389,18 @@ func TestHotDestFloorBruteForce(t *testing.T) {
 		}
 		qK := math.Pow(q, float64(K))
 		s0, x := 0.0, 0.0
-		srcStep, srcFold := make([]float64, K+1), make([]float64, K+1)
-		for _, s := range src {
-			var cr cpuRun
+		srcStep, srcFold := make([]float64, horizon+1), make([]float64, horizon+1)
+		runs := make([]cpuRun, len(src))
+		for i, s := range src {
+			cr := &runs[i]
 			if s.parked {
 				sd, xd := hotSourceTermsW(s.tp, idleW, idleW, true)
 				s0, x = s0+sd, x+xd
-				cr = run(s.tp, s.gap, idle, K)
+				*cr = run(s.tp, s.gap, idle, horizon)
 			} else {
 				sd, xd := hotSourceTermsW(s.tp, s.old, idleW, false)
 				s0, x = s0+sd, x+xd
-				cr = run(s.tp, 0, func(j int64) float64 {
+				*cr = run(s.tp, 0, func(j int64) float64 {
 					switch lo := math.Floor(s.cross); {
 					case float64(j) <= lo:
 						return s.old
@@ -405,17 +409,45 @@ func TestHotDestFloorBruteForce(t *testing.T) {
 						return f*s.old + (1-f)*s.new
 					}
 					return s.new
-				}, K)
+				}, horizon)
 			}
 			for k := range srcStep {
 				srcStep[k] += cr.stepped[k]
 				srcFold[k] += cr.folded[k]
 			}
 		}
+		// Past the first crossing a window re-checks (recheckFeed): the
+		// sum restarts from its value after the crossing tick along the
+		// feeds then in force, until the next CPU's crossing.
+		if R := K + 1; R < horizon {
+			s1, x1, next := 0.0, 0.0, horizon
+			for i, s := range src {
+				switch {
+				case s.parked:
+					sd, xd := hotSourceTermsW(s.tp, idleW, idleW, true)
+					s1, x1 = s1+sd, x1+xd
+					continue
+				case s.cross < float64(R):
+					x1 += s.new
+				default:
+					x1 += s.old
+					next = min(next, int64(math.Floor(s.cross)))
+				}
+				s1 += runs[i].stepped[R]
+			}
+			for k := R + 1; k <= next; k++ {
+				restarted++
+				hi := hotSourceCeilW(s1, x1, math.Pow(q, float64(k-R)))
+				if v := srcStep[k]; v > hi+tol*math.Abs(hi) {
+					t.Fatalf("trial %d: source sum %v after %d ms, past the crossing at %d, exceeds its ceiling %v", trial, v, k, R, hi)
+				}
+			}
+		}
 		hi := hotSourceCeilW(s0, x, qK)
 		for k := int64(1); k <= K; k++ {
-			if v := math.Max(srcStep[k], srcFold[k]); v > hi+tol*math.Abs(hi) {
-				t.Fatalf("trial %d: source sum %v after %d of %d ms exceeds its ceiling %v", trial, v, k, K, hi)
+			hk := hotSourceCeilW(s0, x, math.Pow(q, float64(k)))
+			if v := math.Max(srcStep[k], srcFold[k]); v > hk+tol*math.Abs(hk) {
+				t.Fatalf("trial %d: source sum %v after %d of %d ms exceeds its ceiling %v", trial, v, k, K, hk)
 			}
 		}
 
@@ -439,17 +471,17 @@ func TestHotDestFloorBruteForce(t *testing.T) {
 						}
 					}
 					cr = run(share*1.5*r.Float64(), 0, func(j int64) float64 { return samples[j] }, K)
-					floor += metricFloorW(cr.start, idleW, q, qK, K, 0, false)
+					floor += hotFloorTermW(cr.start, idleW, q, 0, false)
 				case 1: // idle, metric live
 					cr = run(share*1.5*r.Float64(), 0, idle, K)
-					floor += metricFloorW(cr.start, idleW, q, qK, K, 0, false)
+					floor += hotFloorTermW(cr.start, idleW, q, 0, false)
 				default: // parked, metric deferred over gap ms
 					tp, gap := drawParked()
 					if tp > idleW {
 						parkedHot++
 					}
 					cr = run(tp, gap, idle, K)
-					floor += metricFloorW(tp, idleW, q, qK, K, gap, true)
+					floor += hotFloorTermW(tp, idleW, q, gap, true)
 				}
 				for k := range destStep[c] {
 					destStep[c][k] += cr.stepped[k]
@@ -457,32 +489,35 @@ func TestHotDestFloorBruteForce(t *testing.T) {
 				}
 			}
 			for k := int64(1); k <= K; k++ {
-				if v := math.Min(destStep[c][k], destFold[c][k]); floor > v+tol*math.Abs(v) {
-					t.Fatalf("trial %d: core %d sum %v after %d of %d ms is below its floor %v", trial, c, v, k, K, floor)
+				fk := math.Pow(q, float64(k)) * floor
+				if v := math.Min(destStep[c][k], destFold[c][k]); fk > v+tol*math.Abs(v) {
+					t.Fatalf("trial %d: core %d sum %v after %d of %d ms is below its floor %v", trial, c, v, k, K, fk)
 				}
 			}
 			minFloor = math.Min(minFloor, floor)
 		}
 
-		// HotCheck's gap test, at gaps around the bounds' margin.
-		margin := hi - minFloor
+		// HotCheck's gap test at every tick, at gaps around the bounds'
+		// margin at the last one.
+		margin := hi - qK*minFloor
 		for _, gap := range []float64{margin - 1, margin - 1e-6, margin, margin + 1e-6, margin + 1, margin + 10*r.Float64() - 5} {
-			if !hotDestRuledOut(minFloor, hi, gap) {
-				open++
-				continue
-			}
-			ruled++
-			for c := range destStep {
-				for k := int64(1); k <= K; k++ {
+			for k := int64(1); k <= K; k++ {
+				qk := math.Pow(q, float64(k))
+				if !hotDestRuledOut(qk*minFloor, hotSourceCeilW(s0, x, qk), gap) {
+					open++
+					continue
+				}
+				ruled++
+				for c := range destStep {
 					if destStep[c][k] <= srcStep[k]-gap || destFold[c][k] <= srcFold[k]-gap {
-						t.Fatalf("trial %d: gap %v ruled out, but core %d is cool enough after %d ms", trial, gap, c, k)
+						t.Fatalf("trial %d: gap %v ruled out at %d ms, but core %d is cool enough", trial, gap, k, c)
 					}
 				}
 			}
 		}
 	}
-	t.Logf("%d gaps ruled out, %d open, %d parked CPUs above idle", ruled, open, parkedHot)
-	if ruled == 0 || open == 0 || parkedHot == 0 {
-		t.Fatalf("vacuous draw: %d gaps ruled out, %d open, %d parked CPUs above idle", ruled, open, parkedHot)
+	t.Logf("%d gaps ruled out, %d open, %d parked CPUs above idle, %d ticks past a crossing", ruled, open, parkedHot, restarted)
+	if ruled == 0 || open == 0 || parkedHot == 0 || restarted == 0 {
+		t.Fatalf("vacuous draw: %d gaps ruled out, %d open, %d parked CPUs above idle, %d ticks past a crossing", ruled, open, parkedHot, restarted)
 	}
 }

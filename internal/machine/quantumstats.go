@@ -75,6 +75,10 @@ type QuantumStats struct {
 	// Lengths is a histogram of quantum lengths: bucket i counts quanta
 	// of [2^i, 2^(i+1)) milliseconds.
 	Lengths [64]int64
+	// Interior counts the local events that windows stepped over inside
+	// a quantum instead of ending it, by class: timeslice expiries
+	// (HorizonSlice) and rate crossings (HorizonRate; see window.go).
+	Interior [NumHorizons]int64
 }
 
 func (s *QuantumStats) add(dt int64, why Horizon) {

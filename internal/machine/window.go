@@ -1,0 +1,402 @@
+package machine
+
+import (
+	"math"
+
+	"energysched/internal/dvfs"
+	"energysched/internal/topology"
+)
+
+// Windows: quanta that only cross-CPU events end.
+//
+// In the paper only balancing (§4.4), hot task migration (§4.5) and
+// placement (§4.6) read across CPUs; the per-timeslice energy profile
+// (§3.3) and the thermal-power metric (§4.3) are per-CPU bookkeeping.
+// So on a machine whose windows flag is set the planner ends a quantum
+// — a *window* — only at an event that crosses CPUs: a wake-up, a
+// stop, a warm-up end, a timeslice expiry that dispatches another
+// task, a queued balance, a governor evaluation or hot check that could
+// act, a P-state change, a monitor or fault instant, or the limit.
+// Inside the window each busy CPU advances on its own clock
+// (cpuSettledMS, as parked CPUs do) through its *local* boundaries:
+//
+//   - a timeslice expiry that re-dispatches the same task (the task is
+//     alone on its runqueue, and nothing enqueues inside a window), and
+//   - a rate crossing: the last tick before the task's event rates
+//     change, and the crossing tick itself, whose mixed rates make it a
+//     one-tick piece of its own (as in the planner's 1 ms crossing
+//     quantum).
+//
+// The boundaries sit in a min-heap keyed on (tick, CPU), the lockstep
+// engine's commit order, so the slice_end/dispatch trace events and the
+// placement table's first-slice records come out in lockstep order. A
+// pop settles that CPU's piece (workload, counters, metric fold) and
+// its package's thermal nodes through the boundary, commits the event
+// with the clock and the deadline wheel at the boundary tick, and
+// pushes the CPU's next boundary. A crossing tick is executed when its
+// piece starts (eagerTick): its power feeds the package's thermal
+// settle and its sample the predictions below before anything past it
+// is integrated. The commit waits for the tick's own pop.
+//
+// A rate crossing changes the CPU's metric feed, which the planner's
+// hot-check, governor and throttle predictions read. The hot-source
+// test of the CPU's core, the CPU's thermal-governor evaluations and
+// its scalar throttle group's flip are re-checked from the crossing on
+// (recheckFeed); a re-check may only move the window's end earlier,
+// and never before the crossing tick, so nothing it invalidates has
+// been integrated yet. The destination floor of the hot checks does
+// not read feeds at all. The §7 unit-temperature horizon and §2.3 task
+// throttling have no re-check, so machines with unit hotspots or task
+// throttling step quanta that end at every local event (the windows
+// flag is off), which is exactly the planner's older quantum.
+//
+// At the window's end the execution and thermal phases of step settle
+// every busy CPU and live package from its own clock to the end tick
+// and commit the end tick's events in CPU order, as before.
+
+// localHeap is a min-heap of busy CPUs' next local boundaries keyed on
+// (tick, CPU). Each CPU has at most one entry, so the heap stays within
+// its nCPU capacity and a push allocates nothing.
+type localHeap struct{ keys []int64 }
+
+// localCPUBits holds a CPU index in a key's low bits; the array index
+// below fails to compile if topology.MaxLogical CPUs would not fit.
+const localCPUBits = 12
+
+var _ = [1 << localCPUBits]struct{}{}[topology.MaxLogical-1]
+
+func (h *localHeap) reset() { h.keys = h.keys[:0] }
+
+func (h *localHeap) push(t int64, c int) {
+	h.keys = append(h.keys, t<<localCPUBits|int64(c))
+	for i := len(h.keys) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if h.keys[parent] <= h.keys[i] {
+			break
+		}
+		h.keys[parent], h.keys[i] = h.keys[i], h.keys[parent]
+		i = parent
+	}
+}
+
+// peek returns the earliest boundary; ok is false when the heap is
+// empty.
+func (h *localHeap) peek() (t int64, c int, ok bool) {
+	if len(h.keys) == 0 {
+		return 0, 0, false
+	}
+	k := h.keys[0]
+	return k >> localCPUBits, int(k & (1<<localCPUBits - 1)), true
+}
+
+func (h *localHeap) pop() {
+	n := len(h.keys) - 1
+	h.keys[0] = h.keys[n]
+	h.keys = h.keys[:n]
+	for i := 0; ; {
+		l, small := 2*i+1, i
+		if l < n && h.keys[l] < h.keys[small] {
+			small = l
+		}
+		if r := l + 1; r < n && h.keys[r] < h.keys[small] {
+			small = r
+		}
+		if small == i {
+			return
+		}
+		h.keys[i], h.keys[small] = h.keys[small], h.keys[i]
+		i = small
+	}
+}
+
+// shrinkWindow ends the window at tick t if that is earlier.
+func (m *Machine) shrinkWindow(t int64, why Horizon) {
+	if t < m.winEnd {
+		m.winEnd, m.winWhy = t, why
+	}
+}
+
+// clockOf returns CPU c's execution clock in the quantum being stepped:
+// the first tick not yet folded into its workload and metric.
+func (m *Machine) clockOf(c int) int64 {
+	if m.windows && m.cpuSettledMS[c] > m.qStartMS {
+		return m.cpuSettledMS[c]
+	}
+	return m.qStartMS
+}
+
+// truePowerW is CPU c's true power while its current rates and speed
+// hold: the running task's execution power, or the idle share when the
+// CPU is halted or idle.
+func (m *Machine) truePowerW(c int) float64 {
+	speed := m.execSpeed[c]
+	if speed <= 0 {
+		return m.idleShareW
+	}
+	p := m.Model.ExecPower(m.dispatches[c].task.work.EffectiveRates()) * speed
+	if m.dvfsOn {
+		p *= m.powScale[c]
+	}
+	return p
+}
+
+// nominalPState is the ladder's top index under DVFS, 0 without.
+func (m *Machine) nominalPState() int {
+	if m.dvfsOn {
+		return m.dvfsCfg.Ladder.Max()
+	}
+	return 0
+}
+
+// govThermal reports whether a thermal governor evaluates occupied
+// CPUs: the only governor whose evaluations a window may contain.
+func (m *Machine) govThermal() bool {
+	if !m.dvfsOn || m.govPeriod <= 0 {
+		return false
+	}
+	_, ok := m.gov.(dvfs.Thermal)
+	return ok
+}
+
+// startPiece begins CPU c's next piece at tick t: it ends the window
+// at the running task's cross-CPU horizons (stop, warm-up end, a
+// timeslice expiry that dispatches another task) and pushes the piece's
+// local boundary — the slice expiry or the last tick before a rate
+// crossing — or, when the rates change inside tick t itself, executes
+// that tick now (eagerTick). A piece reaching the window's end needs no
+// boundary: the execution phase runs it. Without windows the local
+// boundaries end the quantum too, the crossing tick as a quantum of its
+// own. interior is false while the planner starts the window's first
+// pieces, whose predictions its own walks make afterwards. It reports
+// whether it ran eagerTick.
+func (m *Machine) startPiece(c int, t int64, throttled []bool, interior bool) bool {
+	if interior {
+		m.truePower[c] = m.truePowerW(c) // first pieces: see settleLivePackage
+	}
+	rq := m.Sched.RQs[c]
+	cur, speed := rq.Current, m.execSpeed[c]
+	if t >= m.winEnd || cur == nil || speed <= 0 {
+		return false
+	}
+	slice := t + ticksOf(cur.SliceLeft) - 1
+	if !m.windows || rq.Len() > 1 {
+		m.shrinkWindow(slice, HorizonSlice)
+	}
+	if cur.WarmupLeft > 0 {
+		m.shrinkWindow(t+ticksOf(cur.WarmupLeft)-1, HorizonWarmup)
+	}
+	work := m.dispatches[c].task.work
+	if sh := work.StopHorizonMS(); !math.IsInf(sh, 1) {
+		// Block/finish take effect at the end of the crossing
+		// millisecond.
+		m.shrinkWindow(t+ticksOf(sh/speed)-1, HorizonStop)
+	}
+	if t >= m.winEnd {
+		return false
+	}
+	end := slice
+	if rh := work.RateHorizonMS(); !math.IsInf(rh, 1) {
+		r := rateHorizonMS(rh, speed)
+		if !m.windows {
+			m.shrinkWindow(t+max(r, 1)-1, HorizonRate)
+			return false
+		}
+		if r == 0 {
+			m.eagerTick(c, t, throttled, interior)
+			return true
+		}
+		end = min(end, t+r-1)
+	}
+	if end < m.winEnd {
+		m.local.push(end, c)
+	}
+	return false
+}
+
+// ticksOf is the number of ticks, at least one, that a horizon of v
+// milliseconds spans: the event takes effect at the end of its tick.
+func ticksOf(v float64) int64 { return max(ceilToInt64(v), 1) }
+
+// eagerTick executes tick t, in which CPU c's event rates change, as a
+// piece of its own and stages its commit for the tick's pop (or the
+// execution phase, when t ends the window). Its sample and the rates
+// after it are now known, so the predictions that read c's feed are
+// re-checked from t on.
+func (m *Machine) eagerTick(c int, t int64, throttled []bool, interior bool) {
+	saved := m.nowMS
+	m.nowMS = t
+	m.execPiece(c, t, throttled)
+	m.nowMS = saved
+	if st := m.p6stat[c]; st == p6Finish || st == p6Block {
+		m.shrinkWindow(t, HorizonStop)
+	}
+	if t < m.winEnd {
+		m.local.push(t, c)
+		if interior {
+			m.recheckFeed(c, t)
+		}
+	}
+}
+
+// execPiece runs the execution sweep's compute half for CPU c from its
+// clock through tick end (the clock must point there: addBusy reads
+// it) and advances the clock.
+func (m *Machine) execPiece(c int, end int64, throttled []bool) {
+	dt := end - m.clockOf(c) + 1
+	fdt := float64(dt)
+	m.execComputeCPU(c, &m.tickScratch, throttled, dt, fdt, m.thermWeightFor(c, fdt), m.nominalPState())
+	m.cpuSettledMS[c] = end + 1
+}
+
+// runWindow steps the window's interior: it pops the local boundaries
+// before the window's last tick in (tick, CPU) order, and returns the
+// window's final length and the horizon that bound it. Boundaries at
+// the last tick are left to the execution phase, which commits that
+// tick's events in CPU order.
+func (m *Machine) runWindow(throttled []bool) (int64, Horizon) {
+	start := m.qStartMS
+	for {
+		t, c, ok := m.local.peek()
+		if !ok || t >= m.winEnd {
+			break
+		}
+		m.local.pop()
+		m.popLocal(t, c, throttled)
+	}
+	m.nowMS = start
+	return m.winEnd - start + 1, m.winWhy
+}
+
+// popLocal settles CPU c through its local boundary t, commits the
+// boundary's event at t and starts c's next piece. Rates that change
+// exactly at the boundary (a phase or noise epoch ending with the
+// piece) change the feed without a crossing tick, and are re-checked
+// here.
+func (m *Machine) popLocal(t int64, c int, throttled []bool) {
+	m.nowMS = t
+	m.wheel.SetNow(t)
+	m.settleLivePackage(int(m.Topo.PkgOf[c]), t+1)
+	feed := m.metricFeedW(c)
+	crossing := m.p6stat[c] != 0 // the staged crossing tick t
+	if !crossing {
+		m.execPiece(c, t, throttled)
+	}
+	if m.govPeriod > 0 && m.wheel.GovDue(t, c) {
+		// A governor evaluation at t is a provable no-op (the planner's
+		// walks and re-checks): replay its window restart, which
+		// addBusy leaves to phase 8b for a quantum's last tick. Right
+		// after a slice expiry's re-dispatch it reads no instantaneous
+		// power, and the thermal governor then holds the P-state
+		// whenever the CPU has a budget, so the walks' prediction at
+		// the rate power still covers it.
+		m.Sched.Util[c].ReplayObserve(t, t)
+	}
+	sliceEnds := m.dispatches[c].task.st.SliceLeft <= 0
+	m.execCommitCPU(c, t)
+	changed := m.metricFeedW(c) != feed
+	if m.qstats != nil {
+		if crossing || changed {
+			m.qstats.Interior[HorizonRate]++
+		}
+		if sliceEnds {
+			m.qstats.Interior[HorizonSlice]++
+		}
+	}
+	if !m.startPiece(c, t+1, throttled, true) && changed {
+		m.recheckFeed(c, t+1)
+	}
+}
+
+// recheckFeed re-checks, from tick from on, the window's predictions
+// that read CPU c's metric feed, now that it changed: c's thermal-
+// governor evaluations, the flip of c's scalar throttle group and the
+// hot checks of c's core. Each may end the window earlier, at the first
+// one that could act.
+func (m *Machine) recheckFeed(c int, from int64) {
+	if m.govThermal() {
+		g := m.gov.(dvfs.Thermal)
+		for t := m.wheel.NextGov(from, c); t < m.winEnd; t = m.wheel.NextGov(t+1, c) {
+			if m.govEvalCouldAct(g, c, t) {
+				m.shrinkWindow(t, HorizonGovernor)
+				break
+			}
+		}
+	}
+	if m.throttles != nil {
+		if end, ok := m.throttleFlipBound(m.throttleOf(c), from); ok {
+			m.shrinkWindow(end, HorizonThrottle)
+		}
+	}
+	if !m.Sched.Cfg.HotTaskMigration {
+		return
+	}
+	core := int(m.Topo.CoreOf[c])
+	var cs coreSum // built once, for the first CPU that needs it
+	for _, d32 := range m.Topo.CPUsOfCore(core) {
+		d := int(d32)
+		if !(m.Sched.Power[d].MaxPower > 0) || !m.hotCheckEligible(d) {
+			continue // never armed, or its check does nothing
+		}
+		if cs.q == 0 {
+			cs = m.hotCoreSumW(core)
+		}
+		for t := m.wheel.NextHot(from, d); t < m.winEnd; t = m.wheel.NextHot(t+1, d) {
+			if why, ok := m.hotCheckAt(d, t, cs); ok {
+				m.shrinkWindow(t, why)
+				break
+			}
+		}
+	}
+}
+
+// settleLivePackage integrates live package p's core nodes from the
+// package's clock to tick to (exclusive) at the current true powers of
+// its CPUs — each CPU's power over its current piece — and checks the
+// peak temperature at the end: with constant input the response is
+// monotone, and every power change in the package comes at a pop that
+// settles it first. A piece's power is set when it starts inside the
+// window (startPiece, eagerTick); the window's first pieces take theirs
+// here, when the package is first settled.
+func (m *Machine) settleLivePackage(p int, to int64) {
+	from := max(m.pkgSettledMS[p], m.qStartMS)
+	if to <= from {
+		return
+	}
+	fdt := float64(to - from)
+	first := from == m.qStartMS
+	cores := m.Cfg.Layout.Cores()
+	for core := p * cores; core < (p+1)*cores; core++ {
+		sum := 0.0
+		for _, c32 := range m.Topo.CPUsOfCore(core) {
+			c := int(c32)
+			if first && m.clockOf(c) == m.qStartMS {
+				m.truePower[c] = m.truePowerW(c)
+			}
+			sum += m.truePower[c]
+		}
+		m.corePower[core] = sum
+	}
+	for core := p * cores; core < (p+1)*cores; core++ {
+		n := m.nodes[core]
+		n.StepDecay(m.coupledEffPower(m.corePower, core), m.thermDecayFor(core, fdt))
+		if n.TempC > m.peakTempC {
+			m.peakTempC = n.TempC
+		}
+	}
+	m.pkgSettledMS[p] = to
+}
+
+// thermDecayFor returns core's node retention over fdt milliseconds,
+// through the machine-wide cache when every node shares one time
+// constant and the node's own cache otherwise. Both equal
+// Properties.Decay for the step, bit for bit. Serial callers only.
+func (m *Machine) thermDecayFor(core int, fdt float64) float64 {
+	if !m.decayShared {
+		return m.nodes[core].DecayFor(fdt)
+	}
+	if fdt != m.lastDecayDT {
+		m.lastDecayDT = fdt
+		m.lastDecay = m.nodes[0].Props.Decay(fdt)
+	}
+	return m.lastDecay
+}

@@ -103,17 +103,31 @@ func NewNode(p Properties) *Node {
 // planned quanta integrate constant-power intervals exactly, not
 // approximately.
 func (n *Node) Step(power, dtMS float64) {
-	steady := n.Props.SteadyTemp(power)
-	n.TempC = steady + (n.TempC-steady)*n.decayFor(dtMS)
+	n.StepDecay(power, n.DecayFor(dtMS))
 }
 
-// decayFor returns e^(−dt/RC), cached for repeated dt.
-func (n *Node) decayFor(dtMS float64) float64 {
+// StepDecay is Step with the step's retention e^(−dt/RC) supplied by
+// the caller (Properties.Decay of the step length), so nodes that share
+// a time constant can share one exponential per step length.
+func (n *Node) StepDecay(power, decay float64) {
+	steady := n.Props.SteadyTemp(power)
+	n.TempC = steady + (n.TempC-steady)*decay
+}
+
+// DecayFor returns the node's retention e^(−dt/RC) over dtMS
+// milliseconds, cached for repeated dt.
+func (n *Node) DecayFor(dtMS float64) float64 {
 	if dtMS != n.lastDT {
 		n.lastDT = dtMS
-		n.lastDecay = math.Exp(-dtMS / 1000 / n.Props.TimeConstant())
+		n.lastDecay = n.Props.Decay(dtMS)
 	}
 	return n.lastDecay
+}
+
+// Decay returns the temperature retention e^(−dt/RC) of a dtMS
+// millisecond step — the factor Step applies.
+func (p Properties) Decay(dtMS float64) float64 {
+	return math.Exp(-dtMS / 1000 / p.TimeConstant())
 }
 
 // DecayPerMS returns the node's per-millisecond temperature retention
@@ -326,7 +340,7 @@ func Calibrate(samples []float64, sampleStepS, power, ambient float64) (Calibrat
 // constant.
 func (n *Node) StepOver(power, dtMS, referenceC float64) {
 	steady := referenceC + n.Props.R*power
-	n.TempC = steady + (n.TempC-steady)*n.decayFor(dtMS)
+	n.TempC = steady + (n.TempC-steady)*n.DecayFor(dtMS)
 }
 
 // StepOverBatched advances the node by dtMS milliseconds against a
