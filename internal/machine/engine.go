@@ -193,6 +193,9 @@ func (m *Machine) step(limitMS int64) int64 {
 		if m.windows && dt > 1 {
 			dt, why = m.runWindow(throttledStep)
 		}
+		// The rest of the quantum executes: phases 6–8 read feeds
+		// afresh.
+		m.feedsCached = false
 	}
 	if m.qstats != nil {
 		m.qstats.add(dt, why)

@@ -74,3 +74,8 @@ func (m *Machine) fireDueDeadlinesMerged(endMS int64) {
 		}
 	}
 }
+
+// VerifyFeedCache makes every read of the cached feeds (feedW, from
+// the running-task scan to the window's end) recompute estRatePowerW
+// and panic when the two differ.
+func (m *Machine) VerifyFeedCache() { m.verifyFeeds = true }

@@ -423,6 +423,16 @@ type Machine struct {
 	local   localHeap
 	winEnd  int64
 	winWhy  Horizon
+	// feedW caches estRatePowerW per busy CPU while feedsCached is
+	// set: from the planner's running-task scan (startPiece) to the
+	// window's end, the stretch in which the predictions read feeds
+	// and only a piece's execution changes one. NaN marks a feed not
+	// yet read since its rates last changed (see window.go).
+	// verifyFeeds makes every cached read recompute and compare (tests
+	// only).
+	feedW       []float64
+	feedsCached bool
+	verifyFeeds bool
 	// respawnQ holds the programs of tasks that finished during the
 	// execution sweep and are configured to respawn. Placement reads
 	// runqueue power and thermal-power trackers machine-wide, so it
@@ -915,6 +925,7 @@ func New(cfg Config) (*Machine, error) {
 		if m.windows {
 			m.local.keys = make([]int64, 0, nCPU)
 		}
+		m.feedW = make([]float64, nCPU)
 	}
 	if cfg.Engine == EngineParallel {
 		m.initParallel()

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"fmt"
 	"math"
 
 	"energysched/internal/dvfs"
@@ -59,6 +60,13 @@ import (
 // re-checks them and may end the window earlier. Machines with unit
 // hotspots or §2.3 task throttling have no such re-check, and there
 // the local events end quanta too.
+//
+// The predictions read each busy CPU's feed from a per-piece cache
+// (feedW, read from the rates once per piece, on its first use; see
+// window.go). The hot checks' destination side first tries one
+// window-end pre-test per check, whose powers of the retention are
+// taken once per plan (shutThrough); only a check it leaves open pays
+// the per-tick test, whose floor factor the CPUs due on one tick share.
 //
 // Within such a quantum every substrate is exactly integrable: the
 // workload's counts are linear in executed time (and its stochastic
@@ -168,6 +176,7 @@ func (m *Machine) planQuantum(limit int64) (int64, Horizon) {
 	// the local heap instead of ending the quantum.
 	m.local.reset()
 	m.winEnd, m.winWhy = now+p.dt-1, p.why
+	m.feedsCached = true
 	for _, c32 := range m.stepCPUs() {
 		m.startPiece(int(c32), now, m.throttleScratch, false)
 	}
@@ -178,7 +187,9 @@ func (m *Machine) planQuantum(limit int64) (int64, Horizon) {
 	}
 	if hot-now < p.dt {
 		// Also on a 1 ms quantum: the floor a due check builds lets
-		// phase 8 skip the end-tick checks it rules out.
+		// phase 8 skip the end-tick checks it rules out. The walk's
+		// window-end pre-test reads the planned end.
+		m.winEnd = now + p.dt - 1
 		m.clampHotChecks(&p, now, hot)
 	}
 	if p.dt > 1 && m.throttles != nil {
@@ -369,8 +380,23 @@ func (m *Machine) hotCheckAt(c int, t int64, cs coreSum) (Horizon, bool) {
 	if !f.ok {
 		return HorizonHotSource, true
 	}
-	lo := f.floorAt(int(m.Topo.CoreOf[c]), t-m.qStartMS+1)
-	if hotDestRuledOut(lo, hotSourceCeilW(cs.s, cs.x, math.Pow(cs.q, float64(k))), m.Sched.Cfg.HotDestGapW) {
+	core, gap := int(m.Topo.CoreOf[c]), m.Sched.Cfg.HotDestGapW
+	if f.shutThrough(core, m.winEnd, cs, gap) {
+		return 0, false
+	}
+	K := t - f.start + 1 // t's place in the quantum
+	hi := cs.s
+	if cs.x > cs.s {
+		// The floor's factor is q^K, and one retention serves the
+		// machine (hotFloorFor): while the core's clocks stand at the
+		// quantum's start, k = K and the two share it.
+		qk := f.factor(K)
+		if k != K {
+			qk = math.Pow(cs.q, float64(k))
+		}
+		hi = hotSourceCeilW(cs.s, cs.x, qk)
+	}
+	if hotDestRuledOut(f.floorAt(core, K), hi, gap) {
 		return 0, false
 	}
 	return HorizonHotDest, true
@@ -448,14 +474,20 @@ func metricMayCross(s0, x, retain, threshold float64, rising bool, k int64) bool
 // destination side of the hot checks: every core's floor term sum
 // (hotFloorTermW) read once in the quantum, of which only the two
 // smallest are kept, so that the source core can be left out. The
-// floor at the quantum's k-th tick is q^k times them. Phase 8 reads it
-// too (hotDestShut).
+// floor at the quantum's k-th tick is q^k times them; the last factor
+// taken is kept, so the CPUs due on one tick share one math.Pow, and so
+// is the factor at the window's planned end (shutThrough). Phase 8
+// reads it too (hotDestShut).
 type hotDestFloor struct {
 	start   int64   // first tick of the quantum that built the bounds
 	ok      bool    // the bounds exist (see hotFloorFor)
 	q       float64 // the per-ms retention
 	lo, lo2 float64 // the smallest and second-smallest core sums
 	loCore  int     // the core lo belongs to
+	k       int64   // the tick place qk belongs to (floorAt)
+	qk      float64 // q^k
+	end     int64   // the end tick qEnd belongs to (shutThrough)
+	qEnd    float64 // q^K, K the end tick's place in the quantum
 }
 
 // floorExcl returns the smallest core bound other than core's own.
@@ -466,10 +498,39 @@ func (f *hotDestFloor) floorExcl(core int) float64 {
 	return f.lo
 }
 
+// factor returns q^k, the floor's factor at the quantum's k-th tick.
+func (f *hotDestFloor) factor(k int64) float64 {
+	if k != f.k {
+		f.k, f.qk = k, math.Pow(f.q, float64(k))
+	}
+	return f.qk
+}
+
 // floorAt bounds from below every core's thermal sum but core's own
 // after the quantum's k-th tick.
 func (f *hotDestFloor) floorAt(core int, k int64) float64 {
-	return math.Pow(f.q, float64(k)) * f.floorExcl(core)
+	return f.factor(k) * f.floorExcl(core)
+}
+
+// shutThrough is the window-end pre-test of a hot check of core, whose
+// sum is cs: it reports whether the destination side is shut at every
+// tick of the quantum through end (hotDestRuledOutThrough), so that
+// the per-tick test and its powers of q are not needed. The source
+// ceiling through end is max(s, x), or, while the core's clocks stand
+// at the quantum's start, its value at end, whose power of q is the
+// floor's factor there.
+func (f *hotDestFloor) shutThrough(core int, end int64, cs coreSum, gap float64) bool {
+	if !(cs.s >= 0 && cs.x >= 0) {
+		return false // a ceiling bounds the sum's magnitude only when both are
+	}
+	if end != f.end {
+		f.end, f.qEnd = end, math.Pow(f.q, float64(end-f.start+1))
+	}
+	hi := max(cs.s, cs.x)
+	if cs.x > cs.s && cs.ref == f.start-1 {
+		hi = hotSourceCeilW(cs.s, cs.x, f.qEnd)
+	}
+	return hotDestRuledOutThrough(f.qEnd, f.floorExcl(core), hi, gap)
 }
 
 // hotFloorFor returns the destination bounds for the machine-wide
@@ -489,6 +550,7 @@ func (m *Machine) hotFloorFor(q float64) *hotDestFloor {
 		return f
 	}
 	f.start, f.q = m.qStartMS, q
+	f.k, f.qk, f.end = 0, 1, f.start-1 // q^0; no end factor yet
 	f.ok = m.thermWShared && m.estimatesNonNegative()
 	if !f.ok {
 		return f
@@ -607,6 +669,27 @@ func hotDestRuledOut(lo, hi, gap float64) bool {
 	return lo-(hi-gap) > crossSlackRel*math.Max(math.Abs(lo), math.Abs(hi))
 }
 
+// hotDestRuledOutThrough reports whether hotDestRuledOut holds at every
+// tick of a run whose last tick's floor factor is qEnd, lo being the
+// other cores' floor sum (floorExcl) and hi a non-negative bound on the
+// source ceiling's magnitude at every tick. A power of q only falls as
+// its exponent grows, so at an earlier tick the floor qk·lo is at least
+// qEnd·lo; floating-point rounding is monotone, so the gap test's left
+// side there is at least its value here. Its right side, the slack,
+// grows with the floor, and is taken at the largest floor, lo itself.
+// A negative lo reports false: the floor's premise is non-negative
+// metrics.
+func hotDestRuledOutThrough(qEnd, lo, hi, gap float64) bool {
+	if !(lo >= 0) {
+		return false
+	}
+	loEnd := qEnd * lo
+	if math.IsInf(loEnd, 1) {
+		return true // no other core, at every tick: qk ≥ qEnd > 0
+	}
+	return loEnd-(hi-gap) > crossSlackRel*max(lo, hi)
+}
+
 // anyThrottleEngaged reports whether any throttle (scalar or unit) is
 // currently engaged.
 func (m *Machine) anyThrottleEngaged() bool {
@@ -638,15 +721,25 @@ func (m *Machine) metricFeedW(c int) float64 {
 // (the (V/V_max)² share of the f·V² law; counts already shrank by
 // f/f_max through the speed). 0 when the CPU is halted or idle. Shared
 // by the thermal-power metric feed and the governors' fast InstPowerW
-// signal, which must stay the same quantity.
+// signal, which must stay the same quantity. From the running-task
+// scan to the window's end it goes through the per-piece cache (feedW,
+// NaN while unread).
 func (m *Machine) estRatePowerW(c int) float64 {
-	speed := m.execSpeed[c]
-	if speed <= 0 {
+	if m.execSpeed[c] <= 0 {
 		return 0
 	}
-	x := m.Est.RateWatts(m.dispatches[c].task.work.EffectiveRates()) * speed
-	if m.dvfsOn {
-		x *= m.powScale[c]
+	if !m.feedsCached {
+		_, x := m.ratePowersW(c)
+		return x
+	}
+	x := m.feedW[c]
+	if math.IsNaN(x) {
+		_, x = m.ratePowersW(c)
+		m.feedW[c] = x
+	} else if m.verifyFeeds {
+		if _, fresh := m.ratePowersW(c); fresh != x {
+			panic(fmt.Sprintf("machine: CPU %d's cached feed %v at tick %d, recomputed %v", c, x, m.nowMS, fresh))
+		}
 	}
 	return x
 }
@@ -737,7 +830,8 @@ func (m *Machine) clampUnitCrossings(dt int64) int64 {
 	for core := range m.nodes {
 		sum := 0.0
 		for t := 0; t < threads; t++ {
-			sum += m.truePowerW(int(layout.CPUOfCore(core, t)))
+			p, _ := m.ratePowersW(int(layout.CPUOfCore(core, t)))
+			sum += p
 		}
 		raw[core] = sum
 	}

@@ -521,3 +521,69 @@ func TestHotDestFloorBruteForce(t *testing.T) {
 		t.Fatalf("vacuous draw: %d gaps ruled out, %d open, %d parked CPUs above idle, %d ticks past a crossing", ruled, open, parkedHot, restarted)
 	}
 }
+
+// The window-end pre-test (shutThrough) may rule a hot check out only
+// if the per-tick test hotCheckAt falls back to — the floor q^K times
+// the other cores' sum against the source ceiling at k = t − ref —
+// rules it out at every tick from the quantum's start through the end
+// tick. Brute force over retentions, clocks (the quantum's start, or a
+// window's later piece), sums and gaps drawn around the pre-test's own
+// margin; the memoized factors must also equal fresh powers bit for
+// bit.
+func TestHotDestPreTestBruteForce(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	var ruled, open, endCeil int
+	for trial := 0; trial < 3000; trial++ {
+		weight := math.Pow(10, -4+3*r.Float64())
+		stdMS := []float64{1, 10, 100}[r.Intn(3)]
+		q := profile.NewCPUPower(40, weight, stdMS, 0).RetentionPerMS()
+		start := int64(r.Intn(1000))
+		end := start + int64(r.Intn(200))
+		ref := start - 1
+		if r.Intn(2) == 0 {
+			ref += int64(r.Intn(int(end-start) + 1))
+		}
+		s, x, lo := 80*r.Float64(), 80*r.Float64(), 100*r.Float64()
+		if r.Intn(20) == 0 {
+			lo = math.Inf(1) // no other core
+		}
+		f := hotDestFloor{start: start, ok: true, q: q, lo: lo, lo2: lo, loCore: 0, end: start - 1, qk: 1}
+		cs := coreSum{ref: ref, s: s, x: x, q: q}
+
+		qEnd := math.Pow(q, float64(end-start+1))
+		hi := max(s, x)
+		if x > s && ref == start-1 {
+			hi = hotSourceCeilW(s, x, qEnd)
+			endCeil++
+		}
+		margin := hi - qEnd*lo
+		gap := margin + []float64{-1, -1e-6, -1e-9, 0, 1e-9, 1e-7, 1e-6, 1, 10*r.Float64() - 5}[r.Intn(9)]
+		if math.IsInf(lo, 1) {
+			gap = 12
+		}
+		if !f.shutThrough(1, end, cs, gap) {
+			open++
+			continue
+		}
+		ruled++
+		if f.qEnd != qEnd {
+			t.Fatalf("trial %d: end factor %v, want math.Pow's %v", trial, f.qEnd, qEnd)
+		}
+		for tick := start; tick <= end; tick++ {
+			K := tick - start + 1
+			lk := math.Pow(q, float64(K)) * lo
+			if got := f.floorAt(1, K); got != lk && !(math.IsNaN(got) && math.IsNaN(lk)) {
+				t.Fatalf("trial %d: floor %v at tick %d, want %v", trial, got, tick, lk)
+			}
+			hk := hotSourceCeilW(s, x, math.Pow(q, float64(tick-ref)))
+			if !hotDestRuledOut(lk, hk, gap) {
+				t.Fatalf("trial %d: pre-test ruled the check out through tick %d, but the per-tick test leaves it open at %d (q %v, s %v, x %v, floor sum %v, gap %v, ref %d)",
+					trial, end, tick, q, s, x, lo, gap, ref)
+			}
+		}
+	}
+	t.Logf("%d checks ruled out, %d open, %d at the end tick's ceiling", ruled, open, endCeil)
+	if ruled == 0 || open == 0 || endCeil == 0 {
+		t.Fatalf("vacuous draw: %d ruled out, %d open, %d at the end tick's ceiling", ruled, open, endCeil)
+	}
+}

@@ -50,6 +50,17 @@ import (
 // throttling step quanta that end at every local event (the windows
 // flag is off), which is exactly the planner's older quantum.
 //
+// The feeds themselves are cached per piece (feedW): from the planner's
+// running-task scan to the window's end, only a piece's execution
+// changes a busy CPU's event rates (its speed, P-state and the
+// estimator weights hold through the quantum). The scan marks each busy
+// CPU's feed unread (NaN), so a plan pays nothing for feeds no
+// prediction reads; the first read, or the package's first settle,
+// fills it. A pop reads the rates once after its commit, for the next
+// piece's true power and feed, and a crossing tick run ahead marks the
+// feed unread again, as its rates changed. At the window's end the
+// cache is dropped (feedsCached), so phases 6–8 read the rates afresh.
+//
 // At the window's end the execution and thermal phases of step settle
 // every busy CPU and live package from its own clock to the end tick
 // and commit the end tick's events in CPU order, as before.
@@ -125,19 +136,23 @@ func (m *Machine) clockOf(c int) int64 {
 	return m.qStartMS
 }
 
-// truePowerW is CPU c's true power while its current rates and speed
-// hold: the running task's execution power, or the idle share when the
-// CPU is halted or idle.
-func (m *Machine) truePowerW(c int) float64 {
+// ratePowersW returns CPU c's true power and its estimated power
+// (estRatePowerW) while its current rates and speed hold, from one read
+// of the running task's event rates: its execution power through the
+// true model and through the estimator weights, or the idle share and 0
+// when the CPU is halted or idle.
+func (m *Machine) ratePowersW(c int) (trueW, estW float64) {
 	speed := m.execSpeed[c]
 	if speed <= 0 {
-		return m.idleShareW
+		return m.idleShareW, 0
 	}
-	p := m.Model.ExecPower(m.dispatches[c].task.work.EffectiveRates()) * speed
+	r := m.dispatches[c].task.work.EffectiveRates()
+	trueW, estW = m.Model.ExecPower(r)*speed, m.Est.RateWatts(r)*speed
 	if m.dvfsOn {
-		p *= m.powScale[c]
+		trueW *= m.powScale[c]
+		estW *= m.powScale[c]
 	}
-	return p
+	return trueW, estW
 }
 
 // nominalPState is the ladder's top index under DVFS, 0 without.
@@ -167,15 +182,19 @@ func (m *Machine) govThermal() bool {
 // boundary: the execution phase runs it. Without windows the local
 // boundaries end the quantum too, the crossing tick as a quantum of its
 // own. interior is false while the planner starts the window's first
-// pieces, whose predictions its own walks make afterwards. It reports
-// whether it ran eagerTick.
+// pieces, whose predictions its own walks make afterwards; a first
+// piece's feed is marked unread here, a later one's true power and feed
+// come from popLocal. It reports whether it ran eagerTick.
 func (m *Machine) startPiece(c int, t int64, throttled []bool, interior bool) bool {
-	if interior {
-		m.truePower[c] = m.truePowerW(c) // first pieces: see settleLivePackage
-	}
 	rq := m.Sched.RQs[c]
 	cur, speed := rq.Current, m.execSpeed[c]
-	if t >= m.winEnd || cur == nil || speed <= 0 {
+	if cur == nil || speed <= 0 {
+		return false
+	}
+	if !interior {
+		m.feedW[c] = math.NaN()
+	}
+	if t >= m.winEnd {
 		return false
 	}
 	slice := t + ticksOf(cur.SliceLeft) - 1
@@ -220,13 +239,16 @@ func ticksOf(v float64) int64 { return max(ceilToInt64(v), 1) }
 // eagerTick executes tick t, in which CPU c's event rates change, as a
 // piece of its own and stages its commit for the tick's pop (or the
 // execution phase, when t ends the window). Its sample and the rates
-// after it are now known, so the predictions that read c's feed are
-// re-checked from t on.
+// after it are now known: the cached feed is marked unread, to be read
+// at the new rates (the tick's own power stays c's true power until the
+// tick's pop), and the predictions that read c's feed are re-checked
+// from t on.
 func (m *Machine) eagerTick(c int, t int64, throttled []bool, interior bool) {
 	saved := m.nowMS
 	m.nowMS = t
 	m.execPiece(c, t, throttled)
 	m.nowMS = saved
+	m.feedW[c] = math.NaN()
 	if st := m.p6stat[c]; st == p6Finish || st == p6Block {
 		m.shrinkWindow(t, HorizonStop)
 	}
@@ -268,15 +290,15 @@ func (m *Machine) runWindow(throttled []bool) (int64, Horizon) {
 }
 
 // popLocal settles CPU c through its local boundary t, commits the
-// boundary's event at t and starts c's next piece. Rates that change
-// exactly at the boundary (a phase or noise epoch ending with the
-// piece) change the feed without a crossing tick, and are re-checked
-// here.
+// boundary's event at t and starts c's next piece, whose true power and
+// feed it reads from the rates once. Rates that change exactly at the
+// boundary (a phase or noise epoch ending with the piece) change the
+// feed without a crossing tick, and are re-checked here.
 func (m *Machine) popLocal(t int64, c int, throttled []bool) {
 	m.nowMS = t
 	m.wheel.SetNow(t)
 	m.settleLivePackage(int(m.Topo.PkgOf[c]), t+1)
-	feed := m.metricFeedW(c)
+	feed := m.metricFeedW(c)     // the cached feed of the piece ending at t
 	crossing := m.p6stat[c] != 0 // the staged crossing tick t
 	if !crossing {
 		m.execPiece(c, t, throttled)
@@ -293,6 +315,7 @@ func (m *Machine) popLocal(t int64, c int, throttled []bool) {
 	}
 	sliceEnds := m.dispatches[c].task.st.SliceLeft <= 0
 	m.execCommitCPU(c, t)
+	m.truePower[c], m.feedW[c] = m.ratePowersW(c)
 	changed := m.metricFeedW(c) != feed
 	if m.qstats != nil {
 		if crossing || changed {
@@ -355,8 +378,9 @@ func (m *Machine) recheckFeed(c int, from int64) {
 // peak temperature at the end: with constant input the response is
 // monotone, and every power change in the package comes at a pop that
 // settles it first. A piece's power is set when it starts inside the
-// window (startPiece, eagerTick); the window's first pieces take theirs
-// here, when the package is first settled.
+// window (popLocal) or runs ahead (eagerTick); the window's first
+// pieces take theirs here, when the package is first settled, with the
+// feed from the same read of the rates if no prediction read it yet.
 func (m *Machine) settleLivePackage(p int, to int64) {
 	from := max(m.pkgSettledMS[p], m.qStartMS)
 	if to <= from {
@@ -370,7 +394,11 @@ func (m *Machine) settleLivePackage(p int, to int64) {
 		for _, c32 := range m.Topo.CPUsOfCore(core) {
 			c := int(c32)
 			if first && m.clockOf(c) == m.qStartMS {
-				m.truePower[c] = m.truePowerW(c)
+				tw, ew := m.ratePowersW(c)
+				m.truePower[c] = tw
+				if math.IsNaN(m.feedW[c]) {
+					m.feedW[c] = ew
+				}
 			}
 			sum += m.truePower[c]
 		}

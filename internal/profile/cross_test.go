@@ -107,6 +107,25 @@ func TestRetentionPerMS(t *testing.T) {
 	}
 }
 
+// RetentionPerMS equals 1 − ThermalWeightFor(1) bit for bit, and
+// reading it leaves the weight memo alone: the weight of the period
+// last asked for is served from the memo afterwards.
+func TestRetentionPerMSKeepsWeightMemo(t *testing.T) {
+	for _, tc := range []struct{ weight, updateMS float64 }{
+		{0.0001, 1}, {0.0037, 1}, {0.05, 10}, {0.5, 100},
+	} {
+		c := NewCPUPower(40, tc.weight, tc.updateMS, 13.6)
+		w7 := c.ThermalWeightFor(7)
+		retain := c.RetentionPerMS()
+		if c.thermal.lastPeriod != 7 || c.thermal.lastW != w7 {
+			t.Errorf("weight %v: RetentionPerMS moved the memo to period %v", tc.weight, c.thermal.lastPeriod)
+		}
+		if want := 1 - c.ThermalWeightFor(1); retain != want {
+			t.Errorf("weight %v: RetentionPerMS %v, want 1 − WeightFor(1) = %v", tc.weight, retain, want)
+		}
+	}
+}
+
 func pow(b float64, n int) float64 {
 	v := 1.0
 	for i := 0; i < n; i++ {

@@ -77,9 +77,14 @@ func (a *ExpAvg) WeightFor(periodMS float64) float64 {
 	}
 	if periodMS != a.lastPeriod {
 		a.lastPeriod = periodMS
-		a.lastW = 1 - math.Pow(1-a.StdWeight, periodMS/a.StdPeriod)
+		a.lastW = a.weight(periodMS)
 	}
 	return a.lastW
+}
+
+// weight is WeightFor's computation, without the memo.
+func (a *ExpAvg) weight(periodMS float64) float64 {
+	return 1 - math.Pow(1-a.StdWeight, periodMS/a.StdPeriod)
 }
 
 // Update folds in a sample observed over periodMS milliseconds.
@@ -175,6 +180,10 @@ type CPUPower struct {
 	// MaxPower is the CPU's maximum sustainable power in W (§4.3).
 	MaxPower float64
 	thermal  ExpAvg
+	// retain is RetentionPerMS, computed once: the planner reads it for
+	// every prediction, and taking it through WeightFor(1) would evict
+	// the memo the execution sweep's weights hit.
+	retain float64
 }
 
 // NewCPUPower creates the tracker. updateMS is the interval between
@@ -184,6 +193,7 @@ type CPUPower struct {
 func NewCPUPower(maxPower, thermalWeight, updateMS, initialW float64) *CPUPower {
 	c := &CPUPower{MaxPower: maxPower, thermal: *NewExpAvg(thermalWeight, updateMS)}
 	c.thermal.Seed(initialW)
+	c.retain = 1 - c.thermal.weight(1)
 	return c
 }
 
@@ -223,8 +233,9 @@ func (c *CPUPower) AddEnergyWeighted(energyJ, periodMS, w float64) {
 //
 // The quantum planner uses this geometric form to predict, in closed
 // form, the millisecond at which the metric will cross a throttle
-// threshold.
-func (c *CPUPower) RetentionPerMS() float64 { return 1 - c.thermal.WeightFor(1) }
+// threshold. It equals 1 − ThermalWeightFor(1) bit for bit, computed
+// at construction, and leaves the weight memo alone.
+func (c *CPUPower) RetentionPerMS() float64 { return c.retain }
 
 // CrossSteps returns the smallest n ≥ 1 such that the geometric
 // relaxation v_n = target + (v0 − target)·retain^n crosses threshold:
