@@ -7,13 +7,16 @@
 //
 // Usage:
 //
-//	estrace [-scenario hottask|mixed|cmp|dvfs|faults] [-engine async|lockstep|parallel]
+//	estrace [-scenario NAME] [-engine async|lockstep|parallel]
 //	        [-governor performance|ondemand|thermal]
 //	        [-duration 60s] [-seed N] [-format csv|jsonl]
 //
-// The scenario definitions are the shared catalog in internal/scenario
-// — the same "hottask" here, in esfarmd, and in a JSON spec file is the
-// same machine.
+// -scenario takes any name of the shared catalog in internal/scenario
+// (hottask, mixed, cmp, dvfs, faults, engines/..., large/...; an
+// unknown name lists them all) — the same "hottask" here, in esfarmd,
+// and in a JSON spec file is the same machine. -governor replaces the
+// governor of a DVFS scenario; without it each scenario runs its own
+// (dvfs: performance, engines/dvfs-thermal: thermal).
 package main
 
 import (
@@ -30,7 +33,7 @@ import (
 )
 
 func main() {
-	name := flag.String("scenario", "hottask", "scenario: hottask, mixed, cmp, dvfs, or faults")
+	name := flag.String("scenario", "hottask", "catalog scenario name (hottask, mixed, cmp, dvfs, faults, engines/..., large/...)")
 	duration := flag.Duration("duration", 60*time.Second, "simulated duration")
 	seed := flag.Uint64("seed", 7, "random seed")
 	format := flag.String("format", "csv", "output format: csv or jsonl")
@@ -40,8 +43,8 @@ func main() {
 		engine, err = machine.ParseEngine(s)
 		return err
 	})
-	governor := "ondemand"
-	flag.Func("governor", "DVFS governor for the dvfs scenario: "+strings.Join(dvfs.GovernorNames(), ", ")+" (default ondemand)",
+	governor := "" // the scenario's own
+	flag.Func("governor", "DVFS governor replacing a DVFS scenario's own: "+strings.Join(dvfs.GovernorNames(), ", "),
 		func(s string) (err error) {
 			governor, err = dvfs.ParseGovernor(s)
 			return err
@@ -75,15 +78,15 @@ func main() {
 
 // build assembles the requested catalog scenario with tracing attached,
 // running on the requested simulation engine (the engines produce
-// identical traces; see machine.TestEngineEquivalence). governor only
-// affects the dvfs scenario.
+// identical traces; see machine.TestEngineEquivalence). A non-empty
+// governor replaces a DVFS scenario's own; other scenarios ignore it.
 func build(name string, seed uint64, rec *trace.Recorder, engine machine.Engine, governor string) (*machine.Machine, error) {
 	spec, err := scenario.Named(name)
 	if err != nil {
 		return nil, err
 	}
 	spec.Seed = seed
-	if spec.DVFS != nil {
+	if spec.DVFS != nil && governor != "" {
 		spec.DVFS.Governor = governor
 	}
 	return spec.Build(engine, rec)

@@ -5,6 +5,7 @@ import (
 
 	"energysched/internal/sched"
 	"energysched/internal/topology"
+	"energysched/internal/units"
 )
 
 // The async discrete-event engine.
@@ -283,9 +284,9 @@ func (m *Machine) settleCPUMetricTo(d int, to int64) {
 // settlePackageThermal integrates a parked package's thermal state over
 // [pkgSettledMS, to): each core one closed-form RC step at the constant
 // idle effective power, each unit hotspot one StepOverBatched against
-// the core's geometric relaxation (zero unit power while idle), and the
-// unit throttles' tick accounting. The package stays parked; only its
-// clock advances.
+// the core's geometric relaxation (parked CPUs hold zero unit power),
+// and the unit throttles' tick accounting. The package stays parked;
+// only its clock advances.
 func (m *Machine) settlePackageThermal(p int, to int64) {
 	gap := to - m.pkgSettledMS[p]
 	if gap <= 0 {
@@ -295,16 +296,10 @@ func (m *Machine) settlePackageThermal(p int, to int64) {
 	fg := float64(gap)
 	for core := p * cores; core < (p+1)*cores; core++ {
 		node := m.nodes[core]
+		start := node.TempC
+		node.StepDecay(m.idleEffW, m.thermDecayFor(core, fg))
 		if m.unitNodes != nil {
-			start := node.TempC
-			steady := node.Props.SteadyTemp(m.idleEffW)
-			decay := node.Props.DecayPerMS()
-			node.Step(m.idleEffW, fg)
-			for _, n := range m.unitNodes[core] {
-				n.StepOverBatched(0, gap, start, steady, decay)
-			}
-		} else {
-			node.StepDecay(m.idleEffW, m.thermDecayFor(core, fg))
+			m.stepUnits(core, gap, start, m.idleEffW)
 		}
 		// Constant power over the gap makes the RC response monotone,
 		// so the endpoint captures the gap's extremum (the start was
@@ -410,6 +405,9 @@ func (m *Machine) parkIdleCPUs() {
 			m.nParked++
 			newParked = true
 			m.truePower[c] = m.idleShareW
+			if m.unitPowerW != nil {
+				m.unitPowerW[c] = units.Energies{}
+			}
 			m.execSpeed[c] = 0
 			if m.metricsDeferred() {
 				// No scalar throttle reads the metric: it defers and the

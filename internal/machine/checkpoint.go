@@ -28,8 +28,10 @@ package machine
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"fmt"
+	"hash/crc32"
 	"sort"
 
 	"energysched/internal/counters"
@@ -53,8 +55,10 @@ import (
 // engine. Version 3 dropped the per-step phase markers (always at their
 // reset values between Run calls) and the Config fields that became
 // constants. Version 4 dropped the async engine's dormant-throttle
-// flags and throttle settle times.
-const CheckpointVersion = 4
+// flags and throttle settle times. Version 5 follows the gob image
+// with a CRC-32 trailer (Checkpoint) and drops the carried quantum cap,
+// which New now derives from Config.MaxQuantumMS as configured.
+const CheckpointVersion = 5
 
 // taskSnapshot is one task's complete state: the scheduler's view
 // (timeslice, CPU, warmup, profile) and the workload's (phase machine,
@@ -157,10 +161,6 @@ type machineState struct {
 
 	EstWeights   energy.Weights
 	EstHaltPower float64
-	// MaxQuantum is the resolved quantum cap — carried explicitly
-	// because New cannot re-derive "lifted" from a Config whose
-	// MaxQuantumMS was already resolved to a concrete value.
-	MaxQuantum int64
 
 	NowMS         int64
 	StatsBaseMS   int64
@@ -229,7 +229,6 @@ func (m *Machine) captureState() *machineState {
 		Cfg:           m.Cfg,
 		EstWeights:    m.Est.Weights,
 		EstHaltPower:  m.Est.HaltPower,
-		MaxQuantum:    m.maxQuantum,
 		NowMS:         m.nowMS,
 		StatsBaseMS:   m.statsBaseMS,
 		NextID:        m.nextID,
@@ -448,7 +447,6 @@ func applyState(st *machineState, rec *trace.Recorder) (*Machine, error) {
 	if err := st.checkShape(m); err != nil {
 		return nil, err
 	}
-	m.maxQuantum = st.MaxQuantum
 	// Under fault injection New mis-calibrated a private copy of the
 	// estimator — but the serialized weights already carry every
 	// mis-calibration, drift, and recalibration applied so far.
@@ -798,7 +796,8 @@ func restoreThrottles(ths []*thermal.Throttle, snaps []throttleSnapshot) {
 }
 
 // Checkpoint serializes the machine's complete simulation state into a
-// versioned byte image. The machine must be between Run calls (the
+// versioned gob image with a checksum trailer (sealImage). The machine
+// must be between Run calls (the
 // per-step scratch state is not captured mid-step). Restore rebuilds a
 // machine that continues bit-exactly — identical trace events, metrics,
 // energies, and temperatures — on the same engine, faults included.
@@ -809,18 +808,38 @@ func (m *Machine) Checkpoint() ([]byte, error) {
 	if err := gob.NewEncoder(&buf).Encode(m.captureState()); err != nil {
 		return nil, err
 	}
-	// Images are long-lived (the farm caches them), so return an exact
-	// copy instead of the buffer, whose doubling growth can leave up to
-	// half its capacity unused.
-	return bytes.Clone(buf.Bytes()), nil
+	return sealImage(buf.Bytes()), nil
+}
+
+// checksumLen is the size of an image's trailer: the CRC-32 (IEEE) of
+// the gob bytes before it, big-endian.
+const checksumLen = 4
+
+// sealImage returns the gob image followed by its checksum trailer, in
+// an exactly sized slice: images are long-lived (the farm caches them),
+// so no spare capacity of the encoder's doubling buffer stays behind.
+func sealImage(img []byte) []byte {
+	out := make([]byte, len(img)+checksumLen)
+	copy(out, img)
+	binary.BigEndian.PutUint32(out[len(img):], crc32.ChecksumIEEE(img))
+	return out
 }
 
 // Restore rebuilds a machine from a Checkpoint image. rec becomes the
 // machine's trace recorder (nil disables tracing); it starts empty —
-// events recorded before the checkpoint are not replayed.
+// events recorded before the checkpoint are not replayed. The checksum
+// trailer is verified before anything is decoded, so a truncated or
+// corrupted image gets an error.
 func Restore(data []byte, rec *trace.Recorder) (*Machine, error) {
+	if len(data) < checksumLen {
+		return nil, fmt.Errorf("machine: checkpoint of %d bytes has no checksum", len(data))
+	}
+	img := data[:len(data)-checksumLen]
+	if got, want := crc32.ChecksumIEEE(img), binary.BigEndian.Uint32(data[len(img):]); got != want {
+		return nil, fmt.Errorf("machine: checkpoint checksum %08x, image sums to %08x", want, got)
+	}
 	var st machineState
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
+	if err := gob.NewDecoder(bytes.NewReader(img)).Decode(&st); err != nil {
 		return nil, fmt.Errorf("machine: decoding checkpoint: %w", err)
 	}
 	return applyState(&st, rec)

@@ -88,18 +88,19 @@ func TestCheckpointRoundTrip(t *testing.T) {
 // wrong — version 1 on a different engine (Engine 0 was the retired
 // batched engine), version 2 with per-step phase markers and Config
 // fields the current format no longer carries, version 3 with the
-// retired dormant-throttle state.
+// retired dormant-throttle state, version 4 without a checksum trailer
+// and with the carried quantum cap.
 func TestRestoreRejectsOldVersion(t *testing.T) {
 	m := engineScenarios()[1].build(EngineAsync, 0)
 	m.Run(1000)
-	for _, v := range []int{1, 2, 3} {
+	for _, v := range []int{1, 2, 3, 4} {
 		st := m.captureState()
 		st.Version = v
 		var buf bytes.Buffer
 		if err := gob.NewEncoder(&buf).Encode(st); err != nil {
 			t.Fatal(err)
 		}
-		got, err := Restore(buf.Bytes(), nil)
+		got, err := Restore(sealImage(buf.Bytes()), nil)
 		if err == nil {
 			t.Fatalf("restored a version-%d image onto engine %v", v, got.Cfg.Engine)
 		}
@@ -284,7 +285,7 @@ func TestRestoreRejectsMalformedImages(t *testing.T) {
 				t.Fatal(err)
 			}
 			var st machineState
-			if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
+			if err := gob.NewDecoder(bytes.NewReader(data[:len(data)-checksumLen])).Decode(&st); err != nil {
 				t.Fatal(err)
 			}
 			tc.mutate(&st)
@@ -292,11 +293,38 @@ func TestRestoreRejectsMalformedImages(t *testing.T) {
 			if err := gob.NewEncoder(&buf).Encode(&st); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := Restore(buf.Bytes(), nil); err == nil {
+			if _, err := Restore(sealImage(buf.Bytes()), nil); err == nil {
 				t.Fatal("malformed image restored without an error")
 			} else {
 				t.Log(err)
 			}
 		})
+	}
+
+	// Bytes damaged after the fact: any single flipped bit, in the gob
+	// image or in its checksum trailer, and a truncated image.
+	m := byName["dvfs-unit-thermal"].build(EngineAsync, 0)
+	m.Run(2000)
+	data, err := m.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Restore(data, nil); err != nil {
+		t.Fatalf("intact image: %v", err)
+	}
+	n := len(data)
+	for _, off := range []int{0, 1, n / 7, n / 3, n / 2, n - checksumLen - 1, n - checksumLen, n - 1} {
+		for _, bit := range []uint{0, 3, 7} {
+			bad := bytes.Clone(data)
+			bad[off] ^= 1 << bit
+			if _, err := Restore(bad, nil); err == nil {
+				t.Errorf("image with bit %d of byte %d of %d flipped restored without an error", bit, off, n)
+			}
+		}
+	}
+	for _, cut := range []int{0, 1, checksumLen, n / 2, n - 1} {
+		if _, err := Restore(data[:cut], nil); err == nil {
+			t.Errorf("image cut to %d of %d bytes restored without an error", cut, n)
+		}
 	}
 }

@@ -151,8 +151,9 @@ func TestNoQueueSkipsBalancePasses(t *testing.T) {
 	}
 }
 
-// The quantum cap is lifted only on throttle-less machines that did not
-// pin MaxQuantumMS explicitly.
+// The quantum is uncapped unless the config pins MaxQuantumMS, on
+// throttled machines too: every throttle horizon is predicted in closed
+// form and re-checked inside windows, so a cap protects nothing.
 func TestQuantumCapLift(t *testing.T) {
 	base := Config{
 		Layout: topology.XSeries445NoSMT(),
@@ -170,8 +171,12 @@ func TestQuantumCapLift(t *testing.T) {
 	throttled := base
 	throttled.ThrottleEnabled = true
 	throttled.Scope = ThrottlePerLogical
-	if m := MustNew(throttled); m.maxQuantum != DefaultMaxQuantumMS {
-		t.Errorf("throttled machine lifted the cap: %d", m.maxQuantum)
+	if m := MustNew(throttled); m.maxQuantum != unboundedQuantumMS {
+		t.Errorf("throttled machine kept cap %d", m.maxQuantum)
+	}
+	throttled.MaxQuantumMS = -1
+	if _, err := New(throttled); err == nil {
+		t.Error("negative MaxQuantumMS accepted")
 	}
 }
 

@@ -190,7 +190,7 @@ func (m *Machine) step(limitMS int64) int64 {
 	dt, why := limitMS, HorizonLimit
 	if dt > 1 {
 		dt, why = m.planQuantum(dt)
-		if m.windows && dt > 1 {
+		if dt > 1 {
 			dt, why = m.runWindow(throttledStep)
 		}
 		// The rest of the quantum executes: phases 6–8 read feeds
@@ -639,15 +639,13 @@ func (m *Machine) execComputeOn(cpus []int32, tickRes *workload.TickResult, thro
 // computes nothing. The sample weight of a shorter piece comes from
 // the CPU's tracker, the same value thermWeightFor caches.
 func (m *Machine) execCloseCPU(c int, tickRes *workload.TickResult, throttledStep []bool, dt int64, fdt, quantW float64, nominal int) {
-	if m.windows {
-		if from := m.cpuSettledMS[c]; from > m.qStartMS {
-			dt = m.nowMS + 1 - from
-			if dt <= 0 {
-				return
-			}
-			fdt = float64(dt)
-			quantW = m.Sched.Power[c].ThermalWeightFor(fdt)
+	if from := m.clockOf(c); from > m.qStartMS {
+		dt = m.nowMS + 1 - from
+		if dt <= 0 {
+			return
 		}
+		fdt = float64(dt)
+		quantW = m.Sched.Power[c].ThermalWeightFor(fdt)
 	}
 	m.execComputeCPU(c, tickRes, throttledStep, dt, fdt, quantW, nominal)
 }
@@ -668,6 +666,9 @@ func (m *Machine) execComputeCPU(c int, tickRes *workload.TickResult, throttledS
 			// Idle or halted: sleep power only (hlt power does not
 			// depend on the P-state).
 			m.truePower[c] = m.idleShareW
+			if m.unitPowerW != nil {
+				m.unitPowerW[c] = units.Energies{}
+			}
 			m.p6true[c] = m.idleShareW * fdt / 1000
 			m.p6stat[c] = p6Idle
 			m.Sched.Power[c].AddEnergyWeighted(m.estIdleJ*fdt, fdt, quantW)
@@ -717,12 +718,12 @@ func (m *Machine) execComputeCPU(c int, tickRes *workload.TickResult, throttledS
 		trueJ := m.Model.EnergyJExact(tickRes.Exact, 0) * ps
 		m.truePower[c] = trueJ * 1000 / fdt
 		m.p6true[c] = trueJ
-		if m.unitPower != nil {
+		if m.unitPowerW != nil {
 			ue := units.SplitExact(m.Model.Weights, tickRes.Exact)
-			core := int(m.Topo.CoreOf[c])
 			for u := range ue {
-				m.unitPower[core][u] += ue[u] * ps * 1000 / fdt
+				ue[u] = ue[u] * ps * 1000 / fdt
 			}
+			m.unitPowerW[c] = ue
 		}
 		estJ := m.Est.EnergyJExact(tickRes.Exact, 0) * ps
 		// Within a quantum the event rates are constant, so the sign of
@@ -805,8 +806,8 @@ func (m *Machine) execCommitCPU(c int, endMS int64) {
 // coupled effective power sums its chip neighbours' raw powers, and a
 // package never spans shards — so per-shard execution is exact. A
 // package that local events settled inside the quantum (window.go)
-// integrates from its own clock; the others take decay, the shared
-// retention over fdt (0: each node's own).
+// integrates its cores and unit hotspots from its own clock; the others
+// take decay, the shared retention over fdt (0: each node's own).
 func (m *Machine) thermalOn(cores []int32, dt int64, fdt, decay float64) float64 {
 	perPkg := m.Cfg.Layout.Cores()
 	for _, core32 := range cores {
@@ -816,15 +817,16 @@ func (m *Machine) thermalOn(cores []int32, dt int64, fdt, decay float64) float64
 			sum += m.truePower[int(c)]
 		}
 		m.corePower[core] = sum
-		m.coreStartTemp[core] = m.nodes[core].TempC
 	}
 	peak := math.Inf(-1)
 	for _, core32 := range cores {
 		core := int(core32)
 		eff := m.coupledEffPower(m.corePower, core)
-		m.coreEff[core] = eff
-		if m.windows && m.pkgSettledMS[core/perPkg] > m.qStartMS {
-			m.nodes[core].Step(eff, float64(m.nowMS+1-m.pkgSettledMS[core/perPkg]))
+		start := m.nodes[core].TempC
+		n := dt // the ticks left to integrate
+		if from := m.pkgClockOf(core / perPkg); from > m.qStartMS {
+			n = m.nowMS + 1 - from
+			m.nodes[core].Step(eff, float64(n))
 		} else if decay > 0 {
 			m.nodes[core].StepDecay(eff, decay)
 		} else {
@@ -835,31 +837,44 @@ func (m *Machine) thermalOn(cores []int32, dt int64, fdt, decay float64) float64
 		if m.nodes[core].TempC > peak {
 			peak = m.nodes[core].TempC
 		}
-	}
-	if m.unitNodes != nil {
-		for _, core32 := range cores {
-			core := int(core32)
-			if dt == 1 {
-				// The lockstep path: hotspots ride on the core
-				// temperature just stepped.
-				ref := m.nodes[core].TempC
-				for u, n := range m.unitNodes[core] {
-					n.StepOver(m.unitPower[core][u], 1, ref)
-					m.unitPower[core][u] = 0
-				}
-				continue
-			}
-			// Planned quantum: the closed form of dt per-ms StepOver
-			// calls against the core's geometric relaxation.
-			steady := m.nodes[core].Props.SteadyTemp(m.coreEff[core])
-			decay := m.nodes[core].Props.DecayPerMS()
-			for u, n := range m.unitNodes[core] {
-				n.StepOverBatched(m.unitPower[core][u], dt, m.coreStartTemp[core], steady, decay)
-				m.unitPower[core][u] = 0
-			}
+		if m.unitNodes == nil || n == 0 {
+			continue
 		}
+		if dt == 1 {
+			// The lockstep path: hotspots ride on the core temperature
+			// just stepped.
+			ref := m.nodes[core].TempC
+			for u, un := range m.unitNodes[core] {
+				un.StepOver(m.coreUnitW(core, u), 1, ref)
+			}
+			continue
+		}
+		m.stepUnits(core, n, start, eff)
 	}
 	return peak
+}
+
+// coreUnitW is core's unit-u true power over the current pieces of its
+// CPUs: their held per-unit powers summed in CPU order, as the lockstep
+// sweep folds them.
+func (m *Machine) coreUnitW(core, u int) float64 {
+	sum := 0.0
+	for _, c := range m.Topo.CPUsOfCore(core) {
+		sum += m.unitPowerW[int(c)][u]
+	}
+	return sum
+}
+
+// stepUnits integrates core's unit hotspots over n ms of constant power
+// (coreUnitW) in closed form against the core node relaxing from startC
+// at effective power eff: the equivalent of n per-ms StepOver calls
+// against the core's per-ms temperatures.
+func (m *Machine) stepUnits(core int, n int64, startC, eff float64) {
+	props := m.nodes[core].Props
+	steady, decay := props.SteadyTemp(eff), props.DecayPerMS()
+	for u, un := range m.unitNodes[core] {
+		un.StepOverBatched(m.coreUnitW(core, u), n, startC, steady, decay)
+	}
 }
 
 // startDispatch begins a task's occupancy of a CPU: fresh timeslice,

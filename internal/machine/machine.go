@@ -137,18 +137,6 @@ func (e Engine) String() string {
 	return fmt.Sprintf("engine(%d)", int(e))
 }
 
-// DefaultMaxQuantumMS bounds the planned quantum when no other event
-// horizon is nearer. It caps how long the engine may go without
-// re-evaluating throttle inputs against their closed-form predictions,
-// and bounds the drift window of the conservative unit-temperature
-// horizon. On machines with no throttle configured there is nothing to
-// re-evaluate — every remaining horizon (wakes, slices, rate changes,
-// deadlines, monitor samples) is exact — so the cap is lifted entirely
-// unless the config pinned MaxQuantumMS explicitly: fully-idle spans
-// integrate in a single closed-form quantum bounded only by the next
-// real event.
-const DefaultMaxQuantumMS = 64
-
 // smtSlowdown is the speed factor of a logical CPU whose sibling is
 // executing in the same tick (both threads share one core's functional
 // units), giving an SMT speedup of 1.24 for two threads.
@@ -168,8 +156,8 @@ const (
 	unitTauS = 2
 )
 
-// unboundedQuantumMS is the effective cap of a lifted-quantum machine —
-// far beyond any Run duration, so quanta are bounded by real horizons
+// unboundedQuantumMS is the effective cap when MaxQuantumMS is 0 — far
+// beyond any Run duration, so quanta are bounded by real horizons
 // alone.
 const unboundedQuantumMS = int64(1) << 40
 
@@ -181,8 +169,10 @@ type Config struct {
 	// Engine selects the simulation core; the zero value is the async
 	// engine. EngineLockstep restores the per-millisecond loop.
 	Engine Engine
-	// MaxQuantumMS caps the planned quantum; 0 selects
-	// DefaultMaxQuantumMS. Ignored by the lockstep engine.
+	// MaxQuantumMS caps the planned quantum; 0 leaves it uncapped, so
+	// quanta end only at event horizons (every throttle horizon is
+	// predicted in closed form and re-checked inside windows). Ignored
+	// by the lockstep engine.
 	MaxQuantumMS int
 	// Shards is the number of node shards EngineParallel partitions the
 	// machine into; 0 selects one shard per NUMA node. Values above the
@@ -339,7 +329,7 @@ type Machine struct {
 
 	// Planner state.
 	wheel      *sched.Wheel // deadline scheduler for staggered periodic work
-	maxQuantum int64        // resolved MaxQuantumMS (lifted when no throttle)
+	maxQuantum int64        // resolved MaxQuantumMS (unboundedQuantumMS for 0)
 	// deadlineFires counts fired deadline-phase visits per class
 	// (balance, idle-pull, hot, governor) on the event-driven engines —
 	// diagnostics for the deadline scheduler, not simulation state.
@@ -413,16 +403,14 @@ type Machine struct {
 	decayShared bool
 	lastDecayDT float64
 	lastDecay   float64
-	// Window state (see window.go). windows is set when the async
-	// engine steps windows — quanta that local events (busy CPUs' slice
-	// expiries and rate crossings) do not end — rather than falling back
-	// to quanta that end at every event. local holds the busy CPUs' next
-	// local boundaries; winEnd is the last tick of the window being
-	// stepped, as far as planned, and winWhy the horizon that set it.
-	windows bool
-	local   localHeap
-	winEnd  int64
-	winWhy  Horizon
+	// Window state (see window.go): every async quantum is a window,
+	// which local events (busy CPUs' slice expiries and rate crossings)
+	// do not end. local holds the busy CPUs' next local boundaries;
+	// winEnd is the last tick of the window being stepped, as far as
+	// planned, and winWhy the horizon that set it.
+	local  localHeap
+	winEnd int64
+	winWhy Horizon
 	// feedW caches estRatePowerW per busy CPU while feedsCached is
 	// set: from the planner's running-task scan (startPiece) to the
 	// window's end, the stretch in which the predictions read feeds
@@ -474,7 +462,15 @@ type Machine struct {
 	// §7 unit extension state (nil unless Cfg.UnitThermal).
 	unitNodes     [][]*thermal.Node   // per core × unit hotspot nodes
 	unitThrottles []*thermal.Throttle // per core, on unit temperature
-	unitPower     [][]float64         // per core × unit, this tick (W)
+	// unitPowerW is each logical CPU's per-unit true power over its
+	// current piece, held like truePower: set from the piece's counts by
+	// the execution sweep, from the rates when a window starts a piece,
+	// and zero while the CPU idles or is parked. A core's unit nodes
+	// integrate the sum over its CPUs (coreUnitW). It never needs to
+	// travel in a checkpoint: a parked CPU's zero is a fresh machine's
+	// value, and every other CPU's is set before the thermal phase or a
+	// window's package settle reads it.
+	unitPowerW []units.Energies
 
 	// DVFS state (zero unless Cfg.DVFS is set; see internal/dvfs).
 	dvfsOn     bool
@@ -500,8 +496,6 @@ type Machine struct {
 	execSpeed       []float64
 	truePower       []float64
 	corePower       []float64 // per-core raw power this step (average W)
-	coreEff         []float64 // per-core power incl. chip coupling this step
-	coreStartTemp   []float64 // per-core temperature at quantum start
 	throttleScratch []bool
 	// Execution-sweep staging: the compute half of phase 6 records each
 	// CPU's global-accumulator terms and task transition here, and
@@ -640,11 +634,7 @@ func New(cfg Config) (*Machine, error) {
 			cfg.Shards = cfg.Layout.Nodes
 		}
 	}
-	capExplicit := cfg.MaxQuantumMS != 0
-	if cfg.MaxQuantumMS == 0 {
-		cfg.MaxQuantumMS = DefaultMaxQuantumMS
-	}
-	if cfg.MaxQuantumMS < 1 {
+	if cfg.MaxQuantumMS < 0 {
 		return nil, fmt.Errorf("machine: MaxQuantumMS %d out of range", cfg.MaxQuantumMS)
 	}
 
@@ -666,8 +656,6 @@ func New(cfg Config) (*Machine, error) {
 		execSpeed:         make([]float64, nCPU),
 		truePower:         make([]float64, nCPU),
 		corePower:         make([]float64, nCore),
-		coreEff:           make([]float64, nCore),
-		coreStartTemp:     make([]float64, nCore),
 		p6stat:            make([]uint8, nCPU),
 		p6true:            make([]float64, nCPU),
 		p6err:             make([]float64, nCPU),
@@ -677,7 +665,7 @@ func New(cfg Config) (*Machine, error) {
 		idleTicks:         make([]int64, nCPU),
 		haltedTicks:       make([]int64, nCPU),
 		prevHalt:          make([]bool, nCPU),
-		maxQuantum:        int64(cfg.MaxQuantumMS),
+		maxQuantum:        unboundedQuantumMS,
 		async:             cfg.Engine != EngineLockstep,
 	}
 	m.allCPUs = make([]int32, nCPU)
@@ -688,10 +676,8 @@ func New(cfg Config) (*Machine, error) {
 	for c := range m.allCores {
 		m.allCores[c] = int32(c)
 	}
-	if !capExplicit && !cfg.ThrottleEnabled {
-		// No throttle to re-evaluate: quanta are bounded by real event
-		// horizons alone (the lockstep engine steps 1 ms regardless).
-		m.maxQuantum = unboundedQuantumMS
+	if cfg.MaxQuantumMS > 0 {
+		m.maxQuantum = int64(cfg.MaxQuantumMS)
 	}
 
 	// DVFS: resolve the ladder/governor configuration and start every
@@ -851,11 +837,10 @@ func New(cfg Config) (*Machine, error) {
 	// temperature, plus per-core unit-temperature throttles.
 	if cfg.UnitThermal {
 		m.unitNodes = make([][]*thermal.Node, nCore)
-		m.unitPower = make([][]float64, nCore)
+		m.unitPowerW = make([]units.Energies, nCPU)
 		uprops := thermal.Properties{R: unitR, C: unitTauS / unitR}
 		for c := 0; c < nCore; c++ {
 			m.unitNodes[c] = make([]*thermal.Node, units.NumUnits)
-			m.unitPower[c] = make([]float64, units.NumUnits)
 			for u := range m.unitNodes[c] {
 				n := thermal.NewNode(uprops)
 				n.TempC = m.nodes[c].TempC
@@ -918,13 +903,7 @@ func New(cfg Config) (*Machine, error) {
 	// so it shares the whole parking/settling substrate.
 	if m.async {
 		m.initAsync()
-		// Windows need a re-check for every prediction a local event can
-		// move; unit hotspots and §2.3 task throttling have none, so
-		// those machines keep quanta that end at every local event.
-		m.windows = m.unitNodes == nil && !cfg.TaskThrottling
-		if m.windows {
-			m.local.keys = make([]int64, 0, nCPU)
-		}
+		m.local.keys = make([]int64, 0, nCPU)
 		m.feedW = make([]float64, nCPU)
 	}
 	if cfg.Engine == EngineParallel {

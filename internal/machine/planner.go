@@ -48,7 +48,7 @@ import (
 //     solved in closed form and the quantum stops one millisecond
 //     short — the flip itself is then decided on a 1 ms quantum,
 //     bit-for-bit like lockstep,
-//   - MaxQuantumMS.
+//   - MaxQuantumMS, when set.
 //
 // A busy CPU's timeslice expiry that re-dispatches the same task and
 // its task's phase or noise-epoch boundaries (event rates — and with
@@ -56,10 +56,9 @@ import (
 // *window*, each busy CPU runs on its own clock through them, the
 // crossing millisecond as a one-tick piece of its own, so power stays
 // constant per piece (window.go). A rate change moves the metric feed
-// the hot-check, governor and throttle predictions read, so it
-// re-checks them and may end the window earlier. Machines with unit
-// hotspots or §2.3 task throttling have no such re-check, and there
-// the local events end quanta too.
+// the hot-check, governor and throttle predictions read, and the true
+// power the unit-temperature horizon reads, so it re-checks them and
+// may end the window earlier.
 //
 // The predictions read each busy CPU's feed from a per-piece cache
 // (feedW, read from the rates once per piece, on its first use; see
@@ -182,6 +181,15 @@ func (m *Machine) planQuantum(limit int64) (int64, Horizon) {
 	}
 	p.dt, p.why = m.winEnd-now+1, m.winWhy
 
+	// The closed-form throttle horizons, before the grid walks: those
+	// walk tick by tick, so they should cover no tick a throttle flip
+	// already rules out of the quantum.
+	if p.dt > 1 && m.throttles != nil {
+		p.clamp(m.clampThrottleCrossings(p.dt), HorizonThrottle)
+	}
+	if p.dt > 1 && m.unitThrottles != nil {
+		p.clamp(m.clampUnitCrossings(p.dt), HorizonUnit)
+	}
 	if gov-now < p.dt {
 		m.clampGovEvals(&p, now, gov)
 	}
@@ -192,12 +200,6 @@ func (m *Machine) planQuantum(limit int64) (int64, Horizon) {
 		m.winEnd = now + p.dt - 1
 		m.clampHotChecks(&p, now, hot)
 	}
-	if p.dt > 1 && m.throttles != nil {
-		p.clamp(m.clampThrottleCrossings(p.dt), HorizonThrottle)
-	}
-	if p.dt > 1 && m.unitThrottles != nil {
-		p.clamp(m.clampUnitCrossings(p.dt), HorizonUnit)
-	}
 	m.winEnd, m.winWhy = now+p.dt-1, p.why
 	return p.dt, p.why
 }
@@ -205,9 +207,9 @@ func (m *Machine) planQuantum(limit int64) (int64, Horizon) {
 // rateHorizonMS is the number of whole milliseconds a running task
 // keeps its event rates at execution speed speed, rh being its
 // RateHorizonMS in progress milliseconds. Rates change inside the
-// crossing millisecond, which the floor leaves out of the quantum: it
-// runs as a 1 ms quantum of its own, so within every longer quantum
-// each CPU feeds its metric one constant sample.
+// crossing millisecond, which the floor leaves out of the piece: it
+// runs as a one-tick piece of its own (eagerTick), so within every
+// longer piece the CPU feeds its metric one constant sample.
 func rateHorizonMS(rh, speed float64) int64 { return int64(math.Floor(rh / speed)) }
 
 // clampDeadlines bounds a quantum by the periodic deadline classes, a
@@ -809,85 +811,115 @@ func (m *Machine) throttleOf(c int) int {
 }
 
 // clampUnitCrossings bounds the quantum so that no unit-temperature
-// throttle decision can flip inside a quantum. The bound is derived
-// from the machine state rather than a fixed envelope: within the
-// quantum the core's power is exactly the current rates at the current
-// speeds, so the core reference stays between its start temperature and
-// the corresponding steady point, and a hotspot's per-millisecond move
+// throttle decision can flip inside it: each live core's unitFlipTicks
+// from the temperatures at the quantum's start, at the true powers of
+// its CPUs' first pieces — the crossing tick's own for a CPU that ran
+// it ahead (eagerTick), the current rates' otherwise. A window re-derives
+// a package's bounds wherever one of its CPUs' true power changes
+// (recheckUnits).
+func (m *Machine) clampUnitCrossings(dt int64) int64 {
+	raw := m.corePower // scratch: the thermal phase recomputes it
+	for core := range m.nodes {
+		sum := 0.0
+		for _, c32 := range m.Topo.CPUsOfCore(core) {
+			c := int(c32)
+			w := m.truePower[c]
+			if m.clockOf(c) == m.qStartMS {
+				w, _ = m.ratePowersW(c)
+			}
+			sum += w
+		}
+		raw[core] = sum
+	}
+	cores := m.Cfg.Layout.Cores()
+	for core := range m.unitThrottles {
+		if m.pkgParked[core/cores] {
+			continue // parked: unit temperatures falling below limit
+		}
+		dt = min(dt, m.unitFlipTicks(core, raw))
+	}
+	return dt
+}
+
+// recheckUnits re-derives, from tick from on, the unit-throttle horizon
+// of package p's cores once a CPU of p changed its true power at from:
+// chip coupling carries the change to every core of the package. The
+// bound starts from the package's temperatures settled through from−1
+// and the true powers its CPUs now hold. A package not settled to from
+// has no temperatures there, and the window ends at from, on the side
+// that ends it: tick from itself runs at powers the decision before it
+// already covered.
+func (m *Machine) recheckUnits(p int, from int64) {
+	if m.unitThrottles == nil || m.pkgParked[p] {
+		return
+	}
+	if m.pkgClockOf(p) != from {
+		m.shrinkWindow(from, HorizonUnit)
+		return
+	}
+	cores := m.Cfg.Layout.Cores()
+	raw := m.corePower // scratch: every settle and the thermal phase recompute it
+	for core := p * cores; core < (p+1)*cores; core++ {
+		sum := 0.0
+		for _, c := range m.Topo.CPUsOfCore(core) {
+			sum += m.truePower[int(c)]
+		}
+		raw[core] = sum
+	}
+	for core := p * cores; core < (p+1)*cores; core++ {
+		m.shrinkWindow(from+m.unitFlipTicks(core, raw)-1, HorizonUnit)
+	}
+}
+
+// unitFlipTicks returns how many ticks, at least one, core's
+// unit-temperature throttle decision provably holds from its current
+// temperatures while the raw true powers of its package's cores stay
+// raw. The core reference stays between its temperature and the steady
+// point of its coupled power, and a hotspot's per-millisecond move
 // toward a threshold is at most (1 − a)·gap where a is its per-ms
 // retention and gap its distance to the extreme reachable target
 // (reference bound + R·core power for rises, reference bound for
 // falls). A 2× safety factor absorbs the shrinking-gap conservatism;
-// near a threshold the quanta collapse to 1 ms, where decisions are
-// made exactly as in lockstep.
-func (m *Machine) clampUnitCrossings(dt int64) int64 {
-	layout := m.Cfg.Layout
-	threads := layout.ThreadsPerPackage
-	// Per-core raw true power of the coming quantum (rates and speeds
-	// are constant within it). m.corePower is free as scratch here: the
-	// thermal phase recomputes it after execution.
-	raw := m.corePower
-	for core := range m.nodes {
-		sum := 0.0
-		for t := 0; t < threads; t++ {
-			p, _ := m.ratePowersW(int(layout.CPUOfCore(core, t)))
-			sum += p
-		}
-		raw[core] = sum
+// near a threshold the bound collapses to 1 ms, where decisions are made
+// exactly as in lockstep.
+func (m *Machine) unitFlipTicks(core int, raw []float64) int64 {
+	th := m.unitThrottles[core]
+	n := unboundedQuantumMS
+	if th.LimitW <= 0 {
+		return n
 	}
-	clamp := func(margin, gap, onePerMS float64) {
+	bound := func(margin, gap, onePerMS float64) {
 		if gap <= 0 {
 			return // cannot move toward the threshold
 		}
-		n := int64(margin / (onePerMS * gap) / 2)
-		if n < 1 {
-			n = 1
-		}
-		if n < dt {
-			dt = n
+		if f := margin / (onePerMS * gap) / 2; f < float64(n) {
+			n = max(int64(f), 1)
 		}
 	}
-	cores := layout.Cores()
-	for core, th := range m.unitThrottles {
-		if th.LimitW <= 0 {
-			continue
+	eff := m.coupledEffPower(raw, core)
+	node := m.nodes[core]
+	refHi := math.Max(node.TempC, node.Props.SteadyTemp(eff))
+	refLo := math.Min(node.TempC, node.Props.SteadyTemp(eff))
+	onePerMS := 1 - m.unitNodes[core][0].Props.DecayPerMS()
+	if th.Engaged() {
+		// The flip (disengage) requires the hottest unit itself to fall
+		// below limit − hysteresis; bound its fastest fall.
+		var hot *thermal.Node
+		for _, un := range m.unitNodes[core] {
+			if hot == nil || un.TempC > hot.TempC {
+				hot = un
+			}
 		}
-		if m.pkgParked[core/cores] {
-			continue // parked: unit temperatures falling below limit
-		}
-		eff := m.coupledEffPower(raw, core)
-		node := m.nodes[core]
-		refHi := math.Max(node.TempC, node.Props.SteadyTemp(eff))
-		refLo := math.Min(node.TempC, node.Props.SteadyTemp(eff))
-		onePerMS := 1 - m.unitNodes[core][0].Props.DecayPerMS()
-		if th.Engaged() {
-			// The flip (disengage) requires the hottest unit itself to
-			// fall below limit − hysteresis; bound its fastest fall.
-			var hot *thermal.Node
-			for _, n := range m.unitNodes[core] {
-				if hot == nil || n.TempC > hot.TempC {
-					hot = n
-				}
-			}
-			margin := hot.TempC - (th.LimitW - thermal.Hysteresis)
-			if margin < 0 {
-				margin = 0
-			}
-			clamp(margin, hot.TempC-refLo, onePerMS)
-		} else {
-			// The flip (engage) happens when any unit rises to the
-			// limit; bound each unit's fastest rise. A unit's power is
-			// at most its core's raw power.
-			for _, n := range m.unitNodes[core] {
-				margin := th.LimitW - n.TempC
-				if margin < 0 {
-					margin = 0
-				}
-				clamp(margin, refHi+unitR*raw[core]-n.TempC, onePerMS)
-			}
+		bound(math.Max(hot.TempC-(th.LimitW-thermal.Hysteresis), 0), hot.TempC-refLo, onePerMS)
+	} else {
+		// The flip (engage) happens when any unit rises to the limit;
+		// bound each unit's fastest rise. A unit's power is at most its
+		// core's raw power.
+		for _, un := range m.unitNodes[core] {
+			bound(math.Max(th.LimitW-un.TempC, 0), refHi+unitR*raw[core]-un.TempC, onePerMS)
 		}
 	}
-	return dt
+	return n
 }
 
 func ceilToInt64(v float64) int64 { return int64(math.Ceil(v)) }

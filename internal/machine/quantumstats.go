@@ -7,10 +7,10 @@ import "math/bits"
 // final length.
 type Horizon uint8
 
-// The horizon classes, in planQuantum's order.
+// The horizon classes.
 const (
 	// HorizonLimit: nothing nearer than the step's limit, MaxQuantumMS
-	// or the end of Run (every lockstep tick).
+	// when set, or the end of Run (every lockstep tick).
 	HorizonLimit Horizon = iota
 	// HorizonMonitor: the next monitor sample.
 	HorizonMonitor
@@ -26,11 +26,14 @@ const (
 	HorizonBalance
 	// HorizonGovernor: a DVFS governor deadline.
 	HorizonGovernor
-	// HorizonSlice: a running task's timeslice expiry.
+	// HorizonSlice: a running task's timeslice expiry that dispatches
+	// another queued task; a same-task expiry is a window's interior
+	// event (Interior).
 	HorizonSlice
 	// HorizonWarmup: the end of a migration's cache-warmup penalty.
 	HorizonWarmup
-	// HorizonRate: a running task's event-rate change.
+	// HorizonRate: a running task's event-rate change, a window's
+	// interior event that ends no quantum (Interior).
 	HorizonRate
 	// HorizonStop: a running task's block or completion.
 	HorizonStop

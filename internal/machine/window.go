@@ -3,8 +3,10 @@ package machine
 import (
 	"math"
 
+	"energysched/internal/counters"
 	"energysched/internal/dvfs"
 	"energysched/internal/topology"
+	"energysched/internal/units"
 )
 
 // Windows: quanta that only cross-CPU events end.
@@ -12,11 +14,12 @@ import (
 // In the paper only balancing (§4.4), hot task migration (§4.5) and
 // placement (§4.6) read across CPUs; the per-timeslice energy profile
 // (§3.3) and the thermal-power metric (§4.3) are per-CPU bookkeeping.
-// So on a machine whose windows flag is set the planner ends a quantum
-// — a *window* — only at an event that crosses CPUs: a wake-up, a
-// stop, a warm-up end, a timeslice expiry that dispatches another
-// task, a queued balance, a governor evaluation or hot check that could
-// act, a P-state change, a monitor or fault instant, or the limit.
+// So the async engine's planner ends a quantum — a *window* — only at
+// an event that crosses CPUs: a wake-up, a stop, a warm-up end, a
+// timeslice expiry that dispatches another task, a queued balance, a
+// governor evaluation or hot check that could act, a throttle flip
+// that could happen, a P-state change, a monitor or fault instant, or
+// the limit.
 // Inside the window each busy CPU advances on its own clock
 // (cpuSettledMS, as parked CPUs do) through its *local* boundaries:
 //
@@ -45,10 +48,12 @@ import (
 // (recheckFeed); a re-check may only move the window's end earlier,
 // and never before the crossing tick, so nothing it invalidates has
 // been integrated yet. The destination floor of the hot checks does
-// not read feeds at all. The §7 unit-temperature horizon and §2.3 task
-// throttling have no re-check, so machines with unit hotspots or task
-// throttling step quanta that end at every local event (the windows
-// flag is off), which is exactly the planner's older quantum.
+// not read feeds at all. A change of the CPU's true power moves its
+// package's §7 unit temperatures, so the unit-throttle horizon of the
+// package's cores is re-derived from that tick's settled temperatures
+// (recheckUnits). Under §2.3 task throttling a window runs only while
+// no throttle is engaged (the planner keeps 1 ms spans while one is),
+// and the scalar throttle re-check bounds the next engagement.
 //
 // The feeds themselves are cached per piece (feedW): from the planner's
 // running-task scan to the window's end, only a piece's execution
@@ -130,8 +135,17 @@ func (m *Machine) shrinkWindow(t int64, why Horizon) {
 // clockOf returns CPU c's execution clock in the quantum being stepped:
 // the first tick not yet folded into its workload and metric.
 func (m *Machine) clockOf(c int) int64 {
-	if m.windows && m.cpuSettledMS[c] > m.qStartMS {
+	if m.async && m.cpuSettledMS[c] > m.qStartMS {
 		return m.cpuSettledMS[c]
+	}
+	return m.qStartMS
+}
+
+// pkgClockOf returns live package p's thermal clock in the quantum being
+// stepped: the first tick not yet integrated into its nodes.
+func (m *Machine) pkgClockOf(p int) int64 {
+	if m.async && m.pkgSettledMS[p] > m.qStartMS {
+		return m.pkgSettledMS[p]
 	}
 	return m.qStartMS
 }
@@ -153,6 +167,29 @@ func (m *Machine) ratePowersW(c int) (trueW, estW float64) {
 		estW *= m.powScale[c]
 	}
 	return trueW, estW
+}
+
+// holdRatePowers holds CPU c's true power — and its per-unit true powers
+// on a machine with unit hotspots — for a piece at its current rates and
+// speed, and returns the piece's estimated power (ratePowersW).
+func (m *Machine) holdRatePowers(c int) (estW float64) {
+	m.truePower[c], estW = m.ratePowersW(c)
+	if m.unitPowerW == nil {
+		return estW
+	}
+	var ue units.Energies
+	if speed := m.execSpeed[c]; speed > 0 {
+		ue = units.SplitExact(m.Model.Weights, counters.Frac(m.dispatches[c].task.work.EffectiveRates()))
+		scale := speed * 1000
+		if m.dvfsOn {
+			scale *= m.powScale[c]
+		}
+		for u := range ue {
+			ue[u] *= scale
+		}
+	}
+	m.unitPowerW[c] = ue
+	return estW
 }
 
 // nominalPState is the ladder's top index under DVFS, 0 without.
@@ -179,12 +216,11 @@ func (m *Machine) govThermal() bool {
 // local boundary — the slice expiry or the last tick before a rate
 // crossing — or, when the rates change inside tick t itself, executes
 // that tick now (eagerTick). A piece reaching the window's end needs no
-// boundary: the execution phase runs it. Without windows the local
-// boundaries end the quantum too, the crossing tick as a quantum of its
-// own. interior is false while the planner starts the window's first
-// pieces, whose predictions its own walks make afterwards; a first
-// piece's feed is marked unread here, a later one's true power and feed
-// come from popLocal. It reports whether it ran eagerTick.
+// boundary: the execution phase runs it. interior is false while the
+// planner starts the window's first pieces, whose predictions its own
+// walks make afterwards; a first piece's feed is marked unread here, a
+// later one's true power and feed come from popLocal. It reports
+// whether it ran eagerTick.
 func (m *Machine) startPiece(c int, t int64, throttled []bool, interior bool) bool {
 	rq := m.Sched.RQs[c]
 	cur, speed := rq.Current, m.execSpeed[c]
@@ -198,7 +234,7 @@ func (m *Machine) startPiece(c int, t int64, throttled []bool, interior bool) bo
 		return false
 	}
 	slice := t + ticksOf(cur.SliceLeft) - 1
-	if !m.windows || rq.Len() > 1 {
+	if rq.Len() > 1 {
 		m.shrinkWindow(slice, HorizonSlice)
 	}
 	if cur.WarmupLeft > 0 {
@@ -216,10 +252,6 @@ func (m *Machine) startPiece(c int, t int64, throttled []bool, interior bool) bo
 	end := slice
 	if rh := work.RateHorizonMS(); !math.IsInf(rh, 1) {
 		r := rateHorizonMS(rh, speed)
-		if !m.windows {
-			m.shrinkWindow(t+max(r, 1)-1, HorizonRate)
-			return false
-		}
 		if r == 0 {
 			m.eagerTick(c, t, throttled, interior)
 			return true
@@ -241,8 +273,8 @@ func ticksOf(v float64) int64 { return max(ceilToInt64(v), 1) }
 // execution phase, when t ends the window). Its sample and the rates
 // after it are now known: the cached feed is marked unread, to be read
 // at the new rates (the tick's own power stays c's true power until the
-// tick's pop), and the predictions that read c's feed are re-checked
-// from t on.
+// tick's pop), and the predictions that read c's feed or its true power
+// are re-checked from t on.
 func (m *Machine) eagerTick(c int, t int64, throttled []bool, interior bool) {
 	saved := m.nowMS
 	m.nowMS = t
@@ -256,6 +288,7 @@ func (m *Machine) eagerTick(c int, t int64, throttled []bool, interior bool) {
 		m.local.push(t, c)
 		if interior {
 			m.recheckFeed(c, t)
+			m.recheckUnits(int(m.Topo.PkgOf[c]), t)
 		}
 	}
 }
@@ -293,12 +326,15 @@ func (m *Machine) runWindow(throttled []bool) (int64, Horizon) {
 // boundary's event at t and starts c's next piece, whose true power and
 // feed it reads from the rates once. Rates that change exactly at the
 // boundary (a phase or noise epoch ending with the piece) change the
-// feed without a crossing tick, and are re-checked here.
+// feed and the true power without a crossing tick, and are re-checked
+// here.
 func (m *Machine) popLocal(t int64, c int, throttled []bool) {
 	m.nowMS = t
 	m.wheel.SetNow(t)
-	m.settleLivePackage(int(m.Topo.PkgOf[c]), t+1)
+	p := int(m.Topo.PkgOf[c])
+	m.settleLivePackage(p, t+1)
 	feed := m.metricFeedW(c)     // the cached feed of the piece ending at t
+	trueW := m.truePower[c]      // and its true power, held since it began
 	crossing := m.p6stat[c] != 0 // the staged crossing tick t
 	if !crossing {
 		m.execPiece(c, t, throttled)
@@ -315,7 +351,7 @@ func (m *Machine) popLocal(t int64, c int, throttled []bool) {
 	}
 	sliceEnds := m.dispatches[c].task.st.SliceLeft <= 0
 	m.execCommitCPU(c, t)
-	m.truePower[c], m.feedW[c] = m.ratePowersW(c)
+	m.feedW[c] = m.holdRatePowers(c)
 	changed := m.metricFeedW(c) != feed
 	if m.qstats != nil {
 		if crossing || changed {
@@ -325,8 +361,14 @@ func (m *Machine) popLocal(t int64, c int, throttled []bool) {
 			m.qstats.Interior[HorizonSlice]++
 		}
 	}
-	if !m.startPiece(c, t+1, throttled, true) && changed {
+	if m.startPiece(c, t+1, throttled, true) {
+		return // eagerTick re-checked from t+1
+	}
+	if changed {
 		m.recheckFeed(c, t+1)
+	}
+	if m.truePower[c] != trueW {
+		m.recheckUnits(p, t+1)
 	}
 }
 
@@ -372,17 +414,18 @@ func (m *Machine) recheckFeed(c int, from int64) {
 	}
 }
 
-// settleLivePackage integrates live package p's core nodes from the
-// package's clock to tick to (exclusive) at the current true powers of
-// its CPUs — each CPU's power over its current piece — and checks the
-// peak temperature at the end: with constant input the response is
-// monotone, and every power change in the package comes at a pop that
-// settles it first. A piece's power is set when it starts inside the
-// window (popLocal) or runs ahead (eagerTick); the window's first
-// pieces take theirs here, when the package is first settled, with the
-// feed from the same read of the rates if no prediction read it yet.
+// settleLivePackage integrates live package p's core nodes, and their
+// unit hotspots against them, from the package's clock to tick to
+// (exclusive) at the current true powers of its CPUs — each CPU's power
+// over its current piece — and checks the peak temperature at the end:
+// with constant input the response is monotone, and every power change
+// in the package comes at a pop that settles it first. A piece's powers
+// are set when it starts inside the window (popLocal) or runs ahead
+// (eagerTick); the window's first pieces take theirs here, when the
+// package is first settled, with the feed from the same read of the
+// rates if no prediction read it yet.
 func (m *Machine) settleLivePackage(p int, to int64) {
-	from := max(m.pkgSettledMS[p], m.qStartMS)
+	from := m.pkgClockOf(p)
 	if to <= from {
 		return
 	}
@@ -394,8 +437,7 @@ func (m *Machine) settleLivePackage(p int, to int64) {
 		for _, c32 := range m.Topo.CPUsOfCore(core) {
 			c := int(c32)
 			if first && m.clockOf(c) == m.qStartMS {
-				tw, ew := m.ratePowersW(c)
-				m.truePower[c] = tw
+				ew := m.holdRatePowers(c)
 				if math.IsNaN(m.feedW[c]) {
 					m.feedW[c] = ew
 				}
@@ -406,9 +448,14 @@ func (m *Machine) settleLivePackage(p int, to int64) {
 	}
 	for core := p * cores; core < (p+1)*cores; core++ {
 		n := m.nodes[core]
-		n.StepDecay(m.coupledEffPower(m.corePower, core), m.thermDecayFor(core, fdt))
+		eff := m.coupledEffPower(m.corePower, core)
+		start := n.TempC
+		n.StepDecay(eff, m.thermDecayFor(core, fdt))
 		if n.TempC > m.peakTempC {
 			m.peakTempC = n.TempC
+		}
+		if m.unitNodes != nil {
+			m.stepUnits(core, to-from, start, eff)
 		}
 	}
 	m.pkgSettledMS[p] = to

@@ -3,6 +3,7 @@ package machine
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"energysched/internal/counters"
@@ -116,25 +117,38 @@ func TestWindowLocalEventsMatchLockstep(t *testing.T) {
 // checked at each piece's end. Brute force on one dual-core SMT package
 // with chip coupling: random piece sequences, where any subset of the
 // four CPUs changes power at each boundary, against per-ms
-// thermal.Node.Step calls at the same coupled powers. Temperatures must
-// agree within TestEngineEquivalence's tolerance and the peak equal the
-// per-ms peak up to it.
+// thermal.Node.Step calls at the same coupled powers. Every other trial
+// adds §7 unit hotspots, each CPU holding random per-unit powers per
+// piece, against per-ms StepOver calls riding on the per-ms core
+// temperature, as the lockstep engine steps them. Core and unit
+// temperatures must agree within TestEngineEquivalence's tolerance and
+// the peak equal the per-ms peak up to it.
 func TestPiecewiseThermalSettleBruteForce(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	const tol = 1e-6
 	for trial := 0; trial < 200; trial++ {
 		props := thermal.Properties{R: 0.05 + 0.5*r.Float64(), C: 1 + 100*r.Float64(), AmbientC: 25}
+		unitsOn := trial%2 == 1
 		m := MustNew(Config{
 			Layout:       topology.Layout{Nodes: 1, PackagesPerNode: 1, CoresPerPackage: 2, ThreadsPerPackage: 2},
 			Sched:        sched.DefaultConfig(),
 			PackageProps: []thermal.Properties{props},
+			UnitThermal:  unitsOn,
 		})
 		m.resetPhaseMarkers()
 		ref := make([]*thermal.Node, len(m.nodes))
+		refUnits := make([][]*thermal.Node, len(m.nodes))
 		for core, n := range m.nodes {
 			n.TempC = 25 + 60*r.Float64()
 			ref[core] = thermal.NewNode(n.Props)
 			ref[core].TempC = n.TempC
+			if unitsOn {
+				for _, un := range m.unitNodes[core] {
+					un.TempC = n.TempC + 10*r.Float64()
+					cp := *un
+					refUnits[core] = append(refUnits[core], &cp)
+				}
+			}
 		}
 		m.peakTempC = math.Max(m.nodes[0].TempC, m.nodes[1].TempC)
 		peak := m.peakTempC
@@ -144,10 +158,18 @@ func TestPiecewiseThermalSettleBruteForce(t *testing.T) {
 			for c := range m.truePower {
 				if r.Intn(2) == 0 {
 					m.truePower[c] = 60 * r.Float64()
+					if unitsOn {
+						for u := range m.unitPowerW[c] {
+							m.unitPowerW[c][u] = 20 * r.Float64()
+						}
+					}
 				}
 			}
 			ms := 1 + r.Int63n(300)
 			now += ms
+			// The settle reads the powers the CPUs hold (the first
+			// settle of the quantum holds the rates' instead), and the
+			// reference reads them after it.
 			m.settleLivePackage(0, now)
 			for core := range raw {
 				raw[core] = 0
@@ -159,16 +181,119 @@ func TestPiecewiseThermalSettleBruteForce(t *testing.T) {
 				for core, node := range ref {
 					node.Step(m.coupledEffPower(raw, core), 1)
 					peak = math.Max(peak, node.TempC)
+					for u, un := range refUnits[core] {
+						un.StepOver(m.coreUnitW(core, u), 1, node.TempC)
+					}
 				}
 			}
 			for core, node := range ref {
 				if d := math.Abs(m.nodes[core].TempC - node.TempC); d > tol {
 					t.Fatalf("trial %d: core %d piecewise %v vs per-ms %v", trial, core, m.nodes[core].TempC, node.TempC)
 				}
+				for u, un := range refUnits[core] {
+					if got := m.unitNodes[core][u].TempC; math.Abs(got-un.TempC) > tol {
+						t.Fatalf("trial %d: core %d unit %d piecewise %v vs per-ms %v", trial, core, u, got, un.TempC)
+					}
+				}
 			}
 		}
 		if d := math.Abs(m.peakTempC - peak); d > tol {
 			t.Fatalf("trial %d: piecewise peak %v vs per-ms %v", trial, m.peakTempC, peak)
 		}
+	}
+}
+
+// Machines with §7 unit hotspots or §2.3 task throttling step windows
+// like every other async machine: no quantum ends at a rate crossing,
+// and the windows step over busy CPUs' local events. The logged mean
+// quantum compares against the quanta these rows stepped when every
+// local event still ended one on such machines: unit-thermal 21.1 ms,
+// unit-sparse 47.8 ms, dvfs-unit-thermal 3.9 ms, task-throttling
+// 5.0 ms.
+func TestWindowsOnUnitAndTaskThrottleMachines(t *testing.T) {
+	rows := map[string]bool{"unit-thermal": true, "unit-sparse": true, "dvfs-unit-thermal": true, "task-throttling": true}
+	for _, sc := range engineScenarios() {
+		if !rows[sc.name] {
+			continue
+		}
+		delete(rows, sc.name)
+		m := sc.build(EngineAsync, 0)
+		var qs QuantumStats
+		m.SetQuantumStats(&qs)
+		m.Run(sc.runMS)
+		t.Logf("%s: %d quanta, %.1f ms per quantum; stepped over %d slice expiries and %d rate crossings",
+			sc.name, qs.Quanta, qs.MeanMS(), qs.Interior[HorizonSlice], qs.Interior[HorizonRate])
+		if n := qs.ByHorizon[HorizonRate]; n != 0 {
+			t.Errorf("%s: %d quanta ended at a rate crossing, want 0", sc.name, n)
+		}
+		if qs.Interior[HorizonSlice]+qs.Interior[HorizonRate] == 0 {
+			t.Errorf("%s: no window stepped over a slice expiry or rate crossing", sc.name)
+		}
+	}
+	for name := range rows {
+		t.Errorf("scenario %s missing from engineScenarios", name)
+	}
+}
+
+// unitRampMachine is a hand-built state for the unit-temperature
+// re-check: one CPU with §7 unit hotspots under unit throttling, running
+// a program that alternates a cool and a hot integer phase. Each
+// cool→hot crossing inside a window raises the int unit's power well
+// past what the window's plan bounded, so the unit reaches its limit
+// within the window unless the crossing re-derives the bound.
+func unitRampMachine(e Engine) *Machine {
+	pol := sched.DefaultConfig()
+	pol.HotTaskMigration = false
+	m := MustNew(Config{
+		Engine:           e,
+		Layout:           topology.Layout{Nodes: 1, PackagesPerNode: 1, CoresPerPackage: 1, ThreadsPerPackage: 1},
+		Sched:            pol,
+		Seed:             3,
+		PackageMaxPowerW: []float64{500},
+		ThrottleEnabled:  true,
+		UnitThermal:      true,
+		UnitLimitC:       40,
+		Trace:            trace.New(0),
+	})
+	base := catalog().Intmix().Phases[0].Rates
+	scaled := func(f float64) counters.Rates {
+		r := base
+		for i := range r {
+			r[i] *= f
+		}
+		return r
+	}
+	m.Spawn(&workload.Program{Name: "intramp", Binary: 903, Phases: []workload.Phase{
+		{Name: "cool", Rates: scaled(0.4), MeanDurMS: 600, Next: []int{1}},
+		{Name: "hot", Rates: scaled(1.6), MeanDurMS: 600, Next: []int{0}},
+	}})
+	return m
+}
+
+// A true-power change inside a window re-derives its package's unit
+// horizon (recheckUnits): the windows end ahead of the unit throttle's
+// engagements, which come out at lockstep's ticks.
+func TestWindowUnitRecheckMatchesLockstep(t *testing.T) {
+	const runMS = 12_000
+	lock := unitRampMachine(EngineLockstep)
+	lock.Run(runMS)
+	lockCSV := traceCSV(t, lock.Cfg.Trace)
+	if !strings.Contains(lockCSV, "throttle_on") {
+		t.Fatal("the unit throttle never engaged on lockstep")
+	}
+	for _, e := range []Engine{EngineAsync, EngineParallel} {
+		got := unitRampMachine(e)
+		var qs QuantumStats
+		got.SetQuantumStats(&qs)
+		got.Run(runMS)
+		assertEquivalent(t, lock, got)
+		if gotCSV := traceCSV(t, got.Cfg.Trace); gotCSV != lockCSV {
+			t.Errorf("%s: trace differs from lockstep: %s", e, firstTraceDiff(lockCSV, gotCSV))
+		}
+		if qs.Interior[HorizonRate] == 0 || qs.ByHorizon[HorizonUnit] == 0 {
+			t.Errorf("%s: %d rate crossings stepped over, %d windows ended at the unit horizon; want both", e, qs.Interior[HorizonRate], qs.ByHorizon[HorizonUnit])
+		}
+		t.Logf("%s: %d quanta (%d at the unit horizon), %.1f ms per quantum, %d rate crossings stepped over",
+			e, qs.Quanta, qs.ByHorizon[HorizonUnit], qs.MeanMS(), qs.Interior[HorizonRate])
 	}
 }

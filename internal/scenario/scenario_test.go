@@ -58,22 +58,58 @@ func TestParse(t *testing.T) {
 		}
 	}
 
-	valid := `{"seed":1,"topology":{"nodes":1,"packages_per_node":2,"cores_per_package":1,"threads_per_core":1},` +
-		`"sched":{"policy":"default"},"workload":[{"program":"bitcnts","count":1}],"run_ms":100}`
-	if _, err := Parse([]byte(valid + "\n")); err != nil {
+	if _, err := Parse([]byte(validSpecJSON + "\n")); err != nil {
 		t.Fatalf("valid spec: %v", err)
 	}
-	for _, c := range []struct{ why, body string }{
-		{"unknown field", strings.Replace(valid, `"seed":1`, `"seed":1,"bogus":true`, 1)},
-		{"newer version", strings.Replace(valid, `"seed":1`, `"version":2,"seed":1`, 1)},
-		{"trailing value", valid + ` {"junk":true}`},
-		{"trailing garbage", valid + ` x`},
-		{"malformed", valid[:len(valid)-1]},
-	} {
+	for _, c := range malformedSpecs {
 		if _, err := Parse([]byte(c.body)); err == nil {
 			t.Errorf("Parse accepted a spec with %s", c.why)
 		}
 	}
+}
+
+// validSpecJSON is a minimal valid spec on the wire, and malformedSpecs
+// are its variants Parse must reject.
+const validSpecJSON = `{"seed":1,"topology":{"nodes":1,"packages_per_node":2,"cores_per_package":1,"threads_per_core":1},` +
+	`"sched":{"policy":"default"},"workload":[{"program":"bitcnts","count":1}],"run_ms":100}`
+
+var malformedSpecs = []struct{ why, body string }{
+	{"unknown field", strings.Replace(validSpecJSON, `"seed":1`, `"seed":1,"bogus":true`, 1)},
+	{"newer version", strings.Replace(validSpecJSON, `"seed":1`, `"version":2,"seed":1`, 1)},
+	{"trailing value", validSpecJSON + ` {"junk":true}`},
+	{"trailing garbage", validSpecJSON + ` x`},
+	{"malformed", validSpecJSON[:len(validSpecJSON)-1]},
+}
+
+// FuzzScenarioParse feeds arbitrary bytes through the path an untrusted
+// spec takes — Parse, Validate, Build — without running the machine.
+// Each stage must answer with an error, never a panic, and a spec that
+// Validate accepts must build on the default engine too. Seeded with
+// every catalog spec's JSON and the inputs of TestParse.
+func FuzzScenarioParse(f *testing.F) {
+	for _, name := range Names() {
+		data, err := json.Marshal(MustNamed(name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte(validSpecJSON))
+	for _, c := range malformedSpecs {
+		f.Add([]byte(c.body))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := Parse(data)
+		if err != nil {
+			return
+		}
+		if err := s.Validate(); err != nil {
+			return
+		}
+		if _, err := s.Build(machine.EngineAsync, nil); err != nil {
+			t.Fatalf("Validate accepted a spec Build rejects: %v\n%s", err, data)
+		}
+	})
 }
 
 // TestHash checks the content hash ignores the metadata fields and
