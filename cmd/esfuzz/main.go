@@ -1,7 +1,7 @@
 // esfuzz is the differential scenario fuzzer CLI. It generates seeded
-// random scenarios and runs each through the lockstep, async, and
-// parallel engines, byte-diffing their traces and checking conservation
-// and parking invariants (the three-engine oracle). Failing scenarios
+// random scenarios and runs each through the two engines, lockstep and
+// async, byte-diffing their traces and checking conservation and
+// parking invariants (the two-engine oracle). Failing scenarios
 // are greedily minimized and written as corpus JSON files that
 // internal/fuzz replays as ordinary go tests.
 //

@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	estrace [-scenario NAME] [-engine async|lockstep|parallel]
+//	estrace [-scenario NAME] [-engine async|lockstep]
 //	        [-governor performance|ondemand|thermal]
 //	        [-duration 60s] [-seed N] [-format csv|jsonl]
 //
@@ -39,7 +39,7 @@ func main() {
 	format := flag.String("format", "csv", "output format: csv or jsonl")
 	limit := flag.Int("limit", 0, "retain at most N events (0 = all)")
 	engine := machine.EngineAsync
-	flag.Func("engine", "simulation engine: async (default), lockstep, or parallel", func(s string) (err error) {
+	flag.Func("engine", "simulation engine: async (default) or lockstep", func(s string) (err error) {
 		engine, err = machine.ParseEngine(s)
 		return err
 	})

@@ -117,15 +117,11 @@ type Engine = machine.Engine
 // advances the machine in event-horizon quanta, integrating work,
 // energy, and temperature analytically between events, with a clock
 // per CPU so idle CPUs sleep past busy ones and settle their state
-// lazily; EngineParallel shards the async step along NUMA-node
-// boundaries (one shard per node) onto a goroutine pool; EngineLockstep
-// is the classic 1 ms loop and the reference. All three produce
-// equivalent results for the same seed, and EngineParallel is
-// bit-identical to EngineAsync.
+// lazily; EngineLockstep is the classic 1 ms loop and the reference.
+// Both produce equivalent results for the same seed.
 const (
 	EngineAsync    = machine.EngineAsync
 	EngineLockstep = machine.EngineLockstep
-	EngineParallel = machine.EngineParallel
 )
 
 // XSeries445 returns the paper's evaluation machine layout (2 NUMA
@@ -142,9 +138,7 @@ type Options struct {
 	// Layout is the machine shape; zero means XSeries445NoSMT.
 	Layout Layout
 	// Engine selects the simulation core; the zero value is the async
-	// engine. EngineParallel additionally shards its step across
-	// goroutines, one shard per NUMA node; EngineLockstep restores the
-	// 1 ms loop.
+	// engine. EngineLockstep restores the 1 ms loop.
 	Engine Engine
 	// Policy selects the scheduling preset. Sched overrides it when
 	// non-nil.

@@ -18,9 +18,9 @@
 // P-state changes are not free: a transition decided by a governor
 // takes TransitionLatencyMS to take effect (PLL relock, voltage ramp).
 // The simulation engines treat pending transitions and governor
-// evaluations that could change a P-state as event horizons, so all
-// three engines (lockstep, async, parallel) make bit-identical DVFS
-// decisions — see machine.TestEngineEquivalence.
+// evaluations that could change a P-state as event horizons, so both
+// engines (lockstep and async) make bit-identical DVFS decisions — see
+// machine.TestEngineEquivalence.
 package dvfs
 
 import (

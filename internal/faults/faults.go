@@ -24,7 +24,7 @@
 // Everything is seeded and deterministic: the same Spec and seed
 // produce the same fault sequence under every simulation engine, so
 // the differential oracle (internal/fuzz) cross-checks the fault paths
-// byte-for-byte across lockstep, async, and parallel. The formulation
+// byte-for-byte across lockstep and async. The formulation
 // is closed-form-safe by construction: faults perturb only the event
 // weights, never the estimator's halt power, so the async engine's
 // constant-idle-power settles stay exact; sensor faults act only at

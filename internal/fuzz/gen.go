@@ -220,9 +220,10 @@ func Generate(seed uint64) scenario.Spec {
 	// Jitter ±30% so monitor/deadline periods land on varied residues.
 	s.RunMS = runMS - int64(float64(runMS)*0.3*r.Float64())
 	s.Chunks = 1 + r.Intn(4)
-	// Shard count for the parallel engine's oracle pass: every count
-	// in 1..Nodes (often a non-divisor) must be unobservable.
-	s.Shards = 1 + r.Intn(s.Topology.Nodes)
+	// This draw once set the retired parallel engine's shard count. It
+	// stays, discarded, so every generator seed still yields the same
+	// spec and fixed-seed campaigns keep covering the same scenarios.
+	_ = r.Intn(s.Topology.Nodes)
 
 	// Fault injection: mis-calibrated/drifting estimator weights and a
 	// faulty thermal diode feeding the recalibration/fallback loop.

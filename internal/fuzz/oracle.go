@@ -9,15 +9,11 @@ import (
 	"energysched/internal/trace"
 )
 
-// The oracle harness: one scenario through all three engines. The
-// lockstep engine is the reference; the async and parallel engines
-// must reproduce its event trace byte-for-byte and its
-// observable state within floating-point rounding. The parallel engine
-// runs at the spec's shard count and is held to a stricter bar: its
-// snapshot must match the async engine's bit-for-bit (tolerance zero),
-// because its merge is defined as a reordering-free execution of the
-// async step. Each machine is additionally checked against its own
-// conservation and parking invariants, so a bug shared by all engines
+// The oracle harness: one scenario through both engines. The lockstep
+// engine is the reference; the async engine must reproduce its event
+// trace byte-for-byte and its observable state within floating-point
+// rounding. Each machine is additionally checked against its own
+// conservation and parking invariants, so a bug shared by both engines
 // (or in lockstep itself) still trips the oracle.
 
 // tol is the cross-engine relative tolerance for float outcomes,
@@ -45,8 +41,8 @@ func (f *Failure) Error() string {
 	return fmt.Sprintf("%s [%s/%s]:\n  %s", f.Spec.Name, f.Engine, f.Kind, strings.Join(lines, "\n  "))
 }
 
-// Check runs the scenario through all three engines and returns nil
-// when every oracle condition holds.
+// Check runs the scenario through both engines and returns nil when
+// every oracle condition holds.
 func Check(s scenario.Spec) *Failure {
 	// Lockstep reference: one uninterrupted run.
 	lockRec := trace.New(0)
@@ -67,62 +63,48 @@ func Check(s scenario.Spec) *Failure {
 	}
 	ref := lock.Snapshot()
 
-	var asyncSnap *machine.Snapshot
-	for _, engine := range []machine.Engine{machine.EngineAsync, machine.EngineParallel} {
-		rec := trace.New(0)
-		m, err := s.Build(engine, rec)
-		if err != nil {
-			return &Failure{Spec: s, Engine: engine, Kind: "build", Diffs: []string{err.Error()}}
+	const engine = machine.EngineAsync
+	rec := trace.New(0)
+	m, err := s.Build(engine, rec)
+	if err != nil {
+		return &Failure{Spec: s, Engine: engine, Kind: "build", Diffs: []string{err.Error()}}
+	}
+	// Chunked advance: exercises Run-boundary clamping and the
+	// end-of-Run settle + invariant state at every boundary.
+	chunks := s.Chunks
+	if chunks < 1 {
+		chunks = 1
+	}
+	per := s.RunMS / int64(chunks)
+	if per < 1 {
+		per, chunks = s.RunMS, 1
+	}
+	for i := 0; i < chunks; i++ {
+		m.Run(per)
+		if err := m.CheckInvariants(); err != nil {
+			return &Failure{Spec: s, Engine: engine, Kind: "invariant",
+				Diffs: []string{fmt.Sprintf("after chunk %d/%d: %v", i+1, chunks, err)}}
 		}
-		// Chunked advance: exercises Run-boundary clamping and, for
-		// async, the end-of-Run settle + invariant state at every
-		// boundary.
-		chunks := s.Chunks
-		if chunks < 1 {
-			chunks = 1
+	}
+	if rem := s.RunMS - int64(chunks)*per; rem > 0 {
+		m.Run(rem)
+		if err := m.CheckInvariants(); err != nil {
+			return &Failure{Spec: s, Engine: engine, Kind: "invariant", Diffs: []string{err.Error()}}
 		}
-		per := s.RunMS / int64(chunks)
-		if per < 1 {
-			per, chunks = s.RunMS, 1
-		}
-		for i := 0; i < chunks; i++ {
-			m.Run(per)
-			if err := m.CheckInvariants(); err != nil {
-				return &Failure{Spec: s, Engine: engine, Kind: "invariant",
-					Diffs: []string{fmt.Sprintf("after chunk %d/%d: %v", i+1, chunks, err)}}
-			}
-		}
-		if rem := s.RunMS - int64(chunks)*per; rem > 0 {
-			m.Run(rem)
-			if err := m.CheckInvariants(); err != nil {
-				return &Failure{Spec: s, Engine: engine, Kind: "invariant", Diffs: []string{err.Error()}}
-			}
-		}
-		gotCSV, err := renderTrace(rec)
-		if err != nil {
-			return &Failure{Spec: s, Engine: engine, Kind: "trace", Diffs: []string{err.Error()}}
-		}
-		if gotCSV != lockCSV {
-			return &Failure{Spec: s, Engine: engine, Kind: "trace",
-				Diffs: []string{firstTraceDiff(lockCSV, gotCSV)}}
-		}
-		if diffs := machine.DiffSnapshots(ref, m.Snapshot(), tol); len(diffs) > 0 {
-			return &Failure{Spec: s, Engine: engine, Kind: "state", Diffs: diffs}
-		}
-		if diffs := checkTraceCounts(m, rec); len(diffs) > 0 {
-			return &Failure{Spec: s, Engine: engine, Kind: "invariant", Diffs: diffs}
-		}
-		switch engine {
-		case machine.EngineAsync:
-			asyncSnap = m.Snapshot()
-		case machine.EngineParallel:
-			// The sharded merge must be bit-identical to async, not
-			// merely within the lockstep tolerance.
-			if diffs := machine.DiffSnapshots(asyncSnap, m.Snapshot(), 0); len(diffs) > 0 {
-				return &Failure{Spec: s, Engine: engine, Kind: "state",
-					Diffs: append([]string{"vs async, bit-exact:"}, diffs...)}
-			}
-		}
+	}
+	gotCSV, err := renderTrace(rec)
+	if err != nil {
+		return &Failure{Spec: s, Engine: engine, Kind: "trace", Diffs: []string{err.Error()}}
+	}
+	if gotCSV != lockCSV {
+		return &Failure{Spec: s, Engine: engine, Kind: "trace",
+			Diffs: []string{firstTraceDiff(lockCSV, gotCSV)}}
+	}
+	if diffs := machine.DiffSnapshots(ref, m.Snapshot(), tol); len(diffs) > 0 {
+		return &Failure{Spec: s, Engine: engine, Kind: "state", Diffs: diffs}
+	}
+	if diffs := checkTraceCounts(m, rec); len(diffs) > 0 {
+		return &Failure{Spec: s, Engine: engine, Kind: "invariant", Diffs: diffs}
 	}
 	return nil
 }

@@ -2,9 +2,9 @@
 // of random machine scenarios (topologies, thermal calibrations, DVFS
 // ladders, governor/throttle configs, workload mixes, run lengths,
 // deadline periods) plus an oracle harness that runs every scenario
-// through all three engines — lockstep, async, and parallel (at a
-// generated shard count) — byte-diffs their event traces, compares
-// their observable state, and checks each machine's conservation and
+// through both engines — lockstep and async — byte-diffs their event
+// traces, compares their observable state, and checks each machine's
+// conservation and
 // parking invariants (machine.CheckInvariants), so the lockstep
 // reference is cross-checked too, not just mimicked.
 //

@@ -10,13 +10,10 @@ import (
 // Steady-state quanta must not allocate: once the machine reaches a
 // stable regime (no migrations, no blocks, no respawns in the window),
 // every step reuses the scratch buffers allocated at construction.
-// This pins the hot path for the async engines — a regression here
+// This pins the async engine's hot path — a regression here
 // multiplies straight into large-topology sweep times via GC pressure.
-// The parallel engine runs twice: once as built for this host, and once
-// with a forced multi-worker pool, because its fork/join (a buffered
-// channel send per worker plus one WaitGroup cycle) must also cost zero
-// allocations per quantum. The engine rows run with quantum attribution
-// off (the default); one more async row runs with it on.
+// The first row runs with quantum attribution off (the default); the
+// second runs with it on.
 func TestSteadyStateQuantumAllocs(t *testing.T) {
 	measure := func(t *testing.T, build func() *Machine) {
 		t.Helper()
@@ -43,27 +40,15 @@ func TestSteadyStateQuantumAllocs(t *testing.T) {
 			PackageMaxPowerW: []float64{60},
 		}
 	}
-	for _, e := range []Engine{EngineAsync, EngineParallel} {
-		t.Run(e.String(), func(t *testing.T) {
-			measure(t, func() *Machine { return MustNew(cfg(e)) })
-		})
-	}
+	t.Run("async", func(t *testing.T) {
+		measure(t, func() *Machine { return MustNew(cfg(EngineAsync)) })
+	})
 	t.Run("async-quantum-stats", func(t *testing.T) {
 		measure(t, func() *Machine {
 			m := MustNew(cfg(EngineAsync))
 			m.SetQuantumStats(new(QuantumStats))
 			return m
 		})
-	})
-	t.Run("parallel-pool", func(t *testing.T) {
-		var m *Machine
-		withWorkers(t, 2, func() { m = MustNew(cfg(EngineParallel)) })
-		if m.par.workers != 2 {
-			t.Fatalf("workers = %d, want 2", m.par.workers)
-		}
-		// AllocsPerRun pins GOMAXPROCS to 1, but the pool was sized at
-		// construction, so the forks still go through the channels.
-		measure(t, func() *Machine { return m })
 	})
 }
 

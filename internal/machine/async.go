@@ -93,10 +93,9 @@ func (m *Machine) resetPhaseMarkers() {
 	m.metricsDone, m.thermalDone = false, false
 }
 
-// initAsync allocates the parking state. Called from New for every
-// engine but lockstep (EngineParallel is the async engine plus the
-// fork-join machinery); lockstep leaves m.async false and the step
-// guards never fire.
+// initAsync allocates the parking state. Called from New for the async
+// engine; lockstep leaves m.async false and the step guards never
+// fire.
 func (m *Machine) initAsync() {
 	nCPU := m.Cfg.Layout.NumLogical()
 	nPkg := m.Cfg.Layout.NumPackages()
@@ -192,7 +191,6 @@ func (m *Machine) stepCPUs() []int32 {
 	if m.stepListDirty {
 		m.stepList = materialize(m.stepList[:0], m.liveCPUBits)
 		m.stepListDirty = false
-		m.stepListGen++
 	}
 	return m.stepList
 }
@@ -207,7 +205,6 @@ func (m *Machine) stepCoreList() []int32 {
 	if m.stepCoresDirty {
 		m.stepCores = materialize(m.stepCores[:0], m.liveCoreBits)
 		m.stepCoresDirty = false
-		m.stepCoresGen++
 	}
 	return m.stepCores
 }

@@ -1,7 +1,6 @@
 package machine_test
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
@@ -10,10 +9,9 @@ import (
 )
 
 // Engine benchmarks: the lockstep 1 ms loop versus the async
-// discrete-event engine versus the NUMA-sharded parallel engine (large
-// layouts only). The matrix runs with
+// discrete-event engine. The matrix runs with
 //
-//	go test ./internal/machine -run '^$' -bench 'Engines|LargeTopology|ParallelShards'
+//	go test ./internal/machine -run '^$' -bench 'Engines|LargeTopology'
 //
 // and each benchmark reports simulated CPU-milliseconds per wall second
 // (cpu-ms/s). End-to-end regressions are judged by the repository
@@ -22,8 +20,8 @@ import (
 // benchScenario is one benchmark case: a catalog scenario plus its
 // timing envelope, shared across engines. The machine configurations
 // live in the scenario catalog (the same names esfarmd serves); the
-// envelope adds chunk and warm-up lengths and which engines a case
-// excludes.
+// envelope adds chunk and warm-up lengths and whether a case excludes
+// the lockstep engine.
 type benchScenario struct {
 	// Name identifies the case and is also its key in the scenario
 	// catalog ("engines/idle-heavy", "large/256cpu/saturated", ...).
@@ -37,10 +35,6 @@ type benchScenario struct {
 	// SkipLockstep excludes the lockstep engine (on the largest
 	// layouts it is pure waiting).
 	SkipLockstep bool
-	// SkipParallel excludes the parallel engine (the small-layout
-	// engine-regime cases: with one or two nodes the fork has nothing
-	// to shard, so the rows would only re-measure async).
-	SkipParallel bool
 }
 
 // New builds the machine, workload spawned, on the given engine.
@@ -54,18 +48,16 @@ func (s benchScenario) New(e machine.Engine) *machine.Machine {
 
 // Skips reports whether the scenario excludes an engine.
 func (s benchScenario) Skips(e machine.Engine) bool {
-	return s.SkipLockstep && e == machine.EngineLockstep ||
-		s.SkipParallel && e == machine.EngineParallel
+	return s.SkipLockstep && e == machine.EngineLockstep
 }
 
-func fromCatalog(name string, chunkMS, warmupMS int64, skipLockstep, skipParallel bool) benchScenario {
+func fromCatalog(name string, chunkMS, warmupMS int64, skipLockstep bool) benchScenario {
 	return benchScenario{
 		Name:         name,
 		Spec:         scenario.MustNamed(name),
 		SimChunkMS:   chunkMS,
 		WarmupMS:     warmupMS,
 		SkipLockstep: skipLockstep,
-		SkipParallel: skipParallel,
 	}
 }
 
@@ -79,10 +71,10 @@ func fromCatalog(name string, chunkMS, warmupMS int64, skipLockstep, skipParalle
 // horizons; the planner steps over the evaluations that cannot).
 func engineBenchScenarios() []benchScenario {
 	return []benchScenario{
-		fromCatalog("engines/idle-heavy", 10_000, 5_000, false, true),
-		fromCatalog("engines/steady-state", 10_000, 5_000, false, true),
-		fromCatalog("engines/churn-heavy", 10_000, 5_000, false, true),
-		fromCatalog("engines/dvfs-thermal", 10_000, 5_000, false, true),
+		fromCatalog("engines/idle-heavy", 10_000, 5_000, false),
+		fromCatalog("engines/steady-state", 10_000, 5_000, false),
+		fromCatalog("engines/churn-heavy", 10_000, 5_000, false),
+		fromCatalog("engines/dvfs-thermal", 10_000, 5_000, false),
 	}
 }
 
@@ -101,18 +93,18 @@ func largeBenchScenarios() []benchScenario {
 	for _, name := range []string{"64cpu", "256cpu", "1024cpu"} {
 		skip := name != "64cpu"
 		out = append(out,
-			fromCatalog("large/"+name+"/mostly-idle", 5_000, 3_000, skip, false),
-			fromCatalog("large/"+name+"/saturated", 5_000, 3_000, skip, false),
+			fromCatalog("large/"+name+"/mostly-idle", 5_000, 3_000, skip),
+			fromCatalog("large/"+name+"/saturated", 5_000, 3_000, skip),
 		)
 	}
 	out = append(out,
-		fromCatalog("large/256cpu/wide-idle", 5_000, 3_000, true, false),
-		fromCatalog("large/1024cpu/wide-idle", 5_000, 3_000, true, false),
+		fromCatalog("large/256cpu/wide-idle", 5_000, 3_000, true),
+		fromCatalog("large/1024cpu/wide-idle", 5_000, 3_000, true),
 	)
 	return out
 }
 
-var engineSet = []machine.Engine{machine.EngineLockstep, machine.EngineAsync, machine.EngineParallel}
+var engineSet = []machine.Engine{machine.EngineLockstep, machine.EngineAsync}
 
 func runScenario(b *testing.B, sc benchScenario, e machine.Engine) {
 	m := sc.New(e)
@@ -125,7 +117,7 @@ func runScenario(b *testing.B, sc benchScenario, e machine.Engine) {
 	b.ReportMetric(float64(b.N)*float64(sc.SimChunkMS)*nCPU/b.Elapsed().Seconds(), "cpu-ms/s")
 }
 
-// BenchmarkEngines compares the three engines on the workload regimes
+// BenchmarkEngines compares the two engines on the workload regimes
 // that bound their speedups, e.g.
 //
 //	go test ./internal/machine -run '^$' -bench BenchmarkEngines -benchtime 2s
@@ -158,29 +150,5 @@ func BenchmarkLargeTopology(b *testing.B) {
 				runScenario(b, sc, e)
 			})
 		}
-	}
-}
-
-// BenchmarkParallelShards is the parallel engine's scaling curve: the
-// saturated 1024-CPU scenario (the widest planner-bound case) at 1, 2,
-// 4, and 8 shards. shards=1 measures the fork-join machinery's overhead
-// against the async row above; the higher counts measure how the sweep
-// scales with workers — read them alongside GOMAXPROCS, since a shard
-// only speeds things up when a core is free to run it.
-func BenchmarkParallelShards(b *testing.B) {
-	sat := fromCatalog("large/1024cpu/saturated", 5_000, 3_000, true, false)
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("1024cpu/saturated/s%d", shards), func(b *testing.B) {
-			sc := sat
-			sc.Spec.Shards = shards
-			m := sc.New(machine.EngineParallel)
-			m.Run(sat.WarmupMS)
-			nCPU := float64(m.Cfg.Layout.NumLogical())
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m.Run(sat.SimChunkMS)
-			}
-			b.ReportMetric(float64(b.N)*float64(sat.SimChunkMS)*nCPU/b.Elapsed().Seconds(), "cpu-ms/s")
-		})
 	}
 }

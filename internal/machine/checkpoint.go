@@ -58,7 +58,9 @@ import (
 // flags and throttle settle times. Version 5 follows the gob image
 // with a CRC-32 trailer (Checkpoint) and drops the carried quantum cap,
 // which New now derives from Config.MaxQuantumMS as configured.
-const CheckpointVersion = 5
+// Version 6 drops Config.Shards with the parallel engine: the image
+// carries the Config, so its byte format changed.
+const CheckpointVersion = 6
 
 // taskSnapshot is one task's complete state: the scheduler's view
 // (timeslice, CPU, warmup, profile) and the workload's (phase machine,
@@ -118,8 +120,7 @@ type dvfsSnapshot struct {
 	DownTicks  []int64
 }
 
-// asyncSnapshot is the async/parallel engines' parking and lazy-settle
-// state. The live-CPU/live-core bitmaps are not stored: they are a pure
+// asyncSnapshot is the async engine's parking and lazy-settle state. The live-CPU/live-core bitmaps are not stored: they are a pure
 // function of (parked, pkgParked) and whether the machine has scalar
 // throttles, and are recomputed at restore per the same invariant the
 // oracle checks.

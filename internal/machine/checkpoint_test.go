@@ -12,13 +12,13 @@ import (
 )
 
 // TestCheckpointRoundTrip checkpoints every equivalence scenario at a
-// pseudo-random mid-run instant on all three engines, restores, and
+// pseudo-random mid-run instant on both engines, restores, and
 // asserts the restored machine is indistinguishable from the original
 // continuing uninterrupted: byte-identical event traces over the
 // remainder, a tol-0 snapshot diff at the end, and byte-identical
 // final checkpoints.
 func TestCheckpointRoundTrip(t *testing.T) {
-	engines := []Engine{EngineLockstep, EngineAsync, EngineParallel}
+	engines := []Engine{EngineLockstep, EngineAsync}
 	for si, sc := range engineScenarios() {
 		for _, e := range engines {
 			sc, si, e := sc, si, e
@@ -29,7 +29,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 				k := 1 + int64(r.Uint64()%uint64(sc.runMS-1))
 				rest := sc.runMS - k
 
-				m := sc.build(e, 0)
+				m := sc.build(e)
 				m.Run(k)
 				data, err := m.Checkpoint()
 				if err != nil {
@@ -89,11 +89,12 @@ func TestCheckpointRoundTrip(t *testing.T) {
 // batched engine), version 2 with per-step phase markers and Config
 // fields the current format no longer carries, version 3 with the
 // retired dormant-throttle state, version 4 without a checksum trailer
-// and with the carried quantum cap.
+// and with the carried quantum cap, version 5 with the retired parallel
+// engine's Config.Shards.
 func TestRestoreRejectsOldVersion(t *testing.T) {
-	m := engineScenarios()[1].build(EngineAsync, 0)
+	m := engineScenarios()[1].build(EngineAsync)
 	m.Run(1000)
-	for _, v := range []int{1, 2, 3, 4} {
+	for _, v := range []int{1, 2, 3, 4, 5} {
 		st := m.captureState()
 		st.Version = v
 		var buf bytes.Buffer
@@ -116,7 +117,7 @@ func TestRestoreRejectsOldVersion(t *testing.T) {
 func TestBranchDivergence(t *testing.T) {
 	scs := engineScenarios()
 	sc := scs[1] // steady-state: always-busy stochastic workload
-	m := sc.build(EngineAsync, 0)
+	m := sc.build(EngineAsync)
 	m.Run(5000)
 
 	runAndSnap := func(b *Machine) []byte {
@@ -167,6 +168,140 @@ func TestBranchDivergence(t *testing.T) {
 	}
 }
 
+// engineScenarioNamed returns the equivalence scenario of that name.
+func engineScenarioNamed(name string) engineScenario {
+	for _, sc := range engineScenarios() {
+		if sc.name == name {
+			return sc
+		}
+	}
+	panic("no equivalence scenario " + name)
+}
+
+// malformedImageCases are the structural mutations of a decoded image
+// that Restore must reject, each on an equivalence scenario run for
+// 2 s on the async engine.
+var malformedImageCases = []struct {
+	name     string
+	scenario string // steady-state: no throttle, no unit thermal, no DVFS
+	mutate   func(st *machineState)
+}{
+	{"unit temperatures without unit thermal", "steady-state", func(st *machineState) {
+		st.UnitTempC = [][]float64{{50}}
+	}},
+	{"throttle on an unthrottled machine", "steady-state", func(st *machineState) {
+		st.Throttles = []throttleSnapshot{{LimitW: 10}}
+	}},
+	{"extra power tracker", "steady-state", func(st *machineState) {
+		st.Power = append(st.Power, st.Power[0])
+	}},
+	{"missing counter bank", "steady-state", func(st *machineState) {
+		st.Banks = st.Banks[:len(st.Banks)-1]
+	}},
+	{"missing thermal node", "steady-state", func(st *machineState) {
+		st.NodeTempC = st.NodeTempC[1:]
+	}},
+	{"extra dispatch", "steady-state", func(st *machineState) {
+		st.Dispatches = append(st.Dispatches, dispatchSnapshot{TaskID: -1})
+	}},
+	{"extra monitor series", "steady-state", func(st *machineState) {
+		st.TPSeries = append(st.TPSeries, nil)
+	}},
+	{"short idle ticks", "steady-state", func(st *machineState) {
+		st.IdleTicks = nil
+	}},
+	{"DVFS state on a fixed-frequency machine", "steady-state", func(st *machineState) {
+		st.DVFS = &dvfsSnapshot{}
+	}},
+	{"no async state on an async machine", "steady-state", func(st *machineState) {
+		st.Async = nil
+	}},
+	{"short parked flags", "steady-state", func(st *machineState) {
+		st.Async.Parked = st.Async.Parked[:1]
+	}},
+	{"task on a CPU past the layout", "steady-state", func(st *machineState) {
+		st.Tasks[0].CPU = len(st.RQs)
+	}},
+	{"task on a negative CPU", "steady-state", func(st *machineState) {
+		st.Tasks[0].CPU = -1
+	}},
+	{"runqueue holding another CPU's task", "steady-state", func(st *machineState) {
+		for c := range st.RQs {
+			if st.RQs[c].CurrentID >= 0 {
+				st.RQs[(c+1)%len(st.RQs)].QueuedIDs = append(st.RQs[(c+1)%len(st.RQs)].QueuedIDs, st.RQs[c].CurrentID)
+				return
+			}
+		}
+		panic("no running task")
+	}},
+	{"runqueue holding an unknown task", "steady-state", func(st *machineState) {
+		st.RQs[0].QueuedIDs = append(st.RQs[0].QueuedIDs, 1<<30)
+	}},
+	{"short unit temperatures on one core", "dvfs-unit-thermal", func(st *machineState) {
+		st.UnitTempC[0] = st.UnitTempC[0][1:]
+	}},
+	{"extra unit throttle", "dvfs-unit-thermal", func(st *machineState) {
+		st.UnitThrottles = append(st.UnitThrottles, st.UnitThrottles[0])
+	}},
+	{"short P-state vector", "dvfs-unit-thermal", func(st *machineState) {
+		st.DVFS.FreqIdx = st.DVFS.FreqIdx[:1]
+	}},
+	{"P-state past the ladder", "dvfs-unit-thermal", func(st *machineState) {
+		st.DVFS.FreqIdx[0] = 99
+	}},
+	{"negative P-state", "dvfs-unit-thermal", func(st *machineState) {
+		st.DVFS.FreqIdx[0] = -1
+	}},
+	{"pending P-state past the ladder", "dvfs-unit-thermal", func(st *machineState) {
+		if st.DVFS.PendingIdx[0] < 0 {
+			st.DVFS.NPending++ // keep the count consistent
+		}
+		st.DVFS.PendingIdx[0] = 99
+	}},
+	{"pending P-state below none", "dvfs-unit-thermal", func(st *machineState) {
+		if st.DVFS.PendingIdx[0] >= 0 {
+			st.DVFS.NPending-- // keep the count consistent
+		}
+		st.DVFS.PendingIdx[0] = -2
+	}},
+	{"pending count disagrees with the entries", "dvfs-unit-thermal", func(st *machineState) {
+		st.DVFS.NPending++
+	}},
+	{"extra parked flag", "dvfs-unit-thermal", func(st *machineState) {
+		st.Async.Parked = append(st.Async.Parked, false)
+	}},
+	{"extra package settle time", "dvfs-unit-thermal", func(st *machineState) {
+		st.Async.PkgSettledMS = append(st.Async.PkgSettledMS, 0)
+	}},
+	{"faults state on a fault-free machine", "dvfs-unit-thermal", func(st *machineState) {
+		st.Faults = &faultsSnapshot{}
+	}},
+}
+
+// malformedImage returns the sealed image of tc's scenario with tc's
+// mutation applied. It round-trips the bytes first, so the mutation
+// works on a decoded image, as Restore sees it.
+func malformedImage(tb testing.TB, tc int) []byte {
+	tb.Helper()
+	cs := malformedImageCases[tc]
+	m := engineScenarioNamed(cs.scenario).build(EngineAsync)
+	m.Run(2000)
+	data, err := m.Checkpoint()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var st machineState
+	if err := gob.NewDecoder(bytes.NewReader(data[:len(data)-checksumLen])).Decode(&st); err != nil {
+		tb.Fatal(err)
+	}
+	cs.mutate(&st)
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&st); err != nil {
+		tb.Fatal(err)
+	}
+	return sealImage(buf.Bytes())
+}
+
 // TestRestoreRejectsMalformedImages pins that Restore answers a
 // structurally inconsistent image with an error instead of a panic:
 // every per-CPU, per-core and per-throttle slice must fit the machine
@@ -174,126 +309,9 @@ func TestBranchDivergence(t *testing.T) {
 // every runqueue may only hold tasks that record that CPU, and every
 // current or pending P-state must lie on the DVFS ladder.
 func TestRestoreRejectsMalformedImages(t *testing.T) {
-	byName := map[string]engineScenario{}
-	for _, sc := range engineScenarios() {
-		byName[sc.name] = sc
-	}
-	cases := []struct {
-		name     string
-		scenario string // steady-state: no throttle, no unit thermal, no DVFS
-		mutate   func(st *machineState)
-	}{
-		{"unit temperatures without unit thermal", "steady-state", func(st *machineState) {
-			st.UnitTempC = [][]float64{{50}}
-		}},
-		{"throttle on an unthrottled machine", "steady-state", func(st *machineState) {
-			st.Throttles = []throttleSnapshot{{LimitW: 10}}
-		}},
-		{"extra power tracker", "steady-state", func(st *machineState) {
-			st.Power = append(st.Power, st.Power[0])
-		}},
-		{"missing counter bank", "steady-state", func(st *machineState) {
-			st.Banks = st.Banks[:len(st.Banks)-1]
-		}},
-		{"missing thermal node", "steady-state", func(st *machineState) {
-			st.NodeTempC = st.NodeTempC[1:]
-		}},
-		{"extra dispatch", "steady-state", func(st *machineState) {
-			st.Dispatches = append(st.Dispatches, dispatchSnapshot{TaskID: -1})
-		}},
-		{"extra monitor series", "steady-state", func(st *machineState) {
-			st.TPSeries = append(st.TPSeries, nil)
-		}},
-		{"short idle ticks", "steady-state", func(st *machineState) {
-			st.IdleTicks = nil
-		}},
-		{"DVFS state on a fixed-frequency machine", "steady-state", func(st *machineState) {
-			st.DVFS = &dvfsSnapshot{}
-		}},
-		{"no async state on an async machine", "steady-state", func(st *machineState) {
-			st.Async = nil
-		}},
-		{"short parked flags", "steady-state", func(st *machineState) {
-			st.Async.Parked = st.Async.Parked[:1]
-		}},
-		{"task on a CPU past the layout", "steady-state", func(st *machineState) {
-			st.Tasks[0].CPU = len(st.RQs)
-		}},
-		{"task on a negative CPU", "steady-state", func(st *machineState) {
-			st.Tasks[0].CPU = -1
-		}},
-		{"runqueue holding another CPU's task", "steady-state", func(st *machineState) {
-			for c := range st.RQs {
-				if st.RQs[c].CurrentID >= 0 {
-					st.RQs[(c+1)%len(st.RQs)].QueuedIDs = append(st.RQs[(c+1)%len(st.RQs)].QueuedIDs, st.RQs[c].CurrentID)
-					return
-				}
-			}
-			panic("no running task")
-		}},
-		{"runqueue holding an unknown task", "steady-state", func(st *machineState) {
-			st.RQs[0].QueuedIDs = append(st.RQs[0].QueuedIDs, 1<<30)
-		}},
-		{"short unit temperatures on one core", "dvfs-unit-thermal", func(st *machineState) {
-			st.UnitTempC[0] = st.UnitTempC[0][1:]
-		}},
-		{"extra unit throttle", "dvfs-unit-thermal", func(st *machineState) {
-			st.UnitThrottles = append(st.UnitThrottles, st.UnitThrottles[0])
-		}},
-		{"short P-state vector", "dvfs-unit-thermal", func(st *machineState) {
-			st.DVFS.FreqIdx = st.DVFS.FreqIdx[:1]
-		}},
-		{"P-state past the ladder", "dvfs-unit-thermal", func(st *machineState) {
-			st.DVFS.FreqIdx[0] = 99
-		}},
-		{"negative P-state", "dvfs-unit-thermal", func(st *machineState) {
-			st.DVFS.FreqIdx[0] = -1
-		}},
-		{"pending P-state past the ladder", "dvfs-unit-thermal", func(st *machineState) {
-			if st.DVFS.PendingIdx[0] < 0 {
-				st.DVFS.NPending++ // keep the count consistent
-			}
-			st.DVFS.PendingIdx[0] = 99
-		}},
-		{"pending P-state below none", "dvfs-unit-thermal", func(st *machineState) {
-			if st.DVFS.PendingIdx[0] >= 0 {
-				st.DVFS.NPending-- // keep the count consistent
-			}
-			st.DVFS.PendingIdx[0] = -2
-		}},
-		{"pending count disagrees with the entries", "dvfs-unit-thermal", func(st *machineState) {
-			st.DVFS.NPending++
-		}},
-		{"extra parked flag", "dvfs-unit-thermal", func(st *machineState) {
-			st.Async.Parked = append(st.Async.Parked, false)
-		}},
-		{"extra package settle time", "dvfs-unit-thermal", func(st *machineState) {
-			st.Async.PkgSettledMS = append(st.Async.PkgSettledMS, 0)
-		}},
-		{"faults state on a fault-free machine", "dvfs-unit-thermal", func(st *machineState) {
-			st.Faults = &faultsSnapshot{}
-		}},
-	}
-	for _, tc := range cases {
+	for i, tc := range malformedImageCases {
 		t.Run(tc.name, func(t *testing.T) {
-			m := byName[tc.scenario].build(EngineAsync, 0)
-			m.Run(2000)
-			// Round-trip through the bytes first so the mutation works on
-			// a decoded image, as Restore sees it.
-			data, err := m.Checkpoint()
-			if err != nil {
-				t.Fatal(err)
-			}
-			var st machineState
-			if err := gob.NewDecoder(bytes.NewReader(data[:len(data)-checksumLen])).Decode(&st); err != nil {
-				t.Fatal(err)
-			}
-			tc.mutate(&st)
-			var buf bytes.Buffer
-			if err := gob.NewEncoder(&buf).Encode(&st); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := Restore(sealImage(buf.Bytes()), nil); err == nil {
+			if _, err := Restore(malformedImage(t, i), nil); err == nil {
 				t.Fatal("malformed image restored without an error")
 			} else {
 				t.Log(err)
@@ -303,7 +321,7 @@ func TestRestoreRejectsMalformedImages(t *testing.T) {
 
 	// Bytes damaged after the fact: any single flipped bit, in the gob
 	// image or in its checksum trailer, and a truncated image.
-	m := byName["dvfs-unit-thermal"].build(EngineAsync, 0)
+	m := engineScenarioNamed("dvfs-unit-thermal").build(EngineAsync)
 	m.Run(2000)
 	data, err := m.Checkpoint()
 	if err != nil {

@@ -32,8 +32,6 @@ import (
 // configured engine.
 func (m *Machine) Run(durationMS int64) {
 	if m.async {
-		// The parallel engine shares the async driver: the fork-join
-		// sharding lives entirely inside step (see parallel.go).
 		m.runAsync(durationMS)
 	} else {
 		m.runLockstep(durationMS)
@@ -162,24 +160,10 @@ func (m *Machine) step(limitMS int64) int64 {
 		}
 	}
 	// The per-CPU half of the decision: halt or run, then the SMT,
-	// warmup, and DVFS speed factors. Under the default policy the loop
-	// bodies are free of ordered side effects (trace edges are deferred
-	// to haltEdgePass), so the parallel engine runs them per node
-	// shard; the §2.3 task-throttling policy rotates runqueues and
-	// interleaves trace events per CPU, so it keeps the serial loop on
-	// every engine.
-	if m.Cfg.TaskThrottling {
-		m.resolveHaltsTaskThrottling(throttledStep)
-		m.smtScaleOn(m.stepCPUs())
-	} else {
-		if m.par != nil {
-			m.par.fork(m, secSpeed, throttledStep, 0, 0, 0)
-		} else {
-			m.haltDecideOn(m.stepCPUs(), throttledStep)
-			m.smtScaleOn(m.stepCPUs())
-		}
-		m.haltEdgePass(throttledStep)
-	}
+	// warmup, and DVFS speed factors. The SMT factor reads the siblings'
+	// halt decisions, so every CPU decides before any is scaled.
+	m.resolveHalts(throttledStep)
+	m.smtScale()
 
 	// 5. Fix the quantum: the largest dt over which every decision made
 	// above provably holds (1 for the lockstep engine). In a window
@@ -243,35 +227,18 @@ func (m *Machine) step(limitMS int64) int64 {
 	// throttles parked CPUs stay on the list and take the idle branch
 	// because the throttles read their metrics every step). Nothing in
 	// the sweep enqueues work — respawns wait in respawnQ — so the list
-	// never changes under the cursor.
-	// The sweep is split into a per-CPU compute half and a canonical-
-	// order commit: compute integrates each CPU's workload, counters,
-	// metric, and per-unit power (all CPU-local state) and stages the
-	// global-accumulator terms and task transition; execCommit then
-	// folds the staged effects walking the active list ascending. No
-	// commit action can change another CPU's compute within the same
-	// quantum (dispatches, profile samples, placement records, wake
-	// queue, and deadline arming are only read by later phases or later
-	// quanta), so compute-then-commit is bit-identical to the historical
-	// fused loop — the compute half is what the parallel engine runs
-	// per node shard, with the commit serialized behind the barrier.
-	// The serial engines interleave commit right behind each CPU's
-	// compute (the historical order, same result, one pass of locality
-	// instead of two).
+	// never changes under the cursor. Each CPU's piece is computed and
+	// then committed, ascending: the end tick's commits in CPU order,
+	// as the lockstep loop makes them.
 	//
 	// Every CPU folds this quantum's average power over the same fdt, so
 	// the variable-period sample weight is computed once for the sweep
 	// (per tracker when calibrations differ across packages).
 	quantW := m.thermWeightFor(0, fdt)
-	if m.par != nil {
-		m.par.fork(m, secExec, throttledStep, dt, fdt, quantW)
-		m.execCommit(m.stepCPUs(), endMS)
-	} else {
-		nominal := m.nominalPState()
-		for _, c32 := range m.stepCPUs() {
-			m.execCloseCPU(int(c32), &m.tickScratch, throttledStep, dt, fdt, quantW, nominal)
-			m.execCommitCPU(int(c32), endMS)
-		}
+	nominal := m.nominalPState()
+	for _, c32 := range m.stepCPUs() {
+		m.execCloseCPU(int(c32), throttledStep, dt, fdt, quantW, nominal)
+		m.execCommitCPU(int(c32), endMS)
 	}
 
 	// 7. Thermal model: each core integrates its own true power plus a
@@ -298,25 +265,11 @@ func (m *Machine) step(limitMS int64) int64 {
 		m.Spawn(prog)
 	}
 	m.respawnQ = m.respawnQ[:0]
-	// Thermal state is node-local through and through — a core's RC
-	// node reads only its own package's core powers (all in one shard;
-	// shards never split a package) — so the integration runs per node
-	// shard, with only the peak-temperature fold merged serially (max
-	// is exact, so the merge order cannot matter).
 	decay := 0.0 // shared by every node, or 0: each node's own
 	if m.decayShared {
 		decay = m.thermDecayFor(0, fdt)
 	}
-	if m.par != nil {
-		m.par.fork(m, secTherm, nil, dt, fdt, decay)
-		for _, pk := range m.par.peaks {
-			if pk > m.peakTempC {
-				m.peakTempC = pk
-			}
-		}
-	} else if pk := m.thermalOn(m.stepCoreList(), dt, fdt, decay); pk > m.peakTempC {
-		m.peakTempC = pk
-	}
+	m.thermalStep(dt, fdt, decay)
 
 	// 8. Periodic balancing and hot-task checks, staggered per CPU on
 	// the deadline scheduler. The planner guarantees that the only
@@ -469,38 +422,17 @@ func (m *Machine) throttledCPUs() []bool {
 	return out
 }
 
-// haltDecideOn resolves the phase-3 halt decision for the given CPUs
-// under the default (CPU-level) throttling policy: an occupied,
-// un-parked CPU runs at speed 1 unless its throttle group engaged.
-// Trace edges and prevHalt updates are deferred to haltEdgePass, so the
-// loop body is CPU-local and the parallel engine can run it per shard.
-func (m *Machine) haltDecideOn(cpus []int32, throttledStep []bool) {
-	for _, c32 := range cpus {
-		c := int(c32)
-		if m.cpuParked(c) {
-			continue // execSpeed stays 0; no runnable task, no trace edge
-		}
-		m.execSpeed[c] = 0
-		if m.Sched.RQ(topology.CPUID(c)).Current == nil {
-			continue
-		}
-		if !throttledStep[c] {
-			m.execSpeed[c] = 1
-		}
-	}
-}
-
-// resolveHaltsTaskThrottling is the serial phase-3 loop of the §2.3
-// hot-task policy: only tasks responsible for the overheating are
-// halted; a cool task keeps running even while the throttle is engaged.
-// A hot task at the head of the queue is rotated away (its slice ends)
-// so cool queue-mates are not starved behind it; the CPU halts this
-// tick only if the queue's head is still hot. The rotation mutates
-// runqueues and interleaves its trace events with the halt edges, so
-// this path runs serially on every engine — the planner degrades to
-// 1 ms quanta while any throttle is engaged under this policy, so the
-// per-tick rotation runs exactly as in lockstep.
-func (m *Machine) resolveHaltsTaskThrottling(throttledStep []bool) {
+// resolveHalts makes the phase-3 halt decision for each occupied,
+// un-parked CPU: it runs at speed 1 unless its throttle group engaged,
+// and the throttle edges go to the trace in ascending CPU order. Under
+// the §2.3 hot-task policy only tasks responsible for the overheating
+// are halted; a cool task keeps running even while the throttle is
+// engaged. A hot task at the head of the queue is rotated away (its
+// slice ends) so cool queue-mates are not starved behind it; the CPU
+// halts this tick only if the queue's head is still hot. The planner
+// keeps 1 ms spans while any throttle is engaged under that policy, so
+// the per-tick rotation runs exactly as in lockstep.
+func (m *Machine) resolveHalts(throttledStep []bool) {
 	for _, c32 := range m.stepCPUs() {
 		c := int(c32)
 		if m.cpuParked(c) {
@@ -512,7 +444,7 @@ func (m *Machine) resolveHaltsTaskThrottling(throttledStep []bool) {
 			continue
 		}
 		halt := throttledStep[c]
-		if halt {
+		if halt && m.Cfg.TaskThrottling {
 			cpu := topology.CPUID(c)
 			sustainable := m.Sched.MaxPower(cpu)
 			if rq.Current.ProfiledWatts() > sustainable && len(rq.Queued()) > 0 {
@@ -520,12 +452,12 @@ func (m *Machine) resolveHaltsTaskThrottling(throttledStep []bool) {
 			}
 			if rq.Current != nil && rq.Current.ProfiledWatts() <= sustainable {
 				halt = false
+				throttledStep[c] = false
 			}
 		}
 		if !halt {
 			m.execSpeed[c] = 1
 		}
-		throttledStep[c] = halt
 		if m.Cfg.Trace != nil && halt != m.prevHalt[c] {
 			kind := trace.ThrottleOff
 			if halt {
@@ -537,19 +469,19 @@ func (m *Machine) resolveHaltsTaskThrottling(throttledStep []bool) {
 	}
 }
 
-// smtScaleOn applies the phase-4/4b speed factors to the given CPUs.
+// smtScale applies the phase-4/4b speed factors to the step's CPUs.
 // SMT contention: a logical CPU executing alongside a busy sibling runs
-// at the slowdown factor — siblings share a core, a core never spans
-// shards, and the busy/idle predicate the check reads is invariant
-// under every later scaling (slowdown, warmup, and DVFS factors are all
-// > 0), so per-shard execution is order-identical to the global loop.
-// Cache-warmup penalties after a migration (§4.1) fold in next, then
-// the P-state's f/f_max factor composes multiplicatively (the SMT check
-// deliberately ran on the unscaled speeds: a sibling contends for the
-// core's functional units whatever its frequency). execSpeed is then
-// the final execution speed of the quantum, and every planner horizon
-// divides by it.
-func (m *Machine) smtScaleOn(cpus []int32) {
+// at the slowdown factor — the busy/idle predicate the check reads is
+// invariant under every later scaling (slowdown, warmup, and DVFS
+// factors are all > 0), so the ascending walk reads the same siblings
+// a simultaneous one would. Cache-warmup penalties after a migration
+// (§4.1) fold in next, then the P-state's f/f_max factor composes
+// multiplicatively (the SMT check deliberately ran on the unscaled
+// speeds: a sibling contends for the core's functional units whatever
+// its frequency). execSpeed is then the final execution speed of the
+// quantum, and every planner horizon divides by it.
+func (m *Machine) smtScale() {
+	cpus := m.stepCPUs()
 	if m.Cfg.Layout.ThreadsPerPackage > 1 {
 		for _, c32 := range cpus {
 			c := int(c32)
@@ -582,33 +514,9 @@ func (m *Machine) smtScaleOn(cpus []int32) {
 	}
 }
 
-// haltEdgePass emits the throttle-edge trace events and updates
-// prevHalt in canonical ascending-CPU order once the halt decisions
-// (possibly sharded) have all resolved. It visits exactly the CPUs the
-// decision loop reached — occupied and un-parked — and under the
-// default policy the decision never rewrites throttledStep, so reading
-// it here sees the engage pass's values unchanged.
-func (m *Machine) haltEdgePass(throttledStep []bool) {
-	for _, c32 := range m.stepCPUs() {
-		c := int(c32)
-		if m.cpuParked(c) || m.Sched.RQ(topology.CPUID(c)).Current == nil {
-			continue
-		}
-		halt := throttledStep[c]
-		if m.Cfg.Trace != nil && halt != m.prevHalt[c] {
-			kind := trace.ThrottleOff
-			if halt {
-				kind = trace.ThrottleOn
-			}
-			m.emit(trace.Event{TimeMS: m.nowMS, Kind: kind, TaskID: -1, CPU: c, From: -1})
-		}
-		m.prevHalt[c] = halt
-	}
-}
-
-// Staged task transitions of the execution sweep (p6stat values): the
-// compute half records what the quantum did to each CPU's dispatch and
-// execCommit replays the consequences in canonical order.
+// Staged task transitions of a computed piece (p6stat values): the
+// compute half records what the piece did to the CPU's dispatch and
+// execCommitCPU replays the consequences.
 const (
 	p6Idle = iota + 1
 	p6Run
@@ -616,29 +524,13 @@ const (
 	p6Block
 )
 
-// execComputeOn is the compute half of the phase-6 execution sweep for
-// the given CPUs: integrate each CPU's rest of the quantum
-// (execCloseCPU) into its workload, counter banks, utilization,
-// thermal-power metric, and per-unit power (all CPU- or core-local —
-// SMT siblings share a core and therefore a shard), and stage the
-// global-accumulator terms (true energy, estimation error, work done)
-// plus the task transition for execCommit. The
-// per-tick halted/downclocked occupancy counters fold in here too:
-// they are per-CPU and depend only on pre-sweep state.
-func (m *Machine) execComputeOn(cpus []int32, tickRes *workload.TickResult, throttledStep []bool, dt int64, fdt, quantW float64) {
-	nominal := m.nominalPState()
-	for _, c32 := range cpus {
-		m.execCloseCPU(int(c32), tickRes, throttledStep, dt, fdt, quantW, nominal)
-	}
-}
-
 // execCloseCPU computes CPU c's last piece of the quantum: from its
 // clock, which local events may have advanced past the quantum's start
 // (window.go), through the end tick. A CPU whose end tick was already
 // executed as a rate crossing (eagerTick) has its commit staged and
 // computes nothing. The sample weight of a shorter piece comes from
 // the CPU's tracker, the same value thermWeightFor caches.
-func (m *Machine) execCloseCPU(c int, tickRes *workload.TickResult, throttledStep []bool, dt int64, fdt, quantW float64, nominal int) {
+func (m *Machine) execCloseCPU(c int, throttledStep []bool, dt int64, fdt, quantW float64, nominal int) {
 	if from := m.clockOf(c); from > m.qStartMS {
 		dt = m.nowMS + 1 - from
 		if dt <= 0 {
@@ -647,135 +539,127 @@ func (m *Machine) execCloseCPU(c int, tickRes *workload.TickResult, throttledSte
 		fdt = float64(dt)
 		quantW = m.Sched.Power[c].ThermalWeightFor(fdt)
 	}
-	m.execComputeCPU(c, tickRes, throttledStep, dt, fdt, quantW, nominal)
+	m.execComputeCPU(c, throttledStep, dt, fdt, quantW, nominal)
 }
 
-// execComputeCPU is execComputeOn for one CPU.
-func (m *Machine) execComputeCPU(c int, tickRes *workload.TickResult, throttledStep []bool, dt int64, fdt, quantW float64, nominal int) {
-	{
-		cpu := topology.CPUID(c)
-		rq := m.Sched.RQ(cpu)
-		speed := m.execSpeed[c]
-		if !m.thermWShared {
-			quantW = m.Sched.Power[c].ThermalWeightFor(fdt)
+// execComputeCPU integrates a piece of dt ticks of CPU c into its
+// workload, counter banks, utilization, thermal-power metric and
+// per-unit power, and stages the global-accumulator terms (true
+// energy, estimation error, work done) plus the task transition for
+// execCommitCPU. The per-tick halted/downclocked occupancy counters
+// fold in here too: they are per-CPU and depend only on pre-sweep
+// state.
+func (m *Machine) execComputeCPU(c int, throttledStep []bool, dt int64, fdt, quantW float64, nominal int) {
+	tickRes := &m.tickScratch
+	rq := m.Sched.RQ(topology.CPUID(c))
+	speed := m.execSpeed[c]
+	if !m.thermWShared {
+		quantW = m.Sched.Power[c].ThermalWeightFor(fdt)
+	}
+	if throttledStep[c] && rq.Current != nil {
+		m.haltedTicks[c] += dt
+	}
+	if speed == 0 {
+		// Idle or halted: sleep power only (hlt power does not
+		// depend on the P-state).
+		m.truePower[c] = m.idleShareW
+		if m.unitPowerW != nil {
+			m.unitPowerW[c] = units.Energies{}
 		}
-		if throttledStep[c] && rq.Current != nil {
-			m.haltedTicks[c] += dt
-		}
-		if speed == 0 {
-			// Idle or halted: sleep power only (hlt power does not
-			// depend on the P-state).
-			m.truePower[c] = m.idleShareW
-			if m.unitPowerW != nil {
-				m.unitPowerW[c] = units.Energies{}
-			}
-			m.p6true[c] = m.idleShareW * fdt / 1000
-			m.p6stat[c] = p6Idle
-			m.Sched.Power[c].AddEnergyWeighted(m.estIdleJ*fdt, fdt, quantW)
-			if rq.Current == nil {
-				m.idleTicks[c] += dt
-			} else if m.govPeriod > 0 {
-				// Halted with a runnable task: occupied, not idle.
-				// (Utilization feeds only active governors — skip the
-				// tracker when no governor evaluates.)
-				m.addBusy(c, dt, fdt)
-			}
-			return
-		}
-		if m.dvfsOn && m.freqIdx[c] < nominal {
-			// Downclocked occupancy — the DVFS counterpart of
-			// haltedTicks: ticks an occupied CPU actually ran below the
-			// nominal frequency. The busy branch excludes throttle-
-			// halted ticks, which haltedTicks already counts — the two
-			// enforcement signatures partition the time instead of
-			// overlapping.
-			m.downTicks[c] += dt
-		}
-		d := &m.dispatches[c]
-		task := d.task
-		if task.st.WarmupLeft > 0 {
-			task.st.WarmupLeft -= fdt
-		}
-		task.work.TickInto(tickRes, speed, fdt)
-		if m.govPeriod > 0 {
+		m.p6true[c] = m.idleShareW * fdt / 1000
+		m.p6stat[c] = p6Idle
+		m.Sched.Power[c].AddEnergyWeighted(m.estIdleJ*fdt, fdt, quantW)
+		if rq.Current == nil {
+			m.idleTicks[c] += dt
+		} else if m.govPeriod > 0 {
+			// Halted with a runnable task: occupied, not idle.
+			// (Utilization feeds only active governors — skip the
+			// tracker when no governor evaluates.)
 			m.addBusy(c, dt, fdt)
 		}
-		m.banks[c].AccumulateFrom(&tickRes.Counts)
-		d.counts.Accum(&tickRes.Counts)
-		d.ranMS += fdt
+		return
+	}
+	if m.dvfsOn && m.freqIdx[c] < nominal {
+		// Downclocked occupancy — the DVFS counterpart of
+		// haltedTicks: ticks an occupied CPU actually ran below the
+		// nominal frequency. The busy branch excludes throttle-
+		// halted ticks, which haltedTicks already counts — the two
+		// enforcement signatures partition the time instead of
+		// overlapping.
+		m.downTicks[c] += dt
+	}
+	d := &m.dispatches[c]
+	task := d.task
+	if task.st.WarmupLeft > 0 {
+		task.st.WarmupLeft -= fdt
+	}
+	task.work.TickInto(tickRes, speed, fdt)
+	if m.govPeriod > 0 {
+		m.addBusy(c, dt, fdt)
+	}
+	m.banks[c].AccumulateFrom(&tickRes.Counts)
+	d.counts.Accum(&tickRes.Counts)
+	d.ranMS += fdt
 
-		// The P-state's energy factor: event counts already shrank by
-		// f/f_max through the execution speed, so scaling each count's
-		// energy by (V/V_max)² realizes the full f·V² dynamic-power
-		// law. 1 when DVFS is off or the CPU is at the nominal state.
-		ps := 1.0
-		if m.dvfsOn {
-			ps = m.powScale[c]
+	// The P-state's energy factor: event counts already shrank by
+	// f/f_max through the execution speed, so scaling each count's
+	// energy by (V/V_max)² realizes the full f·V² dynamic-power
+	// law. 1 when DVFS is off or the CPU is at the nominal state.
+	ps := 1.0
+	if m.dvfsOn {
+		ps = m.powScale[c]
+	}
+	task.st.SliceLeft -= fdt
+	m.p6work[c] = speed * fdt
+
+	trueJ := m.Model.EnergyJExact(tickRes.Exact, 0) * ps
+	m.truePower[c] = trueJ * 1000 / fdt
+	m.p6true[c] = trueJ
+	if m.unitPowerW != nil {
+		ue := units.SplitExact(m.Model.Weights, tickRes.Exact)
+		for u := range ue {
+			ue[u] = ue[u] * ps * 1000 / fdt
 		}
-		task.st.SliceLeft -= fdt
-		m.p6work[c] = speed * fdt
-
-		trueJ := m.Model.EnergyJExact(tickRes.Exact, 0) * ps
-		m.truePower[c] = trueJ * 1000 / fdt
-		m.p6true[c] = trueJ
-		if m.unitPowerW != nil {
-			ue := units.SplitExact(m.Model.Weights, tickRes.Exact)
+		m.unitPowerW[c] = ue
+	}
+	estJ := m.Est.EnergyJExact(tickRes.Exact, 0) * ps
+	// Within a quantum the event rates are constant, so the sign of
+	// the per-event estimation error is too: |est−true| integrated
+	// per quantum equals the per-millisecond integral, keeping the
+	// metric partition-invariant across engines.
+	m.p6err[c] = math.Abs(estJ - trueJ)
+	m.Sched.Power[c].AddEnergyWeighted(estJ, fdt, quantW)
+	if m.dvfsOn {
+		// The kernel knows its own P-state residency, so per-
+		// dispatch profile energy accumulates frequency-scaled
+		// exact estimates (integer counter deltas cannot be
+		// rescaled after the fact once states changed mid-slice).
+		d.estJ += estJ
+		if ps != 1 {
+			d.scaled = true
+		}
+		if task.st.Units != nil {
+			ue := units.SplitExact(m.Est.Weights, tickRes.Exact)
 			for u := range ue {
-				ue[u] = ue[u] * ps * 1000 / fdt
-			}
-			m.unitPowerW[c] = ue
-		}
-		estJ := m.Est.EnergyJExact(tickRes.Exact, 0) * ps
-		// Within a quantum the event rates are constant, so the sign of
-		// the per-event estimation error is too: |est−true| integrated
-		// per quantum equals the per-millisecond integral, keeping the
-		// metric partition-invariant across engines.
-		m.p6err[c] = math.Abs(estJ - trueJ)
-		m.Sched.Power[c].AddEnergyWeighted(estJ, fdt, quantW)
-		if m.dvfsOn {
-			// The kernel knows its own P-state residency, so per-
-			// dispatch profile energy accumulates frequency-scaled
-			// exact estimates (integer counter deltas cannot be
-			// rescaled after the fact once states changed mid-slice).
-			d.estJ += estJ
-			if ps != 1 {
-				d.scaled = true
-			}
-			if task.st.Units != nil {
-				ue := units.SplitExact(m.Est.Weights, tickRes.Exact)
-				for u := range ue {
-					d.estUnitsJ[u] += ue[u] * ps
-				}
+				d.estUnitsJ[u] += ue[u] * ps
 			}
 		}
+	}
 
-		switch tickRes.Status {
-		case workload.Finished:
-			m.p6stat[c] = p6Finish
-		case workload.Blocked:
-			m.p6stat[c] = p6Block
-			m.p6block[c] = tickRes.BlockMS
-		default:
-			m.p6stat[c] = p6Run
-		}
+	switch tickRes.Status {
+	case workload.Finished:
+		m.p6stat[c] = p6Finish
+	case workload.Blocked:
+		m.p6stat[c] = p6Block
+		m.p6block[c] = tickRes.BlockMS
+	default:
+		m.p6stat[c] = p6Run
 	}
 }
 
-// execCommit applies the execution sweep's staged effects walking the
-// active list ascending — the canonical order. The global accumulators
-// fold per-CPU terms in exactly the sequence the historical fused sweep
-// produced them (each accumulator's add chain is bit-identical), and
-// the queue-mutating task transitions (finish, block, slice expiry)
-// run with their trace events in the same order on every engine and at
-// every shard count.
-func (m *Machine) execCommit(cpus []int32, endMS int64) {
-	for _, c32 := range cpus {
-		m.execCommitCPU(int(c32), endMS)
-	}
-}
-
-// execCommitCPU is execCommit for one CPU: the staged piece ends at
-// endMS.
+// execCommitCPU applies CPU c's staged piece, which ends at endMS: the
+// global accumulators fold its terms, and a finish, block or slice
+// expiry runs with its trace events.
 func (m *Machine) execCommitCPU(c int, endMS int64) {
 	stat := m.p6stat[c]
 	m.p6stat[c] = 0
@@ -800,16 +684,17 @@ func (m *Machine) execCommitCPU(c int, endMS int64) {
 	}
 }
 
-// thermalOn runs the phase-7 thermal integration over the given cores
-// and returns their peak end-of-quantum temperature (−Inf when the
-// list is empty). Everything it reads is package-local — a core's
-// coupled effective power sums its chip neighbours' raw powers, and a
-// package never spans shards — so per-shard execution is exact. A
-// package that local events settled inside the quantum (window.go)
-// integrates its cores and unit hotspots from its own clock; the others
-// take decay, the shared retention over fdt (0: each node's own).
-func (m *Machine) thermalOn(cores []int32, dt int64, fdt, decay float64) float64 {
+// thermalStep runs the phase-7 thermal integration over the step's
+// cores and raises the peak temperature to the hottest core's at the
+// quantum's end.
+// Every core's power is summed before any node steps, because a core's
+// coupled effective power reads its chip neighbours' powers. A package
+// that local events settled inside the quantum (window.go) integrates
+// its cores and unit hotspots from its own clock; the others take
+// decay, the shared retention over fdt (0: each node's own).
+func (m *Machine) thermalStep(dt int64, fdt, decay float64) {
 	perPkg := m.Cfg.Layout.Cores()
+	cores := m.stepCoreList()
 	for _, core32 := range cores {
 		core := int(core32)
 		sum := 0.0
@@ -818,7 +703,6 @@ func (m *Machine) thermalOn(cores []int32, dt int64, fdt, decay float64) float64
 		}
 		m.corePower[core] = sum
 	}
-	peak := math.Inf(-1)
 	for _, core32 := range cores {
 		core := int(core32)
 		eff := m.coupledEffPower(m.corePower, core)
@@ -834,8 +718,8 @@ func (m *Machine) thermalOn(cores []int32, dt int64, fdt, decay float64) float64
 		}
 		// Within a constant-power quantum the RC response is monotone,
 		// so checking the endpoint captures the quantum's extremum.
-		if m.nodes[core].TempC > peak {
-			peak = m.nodes[core].TempC
+		if m.nodes[core].TempC > m.peakTempC {
+			m.peakTempC = m.nodes[core].TempC
 		}
 		if m.unitNodes == nil || n == 0 {
 			continue
@@ -851,7 +735,6 @@ func (m *Machine) thermalOn(cores []int32, dt int64, fdt, decay float64) float64
 		}
 		m.stepUnits(core, n, start, eff)
 	}
-	return peak
 }
 
 // coreUnitW is core's unit-u true power over the current pieces of its

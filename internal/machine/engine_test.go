@@ -14,18 +14,17 @@ import (
 	"energysched/internal/workload"
 )
 
-// Cross-engine equivalence: the async engine (and its sharded parallel
-// variant) must reproduce the lockstep engine's results for the same seed — identical
-// discrete outcomes (completions, migrations with their timestamps,
+// Cross-engine equivalence: the async engine must reproduce the
+// lockstep engine's results for the same seed — identical discrete
+// outcomes (completions, migrations with their timestamps,
 // throttle engagement time) and float outcomes (temperatures, thermal
 // powers, energy-derived profiles) within 1e-6 relative tolerance.
 
 // engineScenario describes one equivalence scenario.
 type engineScenario struct {
 	name string
-	// build constructs the machine on engine e; shards is the
-	// EngineParallel shard count (0: one per node).
-	build func(e Engine, shards int) *Machine
+	// build constructs the machine on engine e.
+	build func(e Engine) *Machine
 	runMS int64
 }
 
@@ -36,9 +35,9 @@ func engineScenarios() []engineScenario {
 			// Mostly-blocked interactive tasks: long idle stretches
 			// between wake-ups, the quantum planner's best case.
 			name: "idle-heavy",
-			build: func(e Engine, shards int) *Machine {
+			build: func(e Engine) *Machine {
 				m := MustNew(Config{
-					Engine: e, Shards: shards, Layout: topology.XSeries445NoSMT(),
+					Engine: e, Layout: topology.XSeries445NoSMT(),
 					Sched: sched.DefaultConfig(), Seed: 11,
 					PackageMaxPowerW: []float64{60}, MonitorPeriodMS: 500,
 				})
@@ -52,9 +51,9 @@ func engineScenarios() []engineScenario {
 		{
 			// Saturated CPU-bound mix with energy balancing active.
 			name: "steady-state",
-			build: func(e Engine, shards int) *Machine {
+			build: func(e Engine) *Machine {
 				m := MustNew(Config{
-					Engine: e, Shards: shards, Layout: topology.XSeries445NoSMT(),
+					Engine: e, Layout: topology.XSeries445NoSMT(),
 					Sched: sched.DefaultConfig(), Seed: 3,
 					PackageMaxPowerW: []float64{60}, MonitorPeriodMS: 1000,
 				})
@@ -69,9 +68,9 @@ func engineScenarios() []engineScenario {
 			// Throttling engaged and oscillating, finite tasks churning
 			// through respawn, per-logical scope.
 			name: "throttled-churn",
-			build: func(e Engine, shards int) *Machine {
+			build: func(e Engine) *Machine {
 				m := MustNew(Config{
-					Engine: e, Shards: shards, Layout: topology.XSeries445NoSMT(),
+					Engine: e, Layout: topology.XSeries445NoSMT(),
 					Sched: sched.DefaultConfig(), Seed: 42,
 					PackageMaxPowerW: []float64{50},
 					ThrottleEnabled:  true, Scope: ThrottlePerLogical,
@@ -87,9 +86,9 @@ func engineScenarios() []engineScenario {
 			// The Fig. 9 setup: SMT machine, one hot task hopping
 			// between packages under per-package throttling.
 			name: "smt-hot-migration",
-			build: func(e Engine, shards int) *Machine {
+			build: func(e Engine) *Machine {
 				m := MustNew(Config{
-					Engine: e, Shards: shards, Layout: topology.XSeries445(),
+					Engine: e, Layout: topology.XSeries445(),
 					Sched: sched.DefaultConfig(), Seed: 7,
 					PackageMaxPowerW: []float64{40},
 					ThrottleEnabled:  true, Scope: ThrottlePerPackage,
@@ -104,9 +103,9 @@ func engineScenarios() []engineScenario {
 			// §7 CMP: per-core throttling, core coupling, dual-core
 			// chips, hot rotation across the mc level.
 			name: "cmp-per-core",
-			build: func(e Engine, shards int) *Machine {
+			build: func(e Engine) *Machine {
 				m := MustNew(Config{
-					Engine: e, Shards: shards, Layout: topology.CMP2x2(),
+					Engine: e, Layout: topology.CMP2x2(),
 					Sched: sched.DefaultConfig(), Seed: 3,
 					PackageProps:     []energyProps{props01(), props01()},
 					PackageMaxPowerW: []float64{100},
@@ -122,11 +121,11 @@ func engineScenarios() []engineScenario {
 			// §7 unit extension: unit hotspots, unit throttling, and
 			// unit-aware balancing of equal-power int/FP tasks.
 			name: "unit-thermal",
-			build: func(e Engine, shards int) *Machine {
+			build: func(e Engine) *Machine {
 				pol := sched.DefaultConfig()
 				pol.UnitAwareBalancing = true
 				m := MustNew(Config{
-					Engine: e, Shards: shards, Layout: topology.CMP2x2(),
+					Engine: e, Layout: topology.CMP2x2(),
 					Sched: pol, Seed: 9,
 					PackageProps:     []energyProps{props01(), props01()},
 					PackageMaxPowerW: []float64{100},
@@ -146,9 +145,9 @@ func engineScenarios() []engineScenario {
 			// parked CPUs mid-execution-phase (the async engine's
 			// settle-split path) and re-activates them.
 			name: "sparse-respawn",
-			build: func(e Engine, shards int) *Machine {
+			build: func(e Engine) *Machine {
 				m := MustNew(Config{
-					Engine: e, Shards: shards, Layout: topology.XSeries445NoSMT(),
+					Engine: e, Layout: topology.XSeries445NoSMT(),
 					Sched: sched.DefaultConfig(), Seed: 13,
 					PackageMaxPowerW: []float64{60},
 					RespawnFinished:  true,
@@ -165,11 +164,11 @@ func engineScenarios() []engineScenario {
 			// their unit hotspots (StepOverBatched over the gap) and
 			// their unit-throttle accounting lazily.
 			name: "unit-sparse",
-			build: func(e Engine, shards int) *Machine {
+			build: func(e Engine) *Machine {
 				pol := sched.DefaultConfig()
 				pol.UnitAwareBalancing = true
 				m := MustNew(Config{
-					Engine: e, Shards: shards, Layout: topology.CMP2x2(),
+					Engine: e, Layout: topology.CMP2x2(),
 					Sched: pol, Seed: 17,
 					PackageProps:     []energyProps{props01(), props01()},
 					PackageMaxPowerW: []float64{100},
@@ -188,9 +187,9 @@ func engineScenarios() []engineScenario {
 			// packages) while two CPU-bound tasks stay hot, with
 			// periodic monitoring forcing settle points.
 			name: "wide-idle",
-			build: func(e Engine, shards int) *Machine {
+			build: func(e Engine) *Machine {
 				m := MustNew(Config{
-					Engine: e, Shards: shards, Layout: topology.Server64(),
+					Engine: e, Layout: topology.Server64(),
 					Sched: sched.DefaultConfig(), Seed: 21,
 					PackageMaxPowerW: []float64{120}, MonitorPeriodMS: 1000,
 				})
@@ -208,9 +207,9 @@ func engineScenarios() []engineScenario {
 			// chips; kept short because the lockstep reference steps
 			// every CPU every millisecond.
 			name: "server1024",
-			build: func(e Engine, shards int) *Machine {
+			build: func(e Engine) *Machine {
 				m := MustNew(Config{
-					Engine: e, Shards: shards, Layout: topology.Server1024(),
+					Engine: e, Layout: topology.Server1024(),
 					Sched: sched.DefaultConfig(), Seed: 29,
 					PackageMaxPowerW: []float64{360}, MonitorPeriodMS: 1000,
 				})
@@ -229,9 +228,9 @@ func engineScenarios() []engineScenario {
 			// transitions, governor deadlines, and parked CPUs keeping
 			// their last P-state all interleave.
 			name: "dvfs-ondemand",
-			build: func(e Engine, shards int) *Machine {
+			build: func(e Engine) *Machine {
 				m := MustNew(Config{
-					Engine: e, Shards: shards, Layout: topology.XSeries445NoSMT(),
+					Engine: e, Layout: topology.XSeries445NoSMT(),
 					Sched: sched.DefaultConfig(), Seed: 23,
 					PackageMaxPowerW: []float64{60}, MonitorPeriodMS: 500,
 					DVFS:            &dvfs.Config{Governor: "ondemand"},
@@ -251,9 +250,9 @@ func engineScenarios() []engineScenario {
 			// throttle while hot task migration hops the task between
 			// cores running at unequal frequencies.
 			name: "dvfs-thermal",
-			build: func(e Engine, shards int) *Machine {
+			build: func(e Engine) *Machine {
 				m := MustNew(Config{
-					Engine: e, Shards: shards, Layout: topology.XSeries445(),
+					Engine: e, Layout: topology.XSeries445(),
 					Sched: sched.DefaultConfig(), Seed: 31,
 					PackageMaxPowerW: []float64{40},
 					ThrottleEnabled:  true, Scope: ThrottlePerPackage,
@@ -272,11 +271,11 @@ func engineScenarios() []engineScenario {
 			// voltage-scaled per-unit energy profiles (dispatch
 			// estUnitsJ) drive cross-engine-identical exchanges.
 			name: "dvfs-unit-thermal",
-			build: func(e Engine, shards int) *Machine {
+			build: func(e Engine) *Machine {
 				pol := sched.DefaultConfig()
 				pol.UnitAwareBalancing = true
 				m := MustNew(Config{
-					Engine: e, Shards: shards, Layout: topology.CMP2x2(),
+					Engine: e, Layout: topology.CMP2x2(),
 					Sched: pol, Seed: 41,
 					PackageProps:     []energyProps{props01(), props01()},
 					PackageMaxPowerW: []float64{100},
@@ -297,9 +296,9 @@ func engineScenarios() []engineScenario {
 			// temperature entirely inside the async engine's closed-form
 			// package settling — pins PeakTempC tracking on that path.
 			name: "all-idle",
-			build: func(e Engine, shards int) *Machine {
+			build: func(e Engine) *Machine {
 				return MustNew(Config{
-					Engine: e, Shards: shards, Layout: topology.XSeries445NoSMT(),
+					Engine: e, Layout: topology.XSeries445NoSMT(),
 					Sched: sched.DefaultConfig(), Seed: 1,
 					PackageMaxPowerW: []float64{40},
 					MonitorPeriodMS:  5000,
@@ -311,9 +310,9 @@ func engineScenarios() []engineScenario {
 			// §2.3 task-throttling policy: per-tick head rotation while
 			// engaged (the planner's forced-lockstep path).
 			name: "task-throttling",
-			build: func(e Engine, shards int) *Machine {
+			build: func(e Engine) *Machine {
 				m := MustNew(Config{
-					Engine: e, Shards: shards, Layout: topology.XSeries445NoSMT(),
+					Engine: e, Layout: topology.XSeries445NoSMT(),
 					Sched: sched.BaselineConfig(), Seed: 5,
 					PackageMaxPowerW: []float64{45},
 					ThrottleEnabled:  true, Scope: ThrottlePerLogical,
@@ -334,9 +333,9 @@ func engineScenarios() []engineScenario {
 			// multi-ms quanta. Throttling keeps the weights observable
 			// through trigger timing, not just through temperatures.
 			name: "hetero-thermal",
-			build: func(e Engine, shards int) *Machine {
+			build: func(e Engine) *Machine {
 				m := MustNew(Config{
-					Engine: e, Shards: shards, Layout: topology.CMP2x2(),
+					Engine: e, Layout: topology.CMP2x2(),
 					Sched: sched.DefaultConfig(), Seed: 11,
 					PackageProps: []energyProps{
 						props01(),                      // τ = 15s
@@ -359,9 +358,9 @@ func engineScenarios() []engineScenario {
 			// Exercises the drift and residual-window planner horizons
 			// and the recal path's cross-engine determinism.
 			name: "faults-drift-recal",
-			build: func(e Engine, shards int) *Machine {
+			build: func(e Engine) *Machine {
 				m := MustNew(Config{
-					Engine: e, Shards: shards, Layout: topology.XSeries445NoSMT(),
+					Engine: e, Layout: topology.XSeries445NoSMT(),
 					Sched: sched.DefaultConfig(), Seed: 7,
 					PackageMaxPowerW: []float64{50},
 					ThrottleEnabled:  true, Scope: ThrottlePerPackage,
@@ -393,9 +392,9 @@ func engineScenarios() []engineScenario {
 			// limits identically across engines, with every throttle
 			// group re-evaluated against the changed limits.
 			name: "faults-fallback-stuck",
-			build: func(e Engine, shards int) *Machine {
+			build: func(e Engine) *Machine {
 				m := MustNew(Config{
-					Engine: e, Shards: shards, Layout: topology.CMP2x2(),
+					Engine: e, Layout: topology.CMP2x2(),
 					Sched: sched.DefaultConfig(), Seed: 13,
 					PackageProps:     []energyProps{props01(), props01()},
 					PackageMaxPowerW: []float64{90, 90},
@@ -422,51 +421,35 @@ func engineScenarios() []engineScenario {
 	}
 }
 
-// TestEngineEquivalence runs every scenario through all three engines
-// and asserts the acceptance contract against the lockstep reference:
+// TestEngineEquivalence runs every scenario through both engines and
+// asserts the acceptance contract against the lockstep reference:
 // exactly equal discrete outcomes (completions, migrations with their
 // timestamps and reasons, throttle decisions, idle/halted ticks),
-// ≤1e-6 relative difference on temperatures and energies. The parallel
-// engine runs twice — at the default one-shard-per-node partition and
-// built with a single shard — pinning the determinism contract
-// that the shard count is unobservable.
+// ≤1e-6 relative difference on temperatures and energies, and
+// byte-identical event traces.
 func TestEngineEquivalence(t *testing.T) {
 	for _, sc := range engineScenarios() {
-		// The slow lockstep reference runs once per scenario; every
-		// fast engine is asserted against the same machine. Every
-		// machine records a full event trace, asserted byte-identical
-		// across engines.
-		lock := sc.build(EngineLockstep, 0)
-		lock.Cfg.Trace = trace.New(0)
-		lock.Run(sc.runMS)
-		lockCSV := traceCSV(t, lock.Cfg.Trace)
-		for _, v := range []struct {
-			engine Engine
-			shards int // EngineParallel shard count (0: one per node)
-			name   string
-		}{
-			{EngineAsync, 0, "async"},
-			{EngineParallel, 0, "parallel"},
-			{EngineParallel, 1, "parallel-1shard"},
-		} {
-			t.Run(sc.name+"/"+v.name, func(t *testing.T) {
-				got := sc.build(v.engine, v.shards)
-				got.Cfg.Trace = trace.New(0)
-				// Advance in chunks to also exercise Run-boundary
-				// clamping (and, for async, the end-of-Run settling).
-				for i := 0; i < 3; i++ {
-					got.Run(sc.runMS / 3)
-				}
-				if rem := sc.runMS - 3*(sc.runMS/3); rem > 0 {
-					got.Run(rem)
-				}
-				assertEquivalent(t, lock, got)
-				if gotCSV := traceCSV(t, got.Cfg.Trace); gotCSV != lockCSV {
-					t.Errorf("event trace differs from lockstep (%d vs %d bytes): %s",
-						len(gotCSV), len(lockCSV), firstTraceDiff(lockCSV, gotCSV))
-				}
-			})
-		}
+		t.Run(sc.name+"/async", func(t *testing.T) {
+			lock := sc.build(EngineLockstep)
+			lock.Cfg.Trace = trace.New(0)
+			lock.Run(sc.runMS)
+			got := sc.build(EngineAsync)
+			got.Cfg.Trace = trace.New(0)
+			// Advance in chunks to also exercise Run-boundary clamping
+			// and the end-of-Run settling.
+			for i := 0; i < 3; i++ {
+				got.Run(sc.runMS / 3)
+			}
+			if rem := sc.runMS - 3*(sc.runMS/3); rem > 0 {
+				got.Run(rem)
+			}
+			assertEquivalent(t, lock, got)
+			lockCSV := traceCSV(t, lock.Cfg.Trace)
+			if gotCSV := traceCSV(t, got.Cfg.Trace); gotCSV != lockCSV {
+				t.Errorf("event trace differs from lockstep (%d vs %d bytes): %s",
+					len(gotCSV), len(lockCSV), firstTraceDiff(lockCSV, gotCSV))
+			}
+		})
 	}
 }
 
@@ -494,17 +477,13 @@ func TestSpawnBetweenRunsEquivalence(t *testing.T) {
 		m.Run(3000)
 		return m
 	}
-	lock := run(EngineLockstep)
-	lockCSV := traceCSV(t, lock.Cfg.Trace)
-	for _, e := range []Engine{EngineAsync, EngineParallel} {
-		t.Run(e.String(), func(t *testing.T) {
-			got := run(e)
-			assertEquivalent(t, lock, got)
-			if gotCSV := traceCSV(t, got.Cfg.Trace); gotCSV != lockCSV {
-				t.Errorf("event trace differs from lockstep: %s", firstTraceDiff(lockCSV, gotCSV))
-			}
-		})
-	}
+	t.Run("async", func(t *testing.T) {
+		lock, got := run(EngineLockstep), run(EngineAsync)
+		assertEquivalent(t, lock, got)
+		if lockCSV, gotCSV := traceCSV(t, lock.Cfg.Trace), traceCSV(t, got.Cfg.Trace); gotCSV != lockCSV {
+			t.Errorf("event trace differs from lockstep: %s", firstTraceDiff(lockCSV, gotCSV))
+		}
+	})
 }
 
 // traceCSV renders a recorder's events as CSV for byte comparison.
@@ -570,23 +549,47 @@ func TestEngineString(t *testing.T) {
 	if Engine(0) != EngineAsync {
 		t.Errorf("zero Engine is %v, want async", Engine(0))
 	}
-	if EngineLockstep.String() != "lockstep" ||
-		EngineAsync.String() != "async" || EngineParallel.String() != "parallel" {
+	if EngineLockstep.String() != "lockstep" || EngineAsync.String() != "async" {
 		t.Error("engine names wrong")
 	}
-	for _, name := range []string{"lockstep", "async", "parallel"} {
+	for _, name := range []string{"lockstep", "async"} {
 		e, err := ParseEngine(name)
 		if err != nil || e.String() != name {
 			t.Errorf("ParseEngine(%q) = %v, %v", name, e, err)
 		}
 	}
-	for _, name := range []string{"turbo", "batched"} {
+	for _, name := range []string{"turbo", "batched", "parallel"} {
 		if _, err := ParseEngine(name); err == nil {
 			t.Errorf("ParseEngine accepted %q", name)
 		}
 	}
 	if s := Engine(9).String(); s != fmt.Sprintf("engine(%d)", 9) {
 		t.Errorf("unknown engine name %q", s)
+	}
+}
+
+// TestEngineParallelMapsToAsync pins the retired engine's name, which
+// stays only for the repository benchmark: New builds an async machine
+// for it, and its run equals one built on EngineAsync bit for bit.
+func TestEngineParallelMapsToAsync(t *testing.T) {
+	build := func(e Engine) *Machine {
+		m := MustNew(Config{
+			Engine: e, Layout: topology.Server64(),
+			Sched: sched.DefaultConfig(), Seed: 1, Trace: trace.New(0),
+		})
+		m.SpawnN(catalog().Bitcnts(), 40)
+		m.Run(2000)
+		return m
+	}
+	ref, got := build(EngineAsync), build(EngineParallel)
+	if got.Cfg.Engine != EngineAsync || !got.async {
+		t.Fatalf("EngineParallel built %v, want async", got.Cfg.Engine)
+	}
+	if diffs := DiffSnapshots(ref.Snapshot(), got.Snapshot(), 0); len(diffs) > 0 {
+		t.Errorf("snapshot differs from async: %v", diffs)
+	}
+	if refCSV, gotCSV := traceCSV(t, ref.Cfg.Trace), traceCSV(t, got.Cfg.Trace); gotCSV != refCSV {
+		t.Errorf("event trace differs from async: %s", firstTraceDiff(refCSV, gotCSV))
 	}
 }
 

@@ -1,6 +1,10 @@
 package machine
 
-import "energysched/internal/topology"
+import (
+	"testing"
+
+	"energysched/internal/topology"
+)
 
 // FirePhase8 runs one async phase-8 walk with the machine's current
 // tick as the quantum's end tick, on a machine stopped between runs:
@@ -79,3 +83,13 @@ func (m *Machine) fireDueDeadlinesMerged(endMS int64) {
 // the running-task scan to the window's end) recompute estRatePowerW
 // and panic when the two differ.
 func (m *Machine) VerifyFeedCache() { m.verifyFeeds = true }
+
+// MalformedImages returns the sealed images of
+// TestRestoreRejectsMalformedImages' cases, which Restore rejects.
+func MalformedImages(tb testing.TB) [][]byte {
+	out := make([][]byte, len(malformedImageCases))
+	for i := range out {
+		out[i] = malformedImage(tb, i)
+	}
+	return out
+}

@@ -79,7 +79,7 @@ func TestFaultLoopActivity(t *testing.T) {
 
 	t.Run("faults-off-zero-metrics", func(t *testing.T) {
 		m := MustNew(Config{
-			Engine: EngineParallel, Layout: topology.XSeries445NoSMT(),
+			Engine: EngineAsync, Layout: topology.XSeries445NoSMT(),
 			Sched: sched.BaselineConfig(), Seed: 3,
 			PackageMaxPowerW: []float64{50},
 		})

@@ -18,16 +18,14 @@
 //  6. handles timeslice expiry, blocking, and completion,
 //  7. runs due balancer and hot-task-migration deadlines.
 //
-// Three engines drive that step (see Engine). The default async engine
+// Two engines drive that step (see Engine). The default async engine
 // plans, per step, the largest quantum over which the machine state is
 // provably constant (see planner.go), integrates it in one pass, and
 // keeps a clock per CPU (see async.go): idle CPUs park entirely and
 // their state settles lazily when observed. The lockstep engine fixes
 // the quantum at 1 ms — the classic tick loop and the reference the
-// async engine is asserted equivalent to. The parallel engine is the
-// async engine with its data-parallel phases sharded across goroutines
-// (see parallel.go). All engines produce equivalent results for the
-// same seed.
+// async engine is asserted equivalent to. Both produce equivalent
+// results for the same seed.
 package machine
 
 import (
@@ -97,16 +95,12 @@ const (
 	// every logical CPU is simulated individually. It serves as the
 	// reference for cross-engine equivalence tests and as a fallback.
 	EngineLockstep
-	// EngineParallel is the async engine with its data-parallel step
-	// phases sharded along topology.Node boundaries and executed on
-	// real goroutines (parallel.go): halt/SMT/DVFS speed resolution,
-	// the execution/energy compute, and the thermal RC integration run
-	// per node shard, while cross-node work (balancing deadlines,
-	// hot-task migration, placement, throttle accounting, the
-	// recalibration loop) and the canonical-order commit of staged
-	// per-CPU effects stay serial. The merge is deterministic:
-	// byte-identical traces and bit-identical metrics to EngineAsync at
-	// every shard count (Config.Shards; default topology Nodes).
+	// EngineParallel names the retired parallel engine; New maps it to
+	// EngineAsync.
+	//
+	// Deprecated: kept only because the repository benchmark
+	// (bench/traced.go) still names it. It goes when the benchmark
+	// drops its parallel2 row; use EngineAsync.
 	EngineParallel
 )
 
@@ -118,10 +112,8 @@ func ParseEngine(s string) (Engine, error) {
 		return EngineLockstep, nil
 	case "async":
 		return EngineAsync, nil
-	case "parallel":
-		return EngineParallel, nil
 	}
-	return 0, fmt.Errorf("unknown engine %q (want lockstep, async, or parallel)", s)
+	return 0, fmt.Errorf("unknown engine %q (want lockstep or async)", s)
 }
 
 // String names the engine.
@@ -131,8 +123,6 @@ func (e Engine) String() string {
 		return "lockstep"
 	case EngineAsync:
 		return "async"
-	case EngineParallel:
-		return "parallel"
 	}
 	return fmt.Sprintf("engine(%d)", int(e))
 }
@@ -174,14 +164,6 @@ type Config struct {
 	// predicted in closed form and re-checked inside windows). Ignored
 	// by the lockstep engine.
 	MaxQuantumMS int
-	// Shards is the number of node shards EngineParallel partitions the
-	// machine into; 0 selects one shard per NUMA node. Values above the
-	// node count are clamped (a shard never splits a node, so the
-	// partition always aligns with package and SMT-core boundaries).
-	// Results are bit-identical at every shard count; Shards only moves
-	// the wall-clock/parallelism trade-off. Ignored by the serial
-	// engines.
-	Shards int
 	// Sched selects the scheduling policy.
 	Sched sched.Config
 	// Seed drives all randomness.
@@ -365,21 +347,12 @@ type Machine struct {
 	liveCoreBits   []uint64
 	stepListDirty  bool
 	stepCoresDirty bool
-	// stepListGen/stepCoresGen count list rematerializations, letting
-	// the parallel engine rebuild its per-shard sublists only when the
-	// global lists actually changed (see parallel.go).
-	stepListGen  uint64
-	stepCoresGen uint64
-
-	// Parallel-engine runtime (nil for every other engine; see
-	// parallel.go).
-	par *parEngine
 
 	// Async-engine state (see async.go; nil/zero on lockstep). async
-	// marks every engine but lockstep: quanta are planned, CPUs park,
-	// the deadline scheduler is attached, and the periodic-deadline
-	// phases fire from due lists instead of the per-CPU modulo scan
-	// (which the lockstep engine keeps as the reference behavior).
+	// marks the async engine: quanta are planned, CPUs park, the
+	// deadline scheduler is attached, and the periodic-deadline phases
+	// fire from due lists instead of the per-CPU modulo scan (which the
+	// lockstep engine keeps as the reference behavior).
 	async        bool
 	nParked      int     // count of parked CPUs
 	parked       []bool  // per logical CPU: nothing to run, settled lazily
@@ -497,12 +470,12 @@ type Machine struct {
 	truePower       []float64
 	corePower       []float64 // per-core raw power this step (average W)
 	throttleScratch []bool
-	// Execution-sweep staging: the compute half of phase 6 records each
-	// CPU's global-accumulator terms and task transition here, and
-	// execCommit folds them in canonical ascending-CPU order — the
-	// split that lets the compute half run per node shard while sums
-	// and trace events stay bit-identical to the serial sweep. Used by
-	// every engine so there is exactly one sweep implementation.
+	// Execution staging: computing a CPU's piece (execComputeCPU)
+	// records its global-accumulator terms and task transition here,
+	// and execCommitCPU folds them in. The two halves are apart only
+	// inside a window: a crossing tick executed ahead of time
+	// (eagerTick) must not commit before the ticks and CPUs that
+	// precede it in (tick, CPU) order, the lockstep commit order.
 	p6stat  []uint8   // per CPU: staged task transition (p6* consts)
 	p6true  []float64 // per CPU: true energy this quantum (J)
 	p6err   []float64 // per CPU: |est − true| energy this quantum (J)
@@ -622,17 +595,11 @@ func New(cfg Config) (*Machine, error) {
 	}
 
 	switch cfg.Engine {
-	case EngineLockstep, EngineAsync, EngineParallel:
+	case EngineLockstep, EngineAsync:
+	case EngineParallel:
+		cfg.Engine = EngineAsync
 	default:
 		return nil, fmt.Errorf("machine: unknown engine %d", int(cfg.Engine))
-	}
-	if cfg.Shards < 0 {
-		return nil, fmt.Errorf("machine: Shards %d out of range", cfg.Shards)
-	}
-	if cfg.Engine == EngineParallel {
-		if cfg.Shards == 0 || cfg.Shards > cfg.Layout.Nodes {
-			cfg.Shards = cfg.Layout.Nodes
-		}
 	}
 	if cfg.MaxQuantumMS < 0 {
 		return nil, fmt.Errorf("machine: MaxQuantumMS %d out of range", cfg.MaxQuantumMS)
@@ -899,15 +866,10 @@ func New(cfg Config) (*Machine, error) {
 	}
 
 	// Async parking state depends on the throttle groups built above.
-	// The parallel engine is the async engine plus sharded step phases,
-	// so it shares the whole parking/settling substrate.
 	if m.async {
 		m.initAsync()
 		m.local.keys = make([]int64, 0, nCPU)
 		m.feedW = make([]float64, nCPU)
-	}
-	if cfg.Engine == EngineParallel {
-		m.initParallel()
 	}
 	return m, nil
 }

@@ -183,25 +183,23 @@ func TestHotHorizonSkipsNoOpChecks(t *testing.T) {
 	if firstHot < 1_000 {
 		t.Fatalf("first hot migration at %d ms; want the machine to start below its trigger", firstHot)
 	}
-	for _, engine := range []Engine{EngineAsync, EngineParallel} {
-		got := build(engine)
-		got.Run(runMS)
-		assertEquivalent(t, lock, got)
-		if gotCSV := traceCSV(t, got.Cfg.Trace); gotCSV != lockCSV {
-			t.Errorf("%s: trace differs from lockstep: %s", engine, firstTraceDiff(lockCSV, gotCSV))
-		}
-		if n := got.MigrationCountByReason(sched.MigrateHot); n == 0 {
-			t.Errorf("%s: no hot migration", engine)
-		}
-		// Every CPU runs one task throughout, so every grid instant is
-		// an armed hot check; firing all of them would equal the grid.
-		grid := 0
-		for ms := int64(0); ms < runMS; ms++ {
-			grid += len(got.wheel.HotDueCPUs(ms))
-		}
-		if _, _, hot, _ := got.DeadlineFires(); hot >= int64(grid) {
-			t.Errorf("%s: %d hot checks fired of %d on the grid; none skipped", engine, hot, grid)
-		}
+	got := build(EngineAsync)
+	got.Run(runMS)
+	assertEquivalent(t, lock, got)
+	if gotCSV := traceCSV(t, got.Cfg.Trace); gotCSV != lockCSV {
+		t.Errorf("trace differs from lockstep: %s", firstTraceDiff(lockCSV, gotCSV))
+	}
+	if n := got.MigrationCountByReason(sched.MigrateHot); n == 0 {
+		t.Error("no hot migration")
+	}
+	// Every CPU runs one task throughout, so every grid instant is
+	// an armed hot check; firing all of them would equal the grid.
+	grid := 0
+	for ms := int64(0); ms < runMS; ms++ {
+		grid += len(got.wheel.HotDueCPUs(ms))
+	}
+	if _, _, hot, _ := got.DeadlineFires(); hot >= int64(grid) {
+		t.Errorf("%d hot checks fired of %d on the grid; none skipped", hot, grid)
 	}
 }
 

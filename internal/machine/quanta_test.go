@@ -83,7 +83,7 @@ func TestBenchQuantaLength(t *testing.T) {
 	}
 	for _, row := range steady {
 		t.Run(strings.ReplaceAll(row.name, "/", "_")+"_30s", func(t *testing.T) {
-			m := fromCatalog(row.name, 0, 0, false, false).New(machine.Engine(0))
+			m := fromCatalog(row.name, 0, 0, false).New(machine.Engine(0))
 			m.Run(30_000)
 			qs := countQuanta(m, row.measureMS)
 			t.Logf("%s after 30 s: %d quanta over %d ms, %.2f ms per quantum; stepped over %d slice expiries, %d rate crossings",

@@ -299,7 +299,7 @@ func (m *Machine) eagerTick(c int, t int64, throttled []bool, interior bool) {
 func (m *Machine) execPiece(c int, end int64, throttled []bool) {
 	dt := end - m.clockOf(c) + 1
 	fdt := float64(dt)
-	m.execComputeCPU(c, &m.tickScratch, throttled, dt, fdt, m.thermWeightFor(c, fdt), m.nominalPState())
+	m.execComputeCPU(c, throttled, dt, fdt, m.thermWeightFor(c, fdt), m.nominalPState())
 	m.cpuSettledMS[c] = end + 1
 }
 
@@ -464,7 +464,7 @@ func (m *Machine) settleLivePackage(p int, to int64) {
 // thermDecayFor returns core's node retention over fdt milliseconds,
 // through the machine-wide cache when every node shares one time
 // constant and the node's own cache otherwise. Both equal
-// Properties.Decay for the step, bit for bit. Serial callers only.
+// Properties.Decay for the step, bit for bit.
 func (m *Machine) thermDecayFor(core int, fdt float64) float64 {
 	if !m.decayShared {
 		return m.nodes[core].DecayFor(fdt)

@@ -3,6 +3,7 @@ package machine
 import (
 	"math"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -88,27 +89,25 @@ func TestWindowLocalEventsMatchLockstep(t *testing.T) {
 		t.Fatal("no hot migration on lockstep: the crossing never armed the check")
 	}
 	lockCSV := traceCSV(t, lock.Cfg.Trace)
-	for _, e := range []Engine{EngineAsync, EngineParallel} {
-		got, _ := windowMachine(t, e)
-		var qs QuantumStats
-		got.SetQuantumStats(&qs)
-		got.Run(runMS)
-		assertEquivalent(t, lock, got)
-		if gotCSV := traceCSV(t, got.Cfg.Trace); gotCSV != lockCSV {
-			t.Errorf("%s: trace differs from lockstep: %s", e, firstTraceDiff(lockCSV, gotCSV))
-		}
-		if a, b := lock.Sched.Placement.Lookup(coolBin), got.Sched.Placement.Lookup(coolBin); a != b {
-			t.Errorf("%s: placement table holds %v W for cool, lockstep %v W", e, b, a)
-		}
-		if qs.Interior[HorizonSlice] == 0 || qs.Interior[HorizonRate] == 0 || 4*qs.Quanta > qs.Interior[HorizonSlice]+qs.Interior[HorizonRate] {
-			t.Errorf("%s: %d windows stepping over %d slice expiries and %d rate crossings; want several of both per window",
-				e, qs.Quanta, qs.Interior[HorizonSlice], qs.Interior[HorizonRate])
-		}
-		if qs.ByHorizon[HorizonHotDest] == 0 {
-			t.Errorf("%s: no window ended at a hot check that could act: %+v", e, qs.ByHorizon)
-		}
-		t.Logf("%s: %d windows, %d slice expiries and %d rate crossings stepped over", e, qs.Quanta, qs.Interior[HorizonSlice], qs.Interior[HorizonRate])
+	got, _ := windowMachine(t, EngineAsync)
+	var qs QuantumStats
+	got.SetQuantumStats(&qs)
+	got.Run(runMS)
+	assertEquivalent(t, lock, got)
+	if gotCSV := traceCSV(t, got.Cfg.Trace); gotCSV != lockCSV {
+		t.Errorf("trace differs from lockstep: %s", firstTraceDiff(lockCSV, gotCSV))
 	}
+	if a, b := lock.Sched.Placement.Lookup(coolBin), got.Sched.Placement.Lookup(coolBin); a != b {
+		t.Errorf("placement table holds %v W for cool, lockstep %v W", b, a)
+	}
+	if qs.Interior[HorizonSlice] == 0 || qs.Interior[HorizonRate] == 0 || 4*qs.Quanta > qs.Interior[HorizonSlice]+qs.Interior[HorizonRate] {
+		t.Errorf("%d windows stepping over %d slice expiries and %d rate crossings; want several of both per window",
+			qs.Quanta, qs.Interior[HorizonSlice], qs.Interior[HorizonRate])
+	}
+	if qs.ByHorizon[HorizonHotDest] == 0 {
+		t.Errorf("no window ended at a hot check that could act: %+v", qs.ByHorizon)
+	}
+	t.Logf("%d windows, %d slice expiries and %d rate crossings stepped over", qs.Quanta, qs.Interior[HorizonSlice], qs.Interior[HorizonRate])
 }
 
 // A live package's thermal nodes settle in pieces of constant power
@@ -217,7 +216,7 @@ func TestWindowsOnUnitAndTaskThrottleMachines(t *testing.T) {
 			continue
 		}
 		delete(rows, sc.name)
-		m := sc.build(EngineAsync, 0)
+		m := sc.build(EngineAsync)
 		var qs QuantumStats
 		m.SetQuantumStats(&qs)
 		m.Run(sc.runMS)
@@ -237,11 +236,12 @@ func TestWindowsOnUnitAndTaskThrottleMachines(t *testing.T) {
 
 // unitRampMachine is a hand-built state for the unit-temperature
 // re-check: one CPU with §7 unit hotspots under unit throttling, running
-// a program that alternates a cool and a hot integer phase. Each
-// cool→hot crossing inside a window raises the int unit's power well
-// past what the window's plan bounded, so the unit reaches its limit
-// within the window unless the crossing re-derives the bound.
-func unitRampMachine(e Engine) *Machine {
+// a program that alternates a cool and a hot integer phase, at 0.4 and
+// hot times intmix's rates. Each cool→hot crossing inside a window
+// raises the int unit's power well past what the window's plan bounded,
+// so the unit reaches its limit within the window unless the crossing
+// re-derives the bound.
+func unitRampMachine(e Engine, hot float64) *Machine {
 	pol := sched.DefaultConfig()
 	pol.HotTaskMigration = false
 	m := MustNew(Config{
@@ -265,35 +265,104 @@ func unitRampMachine(e Engine) *Machine {
 	}
 	m.Spawn(&workload.Program{Name: "intramp", Binary: 903, Phases: []workload.Phase{
 		{Name: "cool", Rates: scaled(0.4), MeanDurMS: 600, Next: []int{1}},
-		{Name: "hot", Rates: scaled(1.6), MeanDurMS: 600, Next: []int{0}},
+		{Name: "hot", Rates: scaled(hot), MeanDurMS: 600, Next: []int{0}},
 	}})
 	return m
 }
 
 // A true-power change inside a window re-derives its package's unit
 // horizon (recheckUnits): the windows end ahead of the unit throttle's
-// engagements, which come out at lockstep's ticks.
+// engagements, which come out at lockstep's ticks. The ramp case runs
+// the machine as built; the eager-tick case pins the re-check of a
+// crossing tick run ahead (eagerTick), whose mixed power holds for that
+// one tick only.
 func TestWindowUnitRecheckMatchesLockstep(t *testing.T) {
-	const runMS = 12_000
-	lock := unitRampMachine(EngineLockstep)
-	lock.Run(runMS)
-	lockCSV := traceCSV(t, lock.Cfg.Trace)
-	if !strings.Contains(lockCSV, "throttle_on") {
-		t.Fatal("the unit throttle never engaged on lockstep")
-	}
-	for _, e := range []Engine{EngineAsync, EngineParallel} {
-		got := unitRampMachine(e)
+	t.Run("ramp", func(t *testing.T) {
+		const runMS = 12_000
+		lock := unitRampMachine(EngineLockstep, 1.6)
+		lock.Run(runMS)
+		lockCSV := traceCSV(t, lock.Cfg.Trace)
+		if !strings.Contains(lockCSV, "throttle_on") {
+			t.Fatal("the unit throttle never engaged on lockstep")
+		}
+		got := unitRampMachine(EngineAsync, 1.6)
 		var qs QuantumStats
 		got.SetQuantumStats(&qs)
 		got.Run(runMS)
 		assertEquivalent(t, lock, got)
 		if gotCSV := traceCSV(t, got.Cfg.Trace); gotCSV != lockCSV {
-			t.Errorf("%s: trace differs from lockstep: %s", e, firstTraceDiff(lockCSV, gotCSV))
+			t.Errorf("trace differs from lockstep: %s", firstTraceDiff(lockCSV, gotCSV))
 		}
 		if qs.Interior[HorizonRate] == 0 || qs.ByHorizon[HorizonUnit] == 0 {
-			t.Errorf("%s: %d rate crossings stepped over, %d windows ended at the unit horizon; want both", e, qs.Interior[HorizonRate], qs.ByHorizon[HorizonUnit])
+			t.Errorf("%d rate crossings stepped over, %d windows ended at the unit horizon; want both", qs.Interior[HorizonRate], qs.ByHorizon[HorizonUnit])
 		}
-		t.Logf("%s: %d quanta (%d at the unit horizon), %.1f ms per quantum, %d rate crossings stepped over",
-			e, qs.Quanta, qs.ByHorizon[HorizonUnit], qs.MeanMS(), qs.Interior[HorizonRate])
-	}
+		t.Logf("%d quanta (%d at the unit horizon), %.1f ms per quantum, %d rate crossings stepped over",
+			qs.Quanta, qs.ByHorizon[HorizonUnit], qs.MeanMS(), qs.Interior[HorizonRate])
+	})
+
+	// The hottest unit is lifted to just below its limit in the cool
+	// tick before a crossing into a hot phase at 8× intmix's rates: the
+	// cool power bounds no unit move (the unit sits above every target
+	// it can reach), so only the re-check of the crossing tick, run
+	// ahead, can end the window before the unit throttle engages right
+	// after that tick. The lift decays by the unit's per-ms retention a,
+	// so the lifted temperatures follow from the unlifted ones of a
+	// branch.
+	t.Run("eager-tick", func(t *testing.T) {
+		const hot = 8
+		probe := unitRampMachine(EngineLockstep, hot)
+		limit := probe.unitThrottles[0].LimitW
+		var at int64 = -1
+		var u int
+		var lift float64
+		for at < 0 && probe.NowMS() < 12_000 {
+			probe.Run(1)
+			w := probe.dispatches[0].task.work
+			if rh := w.RateHorizonMS(); w.PhaseName() != "cool" || probe.unitThrottles[0].Engaged() || rh <= 1 || rh >= 1.3 {
+				continue
+			}
+			units := probe.unitNodes[0]
+			u = 0
+			for i, un := range units {
+				if un.TempC > units[u].TempC {
+					u = i
+				}
+			}
+			br, err := probe.Branch(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			now := units[u].TempC
+			br.Run(1)
+			before := br.unitNodes[0][u].TempC
+			br.Run(1)
+			after := br.unitNodes[0][u].TempC
+			a := units[u].Props.DecayPerMS()
+			lift = (2*limit - before - after) / (a + a*a)
+			if now+lift < limit && before+lift*a < limit && after+lift*a*a > limit {
+				at = probe.NowMS()
+			}
+		}
+		if at < 0 {
+			t.Fatal("no cool-to-hot crossing a tick ahead that can lift a unit through its limit")
+		}
+
+		const runMS = 1_000
+		run := func(e Engine) (*Machine, string) {
+			m := unitRampMachine(e, hot)
+			m.Run(at)
+			m.unitNodes[0][u].TempC += lift
+			m.Run(runMS)
+			return m, traceCSV(t, m.Cfg.Trace)
+		}
+		lock, lockCSV := run(EngineLockstep)
+		if !strings.Contains(lockCSV, "\n"+strconv.FormatInt(at+2, 10)+",throttle_on,") {
+			t.Fatalf("lockstep did not engage right after the crossing tick at %d ms", at+1)
+		}
+		got, gotCSV := run(EngineAsync)
+		assertEquivalent(t, lock, got)
+		if gotCSV != lockCSV {
+			t.Errorf("trace differs from lockstep: %s", firstTraceDiff(lockCSV, gotCSV))
+		}
+	})
 }

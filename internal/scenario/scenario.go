@@ -139,10 +139,12 @@ type Spec struct {
 	// (plus a remainder), exercising Run-boundary clamping and the
 	// async engine's end-of-Run settling. ≤ 1 means one call.
 	Chunks int `json:"chunks,omitempty"`
-	// Shards is the parallel engine's shard count for its oracle pass
-	// (0: one per NUMA node). Any count must be unobservable; the
-	// serial engines ignore it.
-	Shards int `json:"shards,omitempty"`
+	// Shards is read by nothing and travels in no JSON.
+	//
+	// Deprecated: kept only because the repository benchmark
+	// (bench/traced.go) still sets it. It goes when the benchmark drops
+	// its parallel2 row.
+	Shards int `json:"-"`
 
 	// Faults injects estimator mis-calibration/drift, thermal-diode
 	// sensor faults, and the recalibration/fallback loop — all
@@ -200,7 +202,6 @@ func (s Spec) machineConfig(e machine.Engine) (machine.Config, error) {
 	cfg := machine.Config{
 		Layout:          s.Topology.Layout(),
 		Engine:          e,
-		Shards:          s.Shards,
 		MaxQuantumMS:    s.MaxQuantumMS,
 		Sched:           schedCfg,
 		Seed:            s.Seed,

@@ -11,7 +11,7 @@ import (
 )
 
 // TestCatalogBuildsOnEveryEngine checks every named scenario validates
-// and builds on all three engines.
+// and builds on both engines.
 func TestCatalogBuildsOnEveryEngine(t *testing.T) {
 	for _, name := range Names() {
 		s := MustNamed(name)
@@ -22,7 +22,7 @@ func TestCatalogBuildsOnEveryEngine(t *testing.T) {
 			t.Errorf("%s: Validate: %v", name, err)
 			continue
 		}
-		for _, e := range []machine.Engine{machine.EngineAsync, machine.EngineLockstep, machine.EngineParallel} {
+		for _, e := range []machine.Engine{machine.EngineAsync, machine.EngineLockstep} {
 			m, err := s.Build(e, nil)
 			if err != nil {
 				t.Errorf("%s on %v: %v", name, e, err)
@@ -75,6 +75,7 @@ const validSpecJSON = `{"seed":1,"topology":{"nodes":1,"packages_per_node":2,"co
 
 var malformedSpecs = []struct{ why, body string }{
 	{"unknown field", strings.Replace(validSpecJSON, `"seed":1`, `"seed":1,"bogus":true`, 1)},
+	{"the retired parallel engine's shard count", strings.Replace(validSpecJSON, `"seed":1`, `"seed":1,"shards":2`, 1)},
 	{"newer version", strings.Replace(validSpecJSON, `"seed":1`, `"version":2,"seed":1`, 1)},
 	{"trailing value", validSpecJSON + ` {"junk":true}`},
 	{"trailing garbage", validSpecJSON + ` x`},
@@ -136,16 +137,17 @@ func TestHash(t *testing.T) {
 	if run.Hash() != h {
 		t.Error("Hash changed with RunMS or Chunks")
 	}
-	// Shards and MaxQuantumMS are machine.Config fields, in the image.
-	for _, mut := range []func(*Spec){
-		func(s *Spec) { s.Shards = 2 },
-		func(s *Spec) { s.MaxQuantumMS = 5 },
-	} {
-		cfgd := s
-		mut(&cfgd)
-		if cfgd.Hash() == h {
-			t.Error("Hash ignored a machine.Config field")
-		}
+	// MaxQuantumMS is a machine.Config field, in the image.
+	capped := s
+	capped.MaxQuantumMS = 5
+	if capped.Hash() == h {
+		t.Error("Hash ignored MaxQuantumMS")
+	}
+	// Shards builds nothing, so it must not split the hash.
+	sharded := s
+	sharded.Shards = 2
+	if sharded.Hash() != h {
+		t.Error("Hash changed with the unread Shards")
 	}
 }
 
