@@ -332,33 +332,43 @@ func TestParseSeeds(t *testing.T) {
 	if want := []uint64{1<<64 - 3, 1<<64 - 2, 1<<64 - 1}; !reflect.DeepEqual(got, want) {
 		t.Errorf("ParseSeeds at MaxUint64 = %v, want %v", got, want)
 	}
-	for _, bad := range []string{"", "x", "5-1", "1-",
-		"0-1048576",         // one range over the limit
-		"0-600000,0-600000", // ranges that only together exceed it
-	} {
+	for _, bad := range badSeedLists {
 		if _, err := ParseSeeds(bad); err == nil {
 			t.Errorf("ParseSeeds(%q) should fail", bad)
 		}
 	}
 }
 
+// badSeedLists are seed lists ParseSeeds must reject (TestParseSeeds,
+// and seeds of FuzzParseSeeds).
+var badSeedLists = []string{"", "x", "5-1", "1-",
+	"0-1048576",         // one range over the limit
+	"0-600000,0-600000", // ranges that only together exceed it
+}
+
 // TestParseRequestTrailingData pins that a request body is exactly one
 // JSON value: a valid request followed by anything else is rejected.
 func TestParseRequestTrailingData(t *testing.T) {
-	valid := `{"name":"mixed","seeds":[1],"measure_ms":1}`
-	if _, err := ParseRequest([]byte(valid + "\n")); err != nil {
+	if _, err := ParseRequest([]byte(validRequestBody + "\n")); err != nil {
 		t.Fatalf("valid request with trailing newline: %v", err)
 	}
-	for _, body := range []string{
-		valid + ` {"junk":true}`,
-		valid + valid,
-		valid + ` x`,
-		valid + `]`,
-	} {
+	for _, body := range trailingDataBodies {
 		if _, err := ParseRequest([]byte(body)); err == nil {
 			t.Errorf("ParseRequest(%q) accepted trailing data", body)
 		}
 	}
+}
+
+// validRequestBody is a minimal valid sweep request, and
+// trailingDataBodies follow it with more data, which ParseRequest must
+// reject (TestParseRequestTrailingData, and seeds of FuzzParseRequest).
+const validRequestBody = `{"name":"mixed","seeds":[1],"measure_ms":1}`
+
+var trailingDataBodies = []string{
+	validRequestBody + ` {"junk":true}`,
+	validRequestBody + validRequestBody,
+	validRequestBody + ` x`,
+	validRequestBody + `]`,
 }
 
 // TestCacheEviction checks the LRU byte budget.

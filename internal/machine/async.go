@@ -251,19 +251,20 @@ func (m *Machine) metricSettleTo() int64 {
 }
 
 // thermWeightFor returns the thermal sample weight for a period,
-// through the machine-wide cache when every tracker shares one
+// through the machine-wide table when every tracker shares one
 // calibration and through cpu's own tracker otherwise. Both paths
 // produce the value WeightFor computes for the period — the shared
-// cache only skips repeating the math.Pow per CPU.
+// table only skips repeating the math.Pow per CPU and piece.
 func (m *Machine) thermWeightFor(cpu int, periodMS float64) float64 {
 	if !m.thermWShared {
 		return m.Sched.Power[cpu].ThermalWeightFor(periodMS)
 	}
-	if periodMS != m.lastSettleGap {
-		m.lastSettleGap = periodMS
-		m.lastSettleW = m.Sched.Power[cpu].ThermalWeightFor(periodMS)
+	if w, ok := m.weightTab.lookup(periodMS); ok {
+		return w
 	}
-	return m.lastSettleW
+	w := m.Sched.Power[cpu].ThermalWeightFor(periodMS)
+	m.weightTab.store(periodMS, w)
+	return w
 }
 
 // settleCPUMetricTo folds the idle gap [cpuSettledMS, to) into CPU d's

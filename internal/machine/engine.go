@@ -119,7 +119,7 @@ func (m *Machine) step(limitMS int64) int64 {
 		rq := m.Sched.RQ(topology.CPUID(c))
 		if rq.Current == nil {
 			if t := rq.PickNext(); t != nil {
-				m.startDispatch(topology.CPUID(c), t, m.nowMS)
+				m.startDispatch(topology.CPUID(c), m.tasks[t.ID], m.nowMS)
 				if m.govPeriod > 0 {
 					// cpufreq's idle-exit reset: a pure-idle stale
 					// window restarts here so the first governor
@@ -529,7 +529,7 @@ const (
 // (window.go), through the end tick. A CPU whose end tick was already
 // executed as a rate crossing (eagerTick) has its commit staged and
 // computes nothing. The sample weight of a shorter piece comes from
-// the CPU's tracker, the same value thermWeightFor caches.
+// thermWeightFor, the machine-wide table when the trackers share it.
 func (m *Machine) execCloseCPU(c int, throttledStep []bool, dt int64, fdt, quantW float64, nominal int) {
 	if from := m.clockOf(c); from > m.qStartMS {
 		dt = m.nowMS + 1 - from
@@ -537,7 +537,7 @@ func (m *Machine) execCloseCPU(c int, throttledStep []bool, dt int64, fdt, quant
 			return
 		}
 		fdt = float64(dt)
-		quantW = m.Sched.Power[c].ThermalWeightFor(fdt)
+		quantW = m.thermWeightFor(c, fdt)
 	}
 	m.execComputeCPU(c, throttledStep, dt, fdt, quantW, nominal)
 }
@@ -760,10 +760,10 @@ func (m *Machine) stepUnits(core int, n int64, startC, eff float64) {
 	}
 }
 
-// startDispatch begins a task's occupancy of a CPU: fresh timeslice,
+// startDispatch begins task ts's occupancy of a CPU: fresh timeslice,
 // fresh accounting.
-func (m *Machine) startDispatch(cpu topology.CPUID, t *sched.Task, atMS int64) {
-	ts := m.tasks[t.ID]
+func (m *Machine) startDispatch(cpu topology.CPUID, ts *taskState, atMS int64) {
+	t := ts.st
 	d := &m.dispatches[int(cpu)]
 	d.task = ts
 	d.counts = counters.Counts{}
@@ -822,11 +822,15 @@ func (m *Machine) endTimeslice(cpu topology.CPUID, atMS int64) {
 	if cur := m.Sched.RQ(cpu).Current; cur != nil {
 		m.emit(trace.Event{TimeMS: atMS, Kind: trace.SliceEnd, TaskID: cur.ID, CPU: int(cpu), From: -1})
 	}
+	prev := m.dispatches[int(cpu)].task
 	m.finalizeDispatch(cpu)
 	rq := m.Sched.RQ(cpu)
 	rq.Deschedule(true)
 	if t := rq.PickNext(); t != nil {
-		m.startDispatch(cpu, t, atMS)
+		if prev == nil || prev.st != t {
+			prev = m.tasks[t.ID] // another task: look it up
+		}
+		m.startDispatch(cpu, prev, atMS)
 	} else {
 		m.parkDirty = true
 	}
@@ -842,7 +846,7 @@ func (m *Machine) blockTask(cpu topology.CPUID, ts *taskState, blockMS float64, 
 	ts.wakeAtMS = atMS + int64(blockMS)
 	m.sleepers = append(m.sleepers, ts)
 	if t := rq.PickNext(); t != nil {
-		m.startDispatch(cpu, t, atMS)
+		m.startDispatch(cpu, m.tasks[t.ID], atMS)
 	} else {
 		m.parkDirty = true
 	}
@@ -859,7 +863,7 @@ func (m *Machine) finishTask(cpu topology.CPUID, ts *taskState, atMS int64) {
 	m.Completions++
 	m.CompletionsByProg[ts.prog.Name]++
 	if t := rq.PickNext(); t != nil {
-		m.startDispatch(cpu, t, atMS)
+		m.startDispatch(cpu, m.tasks[t.ID], atMS)
 	} else {
 		m.parkDirty = true
 	}

@@ -360,22 +360,22 @@ type Machine struct {
 	pkgParked    []bool  // per package: thermal state frozen
 	pkgSettledMS []int64 // per package: first unintegrated tick
 	idleEffW     float64 // core effective power, whole package idle
-	// lastSettleGap/lastSettleW cache the thermal sample weight for the
-	// most recent period length, shared across CPUs only when
-	// thermWShared (uniform package time constants, checked at
-	// construction): the execution sweep folds every busy CPU over the
-	// same quantum and idle settles cover identical gaps, so one
-	// math.Pow serves the machine instead of one per tracker.
-	thermWShared  bool
-	lastSettleGap float64
-	lastSettleW   float64
-	// decayShared/lastDecayDT/lastDecay do the same for the thermal
-	// nodes' step retention e^(−dt/RC): when every core node has one
-	// time constant, one math.Exp per step length serves every node
-	// stepped or settled over it (thermDecayFor).
+	// weightTab caches the thermal sample weight per piece length,
+	// shared across CPUs only when thermWShared (uniform package time
+	// constants, checked at construction): every busy CPU folds its
+	// pieces, the execution sweep its quantum and idle settles their
+	// gaps through one math.Pow per length instead of one per tracker
+	// (thermWeightFor). Piece lengths alternate between CPUs inside a
+	// window, so the table keeps pieceSlots lengths; it holds 256 bytes
+	// whatever the width.
+	thermWShared bool
+	weightTab    pieceTable
+	// decayShared/decayTab do the same for the thermal nodes' step
+	// retention e^(−dt/RC): when every core node has one time
+	// constant, one math.Exp per step length serves every node stepped
+	// or settled over it (thermDecayFor).
 	decayShared bool
-	lastDecayDT float64
-	lastDecay   float64
+	decayTab    pieceTable
 	// Window state (see window.go): every async quantum is a window,
 	// which local events (busy CPUs' slice expiries and rate crossings)
 	// do not end. local holds the busy CPUs' next local boundaries;
@@ -394,6 +394,10 @@ type Machine struct {
 	feedW       []float64
 	feedsCached bool
 	verifyFeeds bool
+	// sliceOnly marks, per busy CPU, a local boundary that startPiece
+	// pushed at a same-task slice expiry with the rates holding strictly
+	// past it: popLocal's fast path (sliceHolds).
+	sliceOnly []bool
 	// respawnQ holds the programs of tasks that finished during the
 	// execution sweep and are configured to respawn. Placement reads
 	// runqueue power and thermal-power trackers machine-wide, so it
@@ -870,6 +874,7 @@ func New(cfg Config) (*Machine, error) {
 		m.initAsync()
 		m.local.keys = make([]int64, 0, nCPU)
 		m.feedW = make([]float64, nCPU)
+		m.sliceOnly = make([]bool, nCPU)
 	}
 	return m, nil
 }

@@ -585,3 +585,98 @@ func TestHotDestPreTestBruteForce(t *testing.T) {
 		t.Fatalf("vacuous draw: %d ruled out, %d open, %d at the end tick's ceiling", ruled, open, endCeil)
 	}
 }
+
+// A window's re-check skips the hot walk when a CPU's samples do not
+// rise above the feed they replace (feedRose, recheckFeed). Brute
+// force on one core's check: whenever hotCheckAt rules the check out at
+// every tick through the window's end from the core's sum at one clock
+// under the old feed, the sum is stepped per ms along that feed to a
+// later tick R, where one CPU of the core changes its feed, either
+// exactly at the boundary or through a crossing tick with a sample of
+// its own. If feedRose says the samples did not rise, hotCheckAt must
+// still rule the check out at every tick from R through the window's
+// end. New feeds and samples are drawn on both sides of the old feed,
+// and some rises open a check, so a feedRose that let a rise through
+// fails here.
+func TestHotRecheckFallingFeedBruteForce(t *testing.T) {
+	m, _ := windowMachine(t, EngineAsync)
+	trigger, ok := m.Sched.HotTriggerW(0)
+	if !ok {
+		t.Fatal("CPU 0 has no hot trigger")
+	}
+	gap := m.Sched.Cfg.HotDestGapW
+	r := rand.New(rand.NewSource(4))
+	var ruled, held, roseOpen, crossing int
+	for trial := 0; trial < 4000; trial++ {
+		weight := math.Pow(10, -4+3*r.Float64())
+		stdMS := []float64{1, 10, 100}[r.Intn(3)]
+		q := profile.NewCPUPower(40, weight, stdMS, 0).RetentionPerMS()
+		start := m.qStartMS
+		m.winEnd = start + 2 + int64(r.Intn(200))
+		ref0 := start - 1
+		if r.Intn(2) == 0 {
+			ref0 += int64(r.Intn(int(m.winEnd-start) / 2))
+		}
+		// The core sum and feed at ref0, the changing CPU's share of
+		// the feed, and a floor on every other core's sum around the
+		// source's reach less the gap.
+		s0 := trigger * (0.4 + 0.8*r.Float64())
+		xOld := trigger * (0.7 + 0.5*r.Float64())
+		fOld := xOld * (0.2 + 0.8*r.Float64())
+		lo := (math.Max(s0, xOld) - gap) * (0.9 + 0.3*r.Float64())
+		if r.Intn(20) == 0 {
+			lo = math.Inf(1)
+		}
+		m.destFloor = hotDestFloor{start: start, ok: true, q: q, lo: lo, lo2: lo, loCore: -1, qk: 1, end: start - 1}
+		cs := coreSum{ref: ref0, s: s0, x: xOld, q: q}
+		open := false
+		for tk := ref0 + 1; tk < m.winEnd && !open; tk++ {
+			_, open = m.hotCheckAt(0, tk, cs)
+		}
+		if open {
+			continue // the window would end at the check
+		}
+		ruled++
+
+		// The actual sum: stepped per ms along the old feed to R, then
+		// the change.
+		R := ref0 + 1 + int64(r.Intn(int(m.winEnd-ref0-1)))
+		tr := profile.NewCPUPower(40, weight, stdMS, s0)
+		for tk := ref0 + 1; tk < R; tk++ {
+			tr.AddEnergy(xOld/1000, 1)
+		}
+		fNew := fOld * 1.6 * r.Float64()
+		first, ref1 := fNew, R-1
+		if r.Intn(2) == 0 {
+			// A crossing tick R: its sample mixes the feeds around it,
+			// or, with two epochs ending in it, lies anywhere near.
+			crossing++
+			f := r.Float64()
+			first = f*fOld + (1-f)*fNew
+			if r.Intn(4) == 0 {
+				first = fOld * 1.6 * r.Float64()
+			}
+			tr.AddEnergy((xOld-fOld+first)/1000, 1)
+			ref1 = R
+		}
+		cs1 := coreSum{ref: ref1, s: tr.ThermalPower(), x: xOld - fOld + fNew, q: q}
+		rose := feedRose(fOld, first, fNew)
+		for tk := R; tk < m.winEnd; tk++ {
+			if _, open := m.hotCheckAt(0, tk, cs1); open {
+				if rose {
+					roseOpen++
+					break
+				}
+				t.Fatalf("trial %d: check ruled out through %d under feed %v (sum %v after %d), open at %d after the feed fell to %v (first sample %v, sum %v after %d); floor %v, gap %v, q %v",
+					trial, m.winEnd, xOld, s0, ref0, tk, cs1.x, first, cs1.s, ref1, lo, gap, q)
+			}
+		}
+		if !rose {
+			held++
+		}
+	}
+	t.Logf("%d checks ruled out, %d stayed so after a fall, %d crossing ticks, %d rises opened a check", ruled, held, crossing, roseOpen)
+	if held == 0 || roseOpen == 0 || crossing == 0 {
+		t.Fatalf("vacuous draw: %d held after a fall, %d rises opened a check, %d crossing ticks", held, roseOpen, crossing)
+	}
+}

@@ -41,19 +41,33 @@ import (
 // settle and its sample the predictions below before anything past it
 // is integrated. The commit waits for the tick's own pop.
 //
+// Most pops are same-task slice expiries at which nothing but the
+// slice changes, and they cost O(their CPU): when no crossing tick is
+// staged, the task's rates hold strictly past the boundary (the rate
+// horizon from the piece's start exceeds the piece, so an epoch ending
+// exactly on the boundary is excluded) and the package was already
+// settled in the window, the pop runs and commits the piece and starts
+// the next one, keeping the CPU's true power and feed; the package
+// settles at its next full pop, or at the window's end (popLocal,
+// sliceHolds). Machines with §7 unit hotspots keep the full pop.
+//
 // A rate crossing changes the CPU's metric feed, which the planner's
 // hot-check, governor and throttle predictions read. The hot-source
 // test of the CPU's core, the CPU's thermal-governor evaluations and
 // its scalar throttle group's flip are re-checked from the crossing on
 // (recheckFeed); a re-check may only move the window's end earlier,
 // and never before the crossing tick, so nothing it invalidates has
-// been integrated yet. The destination floor of the hot checks does
-// not read feeds at all. A change of the CPU's true power moves its
-// package's §7 unit temperatures, so the unit-throttle horizon of the
-// package's cores is re-derived from that tick's settled temperatures
-// (recheckUnits). Under §2.3 task throttling a window runs only while
-// no throttle is engaged (the planner keeps 1 ms spans while one is),
-// and the scalar throttle re-check bounds the next engagement.
+// been integrated yet. The hot checks are re-checked only when the
+// samples rise above the feed they replace (feedRose): a core's sum
+// is monotone in its CPUs' samples, so a check ruled out under the old
+// feed stays ruled out under lower samples. The destination floor of
+// the hot checks does not read feeds at all. A change of the CPU's
+// true power moves its package's §7 unit temperatures, so the
+// unit-throttle horizon of the package's cores is re-derived from that
+// tick's settled temperatures (recheckUnits). Under §2.3 task
+// throttling a window runs only while no throttle is engaged (the
+// planner keeps 1 ms spans while one is), and the scalar throttle
+// re-check bounds the next engagement.
 //
 // The feeds themselves are cached per piece (feedW): from the planner's
 // running-task scan to the window's end, only a piece's execution
@@ -219,19 +233,20 @@ func (m *Machine) govThermal() bool {
 // boundary: the execution phase runs it. interior is false while the
 // planner starts the window's first pieces, whose predictions its own
 // walks make afterwards; a first piece's feed is marked unread here, a
-// later one's true power and feed come from popLocal. It reports
-// whether it ran eagerTick.
-func (m *Machine) startPiece(c int, t int64, throttled []bool, interior bool) bool {
+// later one's true power and feed come from popLocal. When it ran
+// eagerTick it returns the crossing tick's metric sample and eager
+// true, and popLocal re-checks from the tick.
+func (m *Machine) startPiece(c int, t int64, throttled []bool, interior bool) (sampleW float64, eager bool) {
 	rq := m.Sched.RQs[c]
 	cur, speed := rq.Current, m.execSpeed[c]
 	if cur == nil || speed <= 0 {
-		return false
+		return 0, false
 	}
 	if !interior {
 		m.feedW[c] = math.NaN()
 	}
 	if t >= m.winEnd {
-		return false
+		return 0, false
 	}
 	slice := t + ticksOf(cur.SliceLeft) - 1
 	if rq.Len() > 1 {
@@ -247,21 +262,22 @@ func (m *Machine) startPiece(c int, t int64, throttled []bool, interior bool) bo
 		m.shrinkWindow(t+ticksOf(sh/speed)-1, HorizonStop)
 	}
 	if t >= m.winEnd {
-		return false
+		return 0, false
 	}
-	end := slice
+	end, holds := slice, true
 	if rh := work.RateHorizonMS(); !math.IsInf(rh, 1) {
 		r := rateHorizonMS(rh, speed)
 		if r == 0 {
-			m.eagerTick(c, t, throttled, interior)
-			return true
+			return m.eagerTick(c, t, throttled), true
 		}
 		end = min(end, t+r-1)
+		holds = t+r-1 > slice
 	}
 	if end < m.winEnd {
 		m.local.push(end, c)
+		m.sliceOnly[c] = holds
 	}
-	return false
+	return 0, false
 }
 
 // ticksOf is the number of ticks, at least one, that a horizon of v
@@ -269,13 +285,15 @@ func (m *Machine) startPiece(c int, t int64, throttled []bool, interior bool) bo
 func ticksOf(v float64) int64 { return max(ceilToInt64(v), 1) }
 
 // eagerTick executes tick t, in which CPU c's event rates change, as a
-// piece of its own and stages its commit for the tick's pop (or the
-// execution phase, when t ends the window). Its sample and the rates
-// after it are now known: the cached feed is marked unread, to be read
-// at the new rates (the tick's own power stays c's true power until the
-// tick's pop), and the predictions that read c's feed or its true power
-// are re-checked from t on.
-func (m *Machine) eagerTick(c int, t int64, throttled []bool, interior bool) {
+// piece of its own, stages its commit for the tick's pop (or the
+// execution phase, when t ends the window), and returns the tick's
+// metric sample. Its package is settled to t first, at the powers held
+// before the tick: a slice expiry's fast path (popLocal) leaves it
+// behind. The tick's sample and the rates after it are now known: the
+// cached feed is marked unread, to be read at the new rates (the
+// tick's own power stays c's true power until the tick's pop).
+func (m *Machine) eagerTick(c int, t int64, throttled []bool) (sampleW float64) {
+	m.settleLivePackage(int(m.Topo.PkgOf[c]), t)
 	saved := m.nowMS
 	m.nowMS = t
 	m.execPiece(c, t, throttled)
@@ -286,11 +304,14 @@ func (m *Machine) eagerTick(c int, t int64, throttled []bool, interior bool) {
 	}
 	if t < m.winEnd {
 		m.local.push(t, c)
-		if interior {
-			m.recheckFeed(c, t)
-			m.recheckUnits(int(m.Topo.PkgOf[c]), t)
-		}
 	}
+	// The sample the piece folded into the metric (AddEnergyWeighted
+	// over one millisecond): the estimate of the tick's exact counts.
+	ps := 1.0
+	if m.dvfsOn {
+		ps = m.powScale[c]
+	}
+	return m.Est.EnergyJExact(m.tickScratch.Exact, 0) * ps / (1.0 / 1000)
 }
 
 // execPiece runs the execution sweep's compute half for CPU c from its
@@ -327,11 +348,36 @@ func (m *Machine) runWindow(throttled []bool) (int64, Horizon) {
 // feed it reads from the rates once. Rates that change exactly at the
 // boundary (a phase or noise epoch ending with the piece) change the
 // feed and the true power without a crossing tick, and are re-checked
-// here.
+// here, as is a crossing tick that the next piece runs ahead.
+//
+// A same-task slice expiry at which the rates hold (sliceHolds) takes a
+// fast path: the piece runs and commits, and nothing else changes.
+// c's true power, feed and P-state stay those held since the piece
+// began, so its package's input is unchanged, the package settle waits
+// for the package's next full pop (or the window's end), and no
+// prediction needs a re-check. Splitting the package's constant-input
+// step differently moves its temperatures by rounding only, and its
+// peak is still caught at the next settle: the response is monotone
+// under constant input.
 func (m *Machine) popLocal(t int64, c int, throttled []bool) {
 	m.nowMS = t
 	m.wheel.SetNow(t)
 	p := int(m.Topo.PkgOf[c])
+	if m.sliceHolds(c, p) {
+		feed := m.metricFeedW(c) // cached since the piece began
+		trueW := m.truePower[c]
+		m.execPiece(c, t, throttled)
+		m.truePower[c] = trueW // not the piece's count-derived power
+		m.replayGovEval(c, t)
+		m.execCommitCPU(c, t)
+		if m.qstats != nil {
+			m.qstats.Interior[HorizonSlice]++
+		}
+		if sampleW, eager := m.startPiece(c, t+1, throttled, true); eager {
+			m.recheckEager(c, p, t+1, feed, sampleW)
+		}
+		return
+	}
 	m.settleLivePackage(p, t+1)
 	feed := m.metricFeedW(c)     // the cached feed of the piece ending at t
 	trueW := m.truePower[c]      // and its true power, held since it began
@@ -339,20 +385,12 @@ func (m *Machine) popLocal(t int64, c int, throttled []bool) {
 	if !crossing {
 		m.execPiece(c, t, throttled)
 	}
-	if m.govPeriod > 0 && m.wheel.GovDue(t, c) {
-		// A governor evaluation at t is a provable no-op (the planner's
-		// walks and re-checks): replay its window restart, which
-		// addBusy leaves to phase 8b for a quantum's last tick. Right
-		// after a slice expiry's re-dispatch it reads no instantaneous
-		// power, and the thermal governor then holds the P-state
-		// whenever the CPU has a budget, so the walks' prediction at
-		// the rate power still covers it.
-		m.Sched.Util[c].ReplayObserve(t, t)
-	}
+	m.replayGovEval(c, t)
 	sliceEnds := m.dispatches[c].task.st.SliceLeft <= 0
 	m.execCommitCPU(c, t)
 	m.feedW[c] = m.holdRatePowers(c)
-	changed := m.metricFeedW(c) != feed
+	newFeed := m.metricFeedW(c)
+	changed := newFeed != feed
 	if m.qstats != nil {
 		if crossing || changed {
 			m.qstats.Interior[HorizonRate]++
@@ -361,23 +399,89 @@ func (m *Machine) popLocal(t int64, c int, throttled []bool) {
 			m.qstats.Interior[HorizonSlice]++
 		}
 	}
-	if m.startPiece(c, t+1, throttled, true) {
-		return // eagerTick re-checked from t+1
+	if sampleW, eager := m.startPiece(c, t+1, throttled, true); eager {
+		m.recheckEager(c, p, t+1, feed, sampleW)
+		return
 	}
 	if changed {
-		m.recheckFeed(c, t+1)
+		m.recheckFeed(c, t+1, feedRose(feed, newFeed, newFeed))
 	}
 	if m.truePower[c] != trueW {
 		m.recheckUnits(p, t+1)
 	}
 }
 
+// sliceHolds reports whether CPU c's local boundary, in package p,
+// takes popLocal's fast path: it is a same-task slice expiry at which
+// nothing but the slice changes. That holds when no crossing tick is
+// staged there, the running task's rates hold strictly past it
+// (sliceOnly: the rate horizon from the piece's start exceeds the
+// piece, so a phase or noise epoch ending exactly on the boundary takes
+// the slow path), and p was already settled in this window, so the
+// powers it holds are its CPUs' current ones (the first settle holds
+// the rate powers of the window's first pieces). Machines with §7 unit
+// hotspots keep the slow path: their unit re-check reads the package
+// settled to the boundary.
+func (m *Machine) sliceHolds(c, p int) bool {
+	return m.sliceOnly[c] && m.p6stat[c] == 0 && m.unitPowerW == nil && m.pkgClockOf(p) > m.qStartMS
+}
+
+// replayGovEval replays, at CPU c's local boundary t, the utilization-
+// window restart of a governor evaluation due there. The evaluation is
+// a provable no-op (the planner's walks and re-checks), and addBusy
+// leaves the restart to phase 8b only for a quantum's last tick. Right
+// after a slice expiry's re-dispatch it reads no instantaneous power,
+// and the thermal governor then holds the P-state whenever the CPU has
+// a budget, so the walks' prediction at the rate power still covers
+// it.
+func (m *Machine) replayGovEval(c int, t int64) {
+	if m.govPeriod > 0 && m.wheel.GovDue(t, c) {
+		m.Sched.Util[c].ReplayObserve(t, t)
+	}
+}
+
+// recheckEager re-checks the predictions after CPU c's crossing tick
+// from, which its next piece ran ahead (eagerTick): the tick folded
+// sampleW into c's metric and the rates after it set its new feed,
+// where feed was the feed of the piece before. Unless the tick ended
+// the window, the feed's re-checks run, the hot walk only if the
+// sample or the new feed rose above feed, and so do the unit re-checks
+// of c's package p, whose true power changed with the tick.
+func (m *Machine) recheckEager(c, p int, from int64, feed, sampleW float64) {
+	if from >= m.winEnd {
+		return
+	}
+	m.recheckFeed(c, from, feedRose(feed, sampleW, m.metricFeedW(c)))
+	m.recheckUnits(p, from)
+}
+
+// feedRose reports whether a CPU's metric samples from a re-check on
+// may exceed old, the feed the window's hot walks last assumed or one
+// below it: the first sample (a crossing tick's, or else the new
+// feed's) or the new feed is above old. Otherwise recheckFeed skips
+// the hot walk.
+func feedRose(old, firstW, newW float64) bool { return firstW > old || newW > old }
+
 // recheckFeed re-checks, from tick from on, the window's predictions
 // that read CPU c's metric feed, now that it changed: c's thermal-
-// governor evaluations, the flip of c's scalar throttle group and the
-// hot checks of c's core. Each may end the window earlier, at the first
-// one that could act.
-func (m *Machine) recheckFeed(c int, from int64) {
+// governor evaluations, the flip of c's scalar throttle group and,
+// when rising, the hot checks of c's core. Each may end the window
+// earlier, at the first one that could act.
+//
+// The hot walk needs no re-run unless the feed rose (rising, from
+// feedRose: the sample at from, a crossing tick's or the new feed's,
+// or the new feed is above the feed it replaces). Every check of the
+// core through the window's end was ruled out under the old feed: its
+// source sum stays below the trigger, or under the ceiling the
+// destination floor clears. The source sum is monotone in each CPU's
+// samples, a crossing tick's sample is compared itself (it lies
+// between the feeds around it when one epoch ends in the tick), and
+// the floor reads no feed, so under samples no higher every check
+// stays ruled out, and the window's end cannot move. A skip compares
+// with the feed it replaces, which is at most the one the last walk
+// assumed. The governor and throttle re-checks run on every change:
+// they act on falling metrics too.
+func (m *Machine) recheckFeed(c int, from int64, rising bool) {
 	if m.govThermal() {
 		g := m.gov.(dvfs.Thermal)
 		for t := m.wheel.NextGov(from, c); t < m.winEnd; t = m.wheel.NextGov(t+1, c) {
@@ -392,7 +496,7 @@ func (m *Machine) recheckFeed(c int, from int64) {
 			m.shrinkWindow(end, HorizonThrottle)
 		}
 	}
-	if !m.Sched.Cfg.HotTaskMigration {
+	if !rising || !m.Sched.Cfg.HotTaskMigration {
 		return
 	}
 	core := int(m.Topo.CoreOf[c])
@@ -462,16 +566,49 @@ func (m *Machine) settleLivePackage(p int, to int64) {
 }
 
 // thermDecayFor returns core's node retention over fdt milliseconds,
-// through the machine-wide cache when every node shares one time
+// through the machine-wide table when every node shares one time
 // constant and the node's own cache otherwise. Both equal
 // Properties.Decay for the step, bit for bit.
 func (m *Machine) thermDecayFor(core int, fdt float64) float64 {
 	if !m.decayShared {
 		return m.nodes[core].DecayFor(fdt)
 	}
-	if fdt != m.lastDecayDT {
-		m.lastDecayDT = fdt
-		m.lastDecay = m.nodes[0].Props.Decay(fdt)
+	if d, ok := m.decayTab.lookup(fdt); ok {
+		return d
 	}
-	return m.lastDecay
+	d := m.nodes[0].Props.Decay(fdt)
+	m.decayTab.store(fdt, d)
+	return d
+}
+
+// pieceSlots is the size of a pieceTable, a power of two.
+const pieceSlots = 16
+
+// pieceTable memoizes a function of a piece's length in whole
+// milliseconds, direct-mapped: slot dt mod pieceSlots holds the last
+// such length stored and its value. A zero length marks an empty slot;
+// lengths below one or not whole are never stored or found, so their
+// callers compute afresh. The values are the function's own, so a hit
+// returns exactly what a fresh computation would.
+type pieceTable struct {
+	dt [pieceSlots]int64
+	v  [pieceSlots]float64
+}
+
+// lookup returns the value stored for a length of fdt ms, if any.
+func (t *pieceTable) lookup(fdt float64) (float64, bool) {
+	dt := int64(fdt)
+	i := dt & (pieceSlots - 1)
+	if t.dt[i] != dt || dt <= 0 || float64(dt) != fdt {
+		return 0, false
+	}
+	return t.v[i], true
+}
+
+// store records v as the value for a length of fdt ms.
+func (t *pieceTable) store(fdt, v float64) {
+	if dt := int64(fdt); dt > 0 && float64(dt) == fdt {
+		i := dt & (pieceSlots - 1)
+		t.dt[i], t.v[i] = dt, v
+	}
 }

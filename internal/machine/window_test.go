@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"energysched/internal/counters"
+	"energysched/internal/profile"
 	"energysched/internal/sched"
 	"energysched/internal/thermal"
 	"energysched/internal/topology"
@@ -365,4 +366,139 @@ func TestWindowUnitRecheckMatchesLockstep(t *testing.T) {
 			t.Errorf("trace differs from lockstep: %s", firstTraceDiff(lockCSV, gotCSV))
 		}
 	})
+}
+
+// sliceMachine is a hand-built state for popLocal's slice-expiry fast
+// path: one CPU, one single-core package, running one task at nice 10
+// (50 ms timeslices) at 0.4 times aluadd's rates with 5% noise, redrawn
+// every workload.NoiseEpochMS (250 ms) of executed work. Unless it
+// blocks, the task starts every epoch with a slice, so every fifth
+// slice ends exactly where its rates change. With block true it blocks
+// for about 40 ms after about 300 ms of work, so each window from a
+// wake-up starts the task from idle at an arbitrary point of its epoch
+// and runs through slice expiries and the next redraw, one tick of
+// mixed rates run ahead.
+func sliceMachine(e Engine, block bool) *Machine {
+	pol := sched.DefaultConfig()
+	pol.HotTaskMigration = false
+	m := MustNew(Config{
+		Engine:           e,
+		Layout:           topology.Layout{Nodes: 1, PackagesPerNode: 1, CoresPerPackage: 1, ThreadsPerPackage: 1},
+		Sched:            pol,
+		Seed:             11,
+		PackageProps:     []thermal.Properties{{R: 0.2, C: 5, AmbientC: 25}},
+		PackageMaxPowerW: []float64{40},
+		Trace:            trace.New(0),
+	})
+	rates := catalog().Aluadd().Phases[0].Rates
+	for i := range rates {
+		rates[i] *= 0.4
+	}
+	ph := workload.Phase{Name: "run", Rates: rates, MeanDurMS: 1e9, NoiseFrac: 0.05}
+	if block {
+		ph.BlockProbPerMS, ph.MeanBlockMS = 1.0/300, 40
+	}
+	m.Spawn(&workload.Program{Name: "slices", Binary: 904, Phases: []workload.Phase{ph}}).Nice = 10
+	return m
+}
+
+// A same-task slice expiry takes popLocal's fast path only where
+// nothing but the slice changes (sliceHolds). Two states where the
+// fast path would be wrong, against lockstep (trace and snapshot):
+//
+//   - epoch-on-boundary: a noise epoch ends exactly on a slice expiry,
+//     so the rate horizon from the piece's start equals the piece and
+//     the next piece runs at new rates without a crossing tick; the
+//     pop must read them (a fast path here keeps the old true power and
+//     feed for the rest of the window).
+//   - first-pop: each window after a wake-up starts the task from idle,
+//     and its package's first pop is a slice expiry, before the
+//     package was settled in the window; the pop must settle it, which
+//     holds the piece's rate power (a fast path here leaves the idle
+//     power of the last quantum in place, and the crossing tick's
+//     settle later integrates the window's start at it).
+func TestWindowSliceFastPathMatchesLockstep(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		block bool
+	}{{"epoch-on-boundary", false}, {"first-pop", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			const runMS = 6_000
+			lock := sliceMachine(EngineLockstep, tc.block)
+			lock.Run(runMS)
+			lockCSV := traceCSV(t, lock.Cfg.Trace)
+			got := sliceMachine(EngineAsync, tc.block)
+			var qs QuantumStats
+			got.SetQuantumStats(&qs)
+			got.Run(runMS)
+			assertEquivalent(t, lock, got)
+			if gotCSV := traceCSV(t, got.Cfg.Trace); gotCSV != lockCSV {
+				t.Errorf("trace differs from lockstep: %s", firstTraceDiff(lockCSV, gotCSV))
+			}
+			slices, rates := qs.Interior[HorizonSlice], qs.Interior[HorizonRate]
+			if tc.block {
+				if qs.ByHorizon[HorizonWake] < 5 || slices < 5*qs.ByHorizon[HorizonWake] || rates == 0 {
+					t.Errorf("%d windows from a wake-up stepping over %d slice expiries and %d rate changes; want several expiries per window",
+						qs.ByHorizon[HorizonWake], slices, rates)
+				}
+			} else if qs.Quanta > 2 || rates < runMS/300 || slices < 4*rates {
+				// One window for the whole run, and a rate change on
+				// every fifth slice expiry.
+				t.Errorf("%d windows stepping over %d slice expiries and %d rate changes; want one window, a change on every fifth expiry",
+					qs.Quanta, slices, rates)
+			}
+			t.Logf("%d windows, %d slice expiries and %d rate changes stepped over", qs.Quanta, slices, rates)
+		})
+	}
+}
+
+// The per-length tables behind thermWeightFor and thermDecayFor
+// (pieceTable) must return exactly what a fresh math.Pow through a new
+// tracker, or Properties.Decay, computes: lengths 1…1024 are looked up
+// in an order where consecutive lengths share a slot, then backwards,
+// each alongside the length before it, all bit-equal to fresh values.
+// An empty slot must never answer for a length of 0, whose retention
+// is 1, nor for a fractional one.
+func TestPieceTablesMatchFresh(t *testing.T) {
+	m, _ := windowMachine(t, EngineAsync)
+	if !m.thermWShared || !m.decayShared {
+		t.Fatal("windowMachine's packages do not share one calibration")
+	}
+	w1 := thermal.ThermalPowerWeight(m.Cfg.PackageProps[0], 1)
+	props := m.nodes[0].Props
+	check := func(fdt float64) {
+		t.Helper()
+		wantW := profile.NewCPUPower(0, w1, 1, 0).ThermalWeightFor(fdt)
+		if got := m.thermWeightFor(0, fdt); math.Float64bits(got) != math.Float64bits(wantW) {
+			t.Fatalf("weight for %v ms: %v, fresh %v", fdt, got, wantW)
+		}
+		if got, want := m.thermDecayFor(0, fdt), props.Decay(fdt); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("decay over %v ms: %v, fresh %v", fdt, got, want)
+		}
+	}
+	check(0)
+	check(2.5)
+	var order []int64
+	for slot := int64(0); slot < pieceSlots; slot++ {
+		for dt := slot; dt <= 1024; dt += pieceSlots {
+			if dt > 0 {
+				order = append(order, dt)
+			}
+		}
+	}
+	for i := len(order) - 1; i >= 0; i-- {
+		order = append(order, order[i])
+	}
+	for _, dt := range order {
+		check(float64(dt))
+		check(float64(dt - 1))
+	}
+	check(0)
+	check(2.5)
+	if _, ok := m.decayTab.lookup(0); ok {
+		t.Error("the decay table answers for a length of 0")
+	}
+	if _, ok := m.weightTab.lookup(float64(order[len(order)-1])); !ok {
+		t.Error("the weight table forgot the last length stored")
+	}
 }
