@@ -89,8 +89,8 @@ func TestCheckpointRoundTrip(t *testing.T) {
 // batched engine), version 2 with per-step phase markers and Config
 // fields the current format no longer carries, version 3 with the
 // retired dormant-throttle state, version 4 without a checksum trailer
-// and with the carried quantum cap, version 5 with the retired parallel
-// engine's Config.Shards.
+// and with the carried quantum cap, version 5 whose Config still held
+// the shard count of the retired parallel engine.
 func TestRestoreRejectsOldVersion(t *testing.T) {
 	m := engineScenarios()[1].build(EngineAsync)
 	m.Run(1000)

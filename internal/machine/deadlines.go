@@ -21,7 +21,7 @@ const (
 // the last ResetStats. They are a subset of the lockstep engine's
 // passes: the skipped ones are provable no-ops (see fireDueDeadlines,
 // clampHotChecks for the hot checks a quantum steps past, and
-// clampGovEvals for the thermal-governor evaluations), and every pass
+// govFirstAct for the thermal-governor evaluations), and every pass
 // that runs decides exactly as its lockstep twin. A skipped pass counts
 // nothing, whether phase 8 reached it and ruled it out or never walked
 // to it (the balance and idle-pull lists while nothing is queued).
@@ -33,7 +33,8 @@ func (m *Machine) DeadlineFires() (balance, idlePull, hot, gov int64) {
 }
 
 // DeadlineStats returns the deadline scheduler's event-traffic counters
-// (arming, lazy re-arms, stale drops of the hot/governor heaps).
+// (arming, and the hot heap's lazy re-arms and stale drops; governor
+// deadlines keep no heap, so GovRearms and GovStale stay 0).
 func (m *Machine) DeadlineStats() sched.DeadlineStats { return m.wheel.Stats }
 
 // SetQuantumStats attaches s to count every quantum stepped from now
@@ -195,7 +196,7 @@ func (m *Machine) govTarget(in dvfs.Inputs) int {
 // addBusy folds a quantum of dt occupied milliseconds, ending at the
 // clock's tick, into CPU c's utilization window. The planner may have
 // stepped over governor evaluations of c inside the quantum (see
-// clampGovEvals); each would have observed and restarted the window, so
+// govFirstAct); each would have observed and restarted the window, so
 // the last one, at t, is replayed: the window starts at t and holds the
 // end − t milliseconds after it, all occupied since occupancy is
 // constant within a quantum.

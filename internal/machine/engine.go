@@ -316,7 +316,7 @@ func (m *Machine) step(limitMS int64) int64 {
 	// deferring any governor work). The async engine evaluates only at
 	// the end tick: the planner ends a quantum at every ondemand
 	// evaluation, and at every thermal one that could change a P-state
-	// (clampGovEvals); the thermal evaluations it steps over are
+	// (govFirstAct); the thermal evaluations it steps over are
 	// provable no-ops whose window restarts phase 6 already replayed.
 	if m.dvfsOn && m.govPeriod > 0 {
 		if m.async {

@@ -1,8 +1,11 @@
 package machine
 
 import (
+	"math"
 	"testing"
 
+	"energysched/internal/dvfs"
+	"energysched/internal/sched"
 	"energysched/internal/topology"
 )
 
@@ -92,4 +95,44 @@ func MalformedImages(tb testing.TB) [][]byte {
 		out[i] = malformedImage(tb, i)
 	}
 	return out
+}
+
+// govFirstActWalk is the grid walk govFirstAct replaced: the first
+// instant of CPU c's governor grid in [from, end) at which
+// govEvalCouldAct says the evaluation might act, or NoDeadline.
+func (m *Machine) govFirstActWalk(c int, from, end int64) int64 {
+	g := m.gov.(dvfs.Thermal)
+	for t := m.wheel.NextGov(from, c); t < end; t = m.wheel.NextGov(t+1, c) {
+		if m.govEvalCouldAct(g, c, t) {
+			return t
+		}
+	}
+	return sched.NoDeadline
+}
+
+// govEvalCouldAct reports whether CPU c's thermal-governor evaluation
+// at tick t might change its P-state, taking Evaluate's two pinned
+// decisions afresh: the reference govFirstAct and its memo (govSides)
+// are checked against.
+func (m *Machine) govEvalCouldAct(g dvfs.Thermal, c int, t int64) bool {
+	if m.Sched.RQs[c].Current == nil || m.pendingIdx[c] >= 0 {
+		return false
+	}
+	pw := m.Sched.Power[c]
+	in := dvfs.Inputs{
+		InstPowerW: m.estRatePowerW(c),
+		MaxPowerW:  pw.MaxPower,
+		Cur:        m.freqIdx[c],
+		Ladder:     m.dvfsCfg.Ladder,
+	}
+	down := g.DownThresholdW(in.MaxPowerW)
+	in.ThermalPowerW = down
+	hot := m.govTarget(in) != in.Cur
+	in.ThermalPowerW = math.Nextafter(down, math.Inf(-1))
+	cool := m.govTarget(in) != in.Cur
+	if hot == cool {
+		return hot
+	}
+	k := t - (m.clockOf(c) - 1)
+	return metricMayCross(pw.ThermalPower(), m.metricFeedW(c), pw.RetentionPerMS(), down, hot, k)
 }

@@ -14,10 +14,9 @@ import (
 // Under the thermal governor the planner steps over evaluations that
 // provably keep the P-state, through the warm-up transient (the metric
 // climbs toward the down threshold) and the settled state alike. The
-// async and parallel engines must still decide, trace and keep every
-// utilization window exactly as lockstep, which evaluates on every
-// grid instant of an occupied CPU, while firing only a fraction of the
-// grid.
+// async engine must still decide, trace and keep every utilization
+// window exactly as lockstep, which evaluates on every grid instant of
+// an occupied CPU, while firing only a fraction of the grid.
 func TestGovernorHorizonSkipsNoOpEvals(t *testing.T) {
 	const runMS = 20_000
 	switches := int64(0)

@@ -30,6 +30,7 @@ package machine
 
 import (
 	"fmt"
+	"math"
 
 	"energysched/internal/counters"
 	"energysched/internal/dvfs"
@@ -394,6 +395,10 @@ type Machine struct {
 	feedW       []float64
 	feedsCached bool
 	verifyFeeds bool
+	// govPairs memoizes, per CPU, the thermal governor's decision on
+	// each side of its down threshold (govSides); nil under any other
+	// governor.
+	govPairs []govPair
 	// sliceOnly marks, per busy CPU, a local boundary that startPiece
 	// pushed at a same-task slice expiry with the rates holding strictly
 	// past it: popLocal's fast path (sliceHolds).
@@ -875,6 +880,12 @@ func New(cfg Config) (*Machine, error) {
 		m.local.keys = make([]int64, 0, nCPU)
 		m.feedW = make([]float64, nCPU)
 		m.sliceOnly = make([]bool, nCPU)
+		if m.govThermal() {
+			m.govPairs = make([]govPair, nCPU)
+			for c := range m.govPairs {
+				m.govPairs[c].instW = math.NaN()
+			}
+		}
 	}
 	return m, nil
 }

@@ -153,16 +153,17 @@ func (m *Machine) planQuantum(limit int64) (int64, Horizon) {
 		return 1, HorizonTaskThrottle
 	}
 
-	// Periodic deadlines next — each a single O(1) query, and on a
+	// Periodic deadlines next — a single query per class, and on a
 	// saturated machine with tasks queued some CPU's staggered balance
 	// pass is due every tick, pinning dt to 1 before the per-CPU
 	// horizon scan below even starts (the scan can only lower dt, and 1
 	// is the floor). Thermal-governor evaluations and hot checks
-	// resolve last, by grid walks over the quantum that wait until the
-	// running-task horizons have shortened it: once a saturated
-	// machine's cores are past their triggers a hot check is due on
-	// nearly every tick, and its walk builds destination bounds.
-	hot, gov := m.clampDeadlines(&p, now)
+	// resolve last, once the running-task horizons have shortened the
+	// quantum: the governor by one solve per occupied CPU, the hot
+	// checks by a grid walk (once a saturated machine's cores are past
+	// their triggers a hot check is due on nearly every tick, and its
+	// walk builds destination bounds).
+	hot := m.clampDeadlines(&p, now)
 	if p.dt <= 1 {
 		return 1, p.why
 	}
@@ -190,8 +191,8 @@ func (m *Machine) planQuantum(limit int64) (int64, Horizon) {
 	if p.dt > 1 && m.unitThrottles != nil {
 		p.clamp(m.clampUnitCrossings(p.dt), HorizonUnit)
 	}
-	if gov-now < p.dt {
-		m.clampGovEvals(&p, now, gov)
+	if p.dt > 1 && m.govThermal() {
+		m.clampGovEvals(&p, now)
 	}
 	if hot-now < p.dt {
 		// Also on a 1 ms quantum: the floor a due check builds lets
@@ -213,7 +214,7 @@ func (m *Machine) planQuantum(limit int64) (int64, Horizon) {
 func rateHorizonMS(rh, speed float64) int64 { return int64(math.Floor(rh / speed)) }
 
 // clampDeadlines bounds a quantum by the periodic deadline classes, a
-// single O(1) query per class on the deadline scheduler instead of the
+// single query per class on the deadline scheduler instead of the
 // former per-CPU modulo sweep. With zero waiting tasks machine-wide,
 // every balancing pass — periodic and idle pull alike — is provably a
 // no-op and both classes are skipped entirely: the big win for
@@ -221,17 +222,17 @@ func rateHorizonMS(rh, speed float64) int64 { return int64(math.Floor(rh / speed
 // CPUs, so other CPUs' instants never reach the planner. The thermal
 // governor's evaluations act only when the metric's side of its
 // threshold or the instantaneous power calls for another P-state, so
-// under it the earliest armed governor deadline is returned unclamped
-// for planQuantum to resolve; any other governor reads the utilization,
-// which changes across the quantum, and clamps here. Hot-check
-// deadlines are armed only for single-task CPUs with a power budget
-// while hot migration is on, but an armed check acts only if its core
-// has reached the trigger and some other core is considerably cooler,
-// so the earliest armed hot deadline is returned unclamped too. Either
-// is NoDeadline when none is armed or the class is clamped here. The
-// queries run on every plan, so the heaps' lazy re-arms keep them
+// under it the wheel is not asked at all: planQuantum solves each
+// occupied CPU's first evaluation that could act (clampGovEvals). Any
+// other governor reads the utilization, which changes across the
+// quantum, and clamps here. Hot-check deadlines are armed only for
+// single-task CPUs with a power budget while hot migration is on, but
+// an armed check acts only if its core has reached the trigger and
+// some other core is considerably cooler, so the earliest armed hot
+// deadline is returned unclamped, NoDeadline when none is armed. The
+// query runs on every plan, so the hot heap's lazy re-arms keep it
 // bounded.
-func (m *Machine) clampDeadlines(p *quantumPlan, now int64) (hot, gov int64) {
+func (m *Machine) clampDeadlines(p *quantumPlan, now int64) (hot int64) {
 	if m.Sched.QueuedCount() > 0 {
 		if d := m.wheel.NextBalanceDeadline(now); d != sched.NoDeadline {
 			p.clamp(d-now+1, HorizonBalance)
@@ -240,72 +241,100 @@ func (m *Machine) clampDeadlines(p *quantumPlan, now int64) (hot, gov int64) {
 			p.clamp(m.wheel.NextIdlePullDeadline(now)-now+1, HorizonBalance)
 		}
 	}
-	gov = sched.NoDeadline
-	if m.dvfsOn && m.govPeriod > 0 {
+	if m.dvfsOn && m.govPeriod > 0 && !m.govThermal() {
 		if d := m.wheel.NextGovDeadline(now); d != sched.NoDeadline {
-			if _, ok := m.gov.(dvfs.Thermal); ok {
-				gov = d
-			} else {
-				p.clamp(d-now+1, HorizonGovernor)
-			}
+			p.clamp(d-now+1, HorizonGovernor)
 		}
 	}
-	return m.wheel.NextHotDeadline(now), gov
+	return m.wheel.NextHotDeadline(now)
 }
 
 // clampGovEvals ends the quantum at the first thermal-governor
-// evaluation that could change a P-state. It walks the static governor
-// grid from gov, the earliest armed governor deadline, to the
-// quantum's last tick, and stops at the first CPU that govEvalCouldAct
-// cannot rule out. Every evaluation it steps past is a provable no-op
-// but for its utilization window, which phase 6 replays (addBusy), so
-// phase 8b evaluating only at the end tick decides exactly as the
-// lockstep loop does.
-func (m *Machine) clampGovEvals(p *quantumPlan, now, gov int64) {
-	g := m.gov.(dvfs.Thermal)
-	for t := gov; t-now < p.dt; t++ {
-		for _, c := range m.wheel.GovDueCPUs(t) {
-			if m.govEvalCouldAct(g, int(c), t) {
-				p.clamp(t-now+1, HorizonGovernor)
-				return
-			}
-		}
+// evaluation that could change a P-state: the earliest govFirstAct of
+// the occupied CPUs (only live CPUs run a task), one solve each. Every
+// evaluation it steps past is a provable no-op but for its utilization
+// window, which phase 6 replays (addBusy), so phase 8b evaluating only
+// at the end tick decides exactly as the lockstep loop does.
+func (m *Machine) clampGovEvals(p *quantumPlan, now int64) {
+	first := sched.NoDeadline
+	for _, c := range m.stepCPUs() {
+		first = min(first, m.govFirstAct(int(c), now))
+	}
+	if first-now < p.dt {
+		p.clamp(first-now+1, HorizonGovernor)
 	}
 }
 
-// govEvalCouldAct reports whether CPU c's thermal-governor evaluation
-// at tick t might change its P-state. governorEval returns early on a
-// CPU without a running task (a parked CPU has none) and with a
-// transition pending, and those stay so through the quantum. Otherwise every input but the
-// thermal-power metric is fixed through it: InstPowerW is
+// govFirstAct returns the first instant ≥ from of CPU c's governor grid
+// at which its thermal-governor evaluation might change its P-state,
+// or NoDeadline. governorEval returns early on a CPU without a running
+// task (a parked CPU has none) and with a transition pending, and
+// those stay so through the quantum. Otherwise every input but the
+// thermal-power metric is fixed through c's piece: InstPowerW is
 // estRatePowerW once the task has run a millisecond, the budget and
 // the P-state are constant. Evaluate reads the metric only through
-// DownThresholdW, so it is called on each side of that threshold: when
-// neither side acts the evaluation is a no-op whatever the metric
-// does, and when one side acts the metric, which follows
-// S(k) = X + (S0 − X)·q^k from its clock with X its constant feed, must
-// provably stay on the other side through tick t (metricMayCross).
-func (m *Machine) govEvalCouldAct(g dvfs.Thermal, c int, t int64) bool {
+// DownThresholdW, so its decision on each side of that threshold
+// (govSides) holds at every instant of the piece: when neither side
+// acts no evaluation does, when both act the next one may, and when
+// one side acts the metric, which follows S(k) = X + (S0 − X)·q^k from
+// its clock with X its constant feed, must first reach that side. Its
+// crossing step n is solved once, with the slack of metricMayCross,
+// whose test at instant t, n − 1 ≤ t − (clock − 1), holds from
+// t = clock − 2 + n on.
+func (m *Machine) govFirstAct(c int, from int64) int64 {
 	if m.Sched.RQs[c].Current == nil || m.pendingIdx[c] >= 0 {
-		return false
+		return sched.NoDeadline
 	}
 	pw := m.Sched.Power[c]
+	hot, cool := m.govSides(c, pw.MaxPower)
+	if hot == cool {
+		if !hot {
+			return sched.NoDeadline
+		}
+		return m.wheel.NextGov(from, c)
+	}
+	down := m.gov.(dvfs.Thermal).DownThresholdW(pw.MaxPower)
+	n, ok := crossSteps(pw.ThermalPower(), m.metricFeedW(c), pw.RetentionPerMS(), down, hot)
+	if !ok {
+		return sched.NoDeadline
+	}
+	return m.wheel.NextGov(max(from, m.clockOf(c)-2+n), c)
+}
+
+// govPair is CPU c's pinned thermal-governor decision (govSides) and
+// the inputs it was taken at. It is derived state, kept out of
+// checkpoints: New starts every key at NaN, so a restored or branched
+// machine takes each afresh.
+type govPair struct {
+	instW, maxW float64
+	cur         int
+	hot, cool   bool
+}
+
+// govSides reports whether CPU c's thermal-governor evaluation changes
+// its P-state with the metric at the down threshold (hot) and just
+// below it (cool), its other inputs being the current ones: the
+// instantaneous power estRatePowerW, the budget maxW and the P-state.
+// Those stay fixed through a piece, so the pair is memoized per CPU
+// and taken again only when one of them changes.
+func (m *Machine) govSides(c int, maxW float64) (hot, cool bool) {
 	in := dvfs.Inputs{
 		InstPowerW: m.estRatePowerW(c),
-		MaxPowerW:  pw.MaxPower,
+		MaxPowerW:  maxW,
 		Cur:        m.freqIdx[c],
 		Ladder:     m.dvfsCfg.Ladder,
 	}
-	down := g.DownThresholdW(in.MaxPowerW)
-	in.ThermalPowerW = down
-	hot := m.govTarget(in) != in.Cur
-	in.ThermalPowerW = math.Nextafter(down, math.Inf(-1))
-	cool := m.govTarget(in) != in.Cur
-	if hot == cool {
-		return hot
+	gp := &m.govPairs[c]
+	if gp.instW == in.InstPowerW && gp.maxW == maxW && gp.cur == in.Cur {
+		return gp.hot, gp.cool
 	}
-	k := t - (m.clockOf(c) - 1)
-	return metricMayCross(pw.ThermalPower(), m.metricFeedW(c), pw.RetentionPerMS(), down, hot, k)
+	down := m.gov.(dvfs.Thermal).DownThresholdW(maxW)
+	in.ThermalPowerW = down
+	hot = m.govTarget(in) != in.Cur
+	in.ThermalPowerW = math.Nextafter(down, math.Inf(-1))
+	cool = m.govTarget(in) != in.Cur
+	*gp = govPair{instW: in.InstPowerW, maxW: maxW, cur: in.Cur, hot: hot, cool: cool}
+	return hot, cool
 }
 
 // clampHotChecks ends the quantum at the first hot-check instant whose
@@ -461,15 +490,21 @@ const crossSlackRel = 1e-9
 // starting at s0 and relaxing toward x with per-millisecond retention
 // may, within k milliseconds, reach threshold (rising: at or above it)
 // or drop below it (falling). It errs toward true: the threshold moves
-// crossSlackRel toward the crossing side, and the predicted
-// crossing gets one millisecond of slack.
+// crossSlackRel toward the crossing side (crossSteps), and the
+// predicted crossing gets one millisecond of slack.
 func metricMayCross(s0, x, retain, threshold float64, rising bool, k int64) bool {
+	n, ok := crossSteps(s0, x, retain, threshold, rising)
+	return ok && n-1 <= k
+}
+
+// crossSteps is profile.CrossSteps with the threshold moved
+// crossSlackRel toward the crossing side.
+func crossSteps(s0, x, retain, threshold float64, rising bool) (int64, bool) {
 	slack := crossSlackRel * math.Abs(threshold)
 	if !rising {
 		slack = -slack
 	}
-	n, ok := profile.CrossSteps(s0, x, retain, threshold-slack, rising)
-	return ok && n-1 <= k
+	return profile.CrossSteps(s0, x, retain, threshold-slack, rising)
 }
 
 // hotDestFloor is the planner's per-quantum scratch for the

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"energysched/internal/dvfs"
 	"energysched/internal/profile"
 	"energysched/internal/sched"
 	"energysched/internal/topology"
@@ -158,6 +159,102 @@ func TestMetricMayCrossBruteForce(t *testing.T) {
 	}
 	if reached == 0 || skipped == 0 {
 		t.Fatalf("vacuous draw: %d acting and %d skippable evaluations", reached, skipped)
+	}
+}
+
+// govFirstAct solves in closed form what the planner used to find by
+// walking a CPU's governor grid through govEvalCouldAct (kept as
+// govFirstActWalk): the first instant whose evaluation could act.
+// Brute force on one CPU of a thermal-governed machine over random
+// metrics, feeds, retentions, budgets, P-states, clocks and start
+// instants: both sides holding or acting, rising and falling
+// crossings, a pending transition, no task, and a start past the CPU's
+// clock (recheckFeed's case). Feeds and budgets come from small sets,
+// so the per-CPU memo of the pinned pair is hit across P-states.
+func TestGovFirstActBruteForce(t *testing.T) {
+	m := MustNew(Config{
+		Layout:           topology.XSeries445NoSMT(),
+		Sched:            sched.BaselineConfig(),
+		Seed:             3,
+		PackageMaxPowerW: []float64{40},
+		Scope:            ThrottlePerLogical,
+		DVFS:             &dvfs.Config{Governor: "thermal"},
+	})
+	m.Spawn(catalog().Bitcnts())
+	m.Run(100)
+	c := -1
+	for d, rq := range m.Sched.RQs {
+		if rq.Current != nil {
+			c = d
+		}
+	}
+	if c < 0 {
+		t.Fatal("no CPU runs a task")
+	}
+	task := m.Sched.RQs[c].Current
+	ladder := m.dvfsCfg.Ladder
+	r := rand.New(rand.NewSource(29))
+	const span = 4000 // the walk's reach past from, ms
+	var hold, act, rising, falling, pending, idle, behind int
+	m.feedsCached, m.execSpeed[c] = true, 1
+	for trial := 0; trial < 20_000; trial++ {
+		budget := []float64{0, 30, 40}[r.Intn(3)]
+		feed := []float64{12, 25, 33, 55}[r.Intn(4)]
+		weight := math.Pow(10, -3+2*r.Float64())
+		metric := budget * (0.3 + 1.2*r.Float64())
+		m.Sched.Power[c] = profile.NewCPUPower(budget, weight, 10, metric)
+		m.feedW[c] = feed
+		m.freqIdx[c] = r.Intn(ladder.Max() + 1)
+		m.pendingIdx[c] = -1
+		if r.Intn(40) == 0 {
+			m.pendingIdx[c] = r.Intn(ladder.Max() + 1)
+			pending++
+		}
+		m.Sched.RQs[c].Current = task
+		if r.Intn(40) == 0 {
+			m.Sched.RQs[c].Current = nil
+			idle++
+		}
+		m.qStartMS = 1000 + r.Int63n(1000)
+		m.cpuSettledMS[c] = m.qStartMS + r.Int63n(60) - 20
+		clock := m.clockOf(c)
+		from := clock + r.Int63n(120) - 10
+
+		got := m.govFirstAct(c, from)
+		want := m.govFirstActWalk(c, from, from+span)
+		if want == sched.NoDeadline && got < from+span || want != sched.NoDeadline && got != want {
+			t.Fatalf("trial %d: budget %v feed %v metric %v retain %v P-state %d pending %d clock %d from %d: govFirstAct = %d, walk = %d",
+				trial, budget, feed, metric, m.Sched.Power[c].RetentionPerMS(), m.freqIdx[c], m.pendingIdx[c], clock, from, got, want)
+		}
+		if m.pendingIdx[c] >= 0 || m.Sched.RQs[c].Current == nil {
+			continue
+		}
+		in := dvfs.Inputs{InstPowerW: feed, MaxPowerW: budget, Cur: m.freqIdx[c], Ladder: ladder}
+		down := m.gov.(dvfs.Thermal).DownThresholdW(budget)
+		in.ThermalPowerW = down
+		hot := m.govTarget(in) != in.Cur
+		in.ThermalPowerW = math.Nextafter(down, math.Inf(-1))
+		cool := m.govTarget(in) != in.Cur
+		switch {
+		case hot && cool:
+			act++
+		case !hot && !cool:
+			hold++
+		case want != sched.NoDeadline && want > m.wheel.NextGov(from, c):
+			if hot {
+				rising++
+			} else {
+				falling++
+			}
+			if from > clock {
+				behind++
+			}
+		}
+	}
+	t.Logf("hold %d, act %d, rising %d, falling %d crossings (%d from past the clock), pending %d, no task %d",
+		hold, act, rising, falling, behind, pending, idle)
+	if hold == 0 || act == 0 || rising == 0 || falling == 0 || behind == 0 || pending == 0 || idle == 0 {
+		t.Fatal("vacuous draw: a case was never reached")
 	}
 }
 

@@ -428,12 +428,12 @@ func (m *Machine) sliceHolds(c, p int) bool {
 
 // replayGovEval replays, at CPU c's local boundary t, the utilization-
 // window restart of a governor evaluation due there. The evaluation is
-// a provable no-op (the planner's walks and re-checks), and addBusy
-// leaves the restart to phase 8b only for a quantum's last tick. Right
-// after a slice expiry's re-dispatch it reads no instantaneous power,
-// and the thermal governor then holds the P-state whenever the CPU has
-// a budget, so the walks' prediction at the rate power still covers
-// it.
+// a provable no-op (the planner's solves and re-checks, govFirstAct),
+// and addBusy leaves the restart to phase 8b only for a quantum's last
+// tick. Right after a slice expiry's re-dispatch it reads no
+// instantaneous power, and the thermal governor then holds the P-state
+// whenever the CPU has a budget, so the solve's prediction at the rate
+// power still covers it.
 func (m *Machine) replayGovEval(c int, t int64) {
 	if m.govPeriod > 0 && m.wheel.GovDue(t, c) {
 		m.Sched.Util[c].ReplayObserve(t, t)
@@ -483,13 +483,7 @@ func feedRose(old, firstW, newW float64) bool { return firstW > old || newW > ol
 // they act on falling metrics too.
 func (m *Machine) recheckFeed(c int, from int64, rising bool) {
 	if m.govThermal() {
-		g := m.gov.(dvfs.Thermal)
-		for t := m.wheel.NextGov(from, c); t < m.winEnd; t = m.wheel.NextGov(t+1, c) {
-			if m.govEvalCouldAct(g, c, t) {
-				m.shrinkWindow(t, HorizonGovernor)
-				break
-			}
-		}
+		m.shrinkWindow(m.govFirstAct(c, from), HorizonGovernor)
 	}
 	if m.throttles != nil {
 		if end, ok := m.throttleFlipBound(m.throttleOf(c), from); ok {

@@ -4,7 +4,8 @@ package sched
 // deadline *scheduler*: instead of asking "when is CPU c's next
 // deadline?" for every CPU on every quantum plan (an O(nCPU) sweep that
 // dominated fully-idle steps at 256 CPUs), the attached wheel answers
-// two machine-wide questions in O(1):
+// two machine-wide questions, in O(1) but for the governor's planning
+// question (below):
 //
 //	"when is the next deadline of class X at or after T?"   (planning)
 //	"which CPUs have a class-X deadline exactly at T?"      (firing)
@@ -21,18 +22,23 @@ package sched
 //
 //   - Hot-check and governor deadlines are gated per CPU (hot checks
 //     act only on single-task CPUs with a power budget, governors only
-//     on occupied CPUs), so each CPU's deadline is *armed* onto a
-//     lazy-deletion EventQueue when its runqueue enters the relevant
-//     state and lazily dropped when it leaves. The planner peeks the
-//     earliest armed entry; entries whose instant has passed (the
-//     quantum ended on them and the CPU stayed armed) are re-armed on
-//     the exact stagger grid, so deadline instants are bit-identical to
-//     the lockstep loop's modulo checks. Firing still consults the
-//     static grid (the due lists), never the heap — the heap exists
-//     only to bound the planner's horizon (for hot checks and thermal-
-//     governor evaluations, the instant from which the planner walks
-//     the grid looking for one that could act), so a stale or duplicate entry can cost a too-short
-//     quantum or a longer walk but never a wrong decision.
+//     on occupied CPUs), so each CPU's deadline is *armed* when its
+//     runqueue enters the relevant state and disarmed when it leaves.
+//     Armed hot checks sit on a lazy-deletion EventQueue: the planner
+//     peeks the earliest armed entry; entries whose instant has passed
+//     (the quantum ended on them and the CPU stayed armed) are re-armed
+//     on the exact stagger grid, so deadline instants are bit-identical
+//     to the lockstep loop's modulo checks. Governor deadlines keep no
+//     heap, only a per-CPU armed flag: under the thermal governor the
+//     planner solves each occupied CPU's first evaluation that could
+//     act itself and never asks the wheel, and for any other governor
+//     the earliest armed instant is an O(nCPU) scan of the flags, once
+//     per plan. Firing still consults the static grid (the due lists),
+//     never the heap — the heap exists only to bound the planner's
+//     horizon (for hot checks, the instant from which the planner walks
+//     the grid looking for one that could act), so a stale or duplicate
+//     entry can cost a too-short quantum or a longer walk but never a
+//     wrong decision.
 //
 // Arming transitions are driven by the runqueue occupancy ledger: every
 // runqueue mutation shifts the ledger (Runqueue.changed), which then
@@ -59,15 +65,19 @@ const MaxPeriodMS = 1 << 16
 // (and deliberately absent from the event trace, which must stay
 // byte-identical across engines).
 type DeadlineStats struct {
-	// HotArms / GovArms count deadline events pushed when a CPU entered
-	// the class's armed state.
+	// HotArms / GovArms count the times a CPU entered the class's armed
+	// state.
 	HotArms, GovArms int64
-	// HotRearms / GovRearms count past deadlines pushed forward on the
-	// stagger grid by the planner's lazy refresh.
-	HotRearms, GovRearms int64
-	// HotStale / GovStale count lazily discarded entries whose CPU left
-	// the armed state (or re-armed under a newer instant).
-	HotStale, GovStale int64
+	// HotRearms counts past hot deadlines pushed forward on the stagger
+	// grid by the planner's lazy refresh.
+	HotRearms int64
+	// HotStale counts lazily discarded hot entries whose CPU left the
+	// armed state (or re-armed under a newer instant).
+	HotStale int64
+	// GovRearms and GovStale stay 0: governor deadlines keep no heap to
+	// refresh. They remain for the benchmark's traced pass, which
+	// reports them.
+	GovRearms, GovStale int64
 }
 
 // dueTable answers both deadline-class questions for a fixed (period,
@@ -165,13 +175,12 @@ func (w *Wheel) attach(s *Scheduler) {
 	w.idleTab = newDueTable(IdlePullPeriodMS, 1, n)
 	w.govTab = newDueTable(w.govP, GovStaggerMS, n)
 	w.hotQ = NewEventQueue(n)
-	w.govQ = NewEventQueue(n)
 	w.hotAt = make([]int64, n)
-	w.govAt = make([]int64, n)
+	w.govArmed = make([]bool, n)
 	w.hotEligible = make([]bool, n)
 	hotOn := s.Cfg.HotTaskMigration && w.hotP > 0
 	for c := 0; c < n; c++ {
-		w.hotAt[c], w.govAt[c] = -1, -1
+		w.hotAt[c] = -1
 		w.hotEligible[c] = hotOn && s.Power[c] != nil && s.Power[c].MaxPower > 0
 	}
 	for c, rq := range s.RQs {
@@ -186,9 +195,9 @@ func (w *Wheel) attach(s *Scheduler) {
 func (w *Wheel) SetNow(nowMS int64) { w.nowMS = nowMS }
 
 // refreshArming arms or disarms CPU c's hot-check and governor
-// deadlines to match its runqueue state. Disarming is lazy (the heap
-// entry is recognized as stale when it surfaces); arming pushes the
-// next on-grid instant.
+// deadlines to match its runqueue state. Disarming a hot check is lazy
+// (the heap entry is recognized as stale when it surfaces); arming one
+// pushes the next on-grid instant.
 func (w *Wheel) refreshArming(c int, rq *Runqueue) {
 	if w.hotEligible[c] {
 		if want, armed := rq.Len() == 1, w.hotAt[c] >= 0; want != armed {
@@ -203,14 +212,10 @@ func (w *Wheel) refreshArming(c int, rq *Runqueue) {
 		}
 	}
 	if w.govP > 0 {
-		if want, armed := rq.Current != nil, w.govAt[c] >= 0; want != armed {
+		if want := rq.Current != nil; want != w.govArmed[c] {
+			w.govArmed[c] = want
 			if want {
-				at := nextAt(w.nowMS, w.govP, int64(c)*GovStaggerMS)
-				w.govAt[c] = at
-				w.govQ.Push(at, c)
 				w.Stats.GovArms++
-			} else {
-				w.govAt[c] = -1
 			}
 		}
 	}
@@ -235,29 +240,14 @@ func (w *Wheel) NextIdlePullDeadline(now int64) int64 {
 // power budget installed). Stale entries are discarded and past
 // entries of still-armed CPUs re-armed on the stagger grid.
 func (w *Wheel) NextHotDeadline(now int64) int64 {
-	return w.nextArmed(now, w.hotQ, w.hotAt, w.hotP, HotStaggerMS,
-		&w.Stats.HotStale, &w.Stats.HotRearms)
-}
-
-// NextGovDeadline returns the earliest armed governor deadline ≥ now,
-// or NoDeadline when no CPU is occupied (or DVFS is off).
-func (w *Wheel) NextGovDeadline(now int64) int64 {
-	if w.govP <= 0 {
-		return NoDeadline
-	}
-	return w.nextArmed(now, w.govQ, w.govAt, w.govP, GovStaggerMS,
-		&w.Stats.GovStale, &w.Stats.GovRearms)
-}
-
-func (w *Wheel) nextArmed(now int64, q *EventQueue, armedAt []int64, period, stagger int64, stale, rearms *int64) int64 {
 	for {
-		at, c, ok := q.Peek()
+		at, c, ok := w.hotQ.Peek()
 		if !ok {
 			return NoDeadline
 		}
-		if armedAt[c] != at {
-			q.Pop() // disarmed, or re-armed under a newer instant
-			*stale++
+		if w.hotAt[c] != at {
+			w.hotQ.Pop() // disarmed, or re-armed under a newer instant
+			w.Stats.HotStale++
 			continue
 		}
 		if at >= now {
@@ -265,12 +255,28 @@ func (w *Wheel) nextArmed(now int64, q *EventQueue, armedAt []int64, period, sta
 		}
 		// The quantum ended on this deadline and the CPU stayed armed:
 		// push it forward to the next on-grid instant.
-		q.Pop()
-		nat := nextAt(now, period, int64(c)*stagger)
-		armedAt[c] = nat
-		q.Push(nat, c)
-		*rearms++
+		w.hotQ.Pop()
+		nat := nextAt(now, w.hotP, int64(c)*HotStaggerMS)
+		w.hotAt[c] = nat
+		w.hotQ.Push(nat, c)
+		w.Stats.HotRearms++
 	}
+}
+
+// NextGovDeadline returns the earliest governor deadline ≥ now of an
+// occupied CPU, or NoDeadline when no CPU is occupied (or DVFS is off):
+// a scan over the CPUs' armed flags.
+func (w *Wheel) NextGovDeadline(now int64) int64 {
+	d := NoDeadline
+	if w.govP <= 0 {
+		return d
+	}
+	for c, armed := range w.govArmed {
+		if armed {
+			d = min(d, nextAt(now, w.govP, int64(c)*GovStaggerMS))
+		}
+	}
+	return d
 }
 
 // BalanceDueCPUs returns, ascending, the CPUs whose periodic balance is

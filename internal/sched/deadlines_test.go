@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math/rand"
 	"testing"
 
 	"energysched/internal/topology"
@@ -224,6 +225,56 @@ func TestDeadlineGovArmedAtConstruction(t *testing.T) {
 	}
 	if due := w0.GovDueCPUs(20); len(due) != 0 {
 		t.Fatalf("no governor period, but GovDueCPUs = %v", due)
+	}
+}
+
+// The earliest governor deadline is the earliest next grid instant of
+// an occupied CPU, whatever sequence of runqueue mutations armed and
+// disarmed the CPUs, and whatever the wheel's clock read when they did.
+// Brute force over random dispatches, deschedules and clock moves on a
+// wheel whose period and stagger wrap across the CPUs.
+func TestNextGovDeadlineMatchesBruteForce(t *testing.T) {
+	r := rand.New(rand.NewSource(29))
+	l := topology.Layout{Nodes: 2, PackagesPerNode: 3, CoresPerPackage: 2, ThreadsPerPackage: 2}
+	for _, period := range []int64{1, 7, 20, 64} {
+		s := newSched(l, DefaultConfig())
+		w := NewWheel(DefaultConfig(), period)
+		s.AttachDeadlines(w)
+		n, id := len(s.RQs), 0
+		occupied := 0
+		for step := 0; step < 2000; step++ {
+			rq := s.RQs[r.Intn(n)]
+			switch {
+			case rq.Current == nil:
+				id++
+				rq.Enqueue(mkTask(id, 40))
+				rq.PickNext()
+			case r.Intn(3) == 0:
+				rq.Deschedule(true)
+				rq.PickNext()
+			default:
+				rq.Deschedule(false)
+			}
+			if r.Intn(4) == 0 {
+				w.SetNow(r.Int63n(10_000))
+			}
+			now := r.Int63n(10_000)
+			want := NoDeadline
+			for c, q := range s.RQs {
+				if q.Current != nil {
+					want = min(want, w.NextGov(now, c))
+				}
+			}
+			if got := w.NextGovDeadline(now); got != want {
+				t.Fatalf("period %d, step %d: NextGovDeadline(%d) = %d, want %d", period, step, now, got, want)
+			}
+			if want != NoDeadline {
+				occupied++
+			}
+		}
+		if occupied == 0 {
+			t.Fatalf("period %d: no step had an occupied CPU", period)
+		}
 	}
 }
 

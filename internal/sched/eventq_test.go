@@ -81,7 +81,7 @@ func TestEventQueueRandomizedAgainstSort(t *testing.T) {
 }
 
 // Property test of the lazy-deletion discipline the deadline wheel's
-// hot-check and governor heaps rest on (Wheel.nextArmed): owners never
+// hot-check heap rests on (Wheel.NextHotDeadline): owners never
 // unlink entries — a re-armed CPU just pushes a duplicate with its new
 // instant, a disarmed one leaves its entry to rot — and every consumer
 // discards entries whose (payload, time) no longer matches the owner's

@@ -36,8 +36,9 @@ const NoDeadline = int64(math.MaxInt64)
 // engine's reference path. Attached to a scheduler
 // (Scheduler.AttachDeadlines, see deadlines.go), it additionally
 // answers the machine-wide questions the event-driven engines plan and
-// fire from in O(1): the next due instant of each class, and the exact
-// CPU set due at a given instant. Its periods are fixed at NewWheel;
+// fire from: the next due instant of each class (in O(1), the
+// governor's by a scan of the occupied CPUs), and the exact CPU set due
+// at a given instant. Its periods are fixed at NewWheel;
 // once attached, the scheduler's occupancy ledger re-arms it after
 // every runqueue mutation. It keeps no occupancy counts of its own.
 type Wheel struct {
@@ -51,12 +52,14 @@ type Wheel struct {
 	// Static residue tables of the machine-wide classes (nil when the
 	// class is disabled).
 	balTab, hotTab, idleTab, govTab *dueTable
-	// Per-CPU armed deadlines of the occupancy-gated classes, on
-	// lazy-deletion min-heaps; hotAt/govAt hold each CPU's armed
-	// instant (-1 disarmed) and identify stale heap entries.
-	hotQ, govQ   *EventQueue
-	hotAt, govAt []int64
-	hotEligible  []bool
+	// Per-CPU armed hot checks, on a lazy-deletion min-heap; hotAt
+	// holds each CPU's armed instant (-1 disarmed) and identifies stale
+	// heap entries. govArmed marks the occupied CPUs, whose governor
+	// deadlines are armed.
+	hotQ        *EventQueue
+	hotAt       []int64
+	govArmed    []bool
+	hotEligible []bool
 	// Stats counts the deadline scheduler's event traffic.
 	Stats DeadlineStats
 }
