@@ -19,11 +19,10 @@
 //   - Pure caches are dropped: the thermal sample-weight memo, the
 //     scheduler's runqueue occupancy ledger (node, package, queued and
 //     idle counts, rebuilt from the restored queues by RebuildLoads),
-//     the materialized step lists (recomputed from restored bitmaps),
-//     and the deadline wheel's arming — its due tables are static and
-//     its armed heaps are a function of runqueue occupancy, so
-//     re-running AttachDeadlines after the queues are restored re-arms
-//     it exactly (stale heap entries are lazily discarded by design).
+//     and the materialized step lists (recomputed from restored
+//     bitmaps). The deadline wheel is a set of static due tables built
+//     by New; the planner reads each CPU's hot and governor gate live
+//     from the restored runqueues.
 package machine
 
 import (
@@ -561,16 +560,6 @@ func applyState(st *machineState, rec *trace.Recorder) (*Machine, error) {
 	m.Sched.MigrationCount = st.MigrationCount
 	m.Sched.MigrationsByReason = st.MigrationsByReason
 
-	// Re-arm the deadline wheel against the restored occupancy. The due
-	// tables are position-independent; attach rebuilds the armed heaps
-	// from the runqueues, exactly as the original machine's wheel would
-	// present them at this instant (stale armed entries are discarded
-	// lazily by design, so heap-content differences are unobservable).
-	if m.async {
-		m.wheel.SetNow(st.NowMS)
-		m.Sched.AttachDeadlines(m.wheel)
-	}
-
 	// Sleepers in original list order: wakes are processed by walking
 	// the list.
 	for _, id := range st.Sleepers {
@@ -829,8 +818,8 @@ func sealImage(img []byte) []byte {
 // Restore rebuilds a machine from a Checkpoint image. rec becomes the
 // machine's trace recorder (nil disables tracing); it starts empty —
 // events recorded before the checkpoint are not replayed. The checksum
-// trailer is verified before anything is decoded, so a truncated or
-// corrupted image gets an error.
+// trailer and the gob message framing are verified before anything is
+// decoded, so a truncated or corrupted image gets an error.
 func Restore(data []byte, rec *trace.Recorder) (*Machine, error) {
 	if len(data) < checksumLen {
 		return nil, fmt.Errorf("machine: checkpoint of %d bytes has no checksum", len(data))
@@ -839,11 +828,51 @@ func Restore(data []byte, rec *trace.Recorder) (*Machine, error) {
 	if got, want := crc32.ChecksumIEEE(img), binary.BigEndian.Uint32(data[len(img):]); got != want {
 		return nil, fmt.Errorf("machine: checkpoint checksum %08x, image sums to %08x", want, got)
 	}
+	if err := checkFraming(img); err != nil {
+		return nil, err
+	}
 	var st machineState
 	if err := gob.NewDecoder(bytes.NewReader(img)).Decode(&st); err != nil {
 		return nil, fmt.Errorf("machine: decoding checkpoint: %w", err)
 	}
 	return applyState(&st, rec)
+}
+
+// checkFraming walks the gob image's message framing: each message is
+// an unsigned byte count followed by that many bytes. encoding/gob
+// reads a claimed count in chunks of up to 10 MiB before it finds the
+// bytes missing, so a forged count would cost that much memory; here a
+// count larger than the bytes left is an error.
+func checkFraming(img []byte) error {
+	for rest := img; len(rest) > 0; {
+		n, w, err := gobUint(rest)
+		if err != nil {
+			return err
+		}
+		rest = rest[w:]
+		if n > uint64(len(rest)) {
+			return fmt.Errorf("machine: checkpoint message of %d bytes with %d left", n, len(rest))
+		}
+		rest = rest[n:]
+	}
+	return nil
+}
+
+// gobUint decodes the gob unsigned integer that starts the non-empty b
+// and returns it with its width: one byte below 0x80, otherwise a byte
+// b0 followed by 256−b0 big-endian bytes, at most 8.
+func gobUint(b []byte) (x uint64, width int, err error) {
+	if b[0] < 0x80 {
+		return uint64(b[0]), 1, nil
+	}
+	n := 256 - int(b[0])
+	if n > 8 || n >= len(b) {
+		return 0, 0, fmt.Errorf("machine: checkpoint message count of %d bytes with %d left", n, len(b)-1)
+	}
+	for _, c := range b[1 : 1+n] {
+		x = x<<8 | uint64(c)
+	}
+	return x, 1 + n, nil
 }
 
 // Branch clones the machine in-process without serializing: the clone

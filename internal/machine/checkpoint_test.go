@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -345,4 +346,33 @@ func TestRestoreRejectsMalformedImages(t *testing.T) {
 			t.Errorf("image cut to %d of %d bytes restored without an error", cut, n)
 		}
 	}
+
+	// A forged message count, resealed so the checksum passes: the
+	// first gob message claims 2^29 bytes. Restore must refuse it for
+	// less memory than a clean restore takes, not read toward the
+	// claimed length.
+	_, w, err := gobUint(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged := sealImage(append([]byte{0x100 - 4, 0x20, 0, 0, 0}, data[w:n-checksumLen]...))
+	restoreAlloc := func(img []byte) (uint64, error) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Restore(img, nil)
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc, err
+	}
+	clean, err := restoreAlloc(data)
+	if err != nil {
+		t.Fatalf("intact image: %v", err)
+	}
+	got, err := restoreAlloc(forged)
+	if err == nil {
+		t.Fatal("image with a forged message count restored without an error")
+	}
+	if got >= clean {
+		t.Errorf("forged message count cost %d B before %q, a clean restore %d B", got, err, clean)
+	}
+	t.Logf("forged count: %d B and %q; clean restore: %d B", got, err, clean)
 }

@@ -32,10 +32,13 @@ func (m *Machine) DeadlineFires() (balance, idlePull, hot, gov int64) {
 		m.deadlineFires[fireHot], m.deadlineFires[fireGov]
 }
 
-// DeadlineStats returns the deadline scheduler's event-traffic counters
-// (arming, and the hot heap's lazy re-arms and stale drops; governor
-// deadlines keep no heap, so GovRearms and GovStale stay 0).
-func (m *Machine) DeadlineStats() sched.DeadlineStats { return m.wheel.Stats }
+// DeadlineStats returns the zero value: the static deadline grid keeps
+// no event traffic to count.
+//
+// Deprecated: kept only because the repository benchmark
+// (bench/traced.go) still reads it. It goes when the benchmark drops
+// its sched.deadline.* rows.
+func (m *Machine) DeadlineStats() sched.DeadlineStats { return sched.DeadlineStats{} }
 
 // SetQuantumStats attaches s to count every quantum stepped from now
 // on, or detaches the counter when s is nil (the default: no
@@ -47,7 +50,7 @@ func (m *Machine) QuantumStats() *QuantumStats { return m.qstats }
 
 // fireDueDeadlines is the async engine's phase 8: run the periodic
 // balance, idle-pull, and hot-check work due exactly at endMS. The
-// due-CPU lists come from the deadline scheduler's static stagger grid,
+// due-CPU lists come from the deadline wheel's static stagger grid,
 // walked merged in ascending CPU order with balance shadowing idle pull
 // — the lockstep engine's per-CPU modulo scan order. Of those passes it
 // skips the provable no-ops: balance and idle pull only ever pull or

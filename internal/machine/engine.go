@@ -47,10 +47,6 @@ func (m *Machine) step(limitMS int64) int64 {
 	threads := layout.ThreadsPerPackage
 	if m.async {
 		m.resetPhaseMarkers()
-		// Deadlines armed by this step's start-of-tick occupancy
-		// changes (wakes, dispatches) are computed from the quantum's
-		// first tick.
-		m.wheel.SetNow(m.nowMS)
 	}
 
 	// 1. Wake sleepers whose block time elapsed. Wake-up keeps CPU
@@ -193,11 +189,6 @@ func (m *Machine) step(limitMS int64) int64 {
 	// before returning.
 	m.nowMS += dt - 1
 	endMS := m.nowMS
-	if m.async {
-		// End-of-tick occupancy changes (blocks, finishes, respawns,
-		// migrations) arm deadlines from the quantum's last tick.
-		m.wheel.SetNow(endMS)
-	}
 	for _, th := range m.throttles {
 		th.Account(dt)
 	}

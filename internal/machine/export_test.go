@@ -21,7 +21,6 @@ func (m *Machine) FirePhase8(reference bool) {
 		panic("FirePhase8: lockstep engine")
 	}
 	m.resetPhaseMarkers()
-	m.wheel.SetNow(m.nowMS)
 	if reference {
 		m.fireDueDeadlinesMerged(m.nowMS)
 	} else {

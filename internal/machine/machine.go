@@ -311,7 +311,7 @@ type Machine struct {
 	rng         *rng.Source
 
 	// Planner state.
-	wheel      *sched.Wheel // deadline scheduler for staggered periodic work
+	wheel      *sched.Wheel // static deadline grid of the staggered periodic work
 	maxQuantum int64        // resolved MaxQuantumMS (unboundedQuantumMS for 0)
 	// deadlineFires counts fired deadline-phase visits per class
 	// (balance, idle-pull, hot, governor) on the event-driven engines —
@@ -704,7 +704,7 @@ func New(cfg Config) (*Machine, error) {
 		}
 	}
 
-	m.wheel = sched.NewWheel(cfg.Sched, m.govPeriod)
+	m.wheel = sched.NewWheel(cfg.Sched, m.govPeriod, nCPU)
 
 	// Per-core thermal nodes. A core owns 1/cores of the package heat
 	// sink (R scaled up, C scaled down, time constant preserved) and,
@@ -785,15 +785,6 @@ func New(cfg Config) (*Machine, error) {
 		default:
 			return nil, fmt.Errorf("machine: unknown throttle scope %d", cfg.Scope)
 		}
-	}
-
-	// Attach the event-driven deadline scheduler (after the power
-	// trackers: hot-check eligibility reads MaxPower). The lockstep
-	// engine stays unattached — its periodic work keeps firing from the
-	// per-tick modulo checks, the reference the event-driven engines
-	// are asserted byte-identical against.
-	if m.async {
-		m.Sched.AttachDeadlines(m.wheel)
 	}
 
 	// Metric series.
@@ -917,9 +908,6 @@ func (m *Machine) Spawn(prog *workload.Program) *sched.Task {
 		prog: prog,
 	}
 	m.tasks[id] = ts
-	if m.async {
-		m.wheel.SetNow(m.nowMS)
-	}
 	// Placement reads runqueue ratios and thermal powers across the
 	// machine; under the async engine the ThermalRead hook settles any
 	// parked CPU it touches on demand.

@@ -170,7 +170,6 @@ func (m *Machine) ResetStats() {
 		m.downTicks[i] = 0
 	}
 	m.deadlineFires = [4]int64{}
-	m.wheel.Stats = sched.DeadlineStats{}
 	if m.qstats != nil {
 		*m.qstats = QuantumStats{}
 	}

@@ -184,7 +184,7 @@ func exchangeThenIdlePull(t *testing.T) *machine.Machine {
 	}
 	const hotCPU, pullCPU = 2, 6
 	at := int64(1_994)
-	w := sched.NewWheel(m.Sched.Cfg, 0)
+	w := sched.NewWheel(m.Sched.Cfg, 0, m.Cfg.Layout.NumLogical())
 	if !w.HotDue(at, hotCPU) || !w.IdlePullDue(at, pullCPU) {
 		t.Fatalf("CPU %d's hot check and CPU %d's idle pull not both due at %d ms", hotCPU, pullCPU, at)
 	}

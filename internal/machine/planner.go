@@ -214,24 +214,19 @@ func (m *Machine) planQuantum(limit int64) (int64, Horizon) {
 func rateHorizonMS(rh, speed float64) int64 { return int64(math.Floor(rh / speed)) }
 
 // clampDeadlines bounds a quantum by the periodic deadline classes, a
-// single query per class on the deadline scheduler instead of the
-// former per-CPU modulo sweep. With zero waiting tasks machine-wide,
-// every balancing pass — periodic and idle pull alike — is provably a
-// no-op and both classes are skipped entirely: the big win for
-// idle-heavy workloads. Governor deadlines are armed only for occupied
-// CPUs, so other CPUs' instants never reach the planner. The thermal
-// governor's evaluations act only when the metric's side of its
-// threshold or the instantaneous power calls for another P-state, so
-// under it the wheel is not asked at all: planQuantum solves each
-// occupied CPU's first evaluation that could act (clampGovEvals). Any
-// other governor reads the utilization, which changes across the
-// quantum, and clamps here. Hot-check deadlines are armed only for
-// single-task CPUs with a power budget while hot migration is on, but
-// an armed check acts only if its core has reached the trigger and
-// some other core is considerably cooler, so the earliest armed hot
-// deadline is returned unclamped, NoDeadline when none is armed. The
-// query runs on every plan, so the hot heap's lazy re-arms keep it
-// bounded.
+// single query per class on the deadline grid instead of a per-CPU
+// modulo sweep. With zero waiting tasks machine-wide, every balancing
+// pass — periodic and idle pull alike — is provably a no-op and both
+// classes are skipped entirely: the big win for idle-heavy workloads.
+// The thermal governor's evaluations act only when the metric's side
+// of its threshold or the instantaneous power calls for another
+// P-state, so under it planQuantum solves each occupied CPU's first
+// evaluation that could act (clampGovEvals); any other governor reads
+// the utilization, which changes across the quantum, and clamps here
+// at firstGovDeadline. A hot check acts only if its core has reached
+// the trigger and some other core is considerably cooler, so the
+// earliest hot deadline that passes HotCheck's first guard is returned
+// unclamped (firstHotDeadline) for clampHotChecks to walk from.
 func (m *Machine) clampDeadlines(p *quantumPlan, now int64) (hot int64) {
 	if m.Sched.QueuedCount() > 0 {
 		if d := m.wheel.NextBalanceDeadline(now); d != sched.NoDeadline {
@@ -242,11 +237,43 @@ func (m *Machine) clampDeadlines(p *quantumPlan, now int64) (hot int64) {
 		}
 	}
 	if m.dvfsOn && m.govPeriod > 0 && !m.govThermal() {
-		if d := m.wheel.NextGovDeadline(now); d != sched.NoDeadline {
+		if d := m.firstGovDeadline(now); d != sched.NoDeadline {
 			p.clamp(d-now+1, HorizonGovernor)
 		}
 	}
-	return m.wheel.NextHotDeadline(now)
+	return m.firstHotDeadline(now)
+}
+
+// firstHotDeadline returns the earliest hot-check instant ≥ now of a
+// CPU that passes sched.HotCheck's first guard — a single running task
+// and a power budget, while hot migration is on — or NoDeadline when
+// none does. Such a CPU is occupied, and occupied CPUs are never
+// parked, so the step list holds every candidate.
+func (m *Machine) firstHotDeadline(now int64) int64 {
+	d := sched.NoDeadline
+	if !m.Sched.Cfg.HotTaskMigration {
+		return d
+	}
+	for _, c32 := range m.stepCPUs() {
+		c := int(c32)
+		if m.hotCheckEligible(c) && m.Sched.Power[c].MaxPower > 0 {
+			d = min(d, m.wheel.NextHot(now, c))
+		}
+	}
+	return d
+}
+
+// firstGovDeadline returns the earliest governor-evaluation instant
+// ≥ now of an occupied CPU, the only ones governorEval acts on, or
+// NoDeadline when no CPU is occupied or no governor is evaluated.
+func (m *Machine) firstGovDeadline(now int64) int64 {
+	d := sched.NoDeadline
+	for _, c32 := range m.stepCPUs() {
+		if m.Sched.RQs[c32].Current != nil {
+			d = min(d, m.wheel.NextGov(now, int(c32)))
+		}
+	}
+	return d
 }
 
 // clampGovEvals ends the quantum at the first thermal-governor
@@ -339,10 +366,11 @@ func (m *Machine) govSides(c int, maxW float64) (hot, cool bool) {
 
 // clampHotChecks ends the quantum at the first hot-check instant whose
 // check could act. It walks the static hot grid from hot, the earliest
-// armed hot deadline, to the quantum's last tick, and stops at the
-// first CPU due whose check hotCheckCouldAct says might migrate. Every
-// check it steps past is a provable no-op, so phase 8 firing only at
-// the end tick still decides exactly as the lockstep loop does.
+// hot deadline past HotCheck's first guard, to the quantum's last
+// tick, and stops at the first CPU due whose check hotCheckCouldAct
+// says might migrate. Every check it steps past is a provable no-op,
+// so phase 8 firing only at the end tick still decides exactly as the
+// lockstep loop does.
 func (m *Machine) clampHotChecks(p *quantumPlan, now, hot int64) {
 	for t := hot; t-now < p.dt; t++ {
 		if why, ok := m.hotCheckDue(t); ok {

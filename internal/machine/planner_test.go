@@ -290,7 +290,8 @@ func TestHotHorizonSkipsNoOpChecks(t *testing.T) {
 		t.Error("no hot migration")
 	}
 	// Every CPU runs one task throughout, so every grid instant is
-	// an armed hot check; firing all of them would equal the grid.
+	// a hot check past its first guard; firing all of them would equal
+	// the grid.
 	grid := 0
 	for ms := int64(0); ms < runMS; ms++ {
 		grid += len(got.wheel.HotDueCPUs(ms))

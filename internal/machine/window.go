@@ -361,7 +361,6 @@ func (m *Machine) runWindow(throttled []bool) (int64, Horizon) {
 // under constant input.
 func (m *Machine) popLocal(t int64, c int, throttled []bool) {
 	m.nowMS = t
-	m.wheel.SetNow(t)
 	p := int(m.Topo.PkgOf[c])
 	if m.sliceHolds(c, p) {
 		feed := m.metricFeedW(c) // cached since the piece began
@@ -498,7 +497,7 @@ func (m *Machine) recheckFeed(c int, from int64, rising bool) {
 	for _, d32 := range m.Topo.CPUsOfCore(core) {
 		d := int(d32)
 		if !(m.Sched.Power[d].MaxPower > 0) || !m.hotCheckEligible(d) {
-			continue // never armed, or its check does nothing
+			continue // its check does nothing
 		}
 		if cs.q == 0 {
 			cs = m.hotCoreSumW(core)

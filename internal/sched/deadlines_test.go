@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"math/rand"
 	"testing"
 
 	"energysched/internal/topology"
@@ -48,16 +47,6 @@ func TestDueTableMatchesModulo(t *testing.T) {
 			}
 		}
 	}
-}
-
-// attachedSched builds a 4-CPU scheduler with the deadline scheduler
-// attached and every CPU's power tracker installed (hot eligibility
-// reads MaxPower).
-func attachedSched(cfg Config) (*Scheduler, *Wheel) {
-	s := newSched(smp4(), cfg)
-	w := NewWheel(cfg, 0)
-	s.AttachDeadlines(w)
-	return s, w
 }
 
 // bruteQueued and bruteIdle are the scan-based references for the
@@ -112,170 +101,33 @@ func checkLedger(t *testing.T, s *Scheduler, at string) {
 
 // Every runqueue mutation — enqueue, dispatch, deschedule (with and
 // without requeue), unlink, migration within and across nodes — must
-// keep the occupancy ledger in step with full scans, whether or not a
-// deadline wheel is attached. RebuildLoads must reproduce it.
+// keep the occupancy ledger in step with full scans. RebuildLoads must
+// reproduce it.
 func TestDeadlineCountersTrackMutations(t *testing.T) {
-	for _, attach := range []bool{false, true} {
-		s := newSched(topology.XSeries445(), DefaultConfig())
-		if attach {
-			s.AttachDeadlines(NewWheel(DefaultConfig(), 0))
-		}
-		checkLedger(t, s, "fresh")
+	s := newSched(topology.XSeries445(), DefaultConfig())
+	checkLedger(t, s, "fresh")
 
-		a, b, c := mkTask(1, 50), mkTask(2, 20), mkTask(3, 30)
-		s.RQ(0).Enqueue(a)
-		checkLedger(t, s, "enqueue a")
-		s.RQ(0).Enqueue(b)
-		s.RQ(1).Enqueue(c)
-		checkLedger(t, s, "enqueue b,c")
-		s.RQ(0).PickNext()
-		s.RQ(1).PickNext()
-		checkLedger(t, s, "dispatch")
-		s.RQ(0).Deschedule(true) // slice rotation: back to the queue
-		checkLedger(t, s, "rotate")
-		s.RQ(0).PickNext()
-		checkLedger(t, s, "redispatch")
-		s.Migrate(a, 2, MigrateLoad) // queued task moves CPUs
-		checkLedger(t, s, "migrate queued")
-		s.Migrate(c, 12, MigrateHot) // running task moves across nodes
-		checkLedger(t, s, "migrate running")
-		s.RQ(0).Deschedule(false) // block: leaves the machine
-		checkLedger(t, s, "block")
-		s.RebuildLoads()
-		checkLedger(t, s, "rebuild")
-	}
-}
-
-// NextHotDeadline must equal the minimum per-CPU NextHot over exactly
-// the hot-checkable CPUs (single task, budget installed), follow
-// occupancy transitions, and re-arm past instants on the stagger grid.
-func TestDeadlineHotArming(t *testing.T) {
-	s, w := attachedSched(DefaultConfig())
-	if got := w.NextHotDeadline(0); got != NoDeadline {
-		t.Fatalf("idle machine NextHotDeadline = %d, want NoDeadline", got)
-	}
-
-	// One occupied CPU: its own staggered instant, nobody else's.
-	a := mkTask(1, 50)
-	s.RQ(2).Enqueue(a)
-	s.RQ(2).PickNext()
-	if got, want := w.NextHotDeadline(0), w.NextHot(0, 2); got != want {
-		t.Fatalf("NextHotDeadline = %d, want CPU 2's %d", got, want)
-	}
-
-	// A second task on the same CPU leaves energy balancing in charge:
-	// the hot deadline disarms.
-	b := mkTask(2, 20)
-	s.RQ(2).Enqueue(b)
-	if got := w.NextHotDeadline(0); got != NoDeadline {
-		t.Fatalf("two-task CPU still hot-armed: %d", got)
-	}
-	s.RQ(2).RemoveQueued(b)
-	if got, want := w.NextHotDeadline(0), w.NextHot(0, 2); got != want {
-		t.Fatalf("re-armed NextHotDeadline = %d, want %d", got, want)
-	}
-
-	// Past instants are pushed forward on the exact grid.
-	w.SetNow(1_000)
-	now := int64(1_234)
-	if got, want := w.NextHotDeadline(now), w.NextHot(now, 2); got != want {
-		t.Fatalf("re-armed past deadline = %d, want on-grid %d", got, want)
-	}
-	if !w.HotDue(w.NextHotDeadline(now), 2) {
-		t.Fatal("re-armed hot deadline is off the stagger grid")
-	}
-}
-
-// The governor period is fixed when the wheel is built. A wheel built
-// with one arms the CPUs already occupied at attach (the restore path)
-// and every CPU occupied later, on the period's grid; a wheel built
-// with 0 arms nothing.
-func TestDeadlineGovArmedAtConstruction(t *testing.T) {
-	s := newSched(smp4(), DefaultConfig())
-	s.RQ(1).Enqueue(mkTask(1, 40))
+	a, b, c := mkTask(1, 50), mkTask(2, 20), mkTask(3, 30)
+	s.RQ(0).Enqueue(a)
+	checkLedger(t, s, "enqueue a")
+	s.RQ(0).Enqueue(b)
+	s.RQ(1).Enqueue(c)
+	checkLedger(t, s, "enqueue b,c")
+	s.RQ(0).PickNext()
 	s.RQ(1).PickNext()
-	w := NewWheel(DefaultConfig(), 20)
-	s.AttachDeadlines(w)
-	if got, want := w.NextGovDeadline(0), w.NextGov(0, 1); got != want {
-		t.Fatalf("NextGovDeadline = %d, want CPU 1's %d", got, want)
-	}
-	if due := w.GovDueCPUs(w.NextGov(0, 1)); len(due) != 1 || due[0] != 1 {
-		t.Fatalf("GovDueCPUs = %v, want [1]", due)
-	}
-
-	// A CPU occupied after attach arms on the same grid.
-	s.RQ(3).Enqueue(mkTask(2, 10))
-	s.RQ(3).PickNext()
-	want := min(w.NextGov(0, 1), w.NextGov(0, 3))
-	if got := w.NextGovDeadline(0); got != want {
-		t.Fatalf("two occupied CPUs: NextGovDeadline = %d, want %d", got, want)
-	}
-	// Leaving the CPU disarms it.
-	s.RQ(1).Deschedule(false)
-	if got, want := w.NextGovDeadline(0), w.NextGov(0, 3); got != want {
-		t.Fatalf("after CPU 1 emptied: NextGovDeadline = %d, want CPU 3's %d", got, want)
-	}
-
-	// No governor period: occupancy arms nothing.
-	s0, w0 := attachedSched(DefaultConfig())
-	s0.RQ(1).Enqueue(mkTask(3, 40))
-	s0.RQ(1).PickNext()
-	if got := w0.NextGovDeadline(0); got != NoDeadline {
-		t.Fatalf("no governor period, but NextGovDeadline = %d", got)
-	}
-	if due := w0.GovDueCPUs(20); len(due) != 0 {
-		t.Fatalf("no governor period, but GovDueCPUs = %v", due)
-	}
-}
-
-// The earliest governor deadline is the earliest next grid instant of
-// an occupied CPU, whatever sequence of runqueue mutations armed and
-// disarmed the CPUs, and whatever the wheel's clock read when they did.
-// Brute force over random dispatches, deschedules and clock moves on a
-// wheel whose period and stagger wrap across the CPUs.
-func TestNextGovDeadlineMatchesBruteForce(t *testing.T) {
-	r := rand.New(rand.NewSource(29))
-	l := topology.Layout{Nodes: 2, PackagesPerNode: 3, CoresPerPackage: 2, ThreadsPerPackage: 2}
-	for _, period := range []int64{1, 7, 20, 64} {
-		s := newSched(l, DefaultConfig())
-		w := NewWheel(DefaultConfig(), period)
-		s.AttachDeadlines(w)
-		n, id := len(s.RQs), 0
-		occupied := 0
-		for step := 0; step < 2000; step++ {
-			rq := s.RQs[r.Intn(n)]
-			switch {
-			case rq.Current == nil:
-				id++
-				rq.Enqueue(mkTask(id, 40))
-				rq.PickNext()
-			case r.Intn(3) == 0:
-				rq.Deschedule(true)
-				rq.PickNext()
-			default:
-				rq.Deschedule(false)
-			}
-			if r.Intn(4) == 0 {
-				w.SetNow(r.Int63n(10_000))
-			}
-			now := r.Int63n(10_000)
-			want := NoDeadline
-			for c, q := range s.RQs {
-				if q.Current != nil {
-					want = min(want, w.NextGov(now, c))
-				}
-			}
-			if got := w.NextGovDeadline(now); got != want {
-				t.Fatalf("period %d, step %d: NextGovDeadline(%d) = %d, want %d", period, step, now, got, want)
-			}
-			if want != NoDeadline {
-				occupied++
-			}
-		}
-		if occupied == 0 {
-			t.Fatalf("period %d: no step had an occupied CPU", period)
-		}
-	}
+	checkLedger(t, s, "dispatch")
+	s.RQ(0).Deschedule(true) // slice rotation: back to the queue
+	checkLedger(t, s, "rotate")
+	s.RQ(0).PickNext()
+	checkLedger(t, s, "redispatch")
+	s.Migrate(a, 2, MigrateLoad) // queued task moves CPUs
+	checkLedger(t, s, "migrate queued")
+	s.Migrate(c, 12, MigrateHot) // running task moves across nodes
+	checkLedger(t, s, "migrate running")
+	s.RQ(0).Deschedule(false) // block: leaves the machine
+	checkLedger(t, s, "block")
+	s.RebuildLoads()
+	checkLedger(t, s, "rebuild")
 }
 
 // Two classes landing on the same instant for the same CPU must both
@@ -285,7 +137,7 @@ func TestDeadlineSameInstantTie(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.BalancePeriodMS = IdlePullPeriodMS // 10 ms: classes collide
 	cfg.HotCheckPeriodMS = IdlePullPeriodMS
-	s, w := attachedSched(cfg)
+	w := NewWheel(cfg, 0, 4)
 	// CPU 0 has stagger offset 0 in every class: at t = 10 all three
 	// classes are due simultaneously.
 	const at = int64(IdlePullPeriodMS)
@@ -304,20 +156,16 @@ func TestDeadlineSameInstantTie(t *testing.T) {
 		t.Fatalf("due lists at %d miss CPU 0: bal=%v idle=%v hot=%v",
 			at, w.BalanceDueCPUs(at), w.IdlePullDueCPUs(at), w.HotDueCPUs(at))
 	}
-	// The planner horizon agrees with the per-CPU scan under the tie.
-	s.RQ(0).Enqueue(mkTask(1, 50))
-	s.RQ(0).PickNext()
-	if got, want := w.NextHotDeadline(1), w.NextHot(1, 0); got != want {
-		t.Fatalf("tied NextHotDeadline = %d, want %d", got, want)
-	}
+	// The planner's hot start under the tie is checked in the machine
+	// package (TestFirstHotDeadlineMatchesBruteForce).
 }
 
-// Unattached wheels (the lockstep reference path) must keep serving the
-// modulo grid without any deadline-scheduler state.
+// The wheel serves the modulo grid with no scheduler behind it, and
+// runqueues without an occupancy ledger keep working.
 func TestWheelUnattachedStillServesGrid(t *testing.T) {
-	w := NewWheel(DefaultConfig(), 0)
+	w := NewWheel(DefaultConfig(), 0, 2)
 	if !w.BalanceDue(0, 0) || w.NextHot(5, 1) < 5 {
-		t.Fatal("unattached wheel grid broken")
+		t.Fatal("wheel grid broken")
 	}
 	// Runqueues without an occupancy ledger must not panic.
 	rq := NewRunqueue(topology.CPUID(0))

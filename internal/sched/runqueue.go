@@ -30,8 +30,7 @@ type Runqueue struct {
 }
 
 // changed reports one occupancy mutation to the ledger: dLen is the
-// change in Len, dQueued the change in the waiting-task count. The
-// ledger's attached deadline wheel then re-arms this CPU.
+// change in Len, dQueued the change in the waiting-task count.
 func (rq *Runqueue) changed(dLen, dQueued int) {
 	l := rq.ledger
 	if l == nil {
@@ -48,9 +47,6 @@ func (rq *Runqueue) changed(dLen, dQueued int) {
 		}
 	}
 	l.queued += dQueued
-	if l.wheel != nil {
-		l.wheel.refreshArming(int(rq.CPU), rq)
-	}
 }
 
 // NewRunqueue creates an empty runqueue for a CPU.

@@ -214,9 +214,6 @@ type occupancy struct {
 	node, pkg []int32 // runnable tasks per node / per package
 	queued    int     // waiting (non-running) tasks
 	idle      int     // CPUs with nothing to run
-	// wheel is the attached deadline scheduler, re-armed for the
-	// mutated CPU after every change; nil when none is attached.
-	wheel *Wheel
 }
 
 // New creates a scheduler over the given topology, with an empty §4.6

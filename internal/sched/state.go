@@ -2,9 +2,8 @@ package sched
 
 // Checkpoint-restore support. The scheduler's serializable state is
 // small — runqueue occupancy and the per-CPU utilization windows. The
-// occupancy ledger is derived from the occupancy (RebuildLoads), and
-// the wheel's armed deadlines re-arm from it when the caller re-runs
-// AttachDeadlines.
+// occupancy ledger is derived from the occupancy (RebuildLoads); the
+// deadline wheel holds no state of its own to restore.
 
 // UtilState is the serializable state of one UtilTracker.
 type UtilState struct {
@@ -26,8 +25,7 @@ func (u *UtilTracker) SetState(st UtilState) {
 // SetTasks overwrites the runqueue's occupancy verbatim, for checkpoint
 // restore only: it bypasses the occupancy ledger that Enqueue/PickNext
 // shift. After restoring every queue the caller must rebuild the ledger
-// (RebuildLoads) and re-attach the deadline wheel so its arming matches
-// the occupancy.
+// (RebuildLoads).
 func (rq *Runqueue) SetTasks(current *Task, queued []*Task) {
 	rq.Current = current
 	rq.queue = append(rq.queue[:0], queued...)

@@ -23,54 +23,43 @@ const (
 // NoDeadline is returned when a deadline class is disabled.
 const NoDeadline = int64(math.MaxInt64)
 
-// Wheel is the deadline scheduler for the scheduler's staggered
-// periodic work: periodic balancing, hot-task checks, idle pulls, and
-// DVFS governor evaluations. Each class of work for CPU c is due at
-// every time T with
+// Wheel is the deadline grid of the scheduler's staggered periodic
+// work: periodic balancing, hot-task checks, idle pulls, and DVFS
+// governor evaluations. Each class of work for CPU c is due at every
+// time T with
 //
 //	(T + stagger·c) mod period == 0,
 //
 // exactly the instants the 1 ms lockstep loop hits with its per-tick
-// modulo checks. Unattached, the wheel answers the per-CPU questions
-// "is CPU c due at T?" and "when is CPU c next due?" — the lockstep
-// engine's reference path. Attached to a scheduler
-// (Scheduler.AttachDeadlines, see deadlines.go), it additionally
-// answers the machine-wide questions the event-driven engines plan and
-// fire from: the next due instant of each class (in O(1), the
-// governor's by a scan of the occupied CPUs), and the exact CPU set due
-// at a given instant. Its periods are fixed at NewWheel;
-// once attached, the scheduler's occupancy ledger re-arms it after
-// every runqueue mutation. It keeps no occupancy counts of its own.
+// modulo checks. The wheel answers the per-CPU questions "is CPU c due
+// at T?" and "when is CPU c next due?" — the lockstep engine's
+// reference path — and, from static residue tables (deadlines.go), the
+// machine-wide questions the async engine plans and fires from: the
+// next due instant of the balance and idle-pull classes, and the exact
+// CPU set of each class due at a given instant. It is immutable once
+// built and keeps no occupancy state: the per-CPU gates of hot checks
+// and governor evaluations are read live by the caller.
 type Wheel struct {
 	balP int64
 	hotP int64
 	govP int64
-
-	// Event-driven deadline-scheduler state (see deadlines.go); zero
-	// until AttachDeadlines.
-	nowMS int64
-	// Static residue tables of the machine-wide classes (nil when the
-	// class is disabled).
+	// Static residue tables of each class (nil when it is disabled).
 	balTab, hotTab, idleTab, govTab *dueTable
-	// Per-CPU armed hot checks, on a lazy-deletion min-heap; hotAt
-	// holds each CPU's armed instant (-1 disarmed) and identifies stale
-	// heap entries. govArmed marks the occupied CPUs, whose governor
-	// deadlines are armed.
-	hotQ        *EventQueue
-	hotAt       []int64
-	govArmed    []bool
-	hotEligible []bool
-	// Stats counts the deadline scheduler's event traffic.
-	Stats DeadlineStats
 }
 
-// NewWheel builds the wheel from the policy's periods (fractional
-// periods are truncated to whole milliseconds, as the lockstep loop
-// always did) and the DVFS governor evaluation period, which is 0 when
-// no governor needs evaluating. The scheduler policy itself has no DVFS
-// knobs.
-func NewWheel(cfg Config, govPeriodMS int64) *Wheel {
-	return &Wheel{balP: int64(cfg.BalancePeriodMS), hotP: int64(cfg.HotCheckPeriodMS), govP: govPeriodMS}
+// NewWheel builds the wheel of an nCPU machine from the policy's
+// periods (fractional periods are truncated to whole milliseconds, as
+// the lockstep loop always did) and the DVFS governor evaluation
+// period, which is 0 when no governor needs evaluating. The scheduler
+// policy itself has no DVFS knobs. Every period must be at most
+// MaxPeriodMS.
+func NewWheel(cfg Config, govPeriodMS int64, nCPU int) *Wheel {
+	w := &Wheel{balP: int64(cfg.BalancePeriodMS), hotP: int64(cfg.HotCheckPeriodMS), govP: govPeriodMS}
+	w.balTab = newDueTable(w.balP, BalanceStaggerMS, nCPU)
+	w.hotTab = newDueTable(w.hotP, HotStaggerMS, nCPU)
+	w.idleTab = newDueTable(IdlePullPeriodMS, 1, nCPU)
+	w.govTab = newDueTable(w.govP, GovStaggerMS, nCPU)
+	return w
 }
 
 // nextAt returns the smallest T ≥ now with (T + off) mod period == 0.

@@ -7,7 +7,7 @@ import "testing"
 // (T + 3c) mod hotP == 0, idle pulls at (T + c) mod 10 == 0.
 func TestWheelMatchesModuloSchedule(t *testing.T) {
 	cfg := DefaultConfig() // 250 ms balance, 100 ms hot check
-	w := NewWheel(cfg, 0)
+	w := NewWheel(cfg, 0, 16)
 	for now := int64(0); now < 2000; now++ {
 		for c := 0; c < 16; c++ {
 			if got, want := w.BalanceDue(now, c), (now+int64(c)*7)%250 == 0; got != want {
@@ -27,7 +27,7 @@ func TestWheelMatchesModuloSchedule(t *testing.T) {
 // due strictly between.
 func TestWheelNextDeadlines(t *testing.T) {
 	cfg := DefaultConfig()
-	w := NewWheel(cfg, 0)
+	w := NewWheel(cfg, 0, 16)
 	for now := int64(0); now < 1500; now += 13 {
 		for c := 0; c < 8; c++ {
 			nb := w.NextBalance(now, c)
@@ -53,7 +53,7 @@ func TestWheelNextDeadlines(t *testing.T) {
 
 // Disabled periods yield NoDeadline and never fire.
 func TestWheelDisabled(t *testing.T) {
-	w := NewWheel(Config{}, 0)
+	w := NewWheel(Config{}, 0, 4)
 	if w.NextBalance(123, 2) != NoDeadline || w.NextHot(123, 2) != NoDeadline {
 		t.Error("disabled periods should report NoDeadline")
 	}
