@@ -1,6 +1,7 @@
 package farm
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -11,6 +12,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"energysched/internal/experiments"
 	"energysched/internal/scenario"
@@ -444,4 +446,66 @@ func BenchmarkSeedSweep(b *testing.B) {
 			b.ReportMetric(rebuildNs/warmNs, "rebuild/warm")
 		}
 	})
+}
+
+// A client that hangs up after the header abandons its sweep: the
+// request's context ends, no further seed starts, and the handler
+// returns after the seed in flight instead of running the rest. The
+// sweep here would take about a minute to finish; the handler must
+// return within seconds.
+func TestSweepStopsWhenClientHangsUp(t *testing.T) {
+	logs := make(chan string, 16)
+	srv := NewServer(experiments.RunConfig{Jobs: 1}, 0, func(format string, args ...any) {
+		select {
+		case logs <- fmt.Sprintf(format, args...):
+		default:
+		}
+	})
+	returned := make(chan time.Time, 1)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		srv.Handler().ServeHTTP(w, r)
+		if r.URL.Path == "/v1/sweep" {
+			returned <- time.Now()
+		}
+	}))
+	defer ts.Close()
+
+	req := testRequest()
+	req.MeasureMS = 100_000
+	req.Seeds = make([]uint64, 8000)
+	for i := range req.Seeds {
+		req.Seeds[i] = uint64(i + 1)
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := ts.Client().Post(ts.URL+"/v1/sweep", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	header, err := bufio.NewReader(resp.Body).ReadString('\n')
+	if err != nil || !strings.Contains(header, `"seeds":8000`) {
+		t.Fatalf("header %q, %v", header, err)
+	}
+	hungUp := time.Now()
+	resp.Body.Close()
+
+	select {
+	case at := <-returned:
+		t.Logf("handler returned %v after the hang-up", at.Sub(hungUp))
+	case <-time.After(5 * time.Second):
+		t.Fatal("the sweep kept running 5 s after its client hung up")
+	}
+	for {
+		select {
+		case line := <-logs:
+			if strings.Contains(line, "failed") {
+				t.Logf("server log: %s", line)
+				return
+			}
+		default:
+			t.Fatal("the server did not log the abandoned sweep")
+		}
+	}
 }

@@ -2,6 +2,7 @@ package farm
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -109,7 +110,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if f, ok := w.(http.Flusher); ok {
 		flush = f.Flush
 	}
-	if err := s.stream(w, flush, spec, image, req); err != nil {
+	if err := s.stream(r.Context(), w, flush, spec, image, req); err != nil {
 		// The header already went out; the error line is the trailer.
 		s.logf("sweep %s failed: %v", spec.Hash()[:12], err)
 	}
@@ -150,14 +151,16 @@ func (s *Server) Direct(w io.Writer, req SweepRequest) error {
 	if err != nil {
 		return err
 	}
-	return s.stream(w, func() {}, spec, image, req)
+	return s.stream(context.Background(), w, func() {}, spec, image, req)
 }
 
 // stream restores the warm image once and writes the header plus one
 // row per seed, in seed order, each row committed as soon as it and
 // all its predecessors are done. Worker panics surface as an error
-// trailer after the rows that did complete.
-func (s *Server) stream(w io.Writer, flush func(), spec scenario.Spec, image []byte, req SweepRequest) error {
+// trailer after the rows that did complete. Once ctx is done (the
+// client hung up) or a row write fails, no further seed starts: the
+// seeds in flight finish, and stream returns the cause.
+func (s *Server) stream(ctx context.Context, w io.Writer, flush func(), spec scenario.Spec, image []byte, req SweepRequest) error {
 	template, err := machine.Restore(image, nil)
 	if err != nil {
 		return writeError(w, err)
@@ -179,9 +182,14 @@ func (s *Server) stream(w io.Writer, flush func(), spec scenario.Spec, image []b
 	for i := range results {
 		results[i] = make(chan experiments.SeedRow, 1)
 	}
+	ctx, abandon := context.WithCancel(ctx)
+	defer abandon()
 	poolErr := make(chan error, 1)
 	go func() {
 		err := s.RC.ForEach(len(req.Seeds), func(i int) {
+			if ctx.Err() != nil {
+				return // abandoned: its slot closes empty
+			}
 			// Branch only reads the template, so concurrent branches
 			// off the one restored machine are safe.
 			b, err := template.Branch(nil)
@@ -197,20 +205,27 @@ func (s *Server) stream(w io.Writer, flush func(), spec scenario.Spec, image []b
 			close(ch)
 		}
 	}()
+	written := 0
 	for i := range req.Seeds {
 		row, ok := <-results[i]
 		if !ok {
 			break
 		}
 		if err := enc.Encode(row); err != nil {
-			// Client went away; drain the pool before returning.
+			// Client went away: start no further seed, and drain the
+			// pool before returning.
+			abandon()
 			<-poolErr
 			return err
 		}
 		flush()
+		written++
 	}
 	if err := <-poolErr; err != nil {
 		return writeError(w, err)
+	}
+	if written < len(req.Seeds) {
+		return ctx.Err()
 	}
 	return nil
 }

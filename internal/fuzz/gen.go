@@ -50,17 +50,7 @@ func Generate(seed uint64) scenario.Spec {
 	if r.Bool(0.15) { // occasionally go wide
 		s.Topology.Nodes = 1 + r.Intn(8)
 	}
-	for s.Topology.Layout().NumLogical() > 64 {
-		// Shrink deterministically: widest dimension first.
-		switch {
-		case s.Topology.Nodes > 2:
-			s.Topology.Nodes /= 2
-		case s.Topology.CoresPerPackage > 1:
-			s.Topology.CoresPerPackage /= 2
-		default:
-			s.Topology.PackagesPerNode = 1
-		}
-	}
+	capCPUs(&s, 64)
 	layout := s.Topology.Layout()
 	nPkg := layout.NumPackages()
 	nCPU := layout.NumLogical()
@@ -307,6 +297,25 @@ func hasFiniteWork(s scenario.Spec) bool {
 		}
 	}
 	return false
+}
+
+// capCPUs shrinks a spec's topology deterministically, widest
+// dimension first, until it has at most max logical CPUs (max ≥ 2), and
+// truncates its per-package slices to the packages left.
+func capCPUs(s *scenario.Spec, max int) {
+	for t := &s.Topology; t.Layout().NumLogical() > max; {
+		switch {
+		case t.Nodes > 2:
+			t.Nodes /= 2
+		case t.CoresPerPackage > 1:
+			t.CoresPerPackage /= 2
+		case t.PackagesPerNode > 1:
+			t.PackagesPerNode = 1
+		default:
+			t.ThreadsPerCore = 1
+		}
+	}
+	resizePackages(s)
 }
 
 func round3(v float64) float64 {

@@ -20,7 +20,7 @@ const (
 // (balance, idle-pull, hot-check, governor) the async engine ran since
 // the last ResetStats. They are a subset of the lockstep engine's
 // passes: the skipped ones are provable no-ops (see fireDueDeadlines,
-// clampHotChecks for the hot checks a quantum steps past, and
+// walkHotChecks for the hot checks a quantum steps past, and
 // govFirstAct for the thermal-governor evaluations), and every pass
 // that runs decides exactly as its lockstep twin. A skipped pass counts
 // nothing, whether phase 8 reached it and ruled it out or never walked

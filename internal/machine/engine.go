@@ -228,8 +228,11 @@ func (m *Machine) step(limitMS int64) int64 {
 	quantW := m.thermWeightFor(0, fdt)
 	nominal := m.nominalPState()
 	for _, c32 := range m.stepCPUs() {
-		m.execCloseCPU(int(c32), throttledStep, dt, fdt, quantW, nominal)
-		m.execCommitCPU(int(c32), endMS)
+		c := int(c32)
+		m.execCloseCPU(c, throttledStep, dt, fdt, quantW, nominal)
+		if m.p6stat[c] != 0 { // not committed at the end tick by a pop
+			m.execCommitCPU(c, endMS)
+		}
 	}
 
 	// 7. Thermal model: each core integrates its own true power plus a
@@ -701,6 +704,9 @@ func (m *Machine) thermalStep(dt int64, fdt, decay float64) {
 		n := dt // the ticks left to integrate
 		if from := m.pkgClockOf(core / perPkg); from > m.qStartMS {
 			n = m.nowMS + 1 - from
+			if n == 0 {
+				continue // settled through the end tick by a pop there
+			}
 			m.nodes[core].Step(eff, float64(n))
 		} else if decay > 0 {
 			m.nodes[core].StepDecay(eff, decay)

@@ -367,8 +367,8 @@ type Machine struct {
 	// pieces, the execution sweep its quantum and idle settles their
 	// gaps through one math.Pow per length instead of one per tracker
 	// (thermWeightFor). Piece lengths alternate between CPUs inside a
-	// window, so the table keeps pieceSlots lengths; it holds 256 bytes
-	// whatever the width.
+	// window, so the table keeps the lengths up to pieceDirect and
+	// pieceSlots longer ones; it holds 768 bytes whatever the width.
 	thermWShared bool
 	weightTab    pieceTable
 	// decayShared/decayTab do the same for the thermal nodes' step
@@ -403,6 +403,14 @@ type Machine struct {
 	// pushed at a same-task slice expiry with the rates holding strictly
 	// past it: popLocal's fast path (sliceHolds).
 	sliceOnly []bool
+	// stopAt holds, per busy CPU, the tick of a block that stays inside
+	// the window (a local stop, see window.go), NoDeadline for none;
+	// anyStop is set once a plan records one. hotWalked is the last tick
+	// the window's hot walk has covered: it walks to the earliest
+	// pending local stop and is extended as the pops pass it.
+	stopAt    []int64
+	anyStop   bool
+	hotWalked int64
 	// respawnQ holds the programs of tasks that finished during the
 	// execution sweep and are configured to respawn. Placement reads
 	// runqueue power and thermal-power trackers machine-wide, so it
@@ -871,6 +879,7 @@ func New(cfg Config) (*Machine, error) {
 		m.local.keys = make([]int64, 0, nCPU)
 		m.feedW = make([]float64, nCPU)
 		m.sliceOnly = make([]bool, nCPU)
+		m.stopAt = make([]int64, nCPU)
 		if m.govThermal() {
 			m.govPairs = make([]govPair, nCPU)
 			for c := range m.govPairs {

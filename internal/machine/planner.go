@@ -19,9 +19,11 @@ import (
 // integrate the whole quantum at once. A quantum may not span:
 //
 //   - a sleeper's wake-up (tasks join runqueues at wake instants),
-//   - a running task's block point or completion (execution state
-//     changes at the end of the crossing millisecond), or a timeslice
-//     expiry that dispatches another queued task,
+//   - a running task's completion (its respawn is placed across CPUs),
+//     its block point while a task is queued somewhere or an SMT
+//     sibling executes (execution state changes at the end of the
+//     crossing millisecond), or a timeslice expiry that dispatches
+//     another queued task,
 //   - the end of a migration's cache-warmup penalty (speed changes),
 //   - a balance, idle-pull, or monitor deadline (periodic work runs on
 //     the quantum's last tick, exactly on schedule),
@@ -50,15 +52,19 @@ import (
 //     bit-for-bit like lockstep,
 //   - MaxQuantumMS, when set.
 //
-// A busy CPU's timeslice expiry that re-dispatches the same task and
-// its task's phase or noise-epoch boundaries (event rates — and with
-// them power — change) are local events: inside the quantum, a
-// *window*, each busy CPU runs on its own clock through them, the
-// crossing millisecond as a one-tick piece of its own, so power stays
-// constant per piece (window.go). A rate change moves the metric feed
-// the hot-check, governor and throttle predictions read, and the true
-// power the unit-temperature horizon reads, so it re-checks them and
-// may end the window earlier.
+// A busy CPU's timeslice expiry that re-dispatches the same task, its
+// task's phase or noise-epoch boundaries (event rates — and with them
+// power — change), and a block while nothing is queued and no SMT
+// sibling executes (a local stop) are local events: inside the
+// quantum, a *window*, each busy CPU runs on its own clock through
+// them, the crossing millisecond as a one-tick piece of its own, so
+// power stays constant per piece (window.go). A rate change or a stop
+// moves the metric feed the hot-check, governor and throttle
+// predictions read, and the true power the unit-temperature horizon
+// reads, so it re-checks them and may end the window earlier; a stop
+// also ends it before its sleeper's wake. The hot walk goes only to the
+// earliest local stop still pending and is extended as the window's
+// pops pass it.
 //
 // The predictions read each busy CPU's feed from a per-piece cache
 // (feedW, read from the rates once per piece, on its first use; see
@@ -177,6 +183,7 @@ func (m *Machine) planQuantum(limit int64) (int64, Horizon) {
 	m.local.reset()
 	m.winEnd, m.winWhy = now+p.dt-1, p.why
 	m.feedsCached = true
+	m.anyStop = false
 	for _, c32 := range m.stepCPUs() {
 		m.startPiece(int(c32), now, m.throttleScratch, false)
 	}
@@ -194,15 +201,14 @@ func (m *Machine) planQuantum(limit int64) (int64, Horizon) {
 	if p.dt > 1 && m.govThermal() {
 		m.clampGovEvals(&p, now)
 	}
-	if hot-now < p.dt {
-		// Also on a 1 ms quantum: the floor a due check builds lets
-		// phase 8 skip the end-tick checks it rules out. The walk's
-		// window-end pre-test reads the planned end.
-		m.winEnd = now + p.dt - 1
-		m.clampHotChecks(&p, now, hot)
-	}
+	// The hot walk, to the earliest local stop: a wake the stop draws
+	// may end the window there, and runWindow extends the walk as its
+	// pops pass it. Also on a 1 ms quantum: the floor a due check
+	// builds lets phase 8 skip the end-tick checks it rules out.
 	m.winEnd, m.winWhy = now+p.dt-1, p.why
-	return p.dt, p.why
+	m.hotWalked = hot - 1
+	m.walkHotChecks(m.nextStop(now))
+	return m.winEnd - now + 1, m.winWhy
 }
 
 // rateHorizonMS is the number of whole milliseconds a running task
@@ -226,7 +232,7 @@ func rateHorizonMS(rh, speed float64) int64 { return int64(math.Floor(rh / speed
 // at firstGovDeadline. A hot check acts only if its core has reached
 // the trigger and some other core is considerably cooler, so the
 // earliest hot deadline that passes HotCheck's first guard is returned
-// unclamped (firstHotDeadline) for clampHotChecks to walk from.
+// unclamped (firstHotDeadline) for walkHotChecks to walk from.
 func (m *Machine) clampDeadlines(p *quantumPlan, now int64) (hot int64) {
 	if m.Sched.QueuedCount() > 0 {
 		if d := m.wheel.NextBalanceDeadline(now); d != sched.NoDeadline {
@@ -362,22 +368,6 @@ func (m *Machine) govSides(c int, maxW float64) (hot, cool bool) {
 	cool = m.govTarget(in) != in.Cur
 	*gp = govPair{instW: in.InstPowerW, maxW: maxW, cur: in.Cur, hot: hot, cool: cool}
 	return hot, cool
-}
-
-// clampHotChecks ends the quantum at the first hot-check instant whose
-// check could act. It walks the static hot grid from hot, the earliest
-// hot deadline past HotCheck's first guard, to the quantum's last
-// tick, and stops at the first CPU due whose check hotCheckCouldAct
-// says might migrate. Every check it steps past is a provable no-op,
-// so phase 8 firing only at the end tick still decides exactly as the
-// lockstep loop does.
-func (m *Machine) clampHotChecks(p *quantumPlan, now, hot int64) {
-	for t := hot; t-now < p.dt; t++ {
-		if why, ok := m.hotCheckDue(t); ok {
-			p.clamp(t-now+1, why)
-			return
-		}
-	}
 }
 
 // hotCheckDue reports whether any CPU whose hot check is due at tick t

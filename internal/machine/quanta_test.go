@@ -21,17 +21,18 @@ func TestBenchQuantaLength(t *testing.T) {
 	// the row was last raised. Busy CPUs' slice expiries and rate
 	// crossings no longer end quanta where windows are on (window.go),
 	// so the saturated rows, still below their hot triggers in this
-	// chunk, step it in one window or a few.
+	// chunk, step it in one window or a few. Nor do blocks while nothing
+	// is queued, so the idle-dominated rows' windows end at wake-ups.
 	measured := map[string]float64{
-		"engines/idle-heavy":        19.53,
+		"engines/idle-heavy":        39.06,
 		"engines/steady-state":      23.75,
 		"engines/churn-heavy":       8.83,
-		"engines/dvfs-thermal":      34.97,
-		"large/64cpu/mostly-idle":   22.42,
-		"large/256cpu/mostly-idle":  22.42,
-		"large/1024cpu/mostly-idle": 21.01,
-		"large/256cpu/wide-idle":    10.87,
-		"large/1024cpu/wide-idle":   10.87,
+		"engines/dvfs-thermal":      69.44,
+		"large/64cpu/mostly-idle":   43.48,
+		"large/256cpu/mostly-idle":  43.86,
+		"large/1024cpu/mostly-idle": 38.17,
+		"large/256cpu/wide-idle":    20.49,
+		"large/1024cpu/wide-idle":   20.75,
 		"large/64cpu/saturated":     5000,
 		"large/256cpu/saturated":    5000,
 		"large/1024cpu/saturated":   1250,
@@ -42,7 +43,7 @@ func TestBenchQuantaLength(t *testing.T) {
 			m := sc.New(machine.Engine(0)) // the default engine
 			m.Run(sc.WarmupMS)
 			qs := countQuanta(m, sc.SimChunkMS)
-			t.Logf("%s: %d quanta over %d ms, %.2f ms per quantum", sc.Name, qs.Quanta, sc.SimChunkMS, qs.MeanMS())
+			t.Logf("%s: %d quanta over %d ms, %.2f ms per quantum; stepped over %d stops", sc.Name, qs.Quanta, sc.SimChunkMS, qs.MeanMS(), qs.Interior[machine.HorizonStop])
 			if avg := qs.MeanMS(); avg < want/2 {
 				t.Errorf("%s: %.2f ms per quantum, want at least half of the measured %.2f", sc.Name, avg, want)
 			}
@@ -57,8 +58,9 @@ func TestBenchQuantaLength(t *testing.T) {
 	// they migrate, while slice expiries and rate crossings bind none.
 	// On the DVFS machine the thermal governor has settled and its
 	// evaluations, due every 2.5 ms, are provable no-ops, and with no
-	// quantum cap only the tasks' own blocks and wake-ups end windows
-	// (the one limit window is the end of the run). The 256-CPU and
+	// quantum cap and nothing queued only the tasks' wake-ups end
+	// windows: their blocks are local stops, bar the few in a crossing
+	// tick run ahead (the one limit window is the end of the run). The 256-CPU and
 	// DVFS rows also pin which horizons bound their quanta, each share
 	// to within five points.
 	steady := []struct {
@@ -74,10 +76,10 @@ func TestBenchQuantaLength(t *testing.T) {
 			machine.HorizonLimit:   0.02,
 		}},
 		{name: "large/1024cpu/saturated", measureMS: 4_000, want: 29.63},
-		{name: "engines/dvfs-thermal", measureMS: 15_000, want: 35.46, mix: map[machine.Horizon]float64{
-			machine.HorizonStop:     0.541,
-			machine.HorizonWake:     0.456,
-			machine.HorizonLimit:    0.002,
+		{name: "engines/dvfs-thermal", measureMS: 15_000, want: 71.09, mix: map[machine.Horizon]float64{
+			machine.HorizonStop:     0.028,
+			machine.HorizonWake:     0.967,
+			machine.HorizonLimit:    0.005,
 			machine.HorizonGovernor: 0,
 		}},
 	}
@@ -86,8 +88,8 @@ func TestBenchQuantaLength(t *testing.T) {
 			m := fromCatalog(row.name, 0, 0, false).New(machine.Engine(0))
 			m.Run(30_000)
 			qs := countQuanta(m, row.measureMS)
-			t.Logf("%s after 30 s: %d quanta over %d ms, %.2f ms per quantum; stepped over %d slice expiries, %d rate crossings",
-				row.name, qs.Quanta, row.measureMS, qs.MeanMS(), qs.Interior[machine.HorizonSlice], qs.Interior[machine.HorizonRate])
+			t.Logf("%s after 30 s: %d quanta over %d ms, %.2f ms per quantum; stepped over %d slice expiries, %d rate crossings, %d stops",
+				row.name, qs.Quanta, row.measureMS, qs.MeanMS(), qs.Interior[machine.HorizonSlice], qs.Interior[machine.HorizonRate], qs.Interior[machine.HorizonStop])
 			if avg := qs.MeanMS(); avg < row.want/2 {
 				t.Errorf("%s: %.2f ms per quantum, want at least half of the measured %.2f", row.name, avg, row.want)
 			}

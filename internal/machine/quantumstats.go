@@ -35,7 +35,10 @@ const (
 	// HorizonRate: a running task's event-rate change, a window's
 	// interior event that ends no quantum (Interior).
 	HorizonRate
-	// HorizonStop: a running task's block or completion.
+	// HorizonStop: a running task's completion, or its block while a
+	// task is queued somewhere, while an SMT sibling executes, or in a
+	// crossing tick run ahead; any other block is a window's interior
+	// event (Interior), and its wake-up ends the window (HorizonWake).
 	HorizonStop
 	// HorizonHotSource: a hot check that may find its core at the
 	// trigger, with no destination bound to rule it out (a negative
@@ -80,7 +83,8 @@ type QuantumStats struct {
 	Lengths [64]int64
 	// Interior counts the local events that windows stepped over inside
 	// a quantum instead of ending it, by class: timeslice expiries
-	// (HorizonSlice) and rate crossings (HorizonRate; see window.go).
+	// (HorizonSlice), rate crossings (HorizonRate) and blocks while
+	// nothing is queued (HorizonStop; see window.go).
 	Interior [NumHorizons]int64
 }
 

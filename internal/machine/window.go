@@ -5,8 +5,10 @@ import (
 
 	"energysched/internal/counters"
 	"energysched/internal/dvfs"
+	"energysched/internal/sched"
 	"energysched/internal/topology"
 	"energysched/internal/units"
+	"energysched/internal/workload"
 )
 
 // Windows: quanta that only cross-CPU events end.
@@ -15,20 +17,25 @@ import (
 // placement (§4.6) read across CPUs; the per-timeslice energy profile
 // (§3.3) and the thermal-power metric (§4.3) are per-CPU bookkeeping.
 // So the async engine's planner ends a quantum — a *window* — only at
-// an event that crosses CPUs: a wake-up, a stop, a warm-up end, a
-// timeslice expiry that dispatches another task, a queued balance, a
-// governor evaluation or hot check that could act, a throttle flip
-// that could happen, a P-state change, a monitor or fault instant, or
-// the limit.
+// an event that crosses CPUs: a wake-up, a completion, a block that
+// could feed a balance, a warm-up end, a timeslice expiry that
+// dispatches another task, a queued balance, a governor evaluation or
+// hot check that could act, a throttle flip that could happen, a
+// P-state change, a monitor or fault instant, or the limit.
 // Inside the window each busy CPU advances on its own clock
 // (cpuSettledMS, as parked CPUs do) through its *local* boundaries:
 //
 //   - a timeslice expiry that re-dispatches the same task (the task is
-//     alone on its runqueue, and nothing enqueues inside a window), and
+//     alone on its runqueue, and nothing enqueues inside a window),
 //   - a rate crossing: the last tick before the task's event rates
 //     change, and the crossing tick itself, whose mixed rates make it a
 //     one-tick piece of its own (as in the planner's 1 ms crossing
-//     quantum).
+//     quantum), and
+//   - a local stop (stopIsLocal): a block, not a completion, while
+//     nothing is queued anywhere and no SMT sibling of the CPU
+//     executes, outside a crossing tick run ahead. No balance or idle
+//     pull can act on the CPU it idles, and no sibling's speed changes;
+//     nothing enqueues inside a window, so this holds to its end.
 //
 // The boundaries sit in a min-heap keyed on (tick, CPU), the lockstep
 // engine's commit order, so the slice_end/dispatch trace events and the
@@ -50,6 +57,20 @@ import (
 // the next one, keeping the CPU's true power and feed; the package
 // settles at its next full pop, or at the window's end (popLocal,
 // sliceHolds). Machines with §7 unit hotspots keep the full pop.
+//
+// A local stop commits the block at its own (tick, CPU) key, and the
+// CPU then runs idle from the next tick on its own clock: the execution
+// phase closes its idle piece and the park phase parks it. Its sleeper
+// wakes at a start-of-tick instant, so the window shrinks to the tick
+// before. Its feed falls, which the re-checks below cover; the hot
+// checks need none (see recheckFeed). Stops no longer bound the plan,
+// so the planner's hot walk (walkHotChecks) goes only to the earliest
+// local stop still pending — a wake it draws may end the window there
+// — and runWindow extends it as the pops pass it. A wake at the very
+// next tick ends the window at the stop's tick, so while a local stop
+// is pending at t no crossing tick t+1 runs ahead (startPiece), and
+// the execution and thermal phases pass over a CPU or a package that a
+// pop already settled through the end tick.
 //
 // A rate crossing changes the CPU's metric feed, which the planner's
 // hot-check, governor and throttle predictions read. The hot-source
@@ -225,18 +246,21 @@ func (m *Machine) govThermal() bool {
 }
 
 // startPiece begins CPU c's next piece at tick t: it ends the window
-// at the running task's cross-CPU horizons (stop, warm-up end, a
-// timeslice expiry that dispatches another task) and pushes the piece's
-// local boundary — the slice expiry or the last tick before a rate
-// crossing — or, when the rates change inside tick t itself, executes
-// that tick now (eagerTick). A piece reaching the window's end needs no
-// boundary: the execution phase runs it. interior is false while the
-// planner starts the window's first pieces, whose predictions its own
-// walks make afterwards; a first piece's feed is marked unread here, a
-// later one's true power and feed come from popLocal. When it ran
-// eagerTick it returns the crossing tick's metric sample and eager
-// true, and popLocal re-checks from the tick.
+// at the running task's cross-CPU horizons (a stop that is not local,
+// warm-up end, a timeslice expiry that dispatches another task),
+// records a local stop in stopAt, and pushes the piece's local
+// boundary — the slice expiry, the last tick before a rate crossing,
+// or a local stop before both — or, when the rates change inside tick
+// t itself, executes that tick now (eagerTick). A piece reaching the
+// window's end needs no boundary: the execution phase runs it.
+// interior is false while the planner starts the window's first
+// pieces, whose predictions its own walks make afterwards; a first
+// piece's feed is marked unread here, a later one's true power and
+// feed come from popLocal. When it ran eagerTick it returns the
+// crossing tick's metric sample and eager true, and popLocal re-checks
+// from the tick.
 func (m *Machine) startPiece(c int, t int64, throttled []bool, interior bool) (sampleW float64, eager bool) {
+	m.stopAt[c] = sched.NoDeadline
 	rq := m.Sched.RQs[c]
 	cur, speed := rq.Current, m.execSpeed[c]
 	if cur == nil || speed <= 0 {
@@ -256,10 +280,16 @@ func (m *Machine) startPiece(c int, t int64, throttled []bool, interior bool) (s
 		m.shrinkWindow(t+ticksOf(cur.WarmupLeft)-1, HorizonWarmup)
 	}
 	work := m.dispatches[c].task.work
+	stop := sched.NoDeadline // a local stop's tick
 	if sh := work.StopHorizonMS(); !math.IsInf(sh, 1) {
 		// Block/finish take effect at the end of the crossing
 		// millisecond.
-		m.shrinkWindow(t+ticksOf(sh/speed)-1, HorizonStop)
+		at := t + ticksOf(sh/speed) - 1
+		if m.stopIsLocal(c, work, speed) {
+			stop, m.stopAt[c], m.anyStop = at, at, true
+		} else {
+			m.shrinkWindow(at, HorizonStop)
+		}
 	}
 	if t >= m.winEnd {
 		return 0, false
@@ -268,16 +298,86 @@ func (m *Machine) startPiece(c int, t int64, throttled []bool, interior bool) (s
 	if rh := work.RateHorizonMS(); !math.IsInf(rh, 1) {
 		r := rateHorizonMS(rh, speed)
 		if r == 0 {
+			if interior && m.nextStop(t-1) == t-1 {
+				// A wake drawn by that stop may end the window at
+				// t−1: run nothing past it.
+				m.shrinkWindow(t-1, HorizonStop)
+				return 0, false
+			}
 			return m.eagerTick(c, t, throttled), true
 		}
 		end = min(end, t+r-1)
 		holds = t+r-1 > slice
+	}
+	if stop <= end {
+		end, holds = stop, false // a local stop before the crossing tick
 	}
 	if end < m.winEnd {
 		m.local.push(end, c)
 		m.sliceOnly[c] = holds
 	}
 	return 0, false
+}
+
+// stopIsLocal reports whether the stop ahead of CPU c's task, running
+// at speed speed, stays inside the window: it
+// is a block, not a completion (its tick comes strictly before the
+// finish tick; TickInto reports Finished when both fall in one tick),
+// nothing is queued anywhere, and no SMT sibling of c executes. No
+// balance or idle pull can then act on the idle CPU, no sibling's
+// speed rises, and nothing enqueues inside a window, so the conditions
+// hold to its end; a block in a crossing tick run ahead still ends the
+// window (eagerTick).
+func (m *Machine) stopIsLocal(c int, work *workload.Task, speed float64) bool {
+	bh := work.BlockHorizonMS()
+	if math.IsInf(bh, 1) || m.Sched.QueuedCount() > 0 {
+		return false
+	}
+	if fh := work.FinishHorizonMS(); !math.IsInf(fh, 1) && ticksOf(fh/speed) <= ticksOf(bh/speed) {
+		return false
+	}
+	if m.Cfg.Layout.ThreadsPerPackage > 1 {
+		for _, sib := range m.Topo.CPUsOfCore(int(m.Topo.CoreOf[c])) {
+			if int(sib) != c && m.execSpeed[sib] > 0 {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// nextStop returns the earliest local stop still to be popped at or
+// after tick t, or NoDeadline: a wake it draws may end the window
+// there.
+func (m *Machine) nextStop(t int64) int64 {
+	next := sched.NoDeadline
+	if m.anyStop {
+		for _, c := range m.stepCPUs() {
+			if s := m.stopAt[c]; s >= t && s < next {
+				next = s
+			}
+		}
+	}
+	return next
+}
+
+// walkHotChecks extends the window's hot walk through tick to (at most
+// the window's end; the earliest pending local stop, nextStop, bounds
+// each extension): it walks the static hot grid from the tick after
+// hotWalked and ends the window at the first instant whose check could
+// act (hotCheckDue). Every check it steps past is a provable no-op, so
+// phase 8 firing only at the end tick still decides exactly as the
+// lockstep loop does.
+func (m *Machine) walkHotChecks(to int64) {
+	to = min(to, m.winEnd)
+	for t := m.hotWalked + 1; t <= to; t++ {
+		if why, ok := m.hotCheckDue(t); ok {
+			m.shrinkWindow(t, why)
+			to = t
+			break
+		}
+	}
+	m.hotWalked = max(m.hotWalked, to)
 }
 
 // ticksOf is the number of ticks, at least one, that a horizon of v
@@ -325,10 +425,11 @@ func (m *Machine) execPiece(c int, end int64, throttled []bool) {
 }
 
 // runWindow steps the window's interior: it pops the local boundaries
-// before the window's last tick in (tick, CPU) order, and returns the
-// window's final length and the horizon that bound it. Boundaries at
-// the last tick are left to the execution phase, which commits that
-// tick's events in CPU order.
+// before the window's last tick in (tick, CPU) order, extending the hot
+// walk ahead of each pop past it, and through the window's end once
+// none is left; it returns the window's final length and the horizon
+// that bound it. Boundaries at the last tick are left to the execution
+// phase, which commits that tick's events in CPU order.
 func (m *Machine) runWindow(throttled []bool) (int64, Horizon) {
 	start := m.qStartMS
 	for {
@@ -336,9 +437,14 @@ func (m *Machine) runWindow(throttled []bool) (int64, Horizon) {
 		if !ok || t >= m.winEnd {
 			break
 		}
+		if t > m.hotWalked {
+			m.walkHotChecks(m.nextStop(t))
+			continue
+		}
 		m.local.pop()
 		m.popLocal(t, c, throttled)
 	}
+	m.walkHotChecks(m.winEnd)
 	m.nowMS = start
 	return m.winEnd - start + 1, m.winWhy
 }
@@ -348,7 +454,11 @@ func (m *Machine) runWindow(throttled []bool) (int64, Horizon) {
 // feed it reads from the rates once. Rates that change exactly at the
 // boundary (a phase or noise epoch ending with the piece) change the
 // feed and the true power without a crossing tick, and are re-checked
-// here, as is a crossing tick that the next piece runs ahead.
+// here, as is a crossing tick that the next piece runs ahead. A local
+// stop leaves c idle from t+1, at the idle powers, and shrinks the
+// window to the tick before its sleeper's wake; a governor evaluation
+// due at t is not replayed, as governorEval returns early on the CPU
+// the block empties.
 //
 // A same-task slice expiry at which the rates hold (sliceHolds) takes a
 // fast path: the piece runs and commits, and nothing else changes.
@@ -384,17 +494,30 @@ func (m *Machine) popLocal(t int64, c int, throttled []bool) {
 	if !crossing {
 		m.execPiece(c, t, throttled)
 	}
-	m.replayGovEval(c, t)
-	sliceEnds := m.dispatches[c].task.st.SliceLeft <= 0
+	task := m.dispatches[c].task
+	// A local stop (stopIsLocal) replays no governor evaluation:
+	// governorEval returns early on the CPU the block empties.
+	blocked := m.p6stat[c] == p6Block
+	if !blocked {
+		m.replayGovEval(c, t)
+	}
+	sliceEnds := task.st.SliceLeft <= 0
 	m.execCommitCPU(c, t)
+	if blocked {
+		m.execSpeed[c] = 0 // idle from t+1, on its own clock
+		m.shrinkWindow(task.wakeAtMS-1, HorizonWake)
+	}
 	m.feedW[c] = m.holdRatePowers(c)
 	newFeed := m.metricFeedW(c)
 	changed := newFeed != feed
 	if m.qstats != nil {
-		if crossing || changed {
+		switch {
+		case blocked:
+			m.qstats.Interior[HorizonStop]++
+		case crossing || changed:
 			m.qstats.Interior[HorizonRate]++
 		}
-		if sliceEnds {
+		if sliceEnds && !blocked {
 			m.qstats.Interior[HorizonSlice]++
 		}
 	}
@@ -478,8 +601,12 @@ func feedRose(old, firstW, newW float64) bool { return firstW > old || newW > ol
 // the floor reads no feed, so under samples no higher every check
 // stays ruled out, and the window's end cannot move. A skip compares
 // with the feed it replaces, which is at most the one the last walk
-// assumed. The governor and throttle re-checks run on every change:
-// they act on falling metrics too.
+// assumed. A local stop's idle feed is such a fall: the blocked CPU's
+// own check needs a running task, its core's sum falls, and every other
+// core's floor holds whatever the feeds. The governor and throttle
+// re-checks run on every change: they act on falling metrics too. The
+// hot walk goes no further than the window's hot walk has (hotWalked):
+// the ticks past it are walked later, at the feeds then current.
 func (m *Machine) recheckFeed(c int, from int64, rising bool) {
 	if m.govThermal() {
 		m.shrinkWindow(m.govFirstAct(c, from), HorizonGovernor)
@@ -502,7 +629,7 @@ func (m *Machine) recheckFeed(c int, from int64, rising bool) {
 		if cs.q == 0 {
 			cs = m.hotCoreSumW(core)
 		}
-		for t := m.wheel.NextHot(from, d); t < m.winEnd; t = m.wheel.NextHot(t+1, d) {
+		for t := m.wheel.NextHot(from, d); t < m.winEnd && t <= m.hotWalked; t = m.wheel.NextHot(t+1, d) {
 			if why, ok := m.hotCheckAt(d, t, cs); ok {
 				m.shrinkWindow(t, why)
 				break
@@ -574,25 +701,41 @@ func (m *Machine) thermDecayFor(core int, fdt float64) float64 {
 	return d
 }
 
-// pieceSlots is the size of a pieceTable, a power of two.
-const pieceSlots = 16
+// pieceSlots is the number of keyed slots of a pieceTable, a power of
+// two, and pieceDirect the longest length it indexes directly.
+const (
+	pieceSlots  = 16
+	pieceDirect = 64
+)
 
 // pieceTable memoizes a function of a piece's length in whole
-// milliseconds, direct-mapped: slot dt mod pieceSlots holds the last
-// such length stored and its value. A zero length marks an empty slot;
-// lengths below one or not whole are never stored or found, so their
-// callers compute afresh. The values are the function's own, so a hit
-// returns exactly what a fresh computation would.
+// milliseconds. Lengths 1…pieceDirect index their own value, 0 marking
+// an empty entry: short pieces dominate the lookups (one-tick crossing
+// pieces and slices cut by local events), and in a shared slot any
+// length ≡ 1 (mod pieceSlots) would evict the length 1. Longer lengths
+// are direct-mapped: slot dt mod pieceSlots holds the last such length
+// stored and its value, a zero length marking an empty slot. Lengths
+// below one or not whole are never stored or found, so their callers
+// compute afresh. The values are the function's own, so a hit returns
+// exactly what a fresh computation would.
 type pieceTable struct {
-	dt [pieceSlots]int64
-	v  [pieceSlots]float64
+	direct [pieceDirect]float64
+	dt     [pieceSlots]int64
+	v      [pieceSlots]float64
 }
 
 // lookup returns the value stored for a length of fdt ms, if any.
 func (t *pieceTable) lookup(fdt float64) (float64, bool) {
 	dt := int64(fdt)
+	if dt <= 0 || float64(dt) != fdt {
+		return 0, false
+	}
+	if dt <= pieceDirect {
+		v := t.direct[dt-1]
+		return v, v != 0
+	}
 	i := dt & (pieceSlots - 1)
-	if t.dt[i] != dt || dt <= 0 || float64(dt) != fdt {
+	if t.dt[i] != dt {
 		return 0, false
 	}
 	return t.v[i], true
@@ -600,8 +743,14 @@ func (t *pieceTable) lookup(fdt float64) (float64, bool) {
 
 // store records v as the value for a length of fdt ms.
 func (t *pieceTable) store(fdt, v float64) {
-	if dt := int64(fdt); dt > 0 && float64(dt) == fdt {
-		i := dt & (pieceSlots - 1)
-		t.dt[i], t.v[i] = dt, v
+	dt := int64(fdt)
+	if dt <= 0 || float64(dt) != fdt {
+		return
 	}
+	if dt <= pieceDirect {
+		t.direct[dt-1] = v
+		return
+	}
+	i := dt & (pieceSlots - 1)
+	t.dt[i], t.v[i] = dt, v
 }

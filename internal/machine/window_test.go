@@ -455,10 +455,11 @@ func TestWindowSliceFastPathMatchesLockstep(t *testing.T) {
 // The per-length tables behind thermWeightFor and thermDecayFor
 // (pieceTable) must return exactly what a fresh math.Pow through a new
 // tracker, or Properties.Decay, computes: lengths 1…1024 are looked up
-// in an order where consecutive lengths share a slot, then backwards,
-// each alongside the length before it, all bit-equal to fresh values.
-// An empty slot must never answer for a length of 0, whose retention
-// is 1, nor for a fractional one.
+// in an order where consecutive lengths share a slot (above the
+// directly indexed ones), then backwards, each alongside the length
+// before it, all bit-equal to fresh values. An empty slot must never
+// answer for a length of 0, whose retention is 1, nor for a fractional
+// one, and no longer length may evict a short one.
 func TestPieceTablesMatchFresh(t *testing.T) {
 	m, _ := windowMachine(t, EngineAsync)
 	if !m.thermWShared || !m.decayShared {
@@ -500,5 +501,10 @@ func TestPieceTablesMatchFresh(t *testing.T) {
 	}
 	if _, ok := m.weightTab.lookup(float64(order[len(order)-1])); !ok {
 		t.Error("the weight table forgot the last length stored")
+	}
+	for dt := 1.0; dt <= pieceDirect; dt++ {
+		if _, ok := m.decayTab.lookup(dt); !ok {
+			t.Fatalf("a longer length evicted %v ms from the decay table", dt)
+		}
 	}
 }

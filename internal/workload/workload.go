@@ -243,16 +243,21 @@ func (t *Task) RateHorizonMS() float64 {
 // StopHorizonMS returns the executed milliseconds until the task stops
 // executing (block point or work completion), possibly +Inf.
 func (t *Task) StopHorizonMS() float64 {
-	h := t.runLeft
-	if t.Prog.WorkMS > 0 {
-		if wl := t.workTargetMS() - t.doneWork; wl < h {
-			h = wl
-		}
+	return math.Min(t.BlockHorizonMS(), t.FinishHorizonMS())
+}
+
+// BlockHorizonMS returns the executed milliseconds until the task's
+// next block point, +Inf in a phase that never blocks. A phase change
+// before it draws a new one.
+func (t *Task) BlockHorizonMS() float64 { return math.Max(t.runLeft, 0) }
+
+// FinishHorizonMS returns the executed milliseconds until the task
+// completes its work, +Inf for a task that runs forever.
+func (t *Task) FinishHorizonMS() float64 {
+	if t.Prog.WorkMS <= 0 {
+		return math.Inf(1)
 	}
-	if h < 0 {
-		h = 0
-	}
-	return h
+	return math.Max(t.workTargetMS()-t.doneWork, 0)
 }
 
 // EffectiveRates returns the task's current event rates per executed
